@@ -23,16 +23,19 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .families import (
     FamilyValidationError,
-    KTypeSet,
     ModuleFamily,
     family_from_json,
     in_tilde_class,
     infinitesimal_character,
+    ktypes_at,
     make_family,
+    pinned_level,
+    scalar_from_json,
 )
 from .fibers import (
     DualParam,
@@ -246,87 +249,18 @@ def _emit(doc, fmt: str, out: Optional[str]) -> None:
 # -- tables -----------------------------------------------------------------
 
 
-def _table1_rows(M: int) -> List[dict]:
+def _ladder_rows(M: int, key: str, generic: Tuple[str, str]) -> List[dict]:
+    """Table 1 (key "casimir") or table 2 (key "level"): the classification
+    rows with |m| <= M, generic[parity] standing for a non-wall level."""
     rows: List[dict] = []
     for m in range(-M, M + 1):
-        if m == 0:
-            rows.append({"m": 0, "ktypes": "2Z", "casimir": GENERIC_EVEN})
-            for k in range(0, M + 1, 2):
-                rows.append({"m": 0, "ktypes": str(KTypeSet.window(k)),
-                             "casimir": k * (k + 2)})
-        elif m == 1:
-            rows.append({"m": 1, "ktypes": "2Z+1", "casimir": GENERIC_ODD})
-            rows.append({"m": 1, "ktypes": str(KTypeSet.ray_up(1)), "casimir": -1})
-            for k in range(1, M + 1, 2):
-                rows.append({"m": 1, "ktypes": str(KTypeSet.window(k)),
-                             "casimir": k * (k + 2)})
-        elif m == -1:
-            rows.append({"m": -1, "ktypes": "2Z+1", "casimir": GENERIC_ODD})
-            rows.append({"m": -1, "ktypes": str(KTypeSet.ray_down(-1)), "casimir": -1})
-            for k in range(1, M + 1, 2):
-                rows.append({"m": -1, "ktypes": str(KTypeSet.window(k)),
-                             "casimir": k * (k + 2)})
-        elif m > 1:
-            rows.append({"m": m, "ktypes": str(KTypeSet.ray_up(m)),
-                         "casimir": m * (m - 2)})
+        if abs(m) <= 1:
+            rows.append({"m": m, "ktypes": str(ktypes_at(m, None)), key: generic[m % 2]})
+            # the wall levels k(k+2), k of the parity of m, from the limit rays up
+            levels = [k * (k + 2) for k in range(-abs(m), M + 1, 2)]
         else:
-            rows.append({"m": m, "ktypes": str(KTypeSet.ray_down(m)),
-                         "casimir": m * (m + 2)})
-    return rows
-
-
-def _table1_instances(M: int, grid: Sequence) -> List[dict]:
-    rows: List[dict] = []
-    for v in grid:
-        for m in range(-M, M + 1):
-            try:
-                fam = make_family(m, GaussianRational.of(v))
-            except FamilyValidationError:
-                continue
-            rows.append({"m": m, "ktypes": str(fam.ktypes),
-                         "casimir": scalar_to_json(GaussianRational.of(v))})
-    return rows
-
-
-def _table2_rows(M: int) -> List[dict]:
-    rows: List[dict] = []
-    for m in range(-M, M + 1):
-        if m == 0:
-            rows.append({"m": 0, "level": LEVEL_EVEN, "ktypes": "2Z"})
-            for k in range(0, M + 1, 2):
-                rows.append({"m": 0, "level": k * (k + 2),
-                             "ktypes": str(KTypeSet.window(k))})
-        elif m == 1:
-            rows.append({"m": 1, "level": LEVEL_ODD, "ktypes": "2Z+1"})
-            rows.append({"m": 1, "level": -1, "ktypes": str(KTypeSet.ray_up(1))})
-            for k in range(1, M + 1, 2):
-                rows.append({"m": 1, "level": k * (k + 2),
-                             "ktypes": str(KTypeSet.window(k))})
-        elif m == -1:
-            rows.append({"m": -1, "level": LEVEL_ODD, "ktypes": "2Z+1"})
-            rows.append({"m": -1, "level": -1, "ktypes": str(KTypeSet.ray_down(-1))})
-            for k in range(1, M + 1, 2):
-                rows.append({"m": -1, "level": k * (k + 2),
-                             "ktypes": str(KTypeSet.window(k))})
-        elif m > 1:
-            rows.append({"m": m, "level": m * (m - 2),
-                         "ktypes": str(KTypeSet.ray_up(m))})
-        else:
-            rows.append({"m": m, "level": m * (m + 2),
-                         "ktypes": str(KTypeSet.ray_down(m))})
-    return rows
-
-
-def _table2_instances(M: int, grid: Sequence) -> List[dict]:
-    rows: List[dict] = []
-    for v in grid:
-        for m in range(-M, M + 1):
-            try:
-                q = DualParam.group(v, m)
-            except ValueError:
-                continue
-            rows.append({"m": m, "level": scalar_to_json(q.level),
-                         "ktypes": str(dual_ktypes(q))})
+            levels = [pinned_level(m)]
+        rows.extend({"m": m, "ktypes": str(ktypes_at(m, lv)), key: lv} for lv in levels)
     return rows
 
 
@@ -340,29 +274,42 @@ def _table3_rows(M: int) -> List[dict]:
     return rows
 
 
-def _table3_instances(M: int, grid: Sequence) -> List[dict]:
+def _instances(make, key: str, M: int, grid: Sequence) -> List[dict]:
+    """Concrete rows at the grid levels; make(level, m) is a DualParam
+    constructor, which raises ValueError off the table."""
     rows: List[dict] = []
     for v in grid:
         for m in range(-M, M + 1):
             try:
-                q = DualParam.motion(v, m)
+                q = make(v, m)
             except ValueError:
                 continue
-            rows.append({"m": m, "level": scalar_to_json(q.level),
-                         "ktypes": str(dual_ktypes(q))})
+            rows.append({"m": m, key: scalar_to_json(q.level), "ktypes": str(dual_ktypes(q))})
     return rows
+
+
+# which -> (base rows of |m| <= M, concrete rows at grid levels).  A family
+# with constant c(r) = z has the K-types of the group-dual parameter (z, m),
+# so table 1 reads its instances from the group dual too.
+_TABLES = {
+    1: (partial(_ladder_rows, key="casimir", generic=(GENERIC_EVEN, GENERIC_ODD)),
+        partial(_instances, DualParam.group, "casimir")),
+    2: (partial(_ladder_rows, key="level", generic=(LEVEL_EVEN, LEVEL_ODD)),
+        partial(_instances, DualParam.group, "level")),
+    3: (_table3_rows, partial(_instances, DualParam.motion, "level")),
+}
 
 
 def cmd_tables(which: int, M: int, grid: Optional[Sequence] = None) -> dict:
     """Rows of table 1 (families), 2 (group dual), or 3 (motion dual)."""
-    base = {1: _table1_rows, 2: _table2_rows, 3: _table3_rows}[which](M)
+    if M < 0:
+        raise ValueError("the K-type bound M must be >= 0")
+    rows, instances = _TABLES[which]
+    base = rows(M)
     doc = {"table": which, "M": M, "rows": base}
     if grid is not None:
-        inst = {1: _table1_instances, 2: _table2_instances, 3: _table3_instances}[
-            which
-        ](M, grid)
         seen = [json.dumps(r, sort_keys=True) for r in base]
-        for row in inst:
+        for row in instances(M, grid):
             key = json.dumps(row, sort_keys=True)
             if key not in seen:
                 seen.append(key)
@@ -472,9 +419,10 @@ def _parse_candidate(obj: dict) -> Dict[int, tuple]:
         m = int(key)
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValueError(f"candidate entry for m={m} must be a pair [a, b]")
-        a = GaussianRational.of(Fraction(pair[0]) if isinstance(pair[0], str) else pair[0])
-        b = GaussianRational.of(Fraction(pair[1]) if isinstance(pair[1], str) else pair[1])
-        out[m] = (a, b)
+        try:
+            out[m] = tuple(scalar_from_json(x) for x in pair)
+        except FamilyValidationError as err:
+            raise ValueError(f"candidate entry for m={m}: {err.detail}") from err
     return out
 
 
@@ -513,8 +461,7 @@ def _suite_conjecture2(M: int, c2s: Sequence, points: Sequence[str]) -> List[dic
                 fam = make_family(m, Poly.of([-1, 0, GaussianRational.of(c2)], "r"))
                 labeled.append((f"m={m} c2={c2}", fam))
         else:
-            pinned = m * (m - 2) if m > 1 else m * (m + 2)
-            labeled.append((f"m={m} pinned", make_family(m, pinned)))
+            labeled.append((f"m={m} pinned", make_family(m, pinned_level(m))))
     pts = [ProjectivePoint.parse(t) for t in points]
     for label, fam in labeled:
         for p in pts:
@@ -630,7 +577,8 @@ def cmd_verify(
     doc = {
         "suite": suite,
         "profile": profile,
-        "pass": n_pass == len(entries),
+        # a suite that ran no checks has shown nothing
+        "pass": bool(entries) and n_pass == len(entries),
         "counts": {"pass": n_pass, "fail": len(entries) - n_pass},
         "entries": entries,
     }
@@ -650,7 +598,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
 
     if args.command == "tables":
-        doc, status = cmd_tables(args.which, args.M, args.grid), 0
+        try:
+            doc, status = cmd_tables(args.which, args.M, args.grid), 0
+        except ValueError as err:
+            parser.error(str(err))
     elif args.command == "classify":
         try:
             obj = _load_family_json(args.family)

@@ -14,6 +14,7 @@ preserves temperedness, affine in the level) is eta^R for a unique R.
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .families import pinned_level
 from .fibers import GROUP, MOTION, DualParam, dual_ktypes, scalar_to_json
 from .scalars import GR_ONE, GaussianRational, has_gaussian_sqrt
 
@@ -85,12 +86,7 @@ def is_tempered(p: DualParam) -> bool:
 def vogan_map(m: int, R) -> DualParam:
     """The tempered parameter with real infinitesimal character and lowest
     K-type m, in the group dual at chart coordinate R."""
-    R = _nonzero_real(R)
-    if m > 1:
-        return DualParam.group(m * (m - 2), m, R)
-    if m < -1:
-        return DualParam.group(m * (m + 2), m, R)
-    return DualParam.group(-1, m, R)
+    return DualParam.group(pinned_level(m) if m else -1, m, _nonzero_real(R))
 
 
 def eta(p: DualParam, R) -> DualParam:
@@ -172,8 +168,7 @@ class DualAtlas:
             elif self.flavor == MOTION:
                 yield DualParam.motion(0, m)
             else:
-                level = m * (m - 2) if m > 1 else m * (m + 2)
-                yield DualParam.group(level, m, self.R)
+                yield DualParam.group(pinned_level(m), m, self.R)
 
     def classes(self) -> Iterator[DualParam]:
         """Canonical representatives, one per equivalence class."""
@@ -350,12 +345,12 @@ class CharacterizationResult:
         }
 
 
-def characterize_bijections(candidate: Dict[int, tuple], R0=GR_ONE) -> CharacterizationResult:
+def characterize_bijections(candidate: Dict[int, tuple]) -> CharacterizationResult:
     """Decide whether per-m affine level maps are realized by some eta^R.
 
     ``candidate`` gives, for each m in {0, 1, -1}, the coefficients
     (a_m, b_m) of the proposed level map z -> a_m z + b_m into the dual
-    at R0; the |m| > 1 assignments are forced (pinned levels) and need
+    at R = 1; the |m| > 1 assignments are forced (pinned levels) and need
     not be supplied.  The routine replays the uniqueness argument:
     extending the minimal-K-type correspondence forces b_m = -1,
     preserving temperedness forces a_m real and positive, agreement of
@@ -363,7 +358,6 @@ def characterize_bijections(candidate: Dict[int, tuple], R0=GR_ONE) -> Character
     exactly the level map of eta^R for R = 1/sqrt(a), reported when that
     square root is rational.
     """
-    R0 = _nonzero_real(R0)
     maps: Dict[int, Tuple[GaussianRational, GaussianRational]] = {}
     for m in (0, 1, -1):
         if m not in candidate:
@@ -379,7 +373,7 @@ def characterize_bijections(candidate: Dict[int, tuple], R0=GR_ONE) -> Character
                 "vogan-extension",
                 f"the map for m = {m} sends the level-0 character to level {b}; "
                 f"extending the minimal-K-type correspondence forces the image "
-                f"(-1,{m})_{R0}, i.e. b = -1",
+                f"(-1,{m})_1, i.e. b = -1",
             )
     for m in (0, 1, -1):
         a = maps[m][0]

@@ -12,6 +12,12 @@ combinations form a short table:
     m = d>1   I = d,d+2,.. c(r) = d(d-2)    (lowest-weight ladders)
     m = d<-1  I = d,d-2,.. c(r) = d(d+2)    (highest-weight ladders)
 
+The table lives in two functions: ``pinned_level(m)`` gives the level a
+minimal K-type |m| >= 1 pins, and ``ktypes_at(m, level)`` gives the one
+K-type set of the row at (m, level).  Family validation, K-type inference,
+the K-types of group-dual parameters (``fibers.dual_ktypes``) and the CLI's
+tables 1 and 2 all read the classification from there.
+
 Everything here is exact: coefficients live in Q(i).
 """
 
@@ -241,6 +247,8 @@ def wall_index(value) -> Optional[int]:
     k(k+2) is injective on k >= -1, so the index is unique when it exists.
     """
     v = GaussianRational.of(value)
+    if not v.is_real:
+        return None
     s = has_gaussian_sqrt(v + 1)
     if s is None or not s.is_real:
         return None
@@ -301,6 +309,33 @@ class ModuleFamily:
         }
 
 
+def pinned_level(m: int) -> int:
+    """The Casimir level pinned by a minimal K-type m with |m| >= 1.
+
+    m(m-2) for m >= 1 and m(m+2) for m <= -1: the level of the ladder
+    from m away from zero, which is -1 for the two limit rays at m = +-1.
+    (At m = 0 it gives 0, a level no ray of the table has.)
+    """
+    return m * (m - 2) if m > 0 else m * (m + 2)
+
+
+def ktypes_at(m: int, level) -> Optional[KTypeSet]:
+    """The K-type set of the table row at (m, level), or None off the table.
+
+    level is the constant value of c(r), or None for a non-constant c(r).
+    """
+    if abs(m) > 1:
+        if level is None or level != pinned_level(m):
+            return None
+        return KTypeSet.ray_up(m) if m > 0 else KTypeSet.ray_down(m)
+    k = wall_index(level) if level is not None else None
+    if k is None or k % 2 != m % 2:
+        return KTypeSet.all_odd() if m else KTypeSet.all_even()
+    if k == -1:
+        return KTypeSet.ray_up(1) if m == 1 else KTypeSet.ray_down(-1)
+    return KTypeSet.window(k)
+
+
 def make_family(m: int, casimir, ktypes: Optional[KTypeSet] = None) -> ModuleFamily:
     """Validated family constructor; raises FamilyValidationError off-table."""
     c = _as_casimir(casimir)
@@ -311,128 +346,64 @@ def make_family(m: int, casimir, ktypes: Optional[KTypeSet] = None) -> ModuleFam
     return fam
 
 
-def _validate_row(fam: ModuleFamily) -> None:
-    m, kt, c = fam.m, fam.ktypes, fam.casimir
-    cv = fam.casimir_value()
-    k = wall_index(cv) if cv is not None else None
+# Per K-type shape: the rejection when m is not a minimal K-type of the set,
+# the rejection when c(r) misses the level of the set's row, and that level
+# as a function of the shape's parameter p.
+_FULL = ("the full {par} ladder has minimal K-type {lows}, not {m}",
+         "c(r) constantly {cv} = {k}({k}+2) on the full {par} ladder demands "
+         "a window or ray instead",
+         lambda p: None)
+_REJECTIONS = {
+    ALL_EVEN: _FULL,
+    ALL_ODD: _FULL,
+    WINDOW: ("{par} window has minimal K-type {lows}, not {m}",
+             "window -{p}..{p} requires c(r) = {want} constantly, got {c}",
+             lambda p: p * (p + 2)),
+    RAY_UP: ("upward ray from {p} has minimal K-type {p}, not {m}",
+             "upward ray from {p} requires c(r) = {want} constantly, got {c}",
+             pinned_level),
+    RAY_DOWN: ("downward ray from {p} has minimal K-type {p}, not {m}",
+               "downward ray from {p} requires c(r) = {want} constantly, got {c}",
+               pinned_level),
+}
+# a ray from p that points toward zero is on no row
+_WRONG_WAY = {
+    RAY_UP: "upward rays exist only for d >= 1, got d = {p}",
+    RAY_DOWN: "downward rays exist only for d <= -1, got d = {p}",
+}
 
+
+def _validate_row(fam: ModuleFamily) -> None:
+    m, kt, cv = fam.m, fam.ktypes, fam.casimir_value()
     if kt.kind == SINGLETON:
         raise FamilyValidationError(
             "singleton-not-a-family",
             "a single K-type supports no family; singletons only occur as fibers",
         )
-
-    if kt.kind == ALL_EVEN:
-        if m != 0:
-            raise FamilyValidationError(
-                "minimal-ktype-mismatch", f"the full even ladder has minimal K-type 0, not {m}"
-            )
-        if k is not None and k >= 0 and k % 2 == 0:
-            raise FamilyValidationError(
-                "row-mismatch",
-                f"c(r) constantly {cv} = {k}({k}+2) on the full even ladder demands "
-                "a window or ray instead",
-            )
+    if ktypes_at(m, cv) == kt:
         return
-
-    if kt.kind == ALL_ODD:
-        if m not in (1, -1):
-            raise FamilyValidationError(
-                "minimal-ktype-mismatch", f"the full odd ladder has minimal K-type 1 or -1, not {m}"
-            )
-        if k is not None and k >= -1 and k % 2 == 1:
-            raise FamilyValidationError(
-                "row-mismatch",
-                f"c(r) constantly {cv} = {k}({k}+2) on the full odd ladder demands "
-                "a window or ray instead",
-            )
-        return
-
-    if kt.kind == WINDOW:
-        kk = kt.param
-        if kk % 2 == 0 and m != 0:
-            raise FamilyValidationError(
-                "minimal-ktype-mismatch", f"even window has minimal K-type 0, not {m}"
-            )
-        if kk % 2 == 1 and m not in (1, -1):
-            raise FamilyValidationError(
-                "minimal-ktype-mismatch", f"odd window has minimal K-type 1 or -1, not {m}"
-            )
-        want = kk * (kk + 2)
-        if cv is None or cv != want:
-            raise FamilyValidationError(
-                "row-mismatch",
-                f"window -{kk}..{kk} requires c(r) = {want} constantly, got {c}",
-            )
-        return
-
-    if kt.kind == RAY_UP:
-        d = kt.param
-        if m != d:
-            raise FamilyValidationError(
-                "minimal-ktype-mismatch", f"upward ray from {d} has minimal K-type {d}, not {m}"
-            )
-        if d < 1:
-            raise FamilyValidationError(
-                "row-mismatch", f"upward rays exist only for d >= 1, got d = {d}"
-            )
-        want = -1 if d == 1 else d * (d - 2)
-        if cv is None or cv != want:
-            raise FamilyValidationError(
-                "row-mismatch",
-                f"upward ray from {d} requires c(r) = {want} constantly, got {c}",
-            )
-        return
-
-    # RAY_DOWN
-    d = kt.param
-    if m != d:
-        raise FamilyValidationError(
-            "minimal-ktype-mismatch", f"downward ray from {d} has minimal K-type {d}, not {m}"
-        )
-    if d > -1:
-        raise FamilyValidationError(
-            "row-mismatch", f"downward rays exist only for d <= -1, got d = {d}"
-        )
-    want = -1 if d == -1 else d * (d + 2)
-    if cv is None or cv != want:
-        raise FamilyValidationError(
-            "row-mismatch",
-            f"downward ray from {d} requires c(r) = {want} constantly, got {c}",
-        )
+    p, ray = kt.param, kt.kind in (RAY_UP, RAY_DOWN)
+    mismatch, off_level, row_level = _REJECTIONS[kt.kind]
+    words = dict(m=m, p=p, par=("even", "odd")[kt.parity], lows=("0", "1 or -1")[kt.parity],
+                 c=fam.casimir, cv=cv, k=None if cv is None else wall_index(cv),
+                 want=row_level(p))
+    if (m != p) if ray else abs(m) > 1:
+        raise FamilyValidationError("minimal-ktype-mismatch", mismatch.format(**words))
+    if ray and ktypes_at(p, pinned_level(p)) != kt:
+        raise FamilyValidationError("row-mismatch", _WRONG_WAY[kt.kind].format(**words))
+    raise FamilyValidationError("row-mismatch", off_level.format(**words))
 
 
 def infer_ktypes(m: int, casimir) -> KTypeSet:
     """The unique K-type set making (m, casimir) a valid family."""
     c = _as_casimir(casimir)
-    cv = c.coeff(0) if c.is_constant else None
-    if m > 1:
-        want = m * (m - 2)
-        if cv is None or cv != want:
-            raise FamilyValidationError(
-                "row-mismatch",
-                f"minimal K-type {m} forces c(r) = {want} constantly, got {c}",
-            )
-        return KTypeSet.ray_up(m)
-    if m < -1:
-        want = m * (m + 2)
-        if cv is None or cv != want:
-            raise FamilyValidationError(
-                "row-mismatch",
-                f"minimal K-type {m} forces c(r) = {want} constantly, got {c}",
-            )
-        return KTypeSet.ray_down(m)
-    k = wall_index(cv) if cv is not None else None
-    if m == 0:
-        if k is not None and k >= 0 and k % 2 == 0:
-            return KTypeSet.window(k)
-        return KTypeSet.all_even()
-    # m = +-1
-    if k is not None and k % 2 == 1:
-        if k == -1:
-            return KTypeSet.ray_up(1) if m == 1 else KTypeSet.ray_down(-1)
-        return KTypeSet.window(k)
-    return KTypeSet.all_odd()
+    kt = ktypes_at(m, c.coeff(0) if c.is_constant else None)
+    if kt is None:
+        raise FamilyValidationError(
+            "row-mismatch",
+            f"minimal K-type {m} forces c(r) = {pinned_level(m)} constantly, got {c}",
+        )
+    return kt
 
 
 def in_tilde_class(fam: ModuleFamily) -> Tuple[bool, str]:
@@ -508,9 +479,6 @@ class LadderAction:
             return Poly.const(1, self.var)
         return self._nonunit(n * (n - 2))
 
-    def h(self, n: int) -> int:
-        return n
-
 
 def ladder_action(fam: ModuleFamily, chart: str = "X0") -> LadderAction:
     if chart not in ("X0", "Xinf"):
@@ -582,15 +550,20 @@ def family_from_json(obj: dict) -> ModuleFamily:
             "descriptor-missing-field", 'family descriptor needs "m" and "casimir"'
         )
     m = obj["m"]
-    if not isinstance(m, int):
+    if not isinstance(m, int) or isinstance(m, bool):
         raise FamilyValidationError("descriptor-bad-field", '"m" must be an integer')
     cas = obj["casimir"]
     if isinstance(cas, dict):
-        c = Poly.from_json(cas)
+        coeffs, var = cas.get("coeffs"), cas.get("var")
+        if not isinstance(coeffs, (list, tuple)) or not isinstance(var, str):
+            raise FamilyValidationError(
+                "descriptor-bad-field", '"casimir" object needs a "coeffs" list and a "var" string'
+            )
+        c = Poly.of([scalar_from_json(x) for x in coeffs], var)
     elif isinstance(cas, (list, tuple)):
-        c = Poly.of([_json_scalar(x) for x in cas], "r")
+        c = Poly.of([scalar_from_json(x) for x in cas], "r")
     else:
-        c = Poly.const(_json_scalar(cas), "r")
+        c = Poly.const(scalar_from_json(cas), "r")
     kt = obj.get("ktypes")
     if isinstance(kt, str) and kt.strip() in ("rayUp", RAY_UP):
         ktypes: Optional[KTypeSet] = KTypeSet.ray_up(m)
@@ -608,15 +581,26 @@ def family_from_json(obj: dict) -> ModuleFamily:
     return make_family(m, c, ktypes)
 
 
-def _json_scalar(x) -> GaussianRational:
+def scalar_from_json(x) -> GaussianRational:
+    """An exact scalar from JSON: an integer, a "p/q" string, or {"re", "im"?}
+    with such parts; raises FamilyValidationError on anything else."""
+    if isinstance(x, dict) and "re" in x:
+        return GaussianRational(_json_rational(x["re"]), _json_rational(x.get("im", 0)))
+    return GaussianRational(_json_rational(x))
+
+
+def _json_rational(x) -> Fraction:
     if isinstance(x, bool):
         raise FamilyValidationError("descriptor-bad-field", "booleans are not scalars")
     if isinstance(x, int):
-        return GaussianRational.of(x)
+        return Fraction(x)
     if isinstance(x, str):
-        return GaussianRational.of(Fraction(x))
-    if isinstance(x, dict):
-        return GaussianRational.from_json(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise FamilyValidationError(
+                "descriptor-bad-field", f"cannot read scalar from {x!r}"
+            ) from None
     raise FamilyValidationError(
         "descriptor-bad-field", f"cannot read scalar from {x!r} (floats are not exact)"
     )

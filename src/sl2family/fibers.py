@@ -27,7 +27,9 @@ from .families import (
     ModuleFamily,
     in_tilde_class,
     intertwiner_exists,
+    ktypes_at,
     ladder_action,
+    pinned_level,
     wall_index,
 )
 from .scalars import GR_ZERO, GaussianRational, rational_sqrt
@@ -54,7 +56,7 @@ class DualParam:
     Group flavor carries the chart-at-infinity coordinate R of the fiber
     (None for the fiber at r = 0, which the R-coordinate does not reach).
     Validation enforces the dual tables: for |m| > 1 the group level is
-    pinned to m(m-2) or m(m+2) and the motion level to 0.
+    ``pinned_level(m)`` and the motion level is 0.
     """
 
     flavor: str
@@ -69,14 +71,9 @@ class DualParam:
         if self.flavor == GROUP:
             if self.R is not None and not self.R:
                 raise ValueError("group-flavor parameters need R != 0")
-            if self.m > 1 and self.level != self.m * (self.m - 2):
+            if abs(self.m) > 1 and self.level != pinned_level(self.m):
                 raise ValueError(
-                    f"minimal K-type {self.m} pins the level to {self.m * (self.m - 2)}, "
-                    f"got {self.level}"
-                )
-            if self.m < -1 and self.level != self.m * (self.m + 2):
-                raise ValueError(
-                    f"minimal K-type {self.m} pins the level to {self.m * (self.m + 2)}, "
+                    f"minimal K-type {self.m} pins the level to {pinned_level(self.m)}, "
                     f"got {self.level}"
                 )
         elif self.flavor == MOTION:
@@ -134,24 +131,11 @@ class DualParam:
 def dual_ktypes(p: DualParam) -> KTypeSet:
     """The K-type set of the irreducible module named by the parameter."""
     m = p.m
-    if p.flavor == MOTION:
-        if abs(m) > 1 or p.level == 0:
-            return KTypeSet.singleton(m)
-        return KTypeSet.all_even() if m == 0 else KTypeSet.all_odd()
-    if m > 1:
-        return KTypeSet.ray_up(m)
-    if m < -1:
-        return KTypeSet.ray_down(m)
-    k = wall_index(p.level) if p.level.is_real else None
-    if m == 0:
-        if k is not None and k >= 0 and k % 2 == 0:
-            return KTypeSet.window(k)
-        return KTypeSet.all_even()
-    if k == -1:
-        return KTypeSet.ray_up(1) if m == 1 else KTypeSet.ray_down(-1)
-    if k is not None and k >= 1 and k % 2 == 1:
-        return KTypeSet.window(k)
-    return KTypeSet.all_odd()
+    if p.flavor == GROUP:
+        return ktypes_at(m, p.level)
+    if abs(m) > 1 or p.level == 0:
+        return KTypeSet.singleton(m)
+    return KTypeSet.all_even() if m == 0 else KTypeSet.all_odd()
 
 
 @dataclass(frozen=True)

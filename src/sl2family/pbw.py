@@ -85,17 +85,10 @@ def normal_multiply(ut: dict, vt: dict, tau) -> dict:
 
 @dataclass(frozen=True)
 class Sl2Basis:
-    """An ordered sl2 basis (lowering, cartan, raising) with parity tags.
-
-    noncompact[k] marks whether slot k lies in the -1 eigenspace of the
-    Cartan involution.  Only the compact basis is adapted to that
-    involution; the split basis carries all-noncompact tags and is never
-    used directly for filtration-degree bookkeeping.
-    """
+    """An ordered sl2 basis (lowering, cartan, raising)."""
 
     name: str
     gens: Tuple[str, str, str]
-    noncompact: Tuple[bool, bool, bool]
 
     def gen_index(self, name: str) -> int:
         return self.gens.index(name)
@@ -104,8 +97,8 @@ class Sl2Basis:
         return self.name
 
 
-COMPACT = Sl2Basis("compact", ("Y", "H", "X"), (True, False, True))
-SPLIT = Sl2Basis("split", ("Ys", "Hs", "Xs"), (True, True, True))
+COMPACT = Sl2Basis("compact", ("Y", "H", "X"))
+SPLIT = Sl2Basis("split", ("Ys", "Hs", "Xs"))
 
 _BASES = {"compact": COMPACT, "split": SPLIT}
 
@@ -284,15 +277,6 @@ class UEAElement:
                 for k in sorted(self.terms)
             ],
         }
-
-    @staticmethod
-    def from_json(obj) -> "UEAElement":
-        basis = basis_by_name(obj["basis"])
-        terms = {
-            tuple(t["mono"]): GaussianRational.from_json(t["coeff"])
-            for t in obj["terms"]
-        }
-        return UEAElement(basis, terms)
 
 
 def commutator(u: UEAElement, v: UEAElement) -> UEAElement:

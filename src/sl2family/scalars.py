@@ -421,14 +421,6 @@ class Poly:
     def to_json(self) -> dict:
         return {"var": self.var, "coeffs": [c.to_json() for c in self.coeffs]}
 
-    @staticmethod
-    def from_json(obj) -> "Poly":
-        return Poly(tuple(GaussianRational.from_json(c) for c in obj["coeffs"]), obj["var"])
-
-
-def poly_eval(p: Poly, x) -> GaussianRational:
-    return p.eval(x)
-
 
 def chart_substitute(p: Poly) -> tuple:
     """Substitute the reciprocal coordinate and clear the pole.

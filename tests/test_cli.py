@@ -1,16 +1,40 @@
 """Command-line interface: table generation, analysis pipelines,
 verification suites, exit codes, and deterministic rendering."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sl2family.cli import main
+from sl2family.cli import cmd_classify, main, render_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Descriptors covering every K-type set shape, |m| <= 6 and casimirs on and
+# off the wall levels, with the K-type set given or left to inference.
+GRID_KTYPES = (
+    ["2Z", "2Z+1"]
+    + [f"{-k}..{k}" for k in range(7)]
+    + [f"{d},{d + step},..." for d in (*range(-6, 0), *range(1, 7)) for step in (2, -2)]
+    + ["{2}", None]
+)
+GRID_CASIMIRS = ([-1], [0], [3], [8], [15], [24], [5], [-1, 0, 1], [0, 1])
+
+
+def classify_grid():
+    for m in range(-6, 7):
+        for kt in GRID_KTYPES:
+            for c in GRID_CASIMIRS:
+                desc = {"m": m, "casimir": c}
+                if kt is not None:
+                    desc["ktypes"] = kt
+                yield desc
 
 
 def run(capsys, *argv) -> "tuple[int, str]":
@@ -70,6 +94,14 @@ class TestTableContents:
         assert {"casimir": 8, "ktypes": "-2..2", "m": 0} in doc["rows"]
 
 
+    @pytest.mark.parametrize("which", ["1", "2", "3"])
+    def test_negative_bound_is_usage_error(self, capsys, which):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", which, "--M", "-3"])
+        assert exc.value.code == 2
+        assert "M must be >= 0" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_repeated_runs_are_identical(self, capsys):
         _, first = run(capsys, "tables", "2", "--M", "4")
@@ -125,6 +157,40 @@ class TestClassify:
         src.write_text('{"m": 0, "casimir": [-1, 0, 1]}')
         code, doc = run_json(capsys, "classify", "--family", str(src))
         assert code == 0 and doc["valid"]
+
+
+    def test_grid_is_byte_identical_to_golden(self):
+        # recorded with the classification written out per K-type shape,
+        # before it moved into one lookup table; "results" holds, per
+        # descriptor in grid order, the exit code and an index into the
+        # distinct "outputs"
+        golden = json.loads((FIXTURES / "classify_grid.json").read_text(encoding="utf-8"))
+        assert golden["grid"] == {
+            "m": [-6, 6], "ktypes": GRID_KTYPES, "casimirs": list(GRID_CASIMIRS)
+        }
+        descs = list(classify_grid())
+        assert len(golden["results"]) == len(descs) == 4095
+        for (code, idx), desc in zip(golden["results"], descs):
+            doc, got = cmd_classify(desc)
+            assert got == code, desc
+            assert render_json(doc) == render_json(golden["outputs"][idx]), desc
+
+
+    @pytest.mark.parametrize(
+        "casimir",
+        [{"var": "r"}, {"coeffs": [0]}, {"var": "r", "coeffs": [{"re": 0.5}]},
+         {"var": "r", "coeffs": [-1, 0, 1.0]}, {"var": "r", "coeffs": [{"im": 1}]}],
+    )
+    def test_malformed_casimir_object_is_a_bad_field(self, capsys, casimir):
+        desc = json.dumps({"m": 0, "casimir": casimir})
+        code, doc = run_json(capsys, "classify", "--family", desc)
+        assert code == 1
+        assert doc["error"] == "descriptor-bad-field"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--family", desc, "--point", "r=1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "descriptor-bad-field" in err and "Traceback" not in err
 
 
 class TestAnalyze:
@@ -250,6 +316,16 @@ class TestBijection:
         assert doc["characterization"]["violated"] == "vogan-extension"
 
 
+    def test_float_in_candidate_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bijection", "--R", "1", "--M", "1", "--grid", "0,1",
+                  "--candidate", '{"0": [0.5, -1], "1": [1, -1], "-1": [1, -1]}'])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == ("sl2family: error: candidate entry for m=0: "
+                           "cannot read scalar from 0.5 (floats are not exact)")
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", ["conjecture2", "bijection", "appendix", "regularity"])
     def test_quick_profile_suites(self, capsys, monkeypatch, suite):
@@ -275,6 +351,12 @@ class TestVerify:
         quick_code, quick_doc = run_json(capsys, "verify", "appendix")
         assert quick_code == 0
         assert doc["counts"]["pass"] < quick_doc["counts"]["pass"]
+
+    @pytest.mark.parametrize("suite,M", [("appendix", "0"), ("conjecture2", "-1")])
+    def test_suite_with_no_checks_fails(self, capsys, suite, M):
+        code, doc = run_json(capsys, "verify", suite, "--M", M)
+        assert code == 1
+        assert doc["entries"] == [] and doc["pass"] is False
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -322,3 +404,61 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+# -- fuzzing the JSON inputs --------------------------------------------------
+
+_json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-20, 20), st.floats(allow_nan=False, width=16),
+    st.sampled_from(["1/2", "-3", "0", "x", "1/0", "", "2Z", "-2..2", "3,5,...", "{2}"]),
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["re", "im", "var", "coeffs", "kind", "param"]),
+                        inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_descriptor = st.fixed_dictionaries(
+    {},
+    optional={
+        "m": st.one_of(st.integers(-4, 4), _json_leaf),
+        "casimir": _json_value,
+        "ktypes": _json_value,
+    },
+)
+_candidate = st.dictionaries(
+    st.sampled_from(["0", "1", "-1", "2", "x"]),
+    st.one_of(st.lists(_json_value, min_size=2, max_size=2), _json_value),
+    max_size=4,
+)
+
+
+def _exit_code(argv) -> int:
+    """main's exit status with its output swallowed; other exceptions escape."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestJsonFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(desc=_descriptor)
+    def test_descriptors_never_raise(self, desc):
+        text = json.dumps(desc)
+        assert _exit_code(["classify", "--family", text]) in (0, 1, 2)
+        assert _exit_code(["analyze", "--family", text, "--point", "r=1",
+                           "--point", "inf"]) in (0, 1, 2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(candidate=_candidate)
+    def test_candidates_never_raise(self, candidate):
+        argv = ["bijection", "--R", "1", "--M", "1", "--grid", "0,1",
+                "--candidate", json.dumps(candidate)]
+        assert _exit_code(argv) in (0, 1, 2)

@@ -25,6 +25,7 @@ from sl2family.families import (
     make_family,
     wall_index,
 )
+from sl2family.fibers import DualParam, dual_ktypes
 from sl2family.scalars import GaussianRational as GR
 from sl2family.scalars import Poly, chart_substitute
 
@@ -254,9 +255,10 @@ class TestMakeFamily:
         }
         checked = accepted = 0
         for m in range(-6, 7):
-            for kind, param in kinds:
-                kt = builders[kind](param)
-                for c in casimirs:
+            for c in casimirs:
+                rows = []
+                for kind, param in kinds:
+                    kt = builders[kind](param)
                     expected = _row_is_valid(m, kind, param, c)
                     try:
                         make_family(m, c, kt)
@@ -266,6 +268,23 @@ class TestMakeFamily:
                     assert got == expected, (m, kind, param, str(c))
                     checked += 1
                     accepted += got
+                    if expected:
+                        rows.append(kt)
+                # inference finds the one accepted row, and a constant c(r) = z
+                # gives the K-types of the group-dual parameter (z, m)
+                assert len(rows) <= 1, (m, str(c))
+                if rows:
+                    assert infer_ktypes(m, c) == rows[0], (m, str(c))
+                else:
+                    with pytest.raises(FamilyValidationError):
+                        infer_ktypes(m, c)
+                if c.is_constant:
+                    z = c.coeff(0)
+                    if rows:
+                        assert dual_ktypes(DualParam.group(z, m, 1)) == rows[0], (m, z)
+                    else:
+                        with pytest.raises(ValueError):
+                            DualParam.group(z, m, 1)
         # 8 even-ladder rows, 16 odd-ladder rows, 7 windows, 12 rays
         assert checked == 3146 and accepted == 43
 
@@ -328,7 +347,6 @@ class TestLadderAction:
         assert la.up(0) == cpoly(1)
         assert la.down(2) == cpoly(Fraction(-1, 4), 0, Fraction(1, 4))
         assert la.down(0) == cpoly(1)
-        assert la.h(4) == 4
 
     def test_infinity_chart_fixtures(self):
         la = ladder_action(make_family(0, cpoly(-1, 0, 1)), "Xinf")

@@ -13,7 +13,6 @@ from sl2family.scalars import (
     Poly,
     chart_substitute,
     has_gaussian_sqrt,
-    poly_eval,
     rational_sqrt,
 )
 
@@ -132,7 +131,6 @@ class TestPoly:
         p = Poly.of([-1, 0, 1], "r")  # r^2 - 1
         assert p.eval(GR(3)) == 8
         assert p.eval(GR(1)) == 0
-        assert poly_eval(p, GR(Fraction(1, 2))) == Fraction(-3, 4)
         q = Poly.of([1, 2, 3], "r")
         x = GR(Fraction(2, 3), 1)
         assert q.eval(x) == 1 + 2 * x + 3 * x * x

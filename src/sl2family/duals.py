@@ -207,11 +207,16 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     classes = list(atlas.classes())
     images = [eta(q, R) for q in classes]
 
-    collisions = []
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if params_equivalent(images[i], images[j]):
-                collisions.append((classes[i], classes[j]))
+    # Images with equal canonical representatives are exactly the pairs that
+    # params_equivalent relates, so grouping by it replaces a pairwise scan;
+    # the pairs come out in (i, j) order as that scan listed them.
+    keys = [p.canonical() for p in images]
+    groups: Dict[DualParam, List[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    collisions = [
+        (classes[i], classes[j]) for i, key in enumerate(keys) for j in groups[key] if j > i
+    ]
     entry(
         "injectivity",
         f"{len(classes)} motion classes, R={R}",

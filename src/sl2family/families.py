@@ -57,7 +57,7 @@ class KTypeSet:
         if self.kind in (ALL_EVEN, ALL_ODD):
             if self.param is not None:
                 raise ValueError(f"{self.kind} takes no parameter")
-        elif self.param is None:
+        elif not isinstance(self.param, int) or isinstance(self.param, bool):
             raise ValueError(f"{self.kind} needs an integer parameter")
         elif self.kind == WINDOW and self.param < 0:
             raise ValueError("window size k must be >= 0")

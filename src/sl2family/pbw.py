@@ -315,35 +315,48 @@ _SPLIT_IN_COMPACT = {
 }
 
 
-def _generator_image(slot: int, target: Sl2Basis) -> UEAElement:
-    table = _COMPACT_IN_SPLIT if target is SPLIT else _SPLIT_IN_COMPACT
-    out = UEAElement.zero(target)
-    for tslot, coeff in table[slot]:
-        mono = [0, 0, 0]
-        mono[tslot] = 1
-        out = out + UEAElement(target, {tuple(mono): coeff})
-    return out
+def _last_letter(mono: Monomial) -> Tuple[Monomial, int]:
+    """Split the word F^a E^c H^b into its prefix and its last generator."""
+    a, b, c = mono
+    if b:
+        return (a, b - 1, c), _CARTAN
+    if c:
+        return (a, b, c - 1), _RAISE
+    return (a - 1, b, c), _LOWER
 
 
 def change_basis(u: UEAElement, target: Sl2Basis) -> UEAElement:
-    """Rewrite u in the other hard-wired basis, renormalizing the PBW order."""
+    """Rewrite u in the other hard-wired basis, renormalizing the PBW order.
+
+    The map is an algebra homomorphism, so the image of a monomial is the
+    image of its word prefix times the image of its last generator, a
+    combination of three single-generator right multiplications.  Images
+    are cached per monomial for the duration of one call.
+    """
     if u.basis is target:
         return u
-    images = {slot: _generator_image(slot, target) for slot in (_LOWER, _CARTAN, _RAISE)}
-    powers: Dict[Tuple[int, int], UEAElement] = {}
+    table = _COMPACT_IN_SPLIT if target is SPLIT else _SPLIT_IN_COMPACT
+    images: Dict[Monomial, dict] = {(0, 0, 0): {(0, 0, 0): GR_ONE}}
 
-    def img_pow(slot: int, n: int) -> UEAElement:
-        key = (slot, n)
-        if key not in powers:
-            powers[key] = images[slot] ** n
-        return powers[key]
+    def image(mono: Monomial) -> dict:
+        pending = []
+        while mono not in images:
+            pending.append(mono)
+            mono = _last_letter(mono)[0]
+        img = images[mono]
+        for word in reversed(pending):
+            step: dict = {}
+            for tslot, coeff in table[_last_letter(word)[1]]:
+                for key, v in times_generator(img, tslot, GR_ONE).items():
+                    _add_term(step, key, v * coeff)
+            images[word] = img = step
+        return img
 
-    out = UEAElement.zero(target)
-    for (a, b, c), coeff in u.terms.items():
-        # follow the normal word order: lowering^a raising^c cartan^b
-        word = img_pow(_LOWER, a) * img_pow(_RAISE, c) * img_pow(_CARTAN, b)
-        out = out + word * coeff
-    return out
+    out: dict = {}
+    for mono, coeff in u.terms.items():
+        for key, v in image(mono).items():
+            _add_term(out, key, v * coeff)
+    return UEAElement(target, out)
 
 
 def k_order(u: UEAElement):

@@ -1,15 +1,22 @@
 """Exact arithmetic over the Gaussian rationals, plus dense polynomials.
 
 Every number in this package is a rational or Gaussian rational; there is
-no floating point anywhere.  Square roots are witness-based: either an
-exact square root inside Q(i) is produced, or its absence is reported.
+no floating point anywhere.  A Gaussian rational is held as three integers
+(re_num + im_num*i) / den with den > 0 and gcd(re_num, im_num, den) = 1, so
+equal values have equal parts and arithmetic is integer arithmetic plus one
+gcd.  Constructors and operators accept int, Fraction and (for the
+constructor) rational strings, and raise TypeError on floats.  A real value
+hashes like its Fraction, hence like an equal int; any other value hashes
+like the pair (re, im) of Fractions.  Square roots are witness-based:
+either an exact square root inside Q(i) is produced, or its absence is
+reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
 #: sentinel degree of the zero polynomial (also the zero element's k-order)
@@ -26,16 +33,55 @@ def _frac(x: RationalInput) -> Fraction:
     raise TypeError(f"not an exact rational value: {x!r}")
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+
+
+def _parts(x):
+    """(re_num, im_num, den) of an exact scalar operand, or None."""
+    if isinstance(x, GaussianRational):
+        return x._re_num, x._im_num, x._den
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _reduced(rn: int, im: int, den: int) -> "GaussianRational":
+    """The value (rn + im*i) / den, for den > 0, in lowest terms."""
+    if den != 1:
+        g = gcd(rn, im, den)
+        if g != 1:
+            rn //= g
+            im //= g
+            den //= g
+    z = _new(GaussianRational)
+    z._re_num = rn
+    z._im_num = im
+    z._den = den
+    return z
+
+
 class GaussianRational:
-    """A number a + b*i with rational a, b, kept in lowest terms."""
+    """A number a + b*i with rational a, b, kept in lowest terms.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Immutable, like Fraction: the integer parts live in private slots and
+    are read through the properties re_num, im_num and den; re and im give
+    the parts as Fractions.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    __slots__ = ("_re_num", "_im_num", "_den")
+
+    def __init__(self, re: RationalInput = 0, im: RationalInput = 0) -> None:
+        if type(re) is int and type(im) is int:
+            self._re_num, self._im_num, self._den = re, im, 1
+            return
+        r, i = _frac(re), _frac(im)
+        # lcm of two reduced denominators leaves the three parts coprime
+        den = lcm(r.denominator, i.denominator)
+        self._re_num = r.numerator * (den // r.denominator)
+        self._im_num = i.numerator * (den // i.denominator)
+        self._den = den
 
     # -- coercion ---------------------------------------------------------
 
@@ -43,84 +89,112 @@ class GaussianRational:
     def of(x: Union["GaussianRational", RationalInput]) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        return GaussianRational(_frac(x))
+        return GaussianRational(x)
 
     # -- structure --------------------------------------------------------
 
     @property
+    def re_num(self) -> int:
+        return self._re_num
+
+    @property
+    def im_num(self) -> int:
+        return self._im_num
+
+    @property
+    def den(self) -> int:
+        return self._den
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re_num, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im_num, self._den)
+
+    @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._im_num == 0
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self._re_num, -self._im_num, self._den)
 
     def norm(self) -> Fraction:
         """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._re_num, self._im_num, self._den
+        return Fraction(a * a + b * b, d * d)
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self._re_num != 0 or self._im_num != 0
 
     # -- arithmetic -------------------------------------------------------
 
-    def _coerced(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(Fraction(other))
-        return None
-
     def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        c, e, f = parts
+        a, b, d = self._re_num, self._im_num, self._den
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        c, e, f = parts
+        a, b, d = self._re_num, self._im_num, self._den
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        c, e, f = parts
+        a, b, d = self._re_num, self._im_num, self._den
+        return _reduced(c * d - a * f, e * d - b * f, d * f)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _reduced(-self._re_num, -self._im_num, self._den)
 
     def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, d = self._re_num, self._im_num, self._den
+        if isinstance(other, GaussianRational):
+            c, e, f = other._re_num, other._im_num, other._den
+            if e == 0:
+                return _reduced(a * c, b * c, d * f)
+            return _reduced(a * c - b * e, a * e + b * c, d * f)
+        if isinstance(other, int):
+            return _reduced(a * other, b * other, d)
+        if isinstance(other, Fraction):
+            c = other.numerator
+            return _reduced(a * c, b * c, d * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        n = o.norm()
+        c, e, f = parts
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b, d = self._re_num, self._im_num, self._den
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
     def __rtruediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o / self
+        return GaussianRational(other) / self
 
     def __pow__(self, n: int) -> "GaussianRational":
         if not isinstance(n, int):
@@ -138,67 +212,70 @@ class GaussianRational:
         return acc
 
     def __eq__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        # both sides are in lowest terms, so equal values have equal parts
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return parts == (self._re_num, self._im_num, self._den)
 
     def __hash__(self):
         # Real values hash like their Fraction (hence like equal ints).
-        if self.im == 0:
-            return hash(self.re)
+        if self._im_num == 0:
+            if self._den == 1:
+                return hash(self._re_num)
+            return hash(Fraction(self._re_num, self._den))
         return hash((self.re, self.im))
 
     # -- ordering (real values only) ---------------------------------------
 
     def _real_part_or_raise(self) -> Fraction:
-        if self.im != 0:
+        if self._im_num != 0:
             raise ValueError(f"ordering is undefined for non-real value {self}")
         return self.re
 
+    def _order_operands(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._real_part_or_raise(), other
+        if isinstance(other, GaussianRational):
+            return self._real_part_or_raise(), other._real_part_or_raise()
+        return None
+
     def __lt__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self._real_part_or_raise() < o._real_part_or_raise()
+        pair = self._order_operands(other)
+        return NotImplemented if pair is None else pair[0] < pair[1]
 
     def __le__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self._real_part_or_raise() <= o._real_part_or_raise()
+        pair = self._order_operands(other)
+        return NotImplemented if pair is None else pair[0] <= pair[1]
 
     def __gt__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self._real_part_or_raise() > o._real_part_or_raise()
+        pair = self._order_operands(other)
+        return NotImplemented if pair is None else pair[0] > pair[1]
 
     def __ge__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self._real_part_or_raise() >= o._real_part_or_raise()
+        pair = self._order_operands(other)
+        return NotImplemented if pair is None else pair[0] >= pair[1]
 
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.im.denominator == 1:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if im.denominator == 1:
+            if im == 1:
                 ipart = "i"
-            elif self.im == -1:
+            elif im == -1:
                 ipart = "-i"
             else:
-                ipart = f"{self.im}i"
+                ipart = f"{im}i"
         else:
-            sign = "-" if self.im < 0 else ""
-            ipart = f"{sign}({abs(self.im)})i"
-        if self.re == 0:
+            sign = "-" if im < 0 else ""
+            ipart = f"{sign}({abs(im)})i"
+        if re == 0:
             return ipart
         join = "+" if not ipart.startswith("-") else ""
-        return f"{self.re}{join}{ipart}"
+        return f"{re}{join}{ipart}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GaussianRational({self})"
@@ -264,8 +341,8 @@ def _coeff_of(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, tuple) and len(x) == 2:
-        return GaussianRational(_frac(x[0]), _frac(x[1]))
-    return GaussianRational(_frac(x))
+        return GaussianRational(x[0], x[1])
+    return GaussianRational(x)
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,16 @@ class TestClassify:
         err = capsys.readouterr().err
         assert "descriptor-bad-field" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("param", [2.0, True])
+    def test_non_integer_ktypes_param_is_a_bad_field(self, capsys, param):
+        desc = json.dumps(
+            {"m": 0, "casimir": [8], "ktypes": {"kind": "window", "param": param}}
+        )
+        code, doc = run_json(capsys, "classify", "--family", desc)
+        assert code == 1
+        assert doc["error"] == "descriptor-bad-field"
+        assert doc["detail"] == 'cannot read "ktypes": window needs an integer parameter'
+
 
 class TestAnalyze:
     def test_limit_ray_point(self, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sl2family import duals
 from sl2family.duals import (
     CharacterizationResult,
     DualAtlas,
@@ -194,6 +195,37 @@ class TestConjectureOne:
         _, report = verify_conjecture1(GR(1), 3, GRID[:4])
         for entry in report:
             assert set(entry) == {"check", "instance", "pass", "detail"}
+
+    def test_injectivity_grouping_matches_pairwise_scan(self, monkeypatch):
+        # A broken eta that sends z and -z to one level and m = 0 to m = -1,
+        # so images collide within one m, across m = +-1 away from the
+        # boundary level, and at the boundary level -1, where (-1,1) and
+        # (-1,-1) stay distinct.  The reference is the pairwise scan.
+        def folded(p, R):
+            if abs(p.m) > 1:
+                return vogan_map(p.m, R)
+            return DualParam.group(p.level * p.level - 1, -1 if p.m == 0 else p.m, R)
+
+        monkeypatch.setattr(duals, "eta", folded)
+        R = GR(1)
+        levels = GRID + (GR(0, 1), GR(0, -1))
+        for k in range(len(levels)):
+            grid = levels[k:] + levels[:k]
+            classes = list(DualAtlas("motion", 3, grid).classes())
+            images = [folded(q, R) for q in classes]
+            pairs = [
+                (classes[i], classes[j])
+                for i in range(len(classes))
+                for j in range(i + 1, len(classes))
+                if params_equivalent(images[i], images[j])
+            ]
+            assert len(pairs) > 3
+            ok, report = verify_conjecture1(R, 3, grid)
+            (entry,) = [e for e in report if e["check"] == "injectivity"]
+            assert not ok and not entry["pass"]
+            assert entry["detail"] == "image collisions: " + "; ".join(
+                f"{a} and {b}" for a, b in pairs[:3]
+            )
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

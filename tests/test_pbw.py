@@ -171,8 +171,107 @@ class TestChangeBasis:
             assert change_basis(u + v, SPLIT) == change_basis(u, SPLIT) + change_basis(v, SPLIT)
 
     def test_casimir_is_basis_independent(self):
-        assert change_basis(casimir(COMPACT), SPLIT) == casimir(SPLIT)
-        assert change_basis(casimir(SPLIT), COMPACT) == casimir(COMPACT)
+        for n in range(1, 7):
+            assert change_basis(casimir(COMPACT) ** n, SPLIT) == casimir(SPLIT) ** n, n
+            assert change_basis(casimir(SPLIT) ** n, COMPACT) == casimir(COMPACT) ** n, n
+
+
+# -- matrix oracle for change_basis -----------------------------------------
+#
+# Each basis is realized by 2x2 matrices in its (lowering, cartan, raising)
+# order: the split basis by the standard triple, the compact basis by its
+# Cayley transform (Knapp, Representation Theory of Semisimple Groups, ch. II).
+# A 2x2 matrix A acts on the homogeneous polynomials of degree n in (x, y)
+# by the derivation sum_jk A[j][k] x_j d/dx_k, a Lie algebra homomorphism;
+# these are the irreducible modules of dimension n + 1.  Nothing here reads
+# the transition constants in pbw.
+
+_H2 = Fraction(1, 2)
+TRIPLES_2X2 = {
+    "split": (
+        [[0, 0], [1, 0]],
+        [[1, 0], [0, -1]],
+        [[0, 1], [0, 0]],
+    ),
+    "compact": (
+        [[GR(_H2), GR(0, -_H2)], [GR(0, -_H2), GR(-_H2)]],
+        [[0, GR(0, -1)], [GR(0, 1), 0]],
+        [[GR(_H2), GR(0, _H2)], [GR(0, _H2), GR(-_H2)]],
+    ),
+}
+
+
+def mat_mul(p: list, q: list) -> list:
+    n = len(p)
+    return [
+        [sum((p[i][k] * q[k][j] for k in range(n)), GR(0)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def mat_bracket(p: list, q: list) -> list:
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(mat_mul(p, q), mat_mul(q, p))]
+
+
+def rho_2x2(a, n: int) -> list:
+    """The matrix of the derivation of a on x^(n-k) y^k, k = 0..n."""
+    out = [[GR(0)] * (n + 1) for _ in range(n + 1)]
+    for k in range(n + 1):
+        exps = (n - k, k)
+        for j in range(2):
+            for l in range(2):
+                if not a[j][l] or not exps[l]:
+                    continue
+                e = list(exps)
+                e[l] -= 1
+                e[j] += 1
+                out[e[1]][k] = out[e[1]][k] + GR.of(a[j][l]) * exps[l]
+    return out
+
+
+def rho_element(u: UEAElement, n: int) -> list:
+    low, car, rai = (rho_2x2(a, n) for a in TRIPLES_2X2[u.basis.name])
+    total = [[GR(0)] * (n + 1) for _ in range(n + 1)]
+    for (a, b, c), coeff in u.terms.items():
+        word = [[GR(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+        for m, e in ((low, a), (rai, c), (car, b)):
+            for _ in range(e):
+                word = mat_mul(word, m)
+        total = [
+            [total[i][j] + coeff * word[i][j] for j in range(n + 1)] for i in range(n + 1)
+        ]
+    return total
+
+
+class TestChangeBasisMatrixOracle:
+    def test_triples_satisfy_the_bracket_relations(self):
+        for low, car, rai in TRIPLES_2X2.values():
+            for n in range(1, 6):
+                L, C, E = (rho_2x2(a, n) for a in (low, car, rai))
+                assert mat_bracket(C, E) == [[2 * x for x in r] for r in E]
+                assert mat_bracket(C, L) == [[-2 * x for x in r] for r in L]
+                assert mat_bracket(E, L) == C
+
+    @pytest.mark.parametrize("source,target", [(COMPACT, SPLIT), (SPLIT, COMPACT)])
+    def test_seeded_elements_act_alike_in_both_bases(self, source, target):
+        rng = random.Random(31415)
+        for _ in range(12):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                deg = rng.randint(0, 4)
+                a = rng.randint(0, deg)
+                c = rng.randint(0, deg - a)
+                coeff = GR(
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                )
+                key = (a, deg - a - c, c)
+                terms[key] = terms.get(key, GR(0)) + coeff
+            u = UEAElement(source, terms)
+            v = change_basis(u, target)
+            assert v.basis is target
+            for n in range(6):
+                assert rho_element(v, n) == rho_element(u, n), (str(u), n)
 
 
 class TestOrderFiltration:

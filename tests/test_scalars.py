@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2family.scalars import (
     GR_I,
@@ -156,3 +159,158 @@ class TestPoly:
         q = Poly.of([1, 1], "R")
         with pytest.raises(ValueError):
             _ = p + q
+
+
+# -- properties against a (Fraction, Fraction) reference model ---------------
+#
+# A model value is the pair (re, im) of Fractions; its arithmetic is the
+# textbook formula for a + b*i.  Every operand is drawn as one of int,
+# Fraction and GaussianRational together with its model.
+
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _operand(kind: str, re: Fraction, im: Fraction):
+    if kind == "int":
+        n = re.numerator
+        return n, (Fraction(n), Fraction(0))
+    if kind == "fraction":
+        return re, (re, Fraction(0))
+    return GR(re, im), (re, im)
+
+
+OPERANDS = st.builds(_operand, st.sampled_from(["int", "fraction", "gr"]), RATIONALS, RATIONALS)
+GAUSSIANS = st.builds(lambda re, im: _operand("gr", re, im), RATIONALS, RATIONALS)
+REALS = st.builds(lambda re: _operand("gr", re, Fraction(0)), RATIONALS)
+
+
+def m_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def m_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def m_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def m_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+def model_of(z: GaussianRational):
+    """The model read back from the integer parts, checking they are reduced."""
+    assert isinstance(z, GaussianRational)
+    assert z.den > 0 and gcd(z.re_num, z.im_num, z.den) == 1
+    assert (z.re, z.im) == (Fraction(z.re_num, z.den), Fraction(z.im_num, z.den))
+    return z.re, z.im
+
+
+def model_str(re: Fraction, im: Fraction) -> str:
+    """The rendering rule: "a", "bi", "a+bi", with a non-integer imaginary
+    part in parentheses and a unit imaginary part written as "i"."""
+    if im == 0:
+        return str(re)
+    if im.denominator != 1:
+        ipart = f"{'-' if im < 0 else ''}({abs(im)})i"
+    else:
+        ipart = {1: "i", -1: "-i"}.get(im, f"{im}i")
+    if re == 0:
+        return ipart
+    return f"{re}{'' if ipart.startswith('-') else '+'}{ipart}"
+
+
+class TestGaussianRationalProperties:
+    @PROPERTY_SETTINGS
+    @given(GAUSSIANS, OPERANDS)
+    def test_arithmetic_matches_the_model_on_both_sides(self, left, right):
+        (a, ma), (b, mb) = left, right
+        assert model_of(a + b) == m_add(ma, mb)
+        assert model_of(b + a) == m_add(mb, ma)
+        assert model_of(a - b) == m_sub(ma, mb)
+        assert model_of(b - a) == m_sub(mb, ma)
+        assert model_of(a * b) == m_mul(ma, mb)
+        assert model_of(b * a) == m_mul(mb, ma)
+        assert model_of(-a) == (-ma[0], -ma[1])
+        if mb != (0, 0):
+            assert model_of(a / b) == m_div(ma, mb)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        if ma != (0, 0):
+            assert model_of(b / a) == m_div(mb, ma)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                b / a
+
+    @PROPERTY_SETTINGS
+    @given(GAUSSIANS, st.integers(-4, 6))
+    def test_powers_match_repeated_products(self, left, n):
+        a, ma = left
+        if n < 0 and ma == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                a ** n
+            return
+        want = (Fraction(1), Fraction(0))
+        for _ in range(abs(n)):
+            want = m_mul(want, ma)
+        if n < 0:
+            want = m_div((Fraction(1), Fraction(0)), want)
+        assert model_of(a ** n) == want
+
+    @PROPERTY_SETTINGS
+    @given(GAUSSIANS, OPERANDS)
+    def test_equality_and_hash(self, left, right):
+        (a, ma), (b, mb) = left, right
+        assert (a == b) == (ma == mb) == (b == a)
+        assert (a != b) == (ma != mb)
+        assert a == GR(*ma) and hash(a) == hash(GR(*ma))
+        if ma[1] == 0:
+            assert hash(a) == hash(ma[0])
+            if ma[0].denominator == 1:
+                assert hash(a) == hash(ma[0].numerator)
+        else:
+            assert hash(a) == hash(ma)
+        assert bool(a) == (ma != (0, 0))
+
+    @PROPERTY_SETTINGS
+    @given(REALS, OPERANDS)
+    def test_ordering_of_real_values(self, left, right):
+        (a, ma), (b, mb) = left, right
+        if mb[1] != 0:
+            for op in (lambda x, y: x < y, lambda x, y: x <= y,
+                       lambda x, y: x > y, lambda x, y: x >= y):
+                with pytest.raises(ValueError, match="non-real"):
+                    op(a, b)
+                with pytest.raises(ValueError, match="non-real"):
+                    op(b, a)
+            return
+        x, y = ma[0], mb[0]
+        assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
+        assert (b < a, b <= a, b > a, b >= a) == (y < x, y <= x, y > x, y >= x)
+
+    @PROPERTY_SETTINGS
+    @given(GAUSSIANS)
+    def test_rendering_and_json(self, left):
+        a, (re, im) = left
+        assert str(a) == model_str(re, im)
+        assert a.to_json() == {"re": str(re), "im": str(im)}
+        assert GR.from_json(a.to_json()) == a
+
+    @PROPERTY_SETTINGS
+    @given(GAUSSIANS, st.floats(allow_nan=False, allow_infinity=False))
+    def test_floats_are_rejected_and_values_are_immutable(self, left, x):
+        a, _ = left
+        for op in (lambda: a + x, lambda: x + a, lambda: a - x, lambda: x - a,
+                   lambda: a * x, lambda: x * a, lambda: a / x, lambda: x / a,
+                   lambda: GR(x), lambda: GR(0, x)):
+            with pytest.raises(TypeError):
+                op()
+        assert a != x
+        for attr in ("re", "im", "re_num", "im_num", "den", "is_real", "other"):
+            with pytest.raises(AttributeError):
+                setattr(a, attr, 1)

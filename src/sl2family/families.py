@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Tuple
 
 from .scalars import (
@@ -99,17 +100,8 @@ class KTypeSet:
         return self.param % 2
 
     def contains(self, n: int) -> bool:
-        if n % 2 != self.parity:
-            return False
-        if self.kind in (ALL_EVEN, ALL_ODD):
-            return True
-        if self.kind == WINDOW:
-            return -self.param <= n <= self.param
-        if self.kind == RAY_UP:
-            return n >= self.param
-        if self.kind == RAY_DOWN:
-            return n <= self.param
-        return n == self.param
+        lo, hi = self.bounds
+        return n % 2 == self.parity and (lo is None or lo <= n) and (hi is None or n <= hi)
 
     __contains__ = contains
 
@@ -125,15 +117,27 @@ class KTypeSet:
     def unbounded_below(self) -> bool:
         return self.kind in (ALL_EVEN, ALL_ODD, RAY_DOWN)
 
+    @cached_property
+    def bounds(self) -> Tuple[Optional[int], Optional[int]]:
+        """The least and the greatest member, None on an unbounded side."""
+        p = self.param
+        if self.kind == WINDOW:
+            return -p, p
+        return (p if self.kind in (RAY_UP, SINGLETON) else None,
+                p if self.kind in (RAY_DOWN, SINGLETON) else None)
+
     def minimal(self) -> int:
-        """The member of smallest absolute value, ties broken positive."""
-        n = 0
-        while True:
-            if self.contains(n):
-                return n
-            if n > 0 and self.contains(-n):
-                return -n
-            n += 1
+        """The member of smallest absolute value, ties broken positive.
+
+        That is the parity's representative 0 or 1, clamped into the bounds.
+        """
+        n = self.parity
+        lo, hi = self.bounds
+        if lo is not None and n < lo:
+            return lo
+        if hi is not None and n > hi:
+            return hi
+        return n
 
     @property
     def has_edge(self) -> bool:
@@ -145,10 +149,11 @@ class KTypeSet:
         return True
 
     def members(self, lo: int, hi: int) -> Iterator[int]:
-        start = lo if lo % 2 == self.parity else lo + 1
-        for n in range(start, hi + 1, 2):
-            if self.contains(n):
-                yield n
+        """The members in [lo, hi], ascending."""
+        least, greatest = self.bounds
+        lo = lo if least is None else max(lo, least)
+        hi = hi if greatest is None else min(hi, greatest)
+        yield from range(lo if lo % 2 == self.parity else lo + 1, hi + 1, 2)
 
     # -- rendering ---------------------------------------------------------
 
@@ -494,11 +499,6 @@ class InfChar:
     alpha0: Optional[GaussianRational] = None
     alpha1: Optional[GaussianRational] = None
     in_field: bool = False
-
-    def witness(self) -> Optional[Poly]:
-        if not self.exists or not self.in_field:
-            return None
-        return Poly.of([self.alpha0, self.alpha1], "r")
 
 
 def infinitesimal_character(fam: ModuleFamily, cartan: str) -> InfChar:

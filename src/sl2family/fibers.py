@@ -42,10 +42,8 @@ MOTION = "motion"
 def scalar_to_json(x: GaussianRational):
     """Compact exact encoding: int, "p/q" string, or {"re","im"} object."""
     x = GaussianRational.of(x)
-    if x.is_real:
-        if x.re.denominator == 1:
-            return int(x.re)
-        return str(x.re)
+    if x.is_real:  # then re_num / den is in lowest terms
+        return x.re_num if x.den == 1 else f"{x.re_num}/{x.den}"
     return x.to_json()
 
 

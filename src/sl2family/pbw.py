@@ -11,9 +11,10 @@ the compact basis the filtration degree of a monomial is just a + c, the
 total exponent on the non-compact generators.
 
 The rewriting core is generic over the coefficient ring and over the scalar
-tau in [raising, lowering] = tau * cartan; the enveloping algebra uses
-tau = 1, while sections over the chart at infinity (see sheaf.py) reuse the
-same core with tau = R^2.
+tau in [raising, lowering] = tau * cartan.  ``NormalForm`` is the term map
+(see scalars.Terms) whose product is that rewriting; ``UEAElement`` is a
+normal form over Q(i) with tau = 1, and the sections of sheaf.py are
+normal forms over Laurent polynomials with tau = 1 or R^2.
 """
 
 from __future__ import annotations
@@ -23,20 +24,11 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Tuple
 
-from .scalars import NEG_INF, GR_ONE, GR_ZERO, GaussianRational
+from .scalars import NEG_INF, GR_ONE, GaussianRational, Terms, _add_term, _power
 
 Monomial = Tuple[int, int, int]
 
 _LOWER, _CARTAN, _RAISE = 0, 1, 2
-
-
-def _add_term(acc: dict, key, value) -> None:
-    cur = acc.get(key)
-    s = value if cur is None else cur + value
-    if s:
-        acc[key] = s
-    elif cur is not None:
-        del acc[key]
 
 
 def times_generator(terms: dict, gen: int, tau) -> dict:
@@ -100,183 +92,76 @@ class Sl2Basis:
 COMPACT = Sl2Basis("compact", ("Y", "H", "X"))
 SPLIT = Sl2Basis("split", ("Ys", "Hs", "Xs"))
 
-_BASES = {"compact": COMPACT, "split": SPLIT}
 
+class NormalForm(Terms):
+    """A term map in PBW normal form: exponent triples (a, b, c) to coefficients.
 
-def basis_by_name(name: str) -> Sl2Basis:
-    try:
-        return _BASES[name]
-    except KeyError:
-        raise ValueError(f"unknown basis {name!r}") from None
+    Subclasses fix the coefficient ring, the generator names (``_gens``)
+    and the scalar tau of [raising, lowering] = tau * cartan (``_tau``);
+    the product is ``normal_multiply`` with that tau.
+    """
 
+    __slots__ = ()
+    _ONE = (0, 0, 0)
+    _key = tuple
+    _sort_key = staticmethod(lambda k: (k[0], k[2], k[1]))
 
-def _coerce_scalar(x):
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational.of(x)
-    return None
+    def _product(self, terms: dict) -> dict:
+        return normal_multiply(self.terms, terms, self._tau())
 
-
-@dataclass(frozen=True)
-class UEAElement:
-    """An enveloping-algebra element in PBW normal form over Q(i)."""
-
-    basis: Sl2Basis
-    terms: dict  # Monomial -> GaussianRational, zero values dropped
-
-    def __post_init__(self) -> None:
-        pruned = {k: v for k, v in self.terms.items() if v}
-        object.__setattr__(self, "terms", pruned)
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(basis: Sl2Basis = COMPACT) -> "UEAElement":
-        return UEAElement(basis, {})
-
-    @staticmethod
-    def one(basis: Sl2Basis = COMPACT) -> "UEAElement":
-        return UEAElement(basis, {(0, 0, 0): GR_ONE})
-
-    @staticmethod
-    def monomial(basis: Sl2Basis, mono: Monomial, coeff=1) -> "UEAElement":
-        return UEAElement(basis, {tuple(mono): GaussianRational.of(coeff)})
-
-    @staticmethod
-    def generator(basis: Sl2Basis, name: str) -> "UEAElement":
-        idx = basis.gen_index(name)
-        mono = [0, 0, 0]
-        mono[idx] = 1
-        return UEAElement(basis, {tuple(mono): GR_ONE})
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _key_str(self, mono: Monomial) -> str:
+        a, b, c = mono
+        low, car, rai = self._gens()
+        return "*".join(f for f in (_power(low, a), _power(rai, c), _power(car, b)) if f)
 
     def degree(self):
         if not self.terms:
             return NEG_INF
         return max(a + b + c for (a, b, c) in self.terms)
 
-    def coeff(self, mono: Monomial) -> GaussianRational:
-        return self.terms.get(tuple(mono), GR_ZERO)
+    def _terms_json(self) -> list:
+        return [{"mono": list(k), "coeff": self.terms[k].to_json()} for k in sorted(self.terms)]
 
-    def _check_basis(self, other: "UEAElement") -> None:
-        if self.basis is not other.basis:
-            raise ValueError(
-                f"basis mismatch: {self.basis.name} vs {other.basis.name}"
-            )
 
-    # -- arithmetic ---------------------------------------------------------
+class UEAElement(NormalForm):
+    """An enveloping-algebra element in PBW normal form over Q(i).
 
-    def __add__(self, other):
-        if isinstance(other, UEAElement):
-            self._check_basis(other)
-            out = dict(self.terms)
-            for k, v in other.terms.items():
-                _add_term(out, k, v)
-            return UEAElement(self.basis, out)
-        s = _coerce_scalar(other)
-        if s is None:
-            return NotImplemented
-        out = dict(self.terms)
-        _add_term(out, (0, 0, 0), s)
-        return UEAElement(self.basis, out)
+    ``terms`` maps monomials to nonzero Gaussian rationals; the tag is the
+    basis, and mixed-basis arithmetic is an error.
+    """
 
-    __radd__ = __add__
+    __slots__ = ()
+    _TAG = "basis"
+    basis = Terms.tag  # the tag slot under this class's own name
 
-    def __sub__(self, other):
-        if isinstance(other, UEAElement):
-            return self + (-other)
-        s = _coerce_scalar(other)
-        if s is None:
-            return NotImplemented
-        return self + (-s)
+    def _tau(self):
+        return GR_ONE
 
-    def __rsub__(self, other):
-        return (-self) + other
+    def _gens(self):
+        return self.tag.gens
 
-    def __neg__(self) -> "UEAElement":
-        return UEAElement(self.basis, {k: -v for k, v in self.terms.items()})
+    # -- constructors -------------------------------------------------------
 
-    def __mul__(self, other):
-        if isinstance(other, UEAElement):
-            self._check_basis(other)
-            return UEAElement(self.basis, normal_multiply(self.terms, other.terms, GR_ONE))
-        s = _coerce_scalar(other)
-        if s is None:
-            return NotImplemented
-        return UEAElement(self.basis, {k: v * s for k, v in self.terms.items()})
+    @staticmethod
+    def zero(basis: Sl2Basis = COMPACT) -> "UEAElement":
+        return UEAElement._make(basis, {})
 
-    def __rmul__(self, other):
-        # scalars commute; only scalar * element lands here
-        s = _coerce_scalar(other)
-        if s is None:
-            return NotImplemented
-        return self * s
+    @staticmethod
+    def one(basis: Sl2Basis = COMPACT) -> "UEAElement":
+        return UEAElement._make(basis, {(0, 0, 0): GR_ONE})
 
-    def __pow__(self, n: int) -> "UEAElement":
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        acc = UEAElement.one(self.basis)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+    @staticmethod
+    def monomial(basis: Sl2Basis, mono: Monomial, coeff=1) -> "UEAElement":
+        return UEAElement(basis, {mono: coeff})
 
-    # -- rendering ------------------------------------------------------------
-
-    def _mono_str(self, mono: Monomial) -> str:
-        a, b, c = mono
-        low, car, rai = self.basis.gens
-        factors = []
-        if a:
-            factors.append(low if a == 1 else f"{low}^{a}")
-        if c:
-            factors.append(rai if c == 1 else f"{rai}^{c}")
-        if b:
-            factors.append(car if b == 1 else f"{car}^{b}")
-        return "*".join(factors) if factors else "1"
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=lambda k: (k[0], k[2], k[1]), reverse=True)
-        parts = []
-        for k in keys:
-            c = self.terms[k]
-            mono = self._mono_str(k)
-            if mono == "1":
-                body = str(c)
-            elif c == GR_ONE:
-                body = mono
-            elif c == -GR_ONE:
-                body = f"-{mono}"
-            elif c.is_real and c.re.denominator == 1:
-                body = f"{c}*{mono}"
-            else:
-                body = f"({c})*{mono}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self.basis.name}: {self}>"
-
-    # -- serialization ----------------------------------------------------------
+    @staticmethod
+    def generator(basis: Sl2Basis, name: str) -> "UEAElement":
+        mono = [0, 0, 0]
+        mono[basis.gen_index(name)] = 1
+        return UEAElement._make(basis, {tuple(mono): GR_ONE})
 
     def to_json(self) -> dict:
-        return {
-            "basis": self.basis.name,
-            "terms": [
-                {"mono": list(k), "coeff": self.terms[k].to_json()}
-                for k in sorted(self.terms)
-            ],
-        }
+        return {"basis": self.basis.name, "terms": self._terms_json()}
 
 
 def commutator(u: UEAElement, v: UEAElement) -> UEAElement:
@@ -356,7 +241,7 @@ def change_basis(u: UEAElement, target: Sl2Basis) -> UEAElement:
     for mono, coeff in u.terms.items():
         for key, v in image(mono).items():
             _add_term(out, key, v * coeff)
-    return UEAElement(target, out)
+    return UEAElement._make(target, out)
 
 
 def k_order(u: UEAElement):
@@ -394,7 +279,7 @@ def hc_projection(u: UEAElement, cartan: str) -> UEAElement:
         # (h - 1)^b expanded
         for j in range(b + 1):
             _add_term(out, (0, j, 0), coeff * (comb(b, j) * (-1) ** (b - j)))
-    return UEAElement(target, out)
+    return UEAElement._make(target, out)
 
 
 def _verify_transition_constants() -> None:

@@ -1,4 +1,4 @@
-"""Exact arithmetic over the Gaussian rationals, plus dense polynomials.
+"""Exact arithmetic over the Gaussian rationals, and the term-map core.
 
 Every number in this package is a rational or Gaussian rational; there is
 no floating point anywhere.  A Gaussian rational is held as three integers
@@ -10,11 +10,17 @@ hashes like its Fraction, hence like an equal int; any other value hashes
 like the pair (re, im) of Fractions.  Square roots are witness-based:
 either an exact square root inside Q(i) is produced, or its absence is
 reported.
+
+``Terms`` is the one sparse "monomial -> nonzero coefficient" type of the
+package: sums, scalar multiples, powers, equality, hashing and printing
+live there once.  ``Laurent`` (convolution product, integer exponents of
+a chart variable) and ``Poly`` (a Laurent polynomial without negative
+exponents, with a dense coefficient view) are defined here; the PBW
+elements of pbw.py and the sections of sheaf.py are term maps too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Union
@@ -60,6 +66,18 @@ def _reduced(rn: int, im: int, den: int) -> "GaussianRational":
     z._im_num = im
     z._den = den
     return z
+
+
+def _lowest(n: int, d: int):
+    """n/d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    return (n, d) if g == 1 else (n // g, d // g)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d as str(Fraction(n, d)) prints it, for d > 0."""
+    n, d = _lowest(n, d)
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 class GaussianRational:
@@ -259,23 +277,17 @@ class GaussianRational:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if im.denominator == 1:
-            if im == 1:
-                ipart = "i"
-            elif im == -1:
-                ipart = "-i"
-            else:
-                ipart = f"{im}i"
+        d = self._den
+        if not self._im_num:
+            return _ratio_str(self._re_num, d)
+        n, e = _lowest(self._im_num, d)
+        if e == 1:
+            ipart = "i" if n == 1 else "-i" if n == -1 else f"{n}i"
         else:
-            sign = "-" if im < 0 else ""
-            ipart = f"{sign}({abs(im)})i"
-        if re == 0:
+            ipart = f"-({-n}/{e})i" if n < 0 else f"({n}/{e})i"
+        if not self._re_num:
             return ipart
-        join = "+" if not ipart.startswith("-") else ""
-        return f"{re}{join}{ipart}"
+        return _ratio_str(self._re_num, d) + ("" if n < 0 else "+") + ipart
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GaussianRational({self})"
@@ -283,7 +295,8 @@ class GaussianRational:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"re": str(self.re), "im": str(self.im)}
+        d = self._den
+        return {"re": _ratio_str(self._re_num, d), "im": _ratio_str(self._im_num, d)}
 
     @staticmethod
     def from_json(obj) -> "GaussianRational":
@@ -345,106 +358,323 @@ def _coeff_of(x) -> GaussianRational:
     return GaussianRational(x)
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Dense polynomial over Q(i), coefficients lowest degree first.
+def _add_term(acc: dict, key, value) -> None:
+    """acc[key] += value, dropping the key when the sum vanishes."""
+    cur = acc.get(key)
+    s = value if cur is None else cur + value
+    if s:
+        acc[key] = s
+    elif cur is not None:
+        del acc[key]
 
-    The variable tag ("r" for the finite chart, "R" for the chart at
-    infinity) is part of the value; mixed-variable arithmetic is an error.
+
+def _power(name: str, k: int) -> str:
+    """The factor name^k: empty for k = 0, the bare name for k = 1."""
+    return "" if k == 0 else name if k == 1 else f"{name}^{k}"
+
+
+def _term_str(c, mono: str) -> str:
+    """One term c*mono of a printed sum; mono is "" for the unit monomial.
+
+    Scalar coefficients print bare where that is unambiguous, and a
+    negative real fraction prints as -(p/q) so the sum reads "- (p/q)*x".
+    Laurent coefficients (of sections) always print in parentheses.
+    """
+    if not isinstance(c, GaussianRational):
+        return f"({c})*{mono or '1'}"
+    if not mono:
+        return str(c)
+    if c.is_real:
+        if c.den == 1:
+            n = c.re_num
+            return mono if n == 1 else f"-{mono}" if n == -1 else f"{n}*{mono}"
+        if c.re_num < 0:
+            return f"-({-c})*{mono}"
+    return f"({c})*{mono}"
+
+
+class Terms:
+    """A sparse map from monomial keys to nonzero coefficients, with a tag.
+
+    The tag says what the keys are monomials in: a chart variable, a PBW
+    basis or a chart.  This class holds the arithmetic every term map
+    shares -- sums, negation, scalar multiples, powers, equality, hashing
+    and printing.  A subclass supplies its coefficient ring (``_coerce``),
+    its product (``_product``; convolution of integer exponents unless
+    overridden), the key of its unit monomial and its key names
+    (``_key_str``).  Values are immutable by convention: every operation
+    builds a new term map.
     """
 
-    coeffs: tuple = ()
-    var: str = "r"
+    __slots__ = ("tag", "terms")
+    _TAG = "variable"  # what the tag is, for mismatch errors
+    _ONE = 0  # key of the unit monomial
+    _key = int  # normalizes the keys handed to the constructor
+    _sort_key = None  # terms print in descending order of this key
 
-    def __post_init__(self) -> None:
-        cs = [_coeff_of(c) for c in self.coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, tag, terms: dict) -> None:
+        self.tag = tag
+        self.terms = {}
+        for k, v in terms.items():
+            c = self._coerce(v)
+            if c is None:
+                raise TypeError(f"not a coefficient: {v!r}")
+            if c:
+                self.terms[self._key(k)] = c
 
-    @staticmethod
-    def of(cs, var: str = "r") -> "Poly":
-        return Poly(tuple(cs), var)
+    @classmethod
+    def _make(cls, tag, terms: dict):
+        """An instance over a term map that is already coerced and pruned."""
+        obj = _new(cls)
+        obj.tag = tag
+        obj.terms = terms
+        return obj
 
-    @staticmethod
-    def zero(var: str = "r") -> "Poly":
-        return Poly((), var)
+    def _coerce(self, x):
+        """x as a coefficient, or None when it is not one (here: Q(i))."""
+        if isinstance(x, GaussianRational):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return GaussianRational(x)
+        return None
 
-    @staticmethod
-    def const(c, var: str = "r") -> "Poly":
-        return Poly((c,), var)
+    def _product(self, terms: dict) -> dict:
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in terms.items():
+                e = e1 + e2
+                cur = out.get(e)
+                out[e] = c1 * c2 if cur is None else cur + c1 * c2
+        return {e: c for e, c in out.items() if c}
 
-    @staticmethod
-    def variable(var: str = "r") -> "Poly":
-        return Poly((0, 1), var)
+    def _key_str(self, k) -> str:
+        return _power(self.tag, k)
 
-    # -- structure --------------------------------------------------------
+    def _check(self, other) -> None:
+        if other.tag != self.tag:
+            raise ValueError(f"{self._TAG} mismatch: {self.tag} vs {other.tag}")
+
+    # -- structure ----------------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
-    def degree(self):
-        """Degree, with the zero polynomial mapped to the -inf sentinel."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def coeff(self, key):
+        c = self.terms.get(self._key(key))
+        return self._coerce(0) if c is None else c
 
-    def coeff(self, k: int) -> GaussianRational:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return GR_ZERO
-
-    @property
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def _check_var(self, other: "Poly") -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    # -- arithmetic -------------------------------------------------------
+    # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Poly):
-            self._check_var(other)
-            n = max(len(self.coeffs), len(other.coeffs))
-            return Poly(
-                tuple(self.coeff(k) + other.coeff(k) for k in range(n)), self.var
-            )
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self + Poly.const(other, self.var)
-        return NotImplemented
+        out = dict(self.terms)
+        if type(other) is type(self):
+            self._check(other)
+            for k, v in other.terms.items():
+                _add_term(out, k, v)
+        else:
+            c = self._coerce(other)
+            if c is None:
+                return NotImplemented
+            _add_term(out, self._ONE, c)
+        return self._make(self.tag, out)
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return self._make(self.tag, {k: -v for k, v in self.terms.items()})
+
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Poly.const(other, self.var)
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs), self.var)
-
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._check_var(other)
-            if self.is_zero or other.is_zero:
-                return Poly.zero(self.var)
-            out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(tuple(out), self.var)
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational.of(other) if not isinstance(other, GaussianRational) else other
-            return Poly(tuple(a * c for a in self.coeffs), self.var)
-        return NotImplemented
+        if type(other) is type(self):
+            self._check(other)
+            return self._make(self.tag, self._product(other.terms))
+        c = self._coerce(other)
+        if c is None:
+            return NotImplemented
+        return self._make(self.tag, {k: v * c for k, v in self.terms.items()} if c else {})
 
+    # only scalar * element lands here, and scalars commute
     __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not defined")
+        acc = self._make(self.tag, {self._ONE: self._coerce(1)})
+        for _ in range(n):
+            acc = acc * self
+        return acc
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.tag == other.tag and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.tag, frozenset(self.terms.items())))
+
+    # -- rendering ------------------------------------------------------------
+
+    def __str__(self) -> str:
+        out = ""
+        for k in sorted(self.terms, key=self._sort_key, reverse=True):
+            p = _term_str(self.terms[k], self._key_str(k))
+            out += (" - " + p[1:] if p[0] == "-" else " + " + p) if out else p
+        return out or "0"
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{type(self).__name__} {self.tag}: {self}>"
+
+
+def _other_var(var: str) -> str:
+    return "R" if var == "r" else "r"
+
+
+class Laurent(Terms):
+    """A Laurent polynomial over Q(i) in a tagged chart coordinate.
+
+    ``coeffs`` maps integer exponents to nonzero Gaussian rationals; the
+    variable tag ("r" for the finite chart, "R" for the chart at infinity)
+    is part of the value, and mixed-variable arithmetic is an error.
+    """
+
+    __slots__ = ()
+    # the tag and term slots under this class's own names
+    var = Terms.tag
+    coeffs = Terms.terms
+    # own entries, so that a per-class wrapper (perfbench/tracer.py) sees them
+    __mul__ = Terms.__mul__
+    __rmul__ = Terms.__rmul__
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, var: str = "r"):
+        return cls._make(var, {})
+
+    @classmethod
+    def const(cls, c, var: str = "r"):
+        c = _coeff_of(c)
+        return cls._make(var, {0: c} if c else {})
+
+    @classmethod
+    def one(cls, var: str = "r"):
+        return cls.const(1, var)
+
+    @staticmethod
+    def monomial(var: str, exp: int, coeff=1) -> "Laurent":
+        return Laurent(var, {exp: coeff})
+
+    @staticmethod
+    def from_poly(p: "Poly") -> "Laurent":
+        return Laurent._make(p.var, dict(p.terms))
+
+    # -- structure ---------------------------------------------------------
+
+    def valuation(self) -> Optional[int]:
+        """Order of vanishing at coordinate 0; None for the zero element."""
+        return min(self.terms) if self.terms else None
+
+    def degree(self) -> Optional[int]:
+        return max(self.terms) if self.terms else None
+
+    @property
+    def is_polynomial(self) -> bool:
+        return all(e >= 0 for e in self.terms)
+
+    def to_poly(self) -> "Poly":
+        if not self.is_polynomial:
+            raise ValueError(f"{self} has a pole at {self.var}=0")
+        return Poly._make(self.var, dict(self.terms))
+
+    # -- substitutions and evaluation -----------------------------------------
+
+    def shifted(self, k: int) -> "Laurent":
+        """Multiplication by the k-th power of the chart coordinate."""
+        return Laurent._make(self.tag, {e + k: c for e, c in self.terms.items()})
+
+    def reciprocal_substitution(self) -> "Laurent":
+        """Substitute the coordinate by its reciprocal, flipping the chart tag."""
+        return Laurent._make(_other_var(self.tag), {-e: c for e, c in self.terms.items()})
+
+    def eval(self, x) -> GaussianRational:
+        x = GaussianRational.of(x) if not isinstance(x, GaussianRational) else x
+        acc = GR_ZERO
+        for e, c in self.terms.items():
+            if e >= 0:
+                acc = acc + c * x ** e if e else acc + c
+                continue
+            if not x:
+                raise ZeroDivisionError(f"pole of {self} at {self.var}=0")
+            acc = acc + c / x ** (-e)
+        return acc
+
+    # -- serialization ------------------------------------------------------
+
+    def to_json(self) -> dict:
+        """Dense coefficients from exponent 0, or from "valuation" below 0."""
+        lo = min(self.terms, default=0)
+        out = {"var": self.tag, "valuation": lo} if lo < 0 else {"var": self.tag}
+        out["coeffs"] = [
+            self.terms.get(e, GR_ZERO).to_json()
+            for e in range(min(lo, 0), max(self.terms, default=-1) + 1)
+        ]
+        return out
+
+
+class Poly(Laurent):
+    """A Laurent polynomial with no negative exponent.
+
+    ``coeffs`` is the dense view: the coefficients lowest degree first,
+    without trailing zeros.  Constructed from that view, as
+    ``Poly(coeffs, var)``; coefficients may be given as anything
+    ``GaussianRational`` accepts, or as (re, im) pairs.
+    """
+
+    __slots__ = ("coeffs", "_terms")
+
+    def __init__(self, coeffs=(), var: str = "r") -> None:
+        cs = [_coeff_of(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.tag, self.coeffs, self._terms = var, tuple(cs), None
+
+    @classmethod
+    def _make(cls, var, terms: dict) -> "Poly":
+        p = _new(cls)
+        p.tag, p._terms = var, terms
+        p.coeffs = tuple([terms.get(k, GR_ZERO) for k in range(max(terms, default=-1) + 1)])
+        return p
+
+    @property
+    def terms(self) -> dict:
+        """The sparse view, built from the dense one when first asked for."""
+        if self._terms is None:
+            self._terms = {k: c for k, c in enumerate(self.coeffs) if c}
+        return self._terms
+
+    @staticmethod
+    def of(cs, var: str = "r") -> "Poly":
+        return Poly(cs, var)
+
+    def degree(self):
+        """Degree, with the zero polynomial mapped to the -inf sentinel."""
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+
+    @property
+    def is_constant(self) -> bool:
+        return len(self.coeffs) <= 1
+
+    def coeff(self, k: int) -> GaussianRational:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else GR_ZERO
 
     def eval(self, x) -> GaussianRational:
         """Exact evaluation by Horner's scheme."""
@@ -456,48 +686,6 @@ class Poly:
 
     __call__ = eval
 
-    # -- rendering ----------------------------------------------------------
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                mono = ""
-            elif k == 1:
-                mono = self.var
-            else:
-                mono = f"{self.var}^{k}"
-            if not mono:
-                body = str(c)
-            elif c == GR_ONE:
-                body = mono
-            elif c == -GR_ONE:
-                body = f"-{mono}"
-            elif c.is_real and c.re.denominator == 1:
-                body = f"{c}*{mono}"
-            elif c.is_real and c.re < 0:
-                body = f"-({-c})*{mono}"
-            else:
-                body = f"({c})*{mono}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"var": self.var, "coeffs": [c.to_json() for c in self.coeffs]}
-
 
 def chart_substitute(p: Poly) -> tuple:
     """Substitute the reciprocal coordinate and clear the pole.
@@ -506,7 +694,4 @@ def chart_substitute(p: Poly) -> tuple:
     q(0) != 0; returns (q, d).  The zero polynomial maps to (0, 0), and the
     variable tag flips between the two charts.
     """
-    other = "R" if p.var == "r" else "r"
-    if p.is_zero:
-        return Poly.zero(other), 0
-    return Poly(tuple(reversed(p.coeffs)), other), len(p.coeffs) - 1
+    return Poly(p.coeffs[::-1], _other_var(p.var)), max(p.degree(), 0)

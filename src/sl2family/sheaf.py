@@ -4,9 +4,11 @@ The family of Lie algebras glues two charts: the finite chart (coordinate
 r) carries the constant sl2 structure, and the chart at infinity
 (coordinate R, with r = 1/R on the overlap) carries rescaled ladder
 generators whose bracket is [raising, lowering] = R^2 * cartan.  A section
-is stored as a map from PBW monomials to Laurent polynomials in the chart
-coordinate; negative exponents are legal and flag a rational
-(non-regular) section.
+(``FamilySection``) is a PBW normal form (pbw.NormalForm) with Laurent
+polynomials in the chart coordinate as coefficients; negative exponents
+are legal and flag a rational (non-regular) section.  ``CartanSection``
+is a term map from powers of the Cartan generator to Laurent
+polynomials.  ``Laurent`` itself lives in scalars.py.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Optional
 
-from .pbw import COMPACT, Monomial, UEAElement, casimir, normal_multiply
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, Poly
+from .pbw import COMPACT, NormalForm, UEAElement, casimir
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, Laurent, Terms, _add_term, _power
 
 CHART_FINITE = "X0"
 CHART_INFINITY = "Xinf"
@@ -34,192 +36,6 @@ def chart_variable(chart: str) -> str:
 
 def other_chart(chart: str) -> str:
     return CHART_INFINITY if chart == CHART_FINITE else CHART_FINITE
-
-
-@dataclass(frozen=True)
-class Laurent:
-    """A Laurent polynomial over Q(i) in a tagged chart coordinate."""
-
-    var: str
-    coeffs: dict  # int exponent -> GaussianRational, zero values dropped
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coeffs", {e: c for e, c in self.coeffs.items() if c}
-        )
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(var: str) -> "Laurent":
-        return Laurent(var, {})
-
-    @staticmethod
-    def const(c, var: str) -> "Laurent":
-        return Laurent(var, {0: GaussianRational.of(c)})
-
-    @staticmethod
-    def one(var: str) -> "Laurent":
-        return Laurent.const(1, var)
-
-    @staticmethod
-    def monomial(var: str, exp: int, coeff=1) -> "Laurent":
-        return Laurent(var, {exp: GaussianRational.of(coeff)})
-
-    @staticmethod
-    def from_poly(p: Poly) -> "Laurent":
-        return Laurent(p.var, {k: c for k, c in enumerate(p.coeffs)})
-
-    # -- structure ---------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def valuation(self) -> Optional[int]:
-        """Order of vanishing at coordinate 0; None for the zero element."""
-        return min(self.coeffs) if self.coeffs else None
-
-    def degree(self) -> Optional[int]:
-        return max(self.coeffs) if self.coeffs else None
-
-    @property
-    def is_polynomial(self) -> bool:
-        return all(e >= 0 for e in self.coeffs)
-
-    def to_poly(self) -> Poly:
-        if not self.is_polynomial:
-            raise ValueError(f"{self} has a pole at {self.var}=0")
-        top = max(self.coeffs, default=-1)
-        return Poly(
-            tuple(self.coeffs.get(k, GR_ZERO) for k in range(top + 1)), self.var
-        )
-
-    def _check_var(self, other: "Laurent") -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Laurent):
-            self._check_var(other)
-            out = dict(self.coeffs)
-            for e, c in other.coeffs.items():
-                s = out.get(e, GR_ZERO) + c
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-            return Laurent(self.var, out)
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self + Laurent.const(other, self.var)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Laurent.const(other, self.var)
-        if not isinstance(other, Laurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "Laurent":
-        return Laurent(self.var, {e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Laurent):
-            self._check_var(other)
-            out: dict = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = e1 + e2
-                    s = out.get(e, GR_ZERO) + c1 * c2
-                    if s:
-                        out[e] = s
-                    elif e in out:
-                        del out[e]
-            return Laurent(self.var, out)
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational.of(other)
-            return Laurent(self.var, {e: v * c for e, v in self.coeffs.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def shifted(self, k: int) -> "Laurent":
-        """Multiplication by the k-th power of the chart coordinate."""
-        return Laurent(self.var, {e + k: c for e, c in self.coeffs.items()})
-
-    def reciprocal_substitution(self) -> "Laurent":
-        """Substitute the coordinate by its reciprocal, flipping the chart tag."""
-        return Laurent(
-            "R" if self.var == "r" else "r",
-            {-e: c for e, c in self.coeffs.items()},
-        )
-
-    def eval(self, x) -> GaussianRational:
-        x = GaussianRational.of(x) if not isinstance(x, GaussianRational) else x
-        acc = GR_ZERO
-        for e, c in self.coeffs.items():
-            if e >= 0:
-                acc = acc + c * x ** e if e else acc + c
-                continue
-            if not x:
-                raise ZeroDivisionError(f"pole of {self} at {self.var}=0")
-            acc = acc + c / x ** (-e)
-        return acc
-
-    def __pow__(self, n: int) -> "Laurent":
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        acc = Laurent.one(self.var)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    # -- rendering -----------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                mono = ""
-            elif e == 1:
-                mono = self.var
-            else:
-                mono = f"{self.var}^{e}"
-            if not mono:
-                body = str(c)
-            elif c == GR_ONE:
-                body = mono
-            elif c == -GR_ONE:
-                body = f"-{mono}"
-            elif c.is_real and c.re.denominator == 1:
-                body = f"{c}*{mono}"
-            else:
-                body = f"({c})*{mono}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
-
-    def to_json(self) -> dict:
-        if self.is_polynomial:
-            return self.to_poly().to_json()
-        lo = self.valuation()
-        hi = self.degree()
-        return {
-            "var": self.var,
-            "valuation": lo,
-            "coeffs": [
-                self.coeffs.get(e, GR_ZERO).to_json() for e in range(lo, hi + 1)
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -299,134 +115,61 @@ class ProjectivePoint:
         return f"r={self.beta}"
 
 
-def _tau_for(chart: str) -> Laurent:
-    if chart == CHART_FINITE:
-        return Laurent.one("r")
-    return Laurent.monomial("R", 2)
+def _laurent_in(var: str, x) -> Optional[Laurent]:
+    """x as a Laurent coefficient in var, or None when it is not one."""
+    if isinstance(x, Laurent):
+        if x.var != var:
+            raise ValueError(f"coefficient variable {x.var} does not match chart variable {var}")
+        return x
+    if isinstance(x, (int, Fraction, GaussianRational)):
+        return Laurent.const(x, var)
+    return None
 
 
-@dataclass(frozen=True)
-class FamilySection:
+class FamilySection(NormalForm):
     """A chart-local section of the enveloping-algebra family.
 
-    Monomial keys follow the PBW conventions of pbw.py relative to the
-    compact-type generators of the chart.  Laurent coefficients with
-    negative exponents are permitted and flag a rational section.
+    ``terms`` maps PBW monomials (the conventions of pbw.py, relative to
+    the compact-type generators of the chart) to Laurent polynomials in the
+    chart coordinate; the product is ``normal_multiply`` with tau = 1 on
+    the finite chart and tau = R^2 at infinity.  Coefficients with negative
+    exponents are permitted and flag a rational section.
     """
 
-    chart: str
-    terms: dict  # Monomial -> Laurent
+    __slots__ = ()
+    _TAG = "chart"
+    chart = Terms.tag  # the tag slot under this class's own name
+    # an own entry, so that a per-class wrapper (perfbench/tracer.py) sees it
+    __mul__ = Terms.__mul__
 
-    def __post_init__(self) -> None:
-        var = chart_variable(self.chart)
-        pruned = {}
-        for k, f in self.terms.items():
-            if not isinstance(f, Laurent):
-                f = Laurent.const(f, var)
-            if f.var != var:
-                raise ValueError(f"coefficient variable {f.var} does not match chart {self.chart}")
-            if f:
-                pruned[tuple(k)] = f
-        object.__setattr__(self, "terms", pruned)
+    def __init__(self, chart: str, terms: dict) -> None:
+        chart_variable(chart)
+        super().__init__(chart, terms)
 
-    # -- constructors ------------------------------------------------------
+    @property
+    def var(self) -> str:
+        return chart_variable(self.tag)
+
+    def _coerce(self, x):
+        return _laurent_in(self.var, x)
+
+    def _tau(self) -> Laurent:
+        return Laurent.one("r") if self.tag == CHART_FINITE else Laurent.monomial("R", 2)
+
+    def _gens(self):
+        return ("Y", "H", "X") if self.tag == CHART_FINITE else ("Yinf", "Hinf", "Xinf")
 
     @staticmethod
     def zero(chart: str) -> "FamilySection":
         return FamilySection(chart, {})
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def rational(self) -> bool:
         """True when some coefficient has a pole at the chart origin."""
         return any(f.valuation() < 0 for f in self.terms.values())
 
-    def coeff(self, mono: Monomial) -> Laurent:
-        return self.terms.get(tuple(mono), Laurent.zero(chart_variable(self.chart)))
-
-    def _check_chart(self, other: "FamilySection") -> None:
-        if self.chart != other.chart:
-            raise ValueError(f"chart mismatch: {self.chart} vs {other.chart}")
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, FamilySection):
-            return NotImplemented
-        self._check_chart(other)
-        out = dict(self.terms)
-        for k, f in other.terms.items():
-            s = out.get(k, Laurent.zero(f.var)) + f
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return FamilySection(self.chart, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, FamilySection):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "FamilySection":
-        return FamilySection(self.chart, {k: -f for k, f in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, FamilySection):
-            self._check_chart(other)
-            tau = _tau_for(self.chart)
-            return FamilySection(self.chart, normal_multiply(self.terms, other.terms, tau))
-        if isinstance(other, Laurent):
-            if other.var != chart_variable(self.chart):
-                raise ValueError("scalar variable does not match chart")
-            return FamilySection(self.chart, {k: f * other for k, f in self.terms.items()})
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return FamilySection(self.chart, {k: f * other for k, f in self.terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, Laurent)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "FamilySection":
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        acc = FamilySection(self.chart, {(0, 0, 0): Laurent.one(chart_variable(self.chart))})
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        gens = ("Y", "H", "X") if self.chart == CHART_FINITE else ("Yinf", "Hinf", "Xinf")
-        parts = []
-        for k in sorted(self.terms, key=lambda k: (k[0], k[2], k[1]), reverse=True):
-            a, b, c = k
-            factors = []
-            if a:
-                factors.append(gens[0] if a == 1 else f"{gens[0]}^{a}")
-            if c:
-                factors.append(gens[2] if c == 1 else f"{gens[2]}^{c}")
-            if b:
-                factors.append(gens[1] if b == 1 else f"{gens[1]}^{b}")
-            mono = "*".join(factors) if factors else "1"
-            parts.append(f"({self.terms[k]})*{mono}")
-        return " + ".join(parts)
-
     def to_json(self) -> dict:
-        return {
-            "chart": self.chart,
-            "rational": self.rational,
-            "terms": [
-                {"mono": list(k), "coeff": self.terms[k].to_json()}
-                for k in sorted(self.terms)
-            ],
-        }
+        return {"chart": self.chart, "rational": self.rational, "terms": self._terms_json()}
 
 
 def section_from_constant(u: UEAElement, chart: str = CHART_FINITE) -> FamilySection:
@@ -438,9 +181,7 @@ def section_from_constant(u: UEAElement, chart: str = CHART_FINITE) -> FamilySec
     """
     if u.basis is not COMPACT:
         raise ValueError("constant sections are taken in the compact basis")
-    base = FamilySection(
-        CHART_FINITE, {k: Laurent.const(c, "r") for k, c in u.terms.items()}
-    )
+    base = FamilySection(CHART_FINITE, u.terms)  # constant coefficients
     if chart == CHART_FINITE:
         return base
     return to_infinity_chart(base)
@@ -455,19 +196,21 @@ def to_infinity_chart(s: FamilySection) -> FamilySection:
     """
     if s.chart != CHART_FINITE:
         raise ValueError("expected a finite-chart section")
-    out = {}
-    for (a, b, c), f in s.terms.items():
-        out[(a, b, c)] = f.reciprocal_substitution().shifted(-(a + c))
-    return FamilySection(CHART_INFINITY, out)
+    return _transported(s, CHART_INFINITY)
 
 
 def to_finite_chart(s: FamilySection) -> FamilySection:
     if s.chart != CHART_INFINITY:
         raise ValueError("expected a section over the chart at infinity")
-    out = {}
-    for (a, b, c), f in s.terms.items():
-        out[(a, b, c)] = f.reciprocal_substitution().shifted(-(a + c))
-    return FamilySection(CHART_FINITE, out)
+    return _transported(s, CHART_FINITE)
+
+
+def _transported(s: FamilySection, chart: str) -> FamilySection:
+    # the same rule both ways, since r = 1/R and the frames rescale by R^-1
+    return FamilySection._make(chart, {
+        (a, b, c): f.reciprocal_substitution().shifted(-(a + c))
+        for (a, b, c), f in s.terms.items()
+    })
 
 
 def casimir_section(chart: str) -> FamilySection:
@@ -505,9 +248,8 @@ def center_decompose(s: FamilySection) -> Optional[Dict[int, Laurent]]:
     decomposition peels off the top Casimir power: the coefficient of the
     extremal monomial (N, 0, N) in Casimir^N is exactly 4^N.
     """
-    cur = FamilySection(s.chart, dict(s.terms))
+    cur = s
     cas = casimir_section(s.chart)
-    var = chart_variable(s.chart)
     out: Dict[int, Laurent] = {}
     while not cur.is_zero:
         if any(a != c for (a, b, c) in cur.terms):
@@ -544,57 +286,47 @@ def center_membership(s: FamilySection) -> bool:
     return all(g.is_polynomial for g in dec.values())
 
 
-@dataclass(frozen=True)
-class CartanSection:
+class CartanSection(Terms):
     """A section valued in polynomials on the family of Cartan subalgebras.
 
-    Stored as coefficients of powers of the finite-chart Cartan generator.
-    Regularity at infinity depends on which Cartan subfamily is meant: the
-    compact-type subfamily is a trivial line bundle (coefficientwise
-    check), while the split-type subfamily twists, so the coefficient of
-    h^k must vanish to order k at infinity.
+    ``coeffs`` maps powers of the finite-chart Cartan generator to Laurent
+    polynomials; the tag is the pair (chart, cartan).  Regularity at
+    infinity depends on which Cartan subfamily is meant: the compact-type
+    subfamily is a trivial line bundle (coefficientwise check), while the
+    split-type subfamily twists, so the coefficient of h^k must vanish to
+    order k at infinity.
     """
 
-    chart: str
-    cartan: str  # "compact" | "split"
-    coeffs: dict  # degree -> Laurent
+    __slots__ = ()
+    _TAG = "chart and cartan"
+    coeffs = Terms.terms  # the term slot under this class's own name
 
-    def __post_init__(self) -> None:
-        if self.cartan not in ("compact", "split"):
-            raise ValueError(f"unknown cartan {self.cartan!r}")
-        var = chart_variable(self.chart)
-        pruned = {}
-        for k, f in self.coeffs.items():
-            if not isinstance(f, Laurent):
-                f = Laurent.const(f, var)
-            if f:
-                pruned[int(k)] = f
-        object.__setattr__(self, "coeffs", pruned)
+    def __init__(self, chart: str, cartan: str, coeffs: dict) -> None:
+        if cartan not in ("compact", "split"):
+            raise ValueError(f"unknown cartan {cartan!r}")
+        chart_variable(chart)
+        super().__init__((chart, cartan), coeffs)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    chart = property(lambda self: self.tag[0])
+    cartan = property(lambda self: self.tag[1])
 
-    def coeff(self, k: int) -> Laurent:
-        return self.coeffs.get(k, Laurent.zero(chart_variable(self.chart)))
+    def _coerce(self, x):
+        return _laurent_in(chart_variable(self.chart), x)
+
+    def _key_str(self, k: int) -> str:
+        return _power("H" if self.cartan == "compact" else "Hs", k)
+
+    def _in_chart(self, chart: str) -> "CartanSection":
+        if self.chart == chart:
+            return self
+        flipped = {k: f.reciprocal_substitution() for k, f in self.terms.items()}
+        return CartanSection._make((chart, self.cartan), flipped)
 
     def in_infinity_chart(self) -> "CartanSection":
-        if self.chart == CHART_INFINITY:
-            return self
-        return CartanSection(
-            CHART_INFINITY,
-            self.cartan,
-            {k: f.reciprocal_substitution() for k, f in self.coeffs.items()},
-        )
+        return self._in_chart(CHART_INFINITY)
 
     def in_finite_chart(self) -> "CartanSection":
-        if self.chart == CHART_FINITE:
-            return self
-        return CartanSection(
-            CHART_FINITE,
-            self.cartan,
-            {k: f.reciprocal_substitution() for k, f in self.coeffs.items()},
-        )
+        return self._in_chart(CHART_FINITE)
 
     def is_regular_at(self, p: ProjectivePoint) -> bool:
         if p.is_infinity:
@@ -606,16 +338,6 @@ class CartanSection:
             v = self.in_finite_chart()
             return all(f.valuation() >= 0 for f in v.coeffs.values())
         return True
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        h = "H" if self.cartan == "compact" else "Hs"
-        parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            mono = "1" if k == 0 else (h if k == 1 else f"{h}^{k}")
-            parts.append(f"({self.coeffs[k]})*{mono}")
-        return " + ".join(parts)
 
     def to_json(self) -> dict:
         return {
@@ -641,17 +363,11 @@ def gamma_family(s: FamilySection, cartan: str) -> CartanSection:
     dec = center_decompose(s)
     if dec is None:
         raise NotCentralError("gamma_family requires a central section")
-    var = chart_variable(s.chart)
     coeffs: Dict[int, Laurent] = {}
     for j, g in dec.items():
         scale = g if s.chart == CHART_FINITE else g.shifted(2 * j)
         for t in range(j + 1):
-            w = comb(j, t) * (-1) ** (j - t)
-            cur = coeffs.get(2 * t, Laurent.zero(var)) + scale * w
-            if cur:
-                coeffs[2 * t] = cur
-            elif 2 * t in coeffs:
-                del coeffs[2 * t]
+            _add_term(coeffs, 2 * t, scale * (comb(j, t) * (-1) ** (j - t)))
     out = CartanSection(s.chart, cartan, coeffs)
     if s.chart == CHART_INFINITY and not s.rational:
         assert out.is_regular_at(ProjectivePoint.infinity())

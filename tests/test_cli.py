@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sl2family.cli import cmd_classify, main, render_json
+from sl2family.cli import cmd_analyze, cmd_classify, main, render_json
+from sl2family.sheaf import ProjectivePoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -222,6 +223,14 @@ class TestAnalyze:
         assert entry["formula"] == {
             "R": "1/7", "flavor": "group", "level": -1, "m": 1,
         }
+
+    def test_huge_minimal_ktype(self):
+        # minimal() and members() follow the set's bounds, not every integer up to m
+        m = 10**12
+        doc, code = cmd_analyze({"m": m, "casimir": [m * (m - 2)]}, [ProjectivePoint.parse("r=1")])
+        assert code == 0 and doc["pass"]
+        (entry,) = doc["points"]
+        assert [f["ktypes"] for f in entry["factors"]] == ["1000000000000,1000000000002,..."]
 
     def test_generic_family_over_grid(self, capsys):
         code, doc = run_json(

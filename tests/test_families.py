@@ -73,6 +73,26 @@ class TestKTypeSet:
         assert KTypeSet.ray_down(-5).minimal() == -5
         assert KTypeSet.singleton(-2).minimal() == -2
 
+    def test_closed_forms_match_a_scan(self):
+        # membership read off the table of shapes, independent of KTypeSet
+        def member(kind, p, n):
+            if kind in (ALL_EVEN, ALL_ODD):
+                return n % 2 == (kind == ALL_ODD)
+            if n % 2 != p % 2:
+                return False
+            return {WINDOW: abs(n) <= p, RAY_UP: n >= p, RAY_DOWN: n <= p, SINGLETON: n == p}[kind]
+
+        shapes = [(ALL_EVEN, None), (ALL_ODD, None)] + [(WINDOW, p) for p in range(13)] + [
+            (kind, p) for kind in (RAY_UP, RAY_DOWN, SINGLETON) for p in range(-12, 13)]
+        for kind, p in shapes:
+            kt = KTypeSet(kind, p)
+            near = sorted(range(-14, 15), key=lambda n: (abs(n), -n))
+            assert kt.minimal() == next(n for n in near if member(kind, p, n)), kt
+            for lo in range(-17, 18, 3):
+                for hi in range(lo - 4, 19, 5):
+                    scan = [n for n in range(lo, hi + 1) if member(kind, p, n)]
+                    assert list(kt.members(lo, hi)) == scan, (kt, lo, hi)
+
     def test_contains(self):
         assert KTypeSet.all_even().contains(-6)
         assert not KTypeSet.all_even().contains(3)

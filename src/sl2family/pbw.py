@@ -10,11 +10,11 @@ which is the ordering adapted to the Cartan-decomposition filtration: for
 the compact basis the filtration degree of a monomial is just a + c, the
 total exponent on the non-compact generators.
 
-The rewriting core is generic over the coefficient ring and over the scalar
-tau in [raising, lowering] = tau * cartan.  ``NormalForm`` is the term map
-(see scalars.Terms) whose product is that rewriting; ``UEAElement`` is a
-normal form over Q(i) with tau = 1, and the sections of sheaf.py are
-normal forms over Laurent polynomials with tau = 1 or R^2.
+The rewriting core works over Q(i) with [raising, lowering] = cartan.
+``NormalForm`` is the term map (see scalars.Terms) whose product is that
+rewriting and ``UEAElement`` a normal form over Q(i); the sections of
+sheaf.py, with Laurent coefficients, multiply on the same core one R-degree
+slice at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ Monomial = Tuple[int, int, int]
 _LOWER, _CARTAN, _RAISE = 0, 1, 2
 
 
-def times_generator(terms: dict, gen: int, tau) -> dict:
+def times_generator(terms: dict, gen: int) -> dict:
     """Right-multiply a normal-form term map by a single generator.
 
     Rewriting rules, with E = raising, F = lowering, H = cartan and word
@@ -39,7 +39,7 @@ def times_generator(terms: dict, gen: int, tau) -> dict:
 
         H^b E = E (H+2)^b
         H^b F = F (H-2)^b
-        E^c F = F E^c + tau * (c E^(c-1) H + c(c-1) E^(c-1))
+        E^c F = F E^c + c E^(c-1) H + c(c-1) E^(c-1)
     """
     out: dict = {}
     for (a, b, c), coeff in terms.items():
@@ -53,24 +53,29 @@ def times_generator(terms: dict, gen: int, tau) -> dict:
                 w = comb(b, j) * (-2) ** (b - j)
                 _add_term(out, (a + 1, j, c), coeff * w)
                 if c:
-                    _add_term(out, (a, j + 1, c - 1), coeff * (c * w) * tau)
+                    _add_term(out, (a, j + 1, c - 1), coeff * (c * w))
                     if c > 1:
-                        _add_term(out, (a, j, c - 1), coeff * (c * (c - 1) * w) * tau)
+                        _add_term(out, (a, j, c - 1), coeff * (c * (c - 1) * w))
     return out
 
 
-def normal_multiply(ut: dict, vt: dict, tau) -> dict:
-    """Product of two normal-form term maps, renormalized."""
+def times_monomial(terms: dict, mono: Monomial) -> dict:
+    """Right-multiply a normal-form term map by the monomial F^a E^c H^b."""
+    a, b, c = mono
+    for _ in range(a):
+        terms = times_generator(terms, _LOWER)
+    for _ in range(c):
+        terms = times_generator(terms, _RAISE)
+    for _ in range(b):
+        terms = times_generator(terms, _CARTAN)
+    return terms
+
+
+def normal_multiply(ut: dict, vt: dict) -> dict:
+    """Product of two normal-form term maps over Q(i), renormalized."""
     out: dict = {}
-    for (a, b, c), cv in vt.items():
-        cur = ut
-        for _ in range(a):
-            cur = times_generator(cur, _LOWER, tau)
-        for _ in range(c):
-            cur = times_generator(cur, _RAISE, tau)
-        for _ in range(b):
-            cur = times_generator(cur, _CARTAN, tau)
-        for key, cu in cur.items():
+    for mono, cv in vt.items():
+        for key, cu in times_monomial(ut, mono).items():
             _add_term(out, key, cu * cv)
     return out
 
@@ -81,9 +86,6 @@ class Sl2Basis:
 
     name: str
     gens: Tuple[str, str, str]
-
-    def gen_index(self, name: str) -> int:
-        return self.gens.index(name)
 
     def __str__(self) -> str:
         return self.name
@@ -96,9 +98,8 @@ SPLIT = Sl2Basis("split", ("Ys", "Hs", "Xs"))
 class NormalForm(Terms):
     """A term map in PBW normal form: exponent triples (a, b, c) to coefficients.
 
-    Subclasses fix the coefficient ring, the generator names (``_gens``)
-    and the scalar tau of [raising, lowering] = tau * cartan (``_tau``);
-    the product is ``normal_multiply`` with that tau.
+    Subclasses fix the generator names (``_gens``); the product is
+    ``normal_multiply`` over Q(i).
     """
 
     __slots__ = ()
@@ -107,7 +108,7 @@ class NormalForm(Terms):
     _sort_key = staticmethod(lambda k: (k[0], k[2], k[1]))
 
     def _product(self, terms: dict) -> dict:
-        return normal_multiply(self.terms, terms, self._tau())
+        return normal_multiply(self.terms, terms)
 
     def _key_str(self, mono: Monomial) -> str:
         a, b, c = mono
@@ -134,9 +135,6 @@ class UEAElement(NormalForm):
     _TAG = "basis"
     basis = Terms.tag  # the tag slot under this class's own name
 
-    def _tau(self):
-        return GR_ONE
-
     def _gens(self):
         return self.tag.gens
 
@@ -157,7 +155,7 @@ class UEAElement(NormalForm):
     @staticmethod
     def generator(basis: Sl2Basis, name: str) -> "UEAElement":
         mono = [0, 0, 0]
-        mono[basis.gen_index(name)] = 1
+        mono[basis.gens.index(name)] = 1
         return UEAElement._make(basis, {tuple(mono): GR_ONE})
 
     def to_json(self) -> dict:
@@ -232,7 +230,7 @@ def change_basis(u: UEAElement, target: Sl2Basis) -> UEAElement:
         for word in reversed(pending):
             step: dict = {}
             for tslot, coeff in table[_last_letter(word)[1]]:
-                for key, v in times_generator(img, tslot, GR_ONE).items():
+                for key, v in times_generator(img, tslot).items():
                     _add_term(step, key, v * coeff)
             images[word] = img = step
         return img
@@ -290,9 +288,7 @@ def _verify_transition_constants() -> None:
             assert change_basis(change_basis(g, target), basis) == g, name
     # brackets are intertwined
     for basis, target in ((COMPACT, SPLIT), (SPLIT, COMPACT)):
-        low = UEAElement.generator(basis, basis.gens[0])
-        car = UEAElement.generator(basis, basis.gens[1])
-        rai = UEAElement.generator(basis, basis.gens[2])
+        low, car, rai = (UEAElement.generator(basis, name) for name in basis.gens)
         for u, v in ((car, rai), (car, low), (rai, low)):
             lhs = change_basis(commutator(u, v), target)
             rhs = commutator(change_basis(u, target), change_basis(v, target))

@@ -6,9 +6,10 @@ r) carries the constant sl2 structure, and the chart at infinity
 generators whose bracket is [raising, lowering] = R^2 * cartan.  A section
 (``FamilySection``) is a PBW normal form (pbw.NormalForm) with Laurent
 polynomials in the chart coordinate as coefficients; negative exponents
-are legal and flag a rational (non-regular) section.  ``CartanSection``
-is a term map from powers of the Cartan generator to Laurent
-polynomials.  ``Laurent`` itself lives in scalars.py.
+are legal and flag a rational (non-regular) section; sections multiply on
+the Q(i) rewriting core of pbw.py.  ``CartanSection`` is a term map from
+powers of the Cartan generator to Laurent polynomials.  ``Laurent`` itself
+lives in scalars.py.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Optional
 
-from .pbw import COMPACT, NormalForm, UEAElement, casimir
+from .pbw import COMPACT, NormalForm, UEAElement, casimir, times_monomial
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, Laurent, Terms, _add_term, _power
 
 CHART_FINITE = "X0"
@@ -51,8 +52,7 @@ class ProjectivePoint:
     beta: GaussianRational
 
     def __post_init__(self) -> None:
-        a = GaussianRational.of(self.alpha) if not isinstance(self.alpha, GaussianRational) else self.alpha
-        b = GaussianRational.of(self.beta) if not isinstance(self.beta, GaussianRational) else self.beta
+        a, b = GaussianRational.of(self.alpha), GaussianRational.of(self.beta)
         if not a and not b:
             raise ValueError("[0 : 0] is not a projective point")
         if a:
@@ -131,9 +131,14 @@ class FamilySection(NormalForm):
 
     ``terms`` maps PBW monomials (the conventions of pbw.py, relative to
     the compact-type generators of the chart) to Laurent polynomials in the
-    chart coordinate; the product is ``normal_multiply`` with tau = 1 on
-    the finite chart and tau = R^2 at infinity.  Coefficients with negative
-    exponents are permitted and flag a rational section.
+    chart coordinate.  Coefficients with negative exponents are permitted
+    and flag a rational section.
+
+    The product runs on the Q(i) core of pbw.py.  At infinity it uses the
+    finite frame X = Xinf/R, Y = Yinf/R, H = Hinf, where [X, Y] = H, so
+    Finf^a Einf^c H^b = R^(a+c) F^a E^c H^b.  The left factor splits into
+    R-degree slices over Q(i), each rewritten by pbw.times_monomial, and
+    each product monomial divides by R^(a+c) on the way back.
     """
 
     __slots__ = ()
@@ -153,8 +158,26 @@ class FamilySection(NormalForm):
     def _coerce(self, x):
         return _laurent_in(self.var, x)
 
-    def _tau(self) -> Laurent:
-        return Laurent.one("r") if self.tag == CHART_FINITE else Laurent.monomial("R", 2)
+    def _product(self, terms: dict) -> dict:
+        lift = 1 if self.tag == CHART_INFINITY else 0  # R-power per ladder generator
+        slices: dict = {}
+        for mono, f in self.terms.items():
+            for e, x in f.terms.items():
+                slices.setdefault(e + lift * (mono[0] + mono[2]), {})[mono] = x
+        acc: dict = {}  # (monomial, R-degree in the finite frame) -> sum
+        for e1, part in slices.items():
+            for mono, g in terms.items():
+                prod = times_monomial(part, mono)
+                for e2, y in g.terms.items():
+                    e = e1 + e2 + lift * (mono[0] + mono[2])
+                    for key, x in prod.items():
+                        cur = acc.get((key, e))
+                        acc[key, e] = x * y if cur is None else cur + x * y
+        out: dict = {}
+        for (key, e), x in acc.items():
+            if x:
+                out.setdefault(key, {})[e - lift * (key[0] + key[2])] = x
+        return {k: Laurent._make(self.var, f) for k, f in out.items()}
 
     def _gens(self):
         return ("Y", "H", "X") if self.tag == CHART_FINITE else ("Yinf", "Hinf", "Xinf")
@@ -182,9 +205,7 @@ def section_from_constant(u: UEAElement, chart: str = CHART_FINITE) -> FamilySec
     if u.basis is not COMPACT:
         raise ValueError("constant sections are taken in the compact basis")
     base = FamilySection(CHART_FINITE, u.terms)  # constant coefficients
-    if chart == CHART_FINITE:
-        return base
-    return to_infinity_chart(base)
+    return base if chart == CHART_FINITE else to_infinity_chart(base)
 
 
 def to_infinity_chart(s: FamilySection) -> FamilySection:
@@ -249,7 +270,7 @@ def center_decompose(s: FamilySection) -> Optional[Dict[int, Laurent]]:
     extremal monomial (N, 0, N) in Casimir^N is exactly 4^N.
     """
     cur = s
-    cas = casimir_section(s.chart)
+    powers = [casimir_section(s.chart)]  # powers[j - 1] = Casimir^j
     out: Dict[int, Laurent] = {}
     while not cur.is_zero:
         if any(a != c for (a, b, c) in cur.terms):
@@ -266,7 +287,9 @@ def center_decompose(s: FamilySection) -> Optional[Dict[int, Laurent]]:
             return None
         g = lead * Fraction(1, 4 ** n)
         out[n] = g
-        cur = cur - (cas ** n) * g
+        while len(powers) < n:
+            powers.append(powers[-1] * powers[0])
+        cur = cur - powers[n - 1] * g
         if not cur.is_zero and max(a for (a, b, c) in cur.terms) >= n:
             return None
     return out

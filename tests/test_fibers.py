@@ -1,6 +1,7 @@
 """Fiberwise structure: dual parameters, composition series, reducibility
 loci, and the closed Jantzen quotient formula."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -275,6 +276,46 @@ class TestReducibilityLocus:
             "max_k": 12,
             "walls": [],
         }
+
+
+    def test_walls_match_sympy_real_roots(self):
+        """Seeded real quadratics c(r): a wall level k(k+2) of the K-type
+        parity is reported exactly when c(r) = k(k+2) has a real root, with
+        sympy's rational roots as its points and an irrational root as its
+        flag; checked up to max_k, and every level when c(r) is bounded
+        above.  Half the seeds cross a wall at rational points."""
+        sympy = pytest.importorskip("sympy")
+        r = sympy.Symbol("r")
+        rng = random.Random(5772)
+        seen = {"rational": 0, "irrational": 0}
+        for _ in range(40):
+            m = rng.choice((0, 1))
+            c2 = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+            if rng.random() < 0.5:
+                k0 = rng.randrange(m, 17, 2)
+                p, q = (Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2))
+                c1, c0 = -c2 * (p + q), c2 * p * q + k0 * (k0 + 2)
+            else:
+                c1, c0 = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
+            loc = reducibility_points(make_family(m, cpoly(c0, c1, c2)))
+            walls = {w.k: w for w in loc.walls}
+            c = sum(sympy.Rational(x.numerator, x.denominator) * r ** e
+                    for e, x in enumerate((c0, c1, c2)))
+            top = loc.max_k if c2 > 0 else 40  # c(r) < 40 * 42 on these seeds
+            for k in sorted(set(range(-1, top + 1)) | set(walls)):
+                if k % 2 != m:
+                    continue
+                roots = sympy.real_roots(sympy.Poly(c - k * (k + 2), r))
+                rational = sorted({Fraction(int(x.p), int(x.q)) for x in roots if x.is_rational})
+                irrational = any(not x.is_rational for x in roots)
+                assert (k in walls) == bool(roots), (str(c), k)
+                if k in walls:
+                    w = walls[k]
+                    assert [q.r_value().re for q in w.points] == rational, (str(c), k)
+                    assert w.irrational == irrational and not w.everywhere, (str(c), k)
+                    seen["rational"] += bool(rational)
+                    seen["irrational"] += irrational
+        assert seen["rational"] and seen["irrational"]
 
 
 class TestJantzenQuotient:

@@ -18,6 +18,7 @@ from sl2family.pbw import (
     k_order,
 )
 from sl2family.scalars import GR_I, GR_ONE, GaussianRational
+from sl2_matrices import TRIPLES_2X2, mat_bracket, rho_2x2, rho_element
 
 GR = GaussianRational
 
@@ -178,70 +179,8 @@ class TestChangeBasis:
 
 # -- matrix oracle for change_basis -----------------------------------------
 #
-# Each basis is realized by 2x2 matrices in its (lowering, cartan, raising)
-# order: the split basis by the standard triple, the compact basis by its
-# Cayley transform (Knapp, Representation Theory of Semisimple Groups, ch. II).
-# A 2x2 matrix A acts on the homogeneous polynomials of degree n in (x, y)
-# by the derivation sum_jk A[j][k] x_j d/dx_k, a Lie algebra homomorphism;
-# these are the irreducible modules of dimension n + 1.  Nothing here reads
-# the transition constants in pbw.
-
-_H2 = Fraction(1, 2)
-TRIPLES_2X2 = {
-    "split": (
-        [[0, 0], [1, 0]],
-        [[1, 0], [0, -1]],
-        [[0, 1], [0, 0]],
-    ),
-    "compact": (
-        [[GR(_H2), GR(0, -_H2)], [GR(0, -_H2), GR(-_H2)]],
-        [[0, GR(0, -1)], [GR(0, 1), 0]],
-        [[GR(_H2), GR(0, _H2)], [GR(0, _H2), GR(-_H2)]],
-    ),
-}
-
-
-def mat_mul(p: list, q: list) -> list:
-    n = len(p)
-    return [
-        [sum((p[i][k] * q[k][j] for k in range(n)), GR(0)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def mat_bracket(p: list, q: list) -> list:
-    return [[x - y for x, y in zip(r, s)] for r, s in zip(mat_mul(p, q), mat_mul(q, p))]
-
-
-def rho_2x2(a, n: int) -> list:
-    """The matrix of the derivation of a on x^(n-k) y^k, k = 0..n."""
-    out = [[GR(0)] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        exps = (n - k, k)
-        for j in range(2):
-            for l in range(2):
-                if not a[j][l] or not exps[l]:
-                    continue
-                e = list(exps)
-                e[l] -= 1
-                e[j] += 1
-                out[e[1]][k] = out[e[1]][k] + GR.of(a[j][l]) * exps[l]
-    return out
-
-
-def rho_element(u: UEAElement, n: int) -> list:
-    low, car, rai = (rho_2x2(a, n) for a in TRIPLES_2X2[u.basis.name])
-    total = [[GR(0)] * (n + 1) for _ in range(n + 1)]
-    for (a, b, c), coeff in u.terms.items():
-        word = [[GR(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
-        for m, e in ((low, a), (rai, c), (car, b)):
-            for _ in range(e):
-                word = mat_mul(word, m)
-        total = [
-            [total[i][j] + coeff * word[i][j] for j in range(n + 1)] for i in range(n + 1)
-        ]
-    return total
-
+# The realizations in sl2_matrices.py read neither the transition constants
+# nor the product of pbw.
 
 class TestChangeBasisMatrixOracle:
     def test_triples_satisfy_the_bracket_relations(self):
@@ -344,3 +283,32 @@ class TestCartanProjection:
     def test_unknown_cartan_rejected(self):
         with pytest.raises(ValueError):
             hc_projection(gen("H"), "diagonal")
+
+
+class TestCartanProjectionMatrixOracle:
+    """A central z acts on the irreducible module of dimension n + 1 by the
+    scalar hc_projection(z) at h = n + 1 (the Casimir by (n+1)^2 - 1)."""
+
+    @pytest.mark.parametrize("basis", [COMPACT, SPLIT])
+    def test_seeded_central_elements_act_by_their_projection(self, basis):
+        rng = random.Random(27182 + (basis is SPLIT))
+        powers = [UEAElement.one(basis)]
+        for _ in range(4):
+            powers.append(powers[-1] * casimir(basis))
+        for _ in range(3):
+            z = UEAElement.zero(basis)
+            for j in rng.sample(range(5), rng.randint(1, 3)):
+                g = GR(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                       Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                z = z + powers[j] * g
+            images = {cartan: hc_projection(z, cartan) for cartan in ("compact", "split")}
+            for n in range(7):
+                action = rho_element(z, n)
+                for cartan, image in images.items():
+                    value = GR(0)
+                    for (a, b, c), coeff in image.terms.items():
+                        assert a == c == 0
+                        value = value + coeff * (n + 1) ** b
+                    scalar = [[value if i == j else GR(0) for j in range(n + 1)]
+                              for i in range(n + 1)]
+                    assert action == scalar, (str(z), cartan, n)

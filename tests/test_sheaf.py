@@ -1,11 +1,12 @@
 """Sections over the projective line of deformations: Laurent coefficients,
 chart transport, the center, and the Cartan-valued projection."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from sl2family.pbw import COMPACT, casimir
+from sl2family.pbw import COMPACT, UEAElement, casimir
 from sl2family.scalars import GaussianRational as GR
 from sl2family.scalars import Poly
 from sl2family.sheaf import (
@@ -27,6 +28,7 @@ from sl2family.sheaf import (
     to_finite_chart,
     to_infinity_chart,
 )
+from sl2_matrices import mat_mul, rho_element
 
 
 def lau(var: str, **powers) -> Laurent:
@@ -174,6 +176,51 @@ class TestChartTransport:
             a * b
 
 
+def _seeded_section(rng: random.Random, chart: str, deg: int) -> FamilySection:
+    """Up to four PBW monomials of degree <= deg with Laurent coefficients
+    of one to three terms, exponents -2..2."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        a = rng.randint(0, deg)
+        c = rng.randint(0, deg - a)
+        coeffs = {}
+        for _ in range(rng.randint(1, 3)):
+            coeffs[rng.randint(-2, 2)] = GR(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                            Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+        terms[(a, rng.randint(0, deg - a - c), c)] = Laurent(chart_variable(chart), coeffs)
+    return FamilySection(chart, terms)
+
+
+def rho_section(s: FamilySection, t: GR, n: int) -> list:
+    """The section at coordinate t on the module of dimension n + 1; at
+    infinity the ladder generators act as t times the finite ones."""
+    lift = s.chart == CHART_INFINITY
+    values = {(a, b, c): f.eval(t) * t ** (a + c if lift else 0) for (a, b, c), f in s.terms.items()}
+    return rho_element(UEAElement(COMPACT, values), n)
+
+
+class TestSectionProductOracle:
+    """rho(s1 * s2) = rho(s1) rho(s2) on the irreducible modules of dimension
+    1..D+2 (D bounds the product's PBW degree), at several coordinates."""
+
+    @pytest.mark.parametrize("chart", [CHART_FINITE, CHART_INFINITY])
+    def test_seeded_products_act_as_matrix_products(self, chart):
+        rng = random.Random(16180 + (chart == CHART_INFINITY))
+        points = (GR(2), GR(Fraction(-1, 3)), GR(Fraction(3, 2)))
+        pairs = [(_seeded_section(rng, chart, 3), _seeded_section(rng, chart, 2)) for _ in range(5)]
+        coeffs = [f for pair in pairs for s in pair for f in s.terms.values()]
+        assert any(f.valuation() < 0 for f in coeffs)
+        assert any(len(f.terms) > 1 for f in coeffs)
+        for s1, s2 in pairs:
+            product = s1 * s2
+            assert product.chart == chart
+            for n in range(s1.degree() + s2.degree() + 2):
+                for t in points:
+                    lhs = rho_section(product, t, n)
+                    assert lhs == mat_mul(rho_section(s1, t, n), rho_section(s2, t, n)), (
+                        str(s1), str(s2), n, str(t))
+
+
 class TestCenter:
     def test_casimir_is_central_in_both_charts(self):
         for chart in (CHART_FINITE, CHART_INFINITY):
@@ -207,6 +254,23 @@ class TestCenter:
         for n, f in dec.items():
             rebuilt = rebuilt + FamilySection(CHART_FINITE, {(0, 0, 0): f}) * om ** n
         assert rebuilt == s
+
+    def test_decompose_builds_each_casimir_power_once(self, monkeypatch):
+        om = casimir_section(CHART_INFINITY)
+        weights = {n: lau("R", n1=n, p0=1) for n in range(1, 9)}
+        s = FamilySection.zero(CHART_INFINITY)
+        for n, g in weights.items():
+            s = s + om ** n * g
+        products = []
+        real = FamilySection._product
+
+        def counted(self, terms):
+            products.append(1)
+            return real(self, terms)
+
+        monkeypatch.setattr(FamilySection, "_product", counted)
+        assert center_decompose(s) == weights
+        assert len(products) <= 8
 
     def test_non_central_detection(self):
         h = FamilySection(CHART_FINITE, {(0, 1, 0): Laurent.one("r")})

@@ -9,6 +9,8 @@ quotient, and the level-affine bijections between the admissible duals
 of the generic fiber and of the motion-group fiber at infinity.
 """
 
+from types import ModuleType as _ModuleType
+
 from .scalars import (
     GR_I,
     GR_ONE,
@@ -95,77 +97,8 @@ from .duals import (
 
 __version__ = "0.1.0"
 
+# every public name imported above (the submodules aside), plus the version
 __all__ = [
-    "GR_I",
-    "GR_ONE",
-    "GR_ZERO",
-    "GaussianRational",
-    "Laurent",
-    "Poly",
-    "chart_substitute",
-    "has_gaussian_sqrt",
-    "rational_sqrt",
-    "COMPACT",
-    "SPLIT",
-    "Sl2Basis",
-    "UEAElement",
-    "casimir",
-    "change_basis",
-    "commutator",
-    "hc_projection",
-    "k_order",
-    "normal_multiply",
-    "CHART_FINITE",
-    "CHART_INFINITY",
-    "CartanSection",
-    "FamilySection",
-    "NotCentralError",
-    "ProjectivePoint",
-    "casimir_section",
-    "center_decompose",
-    "center_membership",
-    "gamma_family",
-    "is_regular_at",
-    "section_from_constant",
-    "to_finite_chart",
-    "to_infinity_chart",
-    "FamilyValidationError",
-    "InfChar",
-    "KTypeSet",
-    "LadderAction",
-    "ModuleFamily",
-    "family_from_json",
-    "in_tilde_class",
-    "infer_ktypes",
-    "infinitesimal_character",
-    "intertwiner_exists",
-    "ktypes_at",
-    "ladder_action",
-    "make_family",
-    "pinned_level",
-    "wall_index",
-    "Decomposition",
-    "DualParam",
-    "Factor",
-    "FiberModule",
-    "ReducibilityLocus",
-    "WallRecord",
-    "composition_factors",
-    "dual_ktypes",
-    "evaluate_fiber",
-    "factor_containing_m",
-    "is_reducible",
-    "jantzen_quotient_formula",
-    "reducibility_points",
-    "scalar_to_json",
-    "CharacterizationResult",
-    "DualAtlas",
-    "characterize_bijections",
-    "eta",
-    "eta_inverse",
-    "is_tempered",
-    "params_equivalent",
-    "verify_conjecture1",
-    "vogan_map",
-    "__version__",
-]
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -48,7 +48,7 @@ from .fibers import (
     reducibility_points,
     scalar_to_json,
 )
-from .duals import characterize_bijections, verify_conjecture1
+from .duals import characterize_bijections, check_entry, verify_conjecture1
 from .pbw import COMPACT, SPLIT, UEAElement, casimir, hc_projection, k_order
 from .scalars import GaussianRational, Poly
 from .sheaf import (
@@ -243,7 +243,14 @@ def _emit(doc, fmt: str, out: Optional[str]) -> None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
     else:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone; send the rest, and the flush at exit, nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 # -- tables -----------------------------------------------------------------
@@ -467,13 +474,8 @@ def _suite_conjecture2(M: int, c2s: Sequence, points: Sequence[str]) -> List[dic
         for p in pts:
             formula = jantzen_quotient_formula(fam, p)
             ladder = factor_containing_m(evaluate_fiber(fam, p))
-            ok = formula == ladder
-            entries.append({
-                "check": "jantzen-quotient",
-                "instance": f"{label} at {p}",
-                "pass": ok,
-                "detail": f"closed form {formula}, ladder factor {ladder}",
-            })
+            entries.append(check_entry("jantzen-quotient", f"{label} at {p}", formula == ladder,
+                                       f"closed form {formula}, ladder factor {ladder}"))
     return entries
 
 
@@ -492,20 +494,12 @@ def _suite_appendix(N: int) -> List[dict]:
     for n in range(1, N + 1):
         power = power * base
         ko = k_order(power)
-        entries.append({
-            "check": "order-equality",
-            "instance": f"Casimir^{n}",
-            "pass": ko == 2 * n,
-            "detail": f"k_order = {ko}, expected 2n = {2 * n}",
-        })
+        entries.append(check_entry("order-equality", f"Casimir^{n}", ko == 2 * n,
+                                   f"k_order = {ko}, expected 2n = {2 * n}"))
         for cartan in ("compact", "split"):
             kh = k_order(hc_projection(power, cartan))
-            entries.append({
-                "check": "order-inequality",
-                "instance": f"hc(Casimir^{n}), {cartan} Cartan",
-                "pass": kh <= 2 * n,
-                "detail": f"k_order(hc) = {kh} <= {2 * n}",
-            })
+            entries.append(check_entry("order-inequality", f"hc(Casimir^{n}), {cartan} Cartan",
+                                       kh <= 2 * n, f"k_order(hc) = {kh} <= {2 * n}"))
     return entries
 
 
@@ -518,33 +512,24 @@ def _suite_regularity(N: int) -> List[dict]:
     om = casimir(COMPACT)
     for cartan in ("compact", "split"):
         image = hc_projection(om, cartan)
-        ok = image == h_sq_minus_1[cartan]
-        entries.append({
-            "check": "cartan-projection",
-            "instance": f"Casimir, {cartan} Cartan",
-            "pass": ok,
-            "detail": "projection is h^2 - 1 after the shift",
-        })
+        entries.append(check_entry("cartan-projection", f"Casimir, {cartan} Cartan",
+                                   image == h_sq_minus_1[cartan],
+                                   "projection is h^2 - 1 after the shift"))
     inf = ProjectivePoint.infinity()
     om_inf = casimir_section(CHART_INFINITY)
     power = om_inf
     for n in range(1, N + 1):
         if n > 1:
             power = power * om_inf
-        entries.append({
-            "check": "center-membership",
-            "instance": f"(R^2*Casimir)^{n}",
-            "pass": center_membership(power),
-            "detail": "decomposes into Casimir powers with polynomial coefficients",
-        })
+        entries.append(check_entry("center-membership", f"(R^2*Casimir)^{n}",
+                                   center_membership(power),
+                                   "decomposes into Casimir powers with polynomial coefficients"))
         for cartan in ("compact", "split"):
             g = gamma_family(power, cartan)
-            entries.append({
-                "check": "regular-at-infinity",
-                "instance": f"gamma((R^2*Casimir)^{n}), {cartan} Cartan",
-                "pass": g.is_regular_at(inf),
-                "detail": "image coefficients have the required vanishing order",
-            })
+            entries.append(check_entry("regular-at-infinity",
+                                       f"gamma((R^2*Casimir)^{n}), {cartan} Cartan",
+                                       g.is_regular_at(inf),
+                                       "image coefficients have the required vanishing order"))
     return entries
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "vogan_map",
     "eta",
     "eta_inverse",
+    "check_entry",
     "verify_conjecture1",
     "characterize_bijections",
 ]
@@ -180,6 +181,11 @@ class DualAtlas:
                 yield rep
 
 
+def check_entry(check: str, instance: str, ok, detail: str) -> dict:
+    """One report entry: which check ran, on what instance, its verdict, and why."""
+    return {"check": check, "instance": instance, "pass": bool(ok), "detail": detail}
+
+
 def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     """Machine check that eta^R is a structure-respecting bijection.
 
@@ -198,11 +204,6 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
         raise ValueError("the level grid must be nonempty")
     report: List[dict] = []
 
-    def entry(check: str, instance: str, ok: bool, detail: str) -> None:
-        report.append(
-            {"check": check, "instance": instance, "pass": bool(ok), "detail": detail}
-        )
-
     atlas = DualAtlas(MOTION, M, grid_gr)
     classes = list(atlas.classes())
     images = [eta(q, R) for q in classes]
@@ -217,7 +218,7 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     collisions = [
         (classes[i], classes[j]) for i, key in enumerate(keys) for j in groups[key] if j > i
     ]
-    entry(
+    report.append(check_entry(
         "injectivity",
         f"{len(classes)} motion classes, R={R}",
         not collisions,
@@ -225,7 +226,7 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
         if not collisions
         else "image collisions: "
         + "; ".join(f"{a} and {b}" for a, b in collisions[:3]),
-    )
+    ))
 
     target = DualAtlas(GROUP, M, grid_gr, R)
     misses = []
@@ -234,36 +235,30 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
         count += 1
         if not params_equivalent(eta(eta_inverse(q), R), q):
             misses.append(q)
-    entry(
+    report.append(check_entry(
         "surjectivity",
         f"{count} group classes, R={R}",
         not misses,
         "every class is the image of its explicit preimage"
         if not misses
         else "unreached classes: " + "; ".join(str(q) for q in misses[:3]),
-    )
+    ))
 
     for m in range(-M, M + 1):
         image = eta(DualParam.motion(0, m), R)
         expected = vogan_map(m, R)
-        entry(
-            "vogan-extension",
-            f"m={m}, R={R}",
-            image == expected,
-            f"eta((0,{m})_0) = {image}, minimal-K-type representative {expected}",
-        )
+        report.append(check_entry(
+            "vogan-extension", f"m={m}, R={R}", image == expected,
+            f"eta((0,{m})_0) = {image}, minimal-K-type representative {expected}"))
 
     for q in classes:
         if not q.level.is_real:
             continue
         image = eta(q, R)
-        ok = is_tempered(q) == is_tempered(image)
-        entry(
-            "tempered",
-            f"{q} -> {image}",
-            ok,
-            f"tempered({q}) = {is_tempered(q)}, tempered({image}) = {is_tempered(image)}",
-        )
+        t_q, t_image = is_tempered(q), is_tempered(image)
+        report.append(check_entry(
+            "tempered", f"{q} -> {image}", t_q == t_image,
+            f"tempered({q}) = {t_q}, tempered({image}) = {t_image}"))
 
     if M >= 1:
         wd_bad = []
@@ -275,14 +270,14 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
             if params_equivalent(p_plus, p_minus):
                 if not params_equivalent(eta(p_plus, R), eta(p_minus, R)):
                     wd_bad.append(z)
-        entry(
+        report.append(check_entry(
             "well-defined",
             f"m=1/m=-1 pairs on {len(grid_gr)} levels, R={R}",
             not wd_bad,
             "equivalent parameters have equivalent images"
             if not wd_bad
             else "broken at levels: " + ", ".join(str(z) for z in wd_bad[:5]),
-        )
+        ))
 
     a_expected = GR_ONE / (R * R)
     for m in (-1, 0, 1):
@@ -296,33 +291,27 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
             if len(distinct) == 2:
                 break
         if len(distinct) < 2:
-            entry(
-                "affine-form",
-                f"m={m}, R={R}",
-                False,
-                "needs at least two distinct grid levels to determine the map",
-            )
+            report.append(check_entry(
+                "affine-form", f"m={m}, R={R}", False,
+                "needs at least two distinct grid levels to determine the map"))
             continue
         (z0, l0), (z1, l1) = distinct
         a = (l1 - l0) / (z1 - z0)
         b = l0 - a * z0
         fits = all(lv == a * z + b for z, lv in samples)
         ok = fits and bool(a) and a == a_expected and b == -1
-        entry(
-            "affine-form",
-            f"m={m}, R={R}",
-            ok,
-            f"level map is z -> ({a})z + ({b}); invertible with a = 1/R^2 and b = -1",
-        )
+        report.append(check_entry(
+            "affine-form", f"m={m}, R={R}", ok,
+            f"level map is z -> ({a})z + ({b}); invertible with a = 1/R^2 and b = -1"))
 
-    entry(
+    report.append(check_entry(
         "equivalence-convention",
         "boundary levels (group -1, motion 0)",
         True,
         "reading level-equality alone across m=1/m=-1 would identify the two "
         "one-sided ladders (resp. the two characters); the implemented relation "
         "also requires equal K-type sets, keeping them distinct",
-    )
+    ))
 
     return all(e["pass"] for e in report), report
 

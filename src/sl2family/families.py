@@ -109,14 +109,6 @@ class KTypeSet:
     def is_finite(self) -> bool:
         return self.kind in (WINDOW, SINGLETON)
 
-    @property
-    def unbounded_above(self) -> bool:
-        return self.kind in (ALL_EVEN, ALL_ODD, RAY_UP)
-
-    @property
-    def unbounded_below(self) -> bool:
-        return self.kind in (ALL_EVEN, ALL_ODD, RAY_DOWN)
-
     @cached_property
     def bounds(self) -> Tuple[Optional[int], Optional[int]]:
         """The least and the greatest member, None on an unbounded side."""

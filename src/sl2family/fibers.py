@@ -1,10 +1,13 @@
 """Fiberwise analysis of module families: reducibility and factors.
 
-Evaluating the ladder coefficients of a family at a point of the base
-turns the family into a single ladder module.  An edge (n, n+2) of the
-K-type ladder is "cut" when the inward transition scalar vanishes; the
-maximal uncut segments are exactly the composition factors, and each is
-named by a pair (level, minimal K-type) following the admissible-dual
+Evaluating a family at a point of the base gives a single ladder module.
+Each edge (n, n+2) of its K-type ladder carries exactly one non-unit
+ladder coefficient, and the edge is "cut" when that coefficient vanishes.
+The coefficient is (level - n(n+2))/4 at a group point, so a level k(k+2)
+cuts only the edges at n = k and n = -k-2; at the motion fiber it is c2/4,
+so every edge is cut or none is.  The maximal uncut segments are exactly
+the composition factors, read off the bounds of the K-type set, and each
+is named by a pair (level, minimal K-type) following the admissible-dual
 parameter tables for the two fiber types:
 
   group fiber (finite point, coordinate r):   level = c(r)
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .families import (
@@ -136,74 +140,94 @@ def dual_ktypes(p: DualParam) -> KTypeSet:
     return KTypeSet.all_even() if m == 0 else KTypeSet.all_odd()
 
 
+def wall_edges(kt: KTypeSet, k: Optional[int]) -> Tuple[int, ...]:
+    """The edges (n, n+2) of the set that the level k(k+2) cuts, ascending.
+
+    An edge carries one non-unit ladder coefficient, (level - n(n+2))/4 at
+    a group point, so the level k(k+2) cuts exactly n = -k-2 and n = k
+    (one edge when k = -1).  k = None, a level off every wall, cuts none.
+    """
+    if k is None:
+        return ()
+    return tuple(n for n in sorted({-k - 2, k}) if n in kt and n + 2 in kt)
+
+
 @dataclass(frozen=True)
 class FiberModule:
     """A family evaluated at one point of the base.
 
-    up[n] is the scalar by which the raising operator carries the n-line
-    to the (n+2)-line (when both are K-types), down[n] its lowering
-    counterpart; both are exact.  The scalars are tabulated on a window
-    wide enough to contain every vanishing edge, so segment analysis
-    inside the window is conclusive.
+    cuts lists, ascending, the n whose edge (n, n+2) the fiber severs:
+    ``wall_edges`` at a group point; at the motion fiber, where every edge
+    carries c2/4, all edges inside window when c2 = 0 and none otherwise.
+    up[n] and down[n], the exact scalars by which the raising and lowering
+    operators leave the n-line, are evaluated on demand inside window.
     """
 
+    family: ModuleFamily
     point: ProjectivePoint
-    flavor: str
-    ktypes: KTypeSet
-    m: int
     level: GaussianRational
-    up: Dict[int, GaussianRational]
-    down: Dict[int, GaussianRational]
+    cuts: Tuple[int, ...]
     window: Tuple[int, int]
+
+    @property
+    def flavor(self) -> str:
+        return MOTION if self.point.is_infinity else GROUP
+
+    @property
+    def ktypes(self) -> KTypeSet:
+        return self.family.ktypes
+
+    @property
+    def m(self) -> int:
+        return self.family.m
+
+    @property
+    def cuts_everywhere(self) -> bool:
+        return self.flavor == MOTION and self.level == 0
 
     def edge_is_cut(self, n: int) -> bool:
         """Whether the ladder is severed between K-types n and n+2."""
-        if n not in self.up or (n + 2) not in self.down:
-            raise ValueError(f"edge ({n},{n + 2}) is outside the tabulated window")
-        return (not self.up[n]) or (not self.down[n + 2])
+        if n not in self.ktypes or n + 2 not in self.ktypes:
+            raise ValueError(f"({n},{n + 2}) is not an edge of {self.ktypes}")
+        return self.cuts_everywhere or n in self.cuts
 
+    def _coefficients(self, step: int) -> Dict[int, GaussianRational]:
+        """n -> the scalar carrying the n-line to the (n+step)-line, inside window."""
+        if self.point.is_infinity:
+            act, x = ladder_action(self.family, "Xinf"), GR_ZERO
+        else:
+            act, x = ladder_action(self.family, "X0"), self.point.r_value()
+        coeff = act.up if step > 0 else act.down
+        lo, hi = self.window
+        return {n: coeff(n).eval(x) for n in self.ktypes.members(lo, hi)
+                if n + step in self.ktypes and lo <= n + step <= hi}
 
-def _window_bound(fam: ModuleFamily, omega: Optional[GaussianRational]) -> int:
-    extremes = [abs(fam.m), 2]
-    kt = fam.ktypes
-    if kt.param is not None:
-        extremes.append(abs(kt.param))
-    if omega is not None and omega.is_real:
-        k = wall_index(omega)
-        if k is not None:
-            extremes.append(k + 2)
-    return max(extremes) + 4
+    @cached_property
+    def up(self) -> Dict[int, GaussianRational]:
+        return self._coefficients(2)
+
+    @cached_property
+    def down(self) -> Dict[int, GaussianRational]:
+        return self._coefficients(-2)
 
 
 def evaluate_fiber(fam: ModuleFamily, p: ProjectivePoint) -> FiberModule:
-    """Evaluate the ladder coefficients of the family at a base point."""
-    if p.is_infinity:
-        flavor = MOTION
-        act = ladder_action(fam, "Xinf")
-        coord = GR_ZERO
-        level = fam.c2
-        omega = None
-    else:
-        flavor = GROUP
-        act = ladder_action(fam, "X0")
-        coord = p.r_value()
-        level = fam.casimir.eval(coord)
-        omega = level
-    bound = _window_bound(fam, omega)
+    """The fiber of the family at a base point, with its cut edges."""
     kt = fam.ktypes
-    up: Dict[int, GaussianRational] = {}
-    down: Dict[int, GaussianRational] = {}
-    for n in kt.members(-bound, bound):
-        if kt.contains(n + 2) and n + 2 <= bound:
-            up[n] = act.up(n).eval(coord)
-        if kt.contains(n - 2) and n - 2 >= -bound:
-            down[n] = act.down(n).eval(coord)
-    return FiberModule(p, flavor, kt, fam.m, level, up, down, (-bound, bound))
+    bound = max(abs(fam.m), 2, abs(kt.param or 0)) + 4
+    if p.is_infinity:
+        # c2/4 cuts every edge or none; list the cuts where the factors are shown
+        level = fam.c2
+        cuts = () if level else tuple(n for n in kt.members(-bound, bound - 2) if n + 2 in kt)
+    else:
+        level = fam.casimir.eval(p.r_value())
+        cuts = wall_edges(kt, wall_index(level))
+    return FiberModule(fam, p, level, cuts, (-bound, bound))
 
 
 def is_reducible(fib: FiberModule) -> bool:
-    """A proper invariant subspace exists iff some interior edge is cut."""
-    return any(fib.edge_is_cut(n) for n in fib.up)
+    """A proper invariant subspace exists iff some edge is cut."""
+    return bool(fib.cuts)
 
 
 @dataclass(frozen=True)
@@ -237,40 +261,22 @@ class Decomposition:
 
 
 def composition_factors(fib: FiberModule) -> Decomposition:
-    lo, hi = fib.window
-    members = list(fib.ktypes.members(lo, hi))
-    if not members:
-        raise ValueError("fiber has no K-types in its window")
-    runs: List[List[int]] = [[members[0]]]
-    for n in members[1:]:
-        if fib.edge_is_cut(n - 2):
-            runs.append([n])
-        else:
-            runs[-1].append(n)
-
+    """Split the K-type set at the cut edges and name each segment."""
     kt = fib.ktypes
+    lo, hi = kt.bounds
     factors = []
-    complete = True
-    for run in runs:
-        a, b = run[0], run[-1]
-        open_up = b == members[-1] and kt.unbounded_above
-        open_down = a == members[0] and kt.unbounded_below
-        if open_up and open_down:
+    for a, b in zip((lo,) + tuple(n + 2 for n in fib.cuts), fib.cuts + (hi,)):
+        if a is None and b is None:
             seg = kt
-        elif open_up:
+        elif b is None:
             seg = KTypeSet.ray_up(a)
-        elif open_down:
+        elif a is None:
             seg = KTypeSet.ray_down(b)
-        elif fib.flavor == MOTION:
-            if a != b:
-                seg = KTypeSet.window(b) if a == -b else None
-            else:
-                seg = KTypeSet.singleton(a)
+        elif a == b and fib.flavor == MOTION:
+            seg = KTypeSet.singleton(a)
         elif a == -b:
             seg = KTypeSet.window(b)
         else:
-            seg = None
-        if seg is None:
             raise RuntimeError(
                 f"segment [{a}..{b}] has no admissible-dual shape; "
                 "this contradicts the wall symmetry of ladder coefficients"
@@ -281,9 +287,7 @@ def composition_factors(fib: FiberModule) -> Decomposition:
         else:
             param = DualParam.motion(fib.level, m_f)
         factors.append(Factor(seg, param.canonical()))
-    if fib.flavor == MOTION and fib.level == 0 and not kt.is_finite:
-        complete = False
-    return Decomposition(tuple(factors), complete)
+    return Decomposition(tuple(factors), not fib.cuts_everywhere or kt.is_finite)
 
 
 def factor_containing_m(fib: FiberModule, m: Optional[int] = None) -> DualParam:
@@ -292,7 +296,7 @@ def factor_containing_m(fib: FiberModule, m: Optional[int] = None) -> DualParam:
         m = fib.m
     if not fib.ktypes.contains(m):
         raise ValueError(f"{m} is not a K-type of the fiber")
-    if fib.flavor == MOTION and fib.level == 0:
+    if fib.cuts_everywhere:
         return DualParam.motion(0, m).canonical()
     for f in composition_factors(fib).factors:
         if f.ktypes.contains(m):
@@ -383,10 +387,6 @@ def reducibility_points(
         raise ValueError("reducibility on the real line needs a real Casimir polynomial")
     c2, c1, c0 = fam.c2.re, fam.c1.re, fam.c0.re
     kt = fam.ktypes
-
-    def edge_in(n: int) -> bool:
-        return kt.contains(n) and kt.contains(n + 2)
-
     walls: List[WallRecord] = []
     pts: List[ProjectivePoint] = []
 
@@ -395,7 +395,7 @@ def reducibility_points(
         # it is hit identically in r.
         k0 = wall_index(c0)
         complete = True
-        if k0 is not None and (edge_in(k0) or edge_in(-k0 - 2)):
+        if wall_edges(kt, k0):
             walls.append(WallRecord(k0, GaussianRational.of(c0), (), False, True))
             complete = False
     else:
@@ -408,7 +408,7 @@ def reducibility_points(
                 bound += 1
         complete = kt.is_finite or c2 < 0
         for k in range(-1, bound + 1):
-            if not (edge_in(k) or edge_in(-k - 2)):
+            if not wall_edges(kt, k):
                 continue
             w = Fraction(k * (k + 2))
             roots, irr, _ = _real_roots(c2, c1, c0, w)

@@ -279,23 +279,3 @@ def hc_projection(u: UEAElement, cartan: str) -> UEAElement:
             _add_term(out, (0, j, 0), coeff * (comb(b, j) * (-1) ** (b - j)))
     return UEAElement._make(target, out)
 
-
-def _verify_transition_constants() -> None:
-    # mutual inverse on generators
-    for basis, target in ((COMPACT, SPLIT), (SPLIT, COMPACT)):
-        for name in basis.gens:
-            g = UEAElement.generator(basis, name)
-            assert change_basis(change_basis(g, target), basis) == g, name
-    # brackets are intertwined
-    for basis, target in ((COMPACT, SPLIT), (SPLIT, COMPACT)):
-        low, car, rai = (UEAElement.generator(basis, name) for name in basis.gens)
-        for u, v in ((car, rai), (car, low), (rai, low)):
-            lhs = change_basis(commutator(u, v), target)
-            rhs = commutator(change_basis(u, target), change_basis(v, target))
-            assert lhs == rhs
-    # the Casimir element keeps its shape
-    assert change_basis(casimir(COMPACT), SPLIT) == casimir(SPLIT)
-    assert change_basis(casimir(SPLIT), COMPACT) == casimir(COMPACT)
-
-
-_verify_transition_constants()

@@ -4,6 +4,7 @@ verification suites, exit codes, and deterministic rendering."""
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +233,18 @@ class TestAnalyze:
         (entry,) = doc["points"]
         assert [f["ktypes"] for f in entry["factors"]] == ["1000000000000,1000000000002,..."]
 
+    def test_huge_window(self):
+        # the cut edges come from the wall index of the level, not a K-type walk
+        k = 10**12
+        doc, code = cmd_analyze({"m": 0, "casimir": k * (k + 2)}, [ProjectivePoint.parse("r=1")])
+        assert code == 0 and doc["pass"]
+        (entry,) = doc["points"]
+        assert not entry["reducible"] and entry["complete"]
+        assert [f["ktypes"] for f in entry["factors"]] == [f"{-k}..{k}"]
+        assert entry["containing_m"] == {
+            "R": 1, "flavor": "group", "level": k * (k + 2), "m": 0,
+        }
+
     def test_generic_family_over_grid(self, capsys):
         code, doc = run_json(
             capsys,
@@ -424,6 +437,23 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
 
+    def test_closed_pipe_exits_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sl2family", "analyze", "--family",
+                 '{"m": 0, "casimir": [-1, 0, 1]}', "--point", "r=1", "--point", "inf"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ""
+        assert proc.returncode == 0  # the command's own status
+
 
 # -- fuzzing the JSON inputs --------------------------------------------------
 
@@ -443,7 +473,7 @@ _json_value = st.recursive(
 _descriptor = st.fixed_dictionaries(
     {},
     optional={
-        "m": st.one_of(st.integers(-4, 4), _json_leaf),
+        "m": st.one_of(st.integers(-4, 4), st.integers(-10**12, 10**12), _json_leaf),
         "casimir": _json_value,
         "ktypes": _json_value,
     },

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2family.families import KTypeSet, ModuleFamily, make_family
+from sl2family.families import KTypeSet, ModuleFamily, ladder_action, make_family
 from sl2family.fibers import (
     GROUP,
     MOTION,
@@ -22,7 +22,7 @@ from sl2family.fibers import (
     scalar_to_json,
 )
 from sl2family.scalars import GaussianRational as GR
-from sl2family.scalars import Poly
+from sl2family.scalars import Poly, rational_sqrt
 from sl2family.sheaf import ProjectivePoint
 
 P = ProjectivePoint.parse
@@ -133,13 +133,99 @@ class TestEvaluateFiber:
         fib = evaluate_fiber(WINDOW8, P("3"))
         assert not fib.edge_is_cut(0) and not fib.edge_is_cut(-2)
         with pytest.raises(ValueError):
-            fib.edge_is_cut(2)  # the edge out of the window is not tabulated
+            fib.edge_is_cut(2)  # 4 is not a K-type, so (2, 4) is no edge
+
+    def test_ladder_scalars_are_cached_views(self):
+        fib = evaluate_fiber(EVEN_GENERIC, P("1"))
+        assert "up" not in vars(fib) and "down" not in vars(fib)  # nothing tabulated
+        up, down = fib.up, fib.down
+        assert fib.up is up and fib.down is down
+        lo, hi = fib.window
+        assert sorted(up) == list(range(lo, hi - 1, 2))
+        assert sorted(down) == list(range(lo + 2, hi + 1, 2))
+        # c(1) = 0: the inward coefficient (0 - n(n+2))/4 on each side of 0
+        assert up == {n: GR(1) if n >= 0 else GR(Fraction(-n * (n + 2), 4)) for n in up}
+        assert down == {n: GR(1) if n <= 0 else GR(Fraction(-n * (n - 2), 4)) for n in down}
+        motion = evaluate_fiber(EVEN_GENERIC, P("inf"))  # every inward scalar is c2/4
+        assert motion.up == {n: GR(1) if n >= 0 else GR(Fraction(1, 4)) for n in motion.up}
+        assert motion.down == {n: GR(1) if n <= 0 else GR(Fraction(1, 4)) for n in motion.down}
 
     def test_wall_symmetry_for_even_families(self):
         for pt in ("1", "2", "1/2", "-3"):
             fib = evaluate_fiber(EVEN_GENERIC, P(pt))
             for n in range(-4, 5, 2):
                 assert fib.up[n] == fib.down[-n]
+
+
+def _ladder_oracle_cases(rng: random.Random):
+    """(family, point) pairs over every table row and off-table families,
+    at rational, complex, wall-root and infinite points."""
+
+    def q() -> Fraction:
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+
+    def through_wall(m: int) -> ModuleFamily:
+        # c2 r^2 + c1 r + c0 takes the wall level k(k+2) at a rational r0
+        k, r0, c2, c1 = rng.randint(-1, 7), q(), q(), q()
+        return make_family(m, cpoly(k * (k + 2) - c2 * r0 * r0 - c1 * r0, c1, c2))
+
+    fams = []
+    for _ in range(10):
+        k = rng.randint(0, 4)
+        d = rng.randint(2, 7)
+        fams += [
+            through_wall(0),  # m = 0 on 2Z
+            make_family(0, (2 * k) * (2 * k + 2)),  # m = 0 on a window
+            through_wall(rng.choice((1, -1))),  # m = +-1 on 2Z+1
+            make_family(rng.choice((1, -1)), (2 * k + 1) * (2 * k + 3)),  # odd window
+            make_family(1, -1, KTypeSet.ray_up(1)),  # the limit rays
+            make_family(-1, -1, KTypeSet.ray_down(-1)),
+            make_family(d, d * (d - 2)),  # lowest- and highest-weight ladders
+            make_family(-d, d * (d - 2)),
+        ]
+        for kt in (KTypeSet.all_even(), KTypeSet.all_odd(), KTypeSet.window(rng.randint(0, 6)),
+                   KTypeSet.ray_up(rng.randint(-5, 5)), KTypeSet.ray_down(rng.randint(-5, 5))):
+            m = rng.choice(list(kt.members(-8, 8)))
+            fams.append(ModuleFamily(m, kt, cpoly(q(), q(), q())))  # off the table
+            fams.append(ModuleFamily(m, kt, cpoly(rng.randint(-1, 6) * rng.randint(1, 8))))
+    for fam in fams:
+        pts = [P("inf"), P("r=0"), P(f"r={q()}"), ProjectivePoint.from_r(GR(q(), q() or 1))]
+        c2, c1, c0 = (fam.casimir.coeff(i).re for i in (2, 1, 0))
+        for k in range(-1, 9):  # the rational roots of c(r) = k(k+2)
+            w = k * (k + 2)
+            if c2 == 0:
+                pts += [ProjectivePoint.from_r((w - c0) / c1)] if c1 else []
+                continue
+            disc = c1 * c1 - 4 * c2 * (c0 - w)
+            s = rational_sqrt(disc) if disc >= 0 else None
+            if s is not None:
+                pts += [ProjectivePoint.from_r((-c1 + e * s) / (2 * c2)) for e in (1, -1)]
+        for p in pts:
+            yield fam, p
+
+
+class TestCutRuleOracle:
+    def test_cut_edges_match_the_ladder_coefficients(self):
+        """edge_is_cut agrees with the vanishing of the evaluated ladder action."""
+        checked = group_cuts = 0
+        for fam, p in _ladder_oracle_cases(random.Random(20170617)):
+            fib = evaluate_fiber(fam, p)
+            chart, x = ("Xinf", GR(0)) if p.is_infinity else ("X0", p.r_value())
+            act = ladder_action(fam, chart)
+            bound = abs(fam.m) + abs(fam.ktypes.param or 0) + 12
+            for n in range(-bound, bound):
+                if n not in fam.ktypes or n + 2 not in fam.ktypes:
+                    with pytest.raises(ValueError):
+                        fib.edge_is_cut(n)
+                    continue
+                cut = act.up(n).eval(x) == 0 or act.down(n + 2).eval(x) == 0
+                assert fib.edge_is_cut(n) == cut, (str(fam), str(p), n)
+                checked += 1
+                group_cuts += cut and not p.is_infinity
+            assert is_reducible(fib) == (fam.ktypes.has_edge and any(
+                fib.edge_is_cut(n) for n in range(-bound, bound)
+                if n in fam.ktypes and n + 2 in fam.ktypes))
+        assert checked > 8000 and group_cuts > 100  # the sample reaches the walls
 
 
 class TestCompositionFactors:

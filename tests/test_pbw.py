@@ -161,6 +161,23 @@ class TestChangeBasis:
             u = gen(name, SPLIT)
             assert change_basis(change_basis(u, COMPACT), SPLIT) == u
 
+    def test_transition_constants(self):
+        # mutual inverse on generators
+        for basis, target in ((COMPACT, SPLIT), (SPLIT, COMPACT)):
+            for name in basis.gens:
+                g = UEAElement.generator(basis, name)
+                assert change_basis(change_basis(g, target), basis) == g, name
+        # brackets are intertwined
+        for basis, target in ((COMPACT, SPLIT), (SPLIT, COMPACT)):
+            low, car, rai = (UEAElement.generator(basis, name) for name in basis.gens)
+            for u, v in ((car, rai), (car, low), (rai, low)):
+                lhs = change_basis(commutator(u, v), target)
+                rhs = commutator(change_basis(u, target), change_basis(v, target))
+                assert lhs == rhs
+        # the Casimir element keeps its shape
+        assert change_basis(casimir(COMPACT), SPLIT) == casimir(SPLIT)
+        assert change_basis(casimir(SPLIT), COMPACT) == casimir(COMPACT)
+
     def test_homomorphism_property(self):
         rng = random.Random(424242)
         X, Y, H = gen("X"), gen("Y"), gen("H")

@@ -541,6 +541,9 @@ def cmd_verify(
     grid: Optional[Sequence] = None,
 ) -> Tuple[dict, int]:
     """Run one named suite; grids come from the profile unless overridden."""
+    if M is not None and M < 0:
+        bound = "Casimir power" if suite in ("appendix", "regularity") else "K-type"
+        raise ValueError(f"the {bound} bound M must be >= 0")
     conf = PROFILES[profile][suite]
     if suite == "conjecture2":
         entries = _suite_conjecture2(

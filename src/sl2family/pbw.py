@@ -15,6 +15,12 @@ The rewriting core works over Q(i) with [raising, lowering] = cartan.
 rewriting and ``UEAElement`` a normal form over Q(i); the sections of
 sheaf.py, with Laurent coefficients, multiply on the same core one R-degree
 slice at a time.
+
+``change_basis`` rewrites a whole element in the other basis.  The
+Harish-Chandra projection onto the other basis's Cartan does not need that
+rewrite: it lets the element act on a Verma module of the target basis,
+with coefficients that are polynomials in the highest weight, and reads
+off one coefficient (see ``hc_projection``).
 """
 
 from __future__ import annotations
@@ -185,7 +191,7 @@ _HALF_I = GaussianRational(0, _HALF)
 # Generator images under the two change-of-basis maps, as slot -> [(slot, coeff)].
 # These are the transition constants of the standard 2x2 matrix realizations
 # of the two bases; they intertwine the brackets and are mutually inverse
-# (checked at import time below).
+# (checked by tests/test_pbw.py::TestChangeBasis::test_transition_constants).
 _COMPACT_IN_SPLIT = {
     _LOWER: [(_CARTAN, GaussianRational(_HALF)), (_RAISE, -_HALF_I), (_LOWER, -_HALF_I)],
     _CARTAN: [(_LOWER, _I), (_RAISE, -_I)],
@@ -257,25 +263,89 @@ def k_order(u: UEAElement):
     return max(a + c for (a, b, c) in v.terms)
 
 
+def _act(x: dict, image: tuple, keep: int) -> dict:
+    """Apply a source generator to a Verma-module vector, dropping k > keep.
+
+    A vector maps (k, j) to the coefficient of mu^j v_k, with mu = lambda + 1.
+    ``image`` holds the generator's coefficients (h, e, f) on the target
+    (cartan, raising, lowering), which act by
+
+        H v_k = (mu - 2k - 1) v_k,  E v_k = k(mu - k) v_(k-1),  F v_k = v_(k+1).
+    """
+    h, e, f = image
+    out: dict = {}
+    for (k, j), z in x.items():
+        if f and k < keep:
+            _add_term(out, (k + 1, j), f * z)
+        if h and k <= keep:
+            hz = h * z
+            _add_term(out, (k, j + 1), hz)
+            _add_term(out, (k, j), hz * -(2 * k + 1))
+        if e and 0 < k <= keep + 1:
+            ez = e * z * k
+            _add_term(out, (k - 1, j + 1), ez)
+            _add_term(out, (k - 1, j), ez * -k)
+    return out
+
+
 def hc_projection(u: UEAElement, cartan: str) -> UEAElement:
     """Project onto the Cartan polynomial part and apply the rho-shift.
 
-    For either Cartan ("compact" or "split"), the element is rewritten in
-    the corresponding basis, the PBW monomials containing a ladder
-    generator are discarded, and the surviving polynomial in the Cartan
-    generator h is shifted h -> h - 1.  On central elements this is the
-    algebra homomorphism onto the Weyl-invariant polynomials.
+    For either Cartan ("compact" or "split") with target basis F, H, E, the
+    Cartan part of u is the sum p(h) of the terms coeff * h^b of its normal
+    form without a ladder generator, and the result is p(h - 1).  On central
+    elements this is the algebra homomorphism onto the Weyl-invariant
+    polynomials.
+
+    In the target basis the terms are read off directly.  Otherwise u acts
+    on the highest-weight vector v_0 of the Verma module with basis
+    v_k = F^k v_0 and H v_0 = lambda v_0: for a normal form F^a E^c H^b,
+    E kills v_0, so the v_0 coefficient of u v_0 is p(lambda).  Each source
+    generator acts through its three-term image in the target basis (see
+    ``_act``), with polynomials in mu = lambda + 1 as coefficients, so the
+    v_0 coefficient is p(mu - 1), the projection itself.  H^b v_0 is
+    computed once for all monomials, the ladder letters are applied by
+    Horner's rule in c and then in a, and a component v_k is dropped as
+    soon as fewer than k letters remain to bring it back to v_0.
     """
     target = COMPACT if cartan == "compact" else SPLIT if cartan == "split" else None
     if target is None:
         raise ValueError(f"unknown cartan {cartan!r}")
-    v = change_basis(u, target)
     out: dict = {}
-    for (a, b, c), coeff in v.terms.items():
-        if a or c:
-            continue
-        # (h - 1)^b expanded
-        for j in range(b + 1):
-            _add_term(out, (0, j, 0), coeff * (comb(b, j) * (-1) ** (b - j)))
+    if u.basis is target:
+        for (a, b, c), coeff in u.terms.items():
+            if a or c:
+                continue
+            # (h - 1)^b expanded
+            for j in range(b + 1):
+                _add_term(out, (0, j, 0), coeff * (comb(b, j) * (-1) ** (b - j)))
+        return UEAElement._make(target, out)
+    table = _COMPACT_IN_SPLIT if target is SPLIT else _SPLIT_IN_COMPACT
+    low, car, rai = (
+        tuple(dict(table[slot]).get(t, 0) for t in (_CARTAN, _RAISE, _LOWER))
+        for slot in (_LOWER, _CARTAN, _RAISE)
+    )
+    rows: Dict[int, Dict[int, list]] = {}
+    for (a, b, c), coeff in u.terms.items():
+        rows.setdefault(a, {}).setdefault(c, []).append((b, coeff))
+    top = u.degree()
+    powers = [{(0, 0): GR_ONE}]  # H^b v_0
+    for b in range(1, max((b for (_, b, _) in u.terms), default=0) + 1):
+        powers.append(_act(powers[-1], car, top - b))
+    acc: dict = {}
+    for a in range(max(rows, default=-1), -1, -1):
+        acc = _act(acc, low, a)
+        row = rows.get(a, {})
+        inner: dict = {}
+        for c in range(max(row, default=-1), -1, -1):
+            inner = _act(inner, rai, a + c)
+            for b, coeff in row.get(c, ()):
+                for (k, j), z in powers[b].items():
+                    if k <= a + c:
+                        _add_term(inner, (k, j), coeff * z)
+        for key, z in inner.items():
+            _add_term(acc, key, z)
+    for (k, j), coeff in acc.items():
+        if k == 0:
+            out[(0, j, 0)] = coeff
     return UEAElement._make(target, out)
-

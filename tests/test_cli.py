@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sl2family.cli import cmd_analyze, cmd_classify, main, render_json
+from sl2family.cli import cmd_analyze, cmd_classify, cmd_verify, main, render_json
 from sl2family.sheaf import ProjectivePoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -384,11 +384,26 @@ class TestVerify:
         assert quick_code == 0
         assert doc["counts"]["pass"] < quick_doc["counts"]["pass"]
 
-    @pytest.mark.parametrize("suite,M", [("appendix", "0"), ("conjecture2", "-1")])
+    @pytest.mark.parametrize("suite,M", [("appendix", "0")])
     def test_suite_with_no_checks_fails(self, capsys, suite, M):
         code, doc = run_json(capsys, "verify", suite, "--M", M)
         assert code == 1
         assert doc["entries"] == [] and doc["pass"] is False
+
+    def test_conjecture2_with_no_checks_fails(self):
+        # M = 0 with an empty level grid leaves conjecture2 no family to check
+        doc, code = cmd_verify("conjecture2", "default", M=0, grid=[])
+        assert code == 1
+        assert doc["entries"] == [] and doc["pass"] is False
+
+    @pytest.mark.parametrize("suite", ["conjecture2", "bijection", "appendix", "regularity"])
+    def test_negative_bound_is_usage_error(self, capsys, suite):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--M", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith("bound M must be >= 0")
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

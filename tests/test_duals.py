@@ -4,6 +4,8 @@ temperedness, the minimal-K-type extension map, and its characterization."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2family import duals
 from sl2family.duals import (
@@ -17,7 +19,7 @@ from sl2family.duals import (
     verify_conjecture1,
     vogan_map,
 )
-from sl2family.families import make_family
+from sl2family.families import make_family, pinned_level
 from sl2family.fibers import DualParam, evaluate_fiber, factor_containing_m
 from sl2family.scalars import GaussianRational as GR
 from sl2family.scalars import Poly
@@ -149,6 +151,48 @@ class TestEta:
                 pt = ProjectivePoint.parse(f"R={R.re}")
                 p_fin = factor_containing_m(evaluate_fiber(fam, pt), fam.m)
                 assert eta(p_inf, R) == p_fin, (str(fam), str(R))
+
+
+# Levels from Q(i), chart coordinates of both signs, and minimal K-types
+# beyond the free |m| <= 1 rows, where both duals pin the level.
+LEVELS = st.builds(
+    lambda a, b, d: GR(Fraction(a, d), Fraction(b, d)),
+    st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 12),
+)
+CHART_R = st.builds(
+    lambda sign, n, d: GR(Fraction(sign * n, d)),
+    st.sampled_from((1, -1)), st.integers(1, 15), st.integers(1, 15),
+)
+KTYPES = st.integers(-9, 9)
+
+
+@st.composite
+def motion_params(draw):
+    m = draw(KTYPES)
+    return mo(draw(LEVELS) if abs(m) <= 1 else 0, m)
+
+
+@st.composite
+def group_params_and_R(draw):
+    m, R = draw(KTYPES), draw(CHART_R)
+    return g(draw(LEVELS) if abs(m) <= 1 else pinned_level(m), m, R), R
+
+
+class TestEtaProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(motion_params(), CHART_R)
+    def test_inverse_after_eta_is_identity(self, p, R):
+        q = eta(p, R)
+        assert q.flavor == "group" and q.R == R
+        assert eta_inverse(q, R) == p
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(group_params_and_R())
+    def test_eta_after_inverse_is_identity(self, qR):
+        q, R = qR
+        p = eta_inverse(q)
+        assert p.flavor == "motion"
+        assert eta(p, R) == q
 
 
 class TestDualAtlas:

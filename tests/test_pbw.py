@@ -3,10 +3,14 @@ basis changes, filtration order, and the Cartan projection."""
 
 import random
 from fractions import Fraction
+from math import comb
 from typing import Dict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sl2family import pbw
 from sl2family.pbw import (
     COMPACT,
     SPLIT,
@@ -329,3 +333,100 @@ class TestCartanProjectionMatrixOracle:
                     scalar = [[value if i == j else GR(0) for j in range(n + 1)]
                               for i in range(n + 1)]
                     assert action == scalar, (str(z), cartan, n)
+
+
+# -- the projection against a full rewrite ------------------------------------
+#
+# hc_projection reaches the other basis's Cartan through a Verma module and
+# never rewrites the element.  The oracle below does rewrite it: keep the
+# (0, b, 0) terms of change_basis(u, target), then shift h -> h - 1.
+
+CARTANS = {"compact": COMPACT, "split": SPLIT}
+
+# coefficients (re, im, den) of Casimir^0, Casimir^1, ...
+CASIMIR_POLYS = st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 4)),
+                         min_size=1, max_size=3)
+
+
+def rewrite_oracle(u: UEAElement, cartan: str) -> UEAElement:
+    v = change_basis(u, CARTANS[cartan])
+    out = UEAElement.zero(v.basis)
+    for (a, b, c), coeff in v.terms.items():
+        if a == c == 0:
+            for j in range(b + 1):
+                shifted = coeff * comb(b, j) * (-1) ** (b - j)
+                out = out + UEAElement.monomial(v.basis, (0, j, 0), shifted)
+    return out
+
+
+def h_power_minus_one(basis, n: int) -> UEAElement:
+    """(h^2 - 1)^n in the Cartan generator of the given basis."""
+    return UEAElement(basis, {(0, 2 * k, 0): GR(comb(n, k) * (-1) ** (n - k))
+                              for k in range(n + 1)})
+
+
+def seeded_elements(basis, seed: int) -> list:
+    """Zero, constants, polynomials in the Casimir and non-central elements."""
+    rng = random.Random(seed)
+
+    def coeff() -> GR:
+        return GR(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                  Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    one = UEAElement.one(basis)
+    elems = [UEAElement.zero(basis), one, one * GR(0, Fraction(-1, 2))]
+    cas = casimir(basis)
+    for _ in range(4):
+        z = UEAElement.zero(basis)
+        for j in rng.sample(range(4), rng.randint(1, 3)):
+            z = z + cas ** j * coeff()
+        elems.append(z)
+    for _ in range(16):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            key = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
+            terms[key] = terms.get(key, GR(0)) + coeff()
+        elems.append(UEAElement(basis, terms))
+    return elems
+
+
+class TestVermaProjection:
+    @pytest.mark.parametrize("basis", [COMPACT, SPLIT])
+    @pytest.mark.parametrize("cartan", ["compact", "split"])
+    def test_matches_the_rewrite_oracle(self, basis, cartan):
+        for u in seeded_elements(basis, 8080 + (basis is SPLIT)):
+            image = hc_projection(u, cartan)
+            assert image.basis is CARTANS[cartan]
+            assert image == rewrite_oracle(u, cartan), (str(u), cartan)
+
+    @pytest.mark.parametrize("basis,cartan", [(COMPACT, "split"), (SPLIT, "compact")])
+    def test_casimir_powers_through_the_other_cartan(self, basis, cartan):
+        power = UEAElement.one(basis)
+        for n in range(1, 9):
+            power = power * casimir(basis)
+            assert hc_projection(power, cartan) == h_power_minus_one(CARTANS[cartan], n), n
+
+    def test_other_basis_path_never_rewrites(self, monkeypatch):
+        cases = [(u, cartan) for basis, cartan in ((COMPACT, "split"), (SPLIT, "compact"))
+                 for u in seeded_elements(basis, 99 + (basis is SPLIT))]
+        expected = [rewrite_oracle(u, cartan) for u, cartan in cases]
+
+        def refuse(u, target):
+            raise AssertionError("hc_projection called change_basis")
+
+        monkeypatch.setattr(pbw, "change_basis", refuse)
+        assert [hc_projection(u, cartan) for u, cartan in cases] == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from([COMPACT, SPLIT]), st.sampled_from(["compact", "split"]),
+           CASIMIR_POLYS, CASIMIR_POLYS)
+    def test_multiplicative_on_the_center(self, basis, cartan, g1, g2):
+        def central(g) -> UEAElement:
+            z = UEAElement.zero(basis)
+            for j, (re, im, den) in enumerate(g):
+                z = z + casimir(basis) ** j * GR(Fraction(re, den), Fraction(im, den))
+            return z
+
+        z1, z2 = central(g1), central(g2)
+        product = hc_projection(z1, cartan) * hc_projection(z2, cartan)
+        assert hc_projection(z1 * z2, cartan) == product

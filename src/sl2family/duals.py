@@ -202,6 +202,8 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     grid_gr = tuple(GaussianRational.of(z) for z in grid)
     if not grid_gr:
         raise ValueError("the level grid must be nonempty")
+    if len(set(grid_gr)) < 2:
+        raise ValueError("the level grid needs at least two distinct levels")
     report: List[dict] = []
 
     atlas = DualAtlas(MOTION, M, grid_gr)
@@ -284,18 +286,8 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
         if abs(m) > M:
             continue
         samples = [(z, eta(DualParam.motion(z, m), R).level) for z in grid_gr]
-        distinct = []
-        for z, lv in samples:
-            if all(z != z0 for z0, _ in distinct):
-                distinct.append((z, lv))
-            if len(distinct) == 2:
-                break
-        if len(distinct) < 2:
-            report.append(check_entry(
-                "affine-form", f"m={m}, R={R}", False,
-                "needs at least two distinct grid levels to determine the map"))
-            continue
-        (z0, l0), (z1, l1) = distinct
+        z0, l0 = samples[0]
+        z1, l1 = next((z, lv) for z, lv in samples if z != z0)
         a = (l1 - l0) / (z1 - z0)
         b = l0 - a * z0
         fits = all(lv == a * z + b for z, lv in samples)

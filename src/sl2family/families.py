@@ -537,6 +537,9 @@ def intertwiner_exists(fam: ModuleFamily) -> bool:
 
 def family_from_json(obj: dict) -> ModuleFamily:
     """Build a validated family from {"m", "casimir", "ktypes"?} JSON."""
+    unknown = [k for k in obj if k not in ("m", "casimir", "ktypes")]
+    if unknown:
+        raise FamilyValidationError("descriptor-bad-field", f"unknown descriptor key {unknown[0]!r}")
     if "m" not in obj or "casimir" not in obj:
         raise FamilyValidationError(
             "descriptor-missing-field", 'family descriptor needs "m" and "casimir"'

@@ -10,6 +10,12 @@ are legal and flag a rational (non-regular) section; sections multiply on
 the Q(i) rewriting core of pbw.py.  ``CartanSection`` is a term map from
 powers of the Cartan generator to Laurent polynomials.  ``Laurent`` itself
 lives in scalars.py.
+
+Central sections are recognized without building Casimir powers:
+``center_decompose`` tests that a weight-zero section commutes with the
+raising generator, one R-degree slice at a time, and reads the Laurent
+coefficients of the Casimir powers off the Cartan part (the H^b terms)
+alone.
 """
 
 from __future__ import annotations
@@ -264,34 +270,49 @@ class NotCentralError(ValueError):
 def center_decompose(s: FamilySection) -> Optional[Dict[int, Laurent]]:
     """Write s as sum_j g_j * Casimir^j with Laurent scalars g_j.
 
-    Returns the coefficient map, or None when s is not such a combination
-    (equivalently, not a section of the center of the chart).  The
-    decomposition peels off the top Casimir power: the coefficient of the
-    extremal monomial (N, 0, N) in Casimir^N is exactly 4^N.
+    Returns the map j -> g_j over the nonzero g_j (highest j first), or
+    None when s is not such a combination (equivalently, not a section of
+    the center of the chart).  No Casimir power is built:
+
+    1. every monomial F^a E^c H^b must have weight zero, a = c;
+    2. s must commute with the raising generator X.  In the finite frame
+       each R-degree slice of s is checked over Q(i), the right product by
+       pbw.times_monomial and the left one by
+       X F^a E^c H^b = F^a E^(c+1) H^b + a F^(a-1) E^c H^(b+1)
+                       + a(2c - a + 1) F^(a-1) E^c H^b.
+       The weight-zero centralizer of X in U(sl2) is Q(i)[Casimir], so the
+       sections passing 1 and 2 are exactly the Laurent combinations;
+    3. the g_j come from the Cartan part (the H^b terms) alone, which is
+       sum_j g_j t^j (h^2 + 2h)^j with t = 1 (finite chart) or R^2 (at
+       infinity), peeled from its top degree down.
     """
-    cur = s
-    powers = [casimir_section(s.chart)]  # powers[j - 1] = Casimir^j
+    if any(a != c for (a, b, c) in s.terms):
+        return None
+    # the R-degree of t, and of Finf^a Einf^a = R^(2a) F^a E^a per unit of a
+    t = 2 if s.chart == CHART_INFINITY else 0
+    slices: dict = {}
+    for mono, f in s.terms.items():
+        for e, x in f.terms.items():
+            slices.setdefault(e + t * mono[0], {})[mono] = x
+    for part in slices.values():
+        bracket = times_monomial(part, (0, 0, 1))
+        for (a, b, c), x in part.items():
+            _add_term(bracket, (a, b, c + 1), -x)
+            if a:
+                _add_term(bracket, (a - 1, b + 1, c), x * -a)
+                _add_term(bracket, (a - 1, b, c), x * (a * (a - 2 * c - 1)))
+        if bracket:
+            return None
+    cartan = {b: f for (a, b, c), f in s.terms.items() if a == 0}
     out: Dict[int, Laurent] = {}
-    while not cur.is_zero:
-        if any(a != c for (a, b, c) in cur.terms):
-            return None
-        n = max(a for (a, b, c) in cur.terms)
-        if n == 0:
-            leftovers = [k for k in cur.terms if k != (0, 0, 0)]
-            if leftovers:
-                return None
-            out[0] = cur.terms[(0, 0, 0)]
-            break
-        lead = cur.terms.get((n, 0, n))
-        if lead is None:
-            return None
-        g = lead * Fraction(1, 4 ** n)
-        out[n] = g
-        while len(powers) < n:
-            powers.append(powers[-1] * powers[0])
-        cur = cur - powers[n - 1] * g
-        if not cur.is_zero and max(a for (a, b, c) in cur.terms) >= n:
-            return None
+    while cartan:
+        top = max(cartan)
+        assert top % 2 == 0, "a central section has even Cartan degree"
+        n = top // 2
+        lead = cartan[top]  # g_n t^n, the top coefficient of g_n t^n h^n (h + 2)^n
+        out[n] = lead.shifted(-t * n)
+        for k in range(n + 1):
+            _add_term(cartan, top - k, lead * -(comb(n, k) << k))
     return out
 
 

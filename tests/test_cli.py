@@ -194,6 +194,20 @@ class TestClassify:
         err = capsys.readouterr().err
         assert "descriptor-bad-field" in err and "Traceback" not in err
 
+    def test_unknown_key_is_a_bad_field(self, capsys):
+        # without "ktypes" this descriptor is a valid family with inferred K-types
+        desc = json.dumps({"m": 0, "casimir": [8], "ktype": "2Z"})
+        code, doc = run_json(capsys, "classify", "--family", desc)
+        assert code == 1
+        assert doc["error"] == "descriptor-bad-field"
+        assert doc["detail"] == "unknown descriptor key 'ktype'"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--family", desc, "--point", "r=1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "sl2family: error: --family: descriptor-bad-field: unknown descriptor key 'ktype'")
+
     @pytest.mark.parametrize("param", [2.0, True])
     def test_non_integer_ktypes_param_is_a_bad_field(self, capsys, param):
         desc = json.dumps(
@@ -348,6 +362,17 @@ class TestBijection:
         assert doc["characterization"]["violated"] == "vogan-extension"
 
 
+    @pytest.mark.parametrize("argv", [["bijection", "--R", "1", "--M", "3", "--grid", "1,1"],
+                                      ["verify", "bijection", "--grid", "0"]])
+    def test_one_level_grid_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "sl2family: error: the level grid needs at least two distinct levels")
+
     def test_float_in_candidate_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bijection", "--R", "1", "--M", "1", "--grid", "0,1",
@@ -491,6 +516,7 @@ _descriptor = st.fixed_dictionaries(
         "m": st.one_of(st.integers(-4, 4), st.integers(-10**12, 10**12), _json_leaf),
         "casimir": _json_value,
         "ktypes": _json_value,
+        "ktype": _json_value,  # unknown keys are rejected
     },
 )
 _candidate = st.dictionaries(
@@ -515,9 +541,11 @@ class TestJsonFuzz:
     @given(desc=_descriptor)
     def test_descriptors_never_raise(self, desc):
         text = json.dumps(desc)
-        assert _exit_code(["classify", "--family", text]) in (0, 1, 2)
-        assert _exit_code(["analyze", "--family", text, "--point", "r=1",
-                           "--point", "inf"]) in (0, 1, 2)
+        classify = _exit_code(["classify", "--family", text])
+        analyze = _exit_code(["analyze", "--family", text, "--point", "r=1", "--point", "inf"])
+        assert classify in (0, 1, 2) and analyze in (0, 1, 2)
+        if "ktype" in desc:
+            assert (classify, analyze) == (1, 2)
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])

@@ -275,6 +275,12 @@ class TestConjectureOne:
         with pytest.raises(ValueError, match="nonempty"):
             verify_conjecture1(GR(1), 6, ())
 
+    @pytest.mark.parametrize("grid", [(0,), (1, 1), (GR(Fraction(1, 2)), Fraction(2, 4), "1/2")])
+    def test_one_level_grid_rejected(self, grid):
+        # one level cannot determine the affine level map
+        with pytest.raises(ValueError, match="two distinct levels"):
+            verify_conjecture1(GR(1), 2, grid)
+
 
 class TestCharacterization:
     @staticmethod

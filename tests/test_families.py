@@ -339,6 +339,11 @@ class TestFamilyJson:
         with pytest.raises(FamilyValidationError) as exc:
             family_from_json({"m": 0, "casimir": [0], "ktypes": {"kind": "spiral"}})
         assert exc.value.code == "descriptor-bad-field"
+        # a misspelled "ktypes" must not fall back to inferred K-types
+        with pytest.raises(FamilyValidationError) as exc:
+            family_from_json({"m": 0, "casimir": [8], "ktype": "2Z"})
+        assert exc.value.code == "descriptor-bad-field"
+        assert exc.value.detail == "unknown descriptor key 'ktype'"
 
 
 class TestTildeClass:

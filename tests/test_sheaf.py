@@ -255,7 +255,7 @@ class TestCenter:
             rebuilt = rebuilt + FamilySection(CHART_FINITE, {(0, 0, 0): f}) * om ** n
         assert rebuilt == s
 
-    def test_decompose_builds_each_casimir_power_once(self, monkeypatch):
+    def test_decompose_makes_no_section_product(self, monkeypatch):
         om = casimir_section(CHART_INFINITY)
         weights = {n: lau("R", n1=n, p0=1) for n in range(1, 9)}
         s = FamilySection.zero(CHART_INFINITY)
@@ -270,7 +270,8 @@ class TestCenter:
 
         monkeypatch.setattr(FamilySection, "_product", counted)
         assert center_decompose(s) == weights
-        assert len(products) <= 8
+        assert center_decompose(s + FamilySection(CHART_INFINITY, {(2, 1, 2): lau("R", p1=1)})) is None
+        assert not products
 
     def test_non_central_detection(self):
         h = FamilySection(CHART_FINITE, {(0, 1, 0): Laurent.one("r")})
@@ -279,6 +280,96 @@ class TestCenter:
         assert center_membership(casimir_section(CHART_FINITE))
         # Cartan polynomials commute with h but not with the ladder part
         assert center_decompose(h * h) is None
+
+
+def _power_peeling_decompose(s: FamilySection):
+    """Reference for center_decompose: peel the top Casimir power, whose
+    extremal monomial (N, 0, N) has coefficient 4^N, by section products."""
+    cur = s
+    powers = [casimir_section(s.chart)]  # powers[j - 1] = Casimir^j
+    out = {}
+    while not cur.is_zero:
+        if any(a != c for (a, b, c) in cur.terms):
+            return None
+        n = max(a for (a, b, c) in cur.terms)
+        if n == 0:
+            if any(k != (0, 0, 0) for k in cur.terms):
+                return None
+            out[0] = cur.terms[(0, 0, 0)]
+            break
+        lead = cur.terms.get((n, 0, n))
+        if lead is None:
+            return None
+        g = lead * Fraction(1, 4 ** n)
+        out[n] = g
+        while len(powers) < n:
+            powers.append(powers[-1] * powers[0])
+        cur = cur - powers[n - 1] * g
+        if not cur.is_zero and max(a for (a, b, c) in cur.terms) >= n:
+            return None
+    return out
+
+
+def _seeded_laurent(rng: random.Random, var: str, terms: int) -> Laurent:
+    """A Laurent polynomial with up to ``terms`` terms, exponents -3..3."""
+    return Laurent(var, {rng.randint(-3, 3): GR(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                                 rng.randint(-2, 2))
+                         for _ in range(terms)})
+
+
+class TestDecomposeOracle:
+    """center_decompose against the power-peeling reference, value for
+    value (coefficient map or None), on seeded sections in both charts."""
+
+    @staticmethod
+    def _casimir_polynomial(rng: random.Random, chart: str) -> FamilySection:
+        om, var = casimir_section(chart), chart_variable(chart)
+        s = FamilySection.zero(chart)
+        for j in range(rng.randint(0, 4) + 1):
+            if rng.random() < 0.7:
+                s = s + om ** j * _seeded_laurent(rng, var, rng.randint(1, 3))
+        return s
+
+    def _cases(self, chart: str) -> list:
+        rng = random.Random(27182 + (chart == CHART_INFINITY))
+        var = chart_variable(chart)
+        cases = [FamilySection.zero(chart), FamilySection(chart, {(0, 0, 0): GR(3, -1)})]
+        cases += [FamilySection(chart, {(0, 0, 0): _seeded_laurent(rng, var, 3)}) for _ in range(4)]
+        central = [self._casimir_polynomial(rng, chart) for _ in range(16)]
+        cases += central
+        for s in central:
+            # a balanced non-constant term (k, b, k): one R-degree slice, or several
+            k = rng.randint(0, 3)
+            b = rng.randint(0 if k else 1, 3)
+            cases.append(s + FamilySection(chart, {(k, b, k):
+                                                   _seeded_laurent(rng, var, rng.choice((1, 3)))}))
+            # and an unbalanced one
+            a, c = rng.sample(range(4), 2)
+            cases.append(s + FamilySection(chart, {(a, rng.randint(0, 2), c): _seeded_laurent(rng, var, 1)}))
+        cases += [_seeded_section(rng, chart, 4) for _ in range(10)]
+        return cases
+
+    @pytest.mark.parametrize("chart", [CHART_FINITE, CHART_INFINITY])
+    def test_matches_power_peeling(self, chart):
+        results = []
+        for s in self._cases(chart):
+            got = center_decompose(s)
+            assert got == _power_peeling_decompose(s), str(s)
+            results.append(got)
+        decomposed = [d for d in results if d]
+        assert {} in results and None in results
+        assert sum(len(d) > 1 for d in decomposed) >= 8
+        assert any(g.valuation() < 0 for d in decomposed for g in d.values())
+
+    @pytest.mark.parametrize("chart", [CHART_FINITE, CHART_INFINITY])
+    def test_casimir_power_without_one_term(self, chart):
+        om = casimir_section(chart)
+        for n in (1, 2, 3):
+            p = om ** n
+            assert center_decompose(p) == _power_peeling_decompose(p) == {n: Laurent.one(om.var)}
+            for key, f in p.terms.items():
+                t = p - FamilySection(chart, {key: f})
+                assert center_decompose(t) is _power_peeling_decompose(t) is None, key
 
 
 class TestRegularity:

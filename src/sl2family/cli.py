@@ -59,11 +59,12 @@ from .sheaf import (
     gamma_family,
 )
 
+# Suite settings, keyed by the flag that overrides each one; "points" has no flag.
 PROFILES: Dict[str, Dict[str, dict]] = {
     "default": {
         "conjecture2": {
             "M": 4,
-            "c2": (-4, -1, 0, 1, 3, 8, 15),
+            "grid": (-4, -1, 0, 1, 3, 8, 15),
             "points": ("r=1", "r=-1", "r=2", "r=-2", "r=3", "r=-3", "r=1/2", "r=-1/2", "inf"),
         },
         "bijection": {
@@ -71,14 +72,14 @@ PROFILES: Dict[str, Dict[str, dict]] = {
             "M": 6,
             "grid": (0, 1, -1, 2, -2, 4, -4, Fraction(-9, 4), 3, 8, 15),
         },
-        "appendix": {"N": 3},
-        "regularity": {"N": 3},
+        "appendix": {"M": 3},
+        "regularity": {"M": 3},
     },
     "quick": {
-        "conjecture2": {"M": 2, "c2": (0, 1, -4), "points": ("r=1", "r=-1", "r=1/2", "inf")},
+        "conjecture2": {"M": 2, "grid": (0, 1, -4), "points": ("r=1", "r=-1", "r=1/2", "inf")},
         "bijection": {"R": (1, 2), "M": 3, "grid": (0, 1, -1, Fraction(-9, 4))},
-        "appendix": {"N": 2},
-        "regularity": {"N": 2},
+        "appendix": {"M": 2},
+        "regularity": {"M": 2},
     },
 }
 
@@ -92,32 +93,30 @@ LEVEL_NONZERO = "c≠0"
 # -- argument parsing -------------------------------------------------------
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+def _value_of(parse, what: str):
+    """An argparse type for one value read by parse, described as what."""
+    def value(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from exc
+    return value
 
 
-def _rational_list(text: str) -> Tuple[Fraction, ...]:
-    items = [t for t in text.split(",") if t.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("empty list")
-    return tuple(_rational(t) for t in items)
+def _list_of(item):
+    """An argparse type for a nonempty comma-separated list of item values."""
+    def parse(text: str) -> tuple:
+        items = [t for t in text.split(",") if t.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError("empty list")
+        return tuple(item(t) for t in items)
+    return parse
 
 
-def _point(text: str) -> ProjectivePoint:
-    try:
-        return ProjectivePoint.parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a base point: {text!r}") from exc
-
-
-def _point_list(text: str) -> Tuple[ProjectivePoint, ...]:
-    items = [t for t in text.split(",") if t.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("empty list")
-    return tuple(_point(t) for t in items)
+_rational = _value_of(lambda text: Fraction(text.strip()), "an exact rational")
+_point = _value_of(ProjectivePoint.parse, "a base point")
+_rational_list = _list_of(_rational)
+_point_list = _list_of(_point)
 
 
 def _load_family_json(value: str) -> dict:
@@ -181,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(b)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=("conjecture2", "bijection", "appendix", "regularity"))
+    v.add_argument("suite", choices=tuple(_SUITES))
     v.add_argument("--R", type=_rational_list, default=None, metavar="LIST")
     v.add_argument("--M", type=int, default=None)
     v.add_argument("--grid", type=_rational_list, default=None, metavar="LIST")
@@ -272,12 +271,13 @@ def _ladder_rows(M: int, key: str, generic: Tuple[str, str]) -> List[dict]:
 
 
 def _table3_rows(M: int) -> List[dict]:
+    """Table 3: a row for every nonzero level (shown with the K-types of
+    level 1) when |m| <= 1, and a row for level 0."""
     rows: List[dict] = []
     for m in range(-M, M + 1):
-        if abs(m) <= 1:
-            rows.append({"m": m, "level": LEVEL_NONZERO,
-                         "ktypes": "2Z" if m == 0 else "2Z+1"})
-        rows.append({"m": m, "level": 0, "ktypes": f"{{{m}}}"})
+        levels = ((LEVEL_NONZERO, 1), (0, 0)) if abs(m) <= 1 else ((0, 0),)
+        rows.extend({"m": m, "level": shown, "ktypes": str(dual_ktypes(DualParam.motion(lv, m)))}
+                    for shown, lv in levels)
     return rows
 
 
@@ -363,10 +363,7 @@ def cmd_classify(obj: dict) -> Tuple[dict, int]:
         "detail": None,
         "family": _family_doc(fam),
         "tilde": {"member": member, "reason": reason},
-        "characters": {
-            "compact": _character_doc(fam, "compact"),
-            "split": _character_doc(fam, "split"),
-        },
+        "characters": {cartan: _character_doc(fam, cartan) for cartan in ("compact", "split")},
     }
     return doc, 0
 
@@ -423,7 +420,10 @@ def cmd_analyze(obj: dict, points: Sequence[ProjectivePoint]) -> Tuple[dict, int
 def _parse_candidate(obj: dict) -> Dict[int, tuple]:
     out: Dict[int, tuple] = {}
     for key, pair in obj.items():
-        m = int(key)
+        try:
+            m = int(key)
+        except ValueError:
+            raise ValueError(f"candidate key {key!r} is not an integer m") from None
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValueError(f"candidate entry for m={m} must be a pair [a, b]")
         try:
@@ -433,20 +433,21 @@ def _parse_candidate(obj: dict) -> Dict[int, tuple]:
     return out
 
 
-def cmd_bijection(
-    Rs: Sequence,
-    M: int,
-    grid: Sequence,
-    candidate: Optional[dict] = None,
-) -> Tuple[dict, int]:
-    """Verify the dual bijection at each R; characterize a candidate map."""
+def _reports(Rs: Sequence, M: int, grid: Sequence) -> List[dict]:
+    """One verify_conjecture1 report per chart coordinate R."""
     reports = []
-    all_ok = True
     for R in Rs:
-        ok, report = verify_conjecture1(R, M, grid)
-        all_ok = all_ok and ok
+        ok, entries = verify_conjecture1(R, M, grid)
         reports.append({"R": scalar_to_json(GaussianRational.of(R)), "pass": ok,
-                        "entries": report})
+                        "entries": entries})
+    return reports
+
+
+def cmd_bijection(Rs: Sequence, M: int, grid: Sequence,
+                  candidate: Optional[dict] = None) -> Tuple[dict, int]:
+    """Verify the dual bijection at each R; characterize a candidate map."""
+    reports = _reports(Rs, M, grid)
+    all_ok = all(rep["pass"] for rep in reports)
     doc = {
         "M": M,
         "grid": [scalar_to_json(GaussianRational.of(z)) for z in grid],
@@ -459,12 +460,13 @@ def cmd_bijection(
     return doc, 0 if all_ok else 1
 
 
-def _suite_conjecture2(M: int, c2s: Sequence, points: Sequence[str]) -> List[dict]:
+def _suite_conjecture2(M: int, grid: Sequence, points: Sequence[str]) -> List[dict]:
+    """grid: the c2 values of the families c(r) = c2*r^2 - 1 for |m| <= 1."""
     entries: List[dict] = []
     labeled: List[Tuple[str, ModuleFamily]] = []
     for m in range(-M, M + 1):
         if abs(m) <= 1:
-            for c2 in c2s:
+            for c2 in grid:
                 fam = make_family(m, Poly.of([-1, 0, GaussianRational.of(c2)], "r"))
                 labeled.append((f"m={m} c2={c2}", fam))
         else:
@@ -479,19 +481,15 @@ def _suite_conjecture2(M: int, c2s: Sequence, points: Sequence[str]) -> List[dic
     return entries
 
 
-def _suite_bijection(Rs: Sequence, M: int, grid: Sequence) -> List[dict]:
-    entries: List[dict] = []
-    for R in Rs:
-        _, report = verify_conjecture1(R, M, grid)
-        entries.extend(report)
-    return entries
+def _suite_bijection(R: Sequence, M: int, grid: Sequence) -> List[dict]:
+    return [e for rep in _reports(R, M, grid) for e in rep["entries"]]
 
 
-def _suite_appendix(N: int) -> List[dict]:
+def _suite_appendix(M: int) -> List[dict]:
     entries: List[dict] = []
     base = casimir(COMPACT)
     power = UEAElement.one(COMPACT)
-    for n in range(1, N + 1):
+    for n in range(1, M + 1):
         power = power * base
         ko = k_order(power)
         entries.append(check_entry("order-equality", f"Casimir^{n}", ko == 2 * n,
@@ -503,22 +501,18 @@ def _suite_appendix(N: int) -> List[dict]:
     return entries
 
 
-def _suite_regularity(N: int) -> List[dict]:
+def _suite_regularity(M: int) -> List[dict]:
     entries: List[dict] = []
-    h_sq_minus_1 = {
-        "compact": UEAElement(COMPACT, {(0, 2, 0): 1, (0, 0, 0): -1}),
-        "split": UEAElement(SPLIT, {(0, 2, 0): 1, (0, 0, 0): -1}),
-    }
     om = casimir(COMPACT)
-    for cartan in ("compact", "split"):
-        image = hc_projection(om, cartan)
+    for cartan, basis in (("compact", COMPACT), ("split", SPLIT)):
+        h_sq_minus_1 = UEAElement(basis, {(0, 2, 0): 1, (0, 0, 0): -1})
         entries.append(check_entry("cartan-projection", f"Casimir, {cartan} Cartan",
-                                   image == h_sq_minus_1[cartan],
+                                   hc_projection(om, cartan) == h_sq_minus_1,
                                    "projection is h^2 - 1 after the shift"))
     inf = ProjectivePoint.infinity()
     om_inf = casimir_section(CHART_INFINITY)
     power = om_inf
-    for n in range(1, N + 1):
+    for n in range(1, M + 1):
         if n > 1:
             power = power * om_inf
         entries.append(check_entry("center-membership", f"(R^2*Casimir)^{n}",
@@ -533,34 +527,34 @@ def _suite_regularity(N: int) -> List[dict]:
     return entries
 
 
-def cmd_verify(
-    suite: str,
-    profile: str,
-    Rs: Optional[Sequence] = None,
-    M: Optional[int] = None,
-    grid: Optional[Sequence] = None,
-) -> Tuple[dict, int]:
+_SUITES = {
+    "conjecture2": _suite_conjecture2,
+    "bijection": _suite_bijection,
+    "appendix": _suite_appendix,
+    "regularity": _suite_regularity,
+}
+
+
+def _settings(profile: str, suite: str, **flags) -> dict:
+    """The profile's settings for suite, each overridden by its flag when
+    given; a flag the suite does not read is a ValueError."""
+    settings = dict(PROFILES[profile][suite])
+    for flag, value in flags.items():
+        if value is not None:
+            if flag not in settings:
+                raise ValueError(f"verify {suite} takes no --{flag}")
+            settings[flag] = value
+    return settings
+
+
+def cmd_verify(suite: str, profile: str, Rs: Optional[Sequence] = None,
+               M: Optional[int] = None, grid: Optional[Sequence] = None) -> Tuple[dict, int]:
     """Run one named suite; grids come from the profile unless overridden."""
-    if M is not None and M < 0:
+    settings = _settings(profile, suite, R=Rs, M=M, grid=grid)
+    if settings["M"] < 0:
         bound = "Casimir power" if suite in ("appendix", "regularity") else "K-type"
         raise ValueError(f"the {bound} bound M must be >= 0")
-    conf = PROFILES[profile][suite]
-    if suite == "conjecture2":
-        entries = _suite_conjecture2(
-            M if M is not None else conf["M"],
-            grid if grid is not None else conf["c2"],
-            conf["points"],
-        )
-    elif suite == "bijection":
-        entries = _suite_bijection(
-            Rs if Rs is not None else conf["R"],
-            M if M is not None else conf["M"],
-            grid if grid is not None else conf["grid"],
-        )
-    elif suite == "appendix":
-        entries = _suite_appendix(M if M is not None else conf["N"])
-    else:
-        entries = _suite_regularity(M if M is not None else conf["N"])
+    entries = _SUITES[suite](**settings)
     n_pass = sum(1 for e in entries if e["pass"])
     doc = {
         "suite": suite,
@@ -585,50 +579,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"unknown SL2FAMILY_PROFILE {profile!r} (choose 'default' or 'quick')"
         )
 
-    if args.command == "tables":
-        try:
+    flag = ""  # names the flag whose value is being read, in a usage error
+    try:
+        if args.command == "tables":
             doc, status = cmd_tables(args.which, args.M, args.grid), 0
-        except ValueError as err:
-            parser.error(str(err))
-    elif args.command == "classify":
-        try:
-            obj = _load_family_json(args.family)
-        except (OSError, ValueError) as err:
-            parser.error(f"--family: {err}")
-        doc, status = cmd_classify(obj)
-    elif args.command == "analyze":
-        points: List[ProjectivePoint] = list(args.point or ())
-        if args.grid:
-            points.extend(args.grid)
-        if not points:
-            parser.error("analyze needs at least one --point or --grid")
-        try:
-            obj = _load_family_json(args.family)
-            doc, status = cmd_analyze(obj, points)
-        except (OSError, ValueError) as err:
-            parser.error(f"--family: {err}")
-    elif args.command == "bijection":
-        conf = PROFILES[profile]["bijection"]
-        Rs = args.R if args.R is not None else conf["R"]
-        M = args.M if args.M is not None else conf["M"]
-        grid = args.grid if args.grid is not None else conf["grid"]
-        if any(r == 0 for r in Rs):
-            parser.error("--R values must be nonzero")
-        candidate = None
-        if args.candidate is not None:
-            try:
-                candidate = _load_family_json(args.candidate)
-            except (OSError, ValueError) as err:
-                parser.error(f"--candidate: {err}")
-        try:
-            doc, status = cmd_bijection(Rs, M, grid, candidate)
-        except ValueError as err:
-            parser.error(str(err))
-    else:
-        try:
+        elif args.command == "classify":
+            flag = "--family: "
+            doc, status = cmd_classify(_load_family_json(args.family))
+        elif args.command == "analyze":
+            points = [*(args.point or ()), *(args.grid or ())]
+            if not points:
+                raise ValueError("analyze needs at least one --point or --grid")
+            flag = "--family: "
+            doc, status = cmd_analyze(_load_family_json(args.family), points)
+        elif args.command == "bijection":
+            conf = _settings(profile, "bijection", R=args.R, M=args.M, grid=args.grid)
+            if any(r == 0 for r in conf["R"]):
+                raise ValueError("--R values must be nonzero")
+            flag = "--candidate: "
+            candidate = None if args.candidate is None else _load_family_json(args.candidate)
+            flag = ""
+            doc, status = cmd_bijection(conf["R"], conf["M"], conf["grid"], candidate)
+        else:
             doc, status = cmd_verify(args.suite, profile, args.R, args.M, args.grid)
-        except ValueError as err:
-            parser.error(str(err))
+    except (OSError, ValueError) as err:
+        parser.error(f"{flag}{err}")
 
     _emit(doc, args.format, args.out)
     return status

@@ -506,15 +506,8 @@ def infinitesimal_character(fam: ModuleFamily, cartan: str) -> InfChar:
     if cartan not in ("compact", "split"):
         raise ValueError(f"unknown cartan {cartan!r}")
     c2, c1, c0 = fam.c2, fam.c1, fam.c0
-    if cartan == "compact":
+    if cartan == "compact" or c2 == 0:
         if c2 != 0 or c1 != 0:
-            return InfChar(False)
-        a = has_gaussian_sqrt(c0 + 1)
-        if a is None:
-            return InfChar(True, None, None, False)
-        return InfChar(True, a, GR_ZERO, True)
-    if c2 == 0:
-        if c1 != 0:
             return InfChar(False)
         a = has_gaussian_sqrt(c0 + 1)
         if a is None:
@@ -535,11 +528,15 @@ def intertwiner_exists(fam: ModuleFamily) -> bool:
     return fam.c2.is_real and fam.c1.is_real and fam.c0.is_real
 
 
+def _reject_unknown_keys(obj: dict, known: Tuple[str, ...], what: str) -> None:
+    unknown = [k for k in obj if k not in known]
+    if unknown:
+        raise FamilyValidationError("descriptor-bad-field", f"unknown {what} key {unknown[0]!r}")
+
+
 def family_from_json(obj: dict) -> ModuleFamily:
     """Build a validated family from {"m", "casimir", "ktypes"?} JSON."""
-    unknown = [k for k in obj if k not in ("m", "casimir", "ktypes")]
-    if unknown:
-        raise FamilyValidationError("descriptor-bad-field", f"unknown descriptor key {unknown[0]!r}")
+    _reject_unknown_keys(obj, ("m", "casimir", "ktypes"), "descriptor")
     if "m" not in obj or "casimir" not in obj:
         raise FamilyValidationError(
             "descriptor-missing-field", 'family descriptor needs "m" and "casimir"'
@@ -549,6 +546,7 @@ def family_from_json(obj: dict) -> ModuleFamily:
         raise FamilyValidationError("descriptor-bad-field", '"m" must be an integer')
     cas = obj["casimir"]
     if isinstance(cas, dict):
+        _reject_unknown_keys(cas, ("coeffs", "var"), '"casimir"')
         coeffs, var = cas.get("coeffs"), cas.get("var")
         if not isinstance(coeffs, (list, tuple)) or not isinstance(var, str):
             raise FamilyValidationError(
@@ -565,6 +563,8 @@ def family_from_json(obj: dict) -> ModuleFamily:
     elif isinstance(kt, str) and kt.strip() in ("rayDown", RAY_DOWN):
         ktypes = KTypeSet.ray_down(m)
     elif kt is not None:
+        if isinstance(kt, dict):
+            _reject_unknown_keys(kt, ("kind", "param"), '"ktypes"')
         try:
             ktypes = KTypeSet.from_json(kt)
         except (KeyError, ValueError, TypeError) as exc:

@@ -22,6 +22,7 @@ elements of pbw.py and the sections of sheaf.py are term maps too.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
@@ -80,6 +81,7 @@ def _ratio_str(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
+@total_ordering
 class GaussianRational:
     """A number a + b*i with rational a, b, kept in lowest terms.
 
@@ -251,28 +253,13 @@ class GaussianRational:
             raise ValueError(f"ordering is undefined for non-real value {self}")
         return self.re
 
-    def _order_operands(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._real_part_or_raise(), other
-        if isinstance(other, GaussianRational):
-            return self._real_part_or_raise(), other._real_part_or_raise()
-        return None
-
     def __lt__(self, other):
-        pair = self._order_operands(other)
-        return NotImplemented if pair is None else pair[0] < pair[1]
-
-    def __le__(self, other):
-        pair = self._order_operands(other)
-        return NotImplemented if pair is None else pair[0] <= pair[1]
-
-    def __gt__(self, other):
-        pair = self._order_operands(other)
-        return NotImplemented if pair is None else pair[0] > pair[1]
-
-    def __ge__(self, other):
-        pair = self._order_operands(other)
-        return NotImplemented if pair is None else pair[0] >= pair[1]
+        # total_ordering derives <=, > and >= from this and __eq__
+        if isinstance(other, GaussianRational):
+            return self._real_part_or_raise() < other._real_part_or_raise()
+        if isinstance(other, (int, Fraction)):
+            return self._real_part_or_raise() < other
+        return NotImplemented
 
     # -- rendering ----------------------------------------------------------
 

@@ -208,6 +208,18 @@ class TestClassify:
         assert err.splitlines()[-1] == (
             "sl2family: error: --family: descriptor-bad-field: unknown descriptor key 'ktype'")
 
+    @pytest.mark.parametrize("desc,detail", [
+        ({"m": 0, "casimir": {"coeffs": [8], "var": "r", "cofs": [3]}},
+         """unknown "casimir" key 'cofs'"""),
+        ({"m": 0, "casimir": [8], "ktypes": {"kind": "window", "param": 2, "parity": 1}},
+         """unknown "ktypes" key 'parity'"""),
+    ], ids=["casimir", "ktypes"])
+    def test_unknown_nested_key_is_a_bad_field(self, capsys, desc, detail):
+        # without the extra key each descriptor is a valid family
+        code, doc = run_json(capsys, "classify", "--family", json.dumps(desc))
+        assert code == 1
+        assert doc["error"] == "descriptor-bad-field" and doc["detail"] == detail
+
     @pytest.mark.parametrize("param", [2.0, True])
     def test_non_integer_ktypes_param_is_a_bad_field(self, capsys, param):
         desc = json.dumps(
@@ -442,6 +454,108 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+FAMILY = '{"m": 0, "casimir": [-1, 0, 1]}'
+SMALL_BIJECTION = ["bijection", "--R", "1", "--M", "1", "--grid", "0,1"]
+NO_SUCH_FILE = "[Errno 2] No such file or directory: "
+NOT_JSON = "Expecting value: line 1 column 1 (char 0)"
+NOT_OBJECT = "family descriptor must be a JSON object"
+
+# (id, SL2FAMILY_PROFILE, argv, last stderr line after "sl2family: error: ");
+# {tmp} is a directory holding missing.json (absent), nonjson.txt and nonobj.json
+USAGE_ERRORS = [
+    ("classify-missing-file", "default", ["classify", "--family", "{tmp}/missing.json"],
+     f"--family: {NO_SUCH_FILE}'{{tmp}}/missing.json'"),
+    ("classify-non-json", "default", ["classify", "--family", "{tmp}/nonjson.txt"],
+     f"--family: {NOT_JSON}"),
+    ("classify-non-object", "default", ["classify", "--family", "{tmp}/nonobj.json"],
+     f"--family: {NOT_OBJECT}"),
+    ("analyze-missing-file", "default",
+     ["analyze", "--family", "{tmp}/missing.json", "--point", "r=1"],
+     f"--family: {NO_SUCH_FILE}'{{tmp}}/missing.json'"),
+    ("analyze-non-json", "default", ["analyze", "--family", "{tmp}/nonjson.txt", "--point", "r=1"],
+     f"--family: {NOT_JSON}"),
+    ("analyze-non-object", "default",
+     ["analyze", "--family", "{tmp}/nonobj.json", "--point", "r=1"], f"--family: {NOT_OBJECT}"),
+    ("analyze-no-points", "default", ["analyze", "--family", FAMILY],
+     "analyze needs at least one --point or --grid"),
+    ("analyze-non-real-casimir", "default",
+     ["analyze", "--family", '{"m": 0, "casimir": [{"re": 0, "im": 1}]}', "--point", "r=1"],
+     "--family: reducibility on the real line needs a real Casimir polynomial"),
+    ("analyze-unknown-casimir-key", "default",
+     ["analyze", "--family", '{"m": 0, "casimir": {"coeffs": [8], "var": "r", "cofs": [3]}}',
+      "--point", "r=1"],
+     """--family: descriptor-bad-field: unknown "casimir" key 'cofs'"""),
+    ("analyze-unknown-ktypes-key", "default",
+     ["analyze", "--family",
+      '{"m": 0, "casimir": [8], "ktypes": {"kind": "window", "param": 2, "parity": 1}}',
+      "--point", "r=1"],
+     """--family: descriptor-bad-field: unknown "ktypes" key 'parity'"""),
+    ("candidate-missing-file", "default", SMALL_BIJECTION + ["--candidate", "{tmp}/missing.json"],
+     f"--candidate: {NO_SUCH_FILE}'{{tmp}}/missing.json'"),
+    ("candidate-non-json", "default", SMALL_BIJECTION + ["--candidate", "{tmp}/nonjson.txt"],
+     f"--candidate: {NOT_JSON}"),
+    ("candidate-non-object", "default", SMALL_BIJECTION + ["--candidate", "{tmp}/nonobj.json"],
+     f"--candidate: {NOT_OBJECT}"),
+    ("candidate-empty", "default", SMALL_BIJECTION + ["--candidate", ""],
+     f"--candidate: {NO_SUCH_FILE}''"),
+    ("candidate-float", "default",
+     SMALL_BIJECTION + ["--candidate", '{"0": [0.5, -1], "1": [1, -1], "-1": [1, -1]}'],
+     "candidate entry for m=0: cannot read scalar from 0.5 (floats are not exact)"),
+    ("candidate-without-m0", "default",
+     SMALL_BIJECTION + ["--candidate", '{"1": [1, -1], "-1": [1, -1]}'],
+     "candidate must supply an affine map for m = 0"),
+    ("candidate-non-integer-key", "default", SMALL_BIJECTION + ["--candidate", '{"x": [1, -1]}'],
+     "candidate key 'x' is not an integer m"),
+    ("bijection-zero-R", "default", ["bijection", "--R", "0"], "--R values must be nonzero"),
+    ("verify-bijection-zero-R", "default", ["verify", "bijection", "--R", "0"],
+     "the chart coordinate R must be a nonzero real rational"),
+    ("tables-negative-M", "default", ["tables", "1", "--M", "-1"],
+     "the K-type bound M must be >= 0"),
+    ("bijection-negative-M", "default", ["bijection", "--M", "-1"],
+     "the K-type bound M must be >= 0"),
+    ("conjecture2-negative-M", "default", ["verify", "conjecture2", "--M", "-1"],
+     "the K-type bound M must be >= 0"),
+    ("verify-bijection-negative-M", "default", ["verify", "bijection", "--M", "-1"],
+     "the K-type bound M must be >= 0"),
+    ("appendix-negative-M", "default", ["verify", "appendix", "--M", "-1"],
+     "the Casimir power bound M must be >= 0"),
+    ("regularity-negative-M", "default", ["verify", "regularity", "--M", "-1"],
+     "the Casimir power bound M must be >= 0"),
+    ("bijection-one-level-grid", "default", ["bijection", "--R", "1", "--M", "3", "--grid", "1,1"],
+     "the level grid needs at least two distinct levels"),
+    ("verify-bijection-one-level-grid", "default", ["verify", "bijection", "--grid", "0"],
+     "the level grid needs at least two distinct levels"),
+    ("unknown-profile", "bogus", ["verify", "appendix"],
+     "unknown SL2FAMILY_PROFILE 'bogus' (choose 'default' or 'quick')"),
+    # a flag the suite does not read
+    ("conjecture2-R", "default", ["verify", "conjecture2", "--R", "1"],
+     "verify conjecture2 takes no --R"),
+    ("appendix-R", "default", ["verify", "appendix", "--R", "2"], "verify appendix takes no --R"),
+    ("appendix-grid", "quick", ["verify", "appendix", "--grid", "1,2"],
+     "verify appendix takes no --grid"),
+    ("regularity-R", "quick", ["verify", "regularity", "--R", "2"],
+     "verify regularity takes no --R"),
+    ("regularity-grid", "default", ["verify", "regularity", "--grid", "1,2"],
+     "verify regularity takes no --grid"),
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("profile,argv,message", [case[1:] for case in USAGE_ERRORS],
+                             ids=[case[0] for case in USAGE_ERRORS])
+    def test_exit_two_with_one_line(self, capsys, monkeypatch, tmp_path, profile, argv, message):
+        (tmp_path / "nonjson.txt").write_text("not json", encoding="utf-8")
+        (tmp_path / "nonobj.json").write_text("[1, 2]", encoding="utf-8")
+        monkeypatch.setenv("SL2FAMILY_PROFILE", profile)
+        with pytest.raises(SystemExit) as exc:
+            main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "sl2family: error: " + message.replace("{tmp}", str(tmp_path)))
+
+
 class TestTextFormat:
     def test_text_rendering(self, capsys):
         code, out = run(capsys, "tables", "3", "--M", "1", "--format", "text")
@@ -505,12 +619,22 @@ _json_value = st.recursive(
     _json_leaf,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
-        st.dictionaries(st.sampled_from(["re", "im", "var", "coeffs", "kind", "param"]),
+        st.dictionaries(st.sampled_from(["re", "im", "var", "coeffs", "kind", "param",
+                                         "cofs", "parity"]),
                         inner, max_size=3),
     ),
     max_leaves=8,
 )
-_descriptor = st.fixed_dictionaries(
+# mostly valid families, but for an optional unknown key inside an object
+_nested_descriptor = st.fixed_dictionaries(
+    {"m": st.integers(-1, 1),
+     "casimir": st.fixed_dictionaries(
+         {"coeffs": st.lists(st.integers(-20, 20), max_size=3), "var": st.just("r")},
+         optional={"cofs": _json_value})},
+    optional={"ktypes": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["allEven", "allOdd"])}, optional={"parity": _json_value})},
+)
+_descriptor = st.one_of(st.fixed_dictionaries(
     {},
     optional={
         "m": st.one_of(st.integers(-4, 4), st.integers(-10**12, 10**12), _json_leaf),
@@ -518,12 +642,18 @@ _descriptor = st.fixed_dictionaries(
         "ktypes": _json_value,
         "ktype": _json_value,  # unknown keys are rejected
     },
-)
+), _nested_descriptor)
 _candidate = st.dictionaries(
     st.sampled_from(["0", "1", "-1", "2", "x"]),
     st.one_of(st.lists(_json_value, min_size=2, max_size=2), _json_value),
     max_size=4,
 )
+
+
+def _unknown_nested_key(desc) -> bool:
+    known = {"casimir": {"coeffs", "var"}, "ktypes": {"kind", "param"}}
+    return any(isinstance(desc.get(key), dict) and not set(desc[key]) <= keys
+               for key, keys in known.items())
 
 
 def _exit_code(argv) -> int:
@@ -544,7 +674,7 @@ class TestJsonFuzz:
         classify = _exit_code(["classify", "--family", text])
         analyze = _exit_code(["analyze", "--family", text, "--point", "r=1", "--point", "inf"])
         assert classify in (0, 1, 2) and analyze in (0, 1, 2)
-        if "ktype" in desc:
+        if "ktype" in desc or _unknown_nested_key(desc):
             assert (classify, analyze) == (1, 2)
 
     @settings(max_examples=100, deadline=None, derandomize=True,

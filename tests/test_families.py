@@ -344,6 +344,16 @@ class TestFamilyJson:
             family_from_json({"m": 0, "casimir": [8], "ktype": "2Z"})
         assert exc.value.code == "descriptor-bad-field"
         assert exc.value.detail == "unknown descriptor key 'ktype'"
+        # so must a misspelled key inside the "casimir" or "ktypes" object
+        for desc, detail in (
+            ({"m": 0, "casimir": {"coeffs": [8], "var": "r", "cofs": [3]}},
+             """unknown "casimir" key 'cofs'"""),
+            ({"m": 0, "casimir": [8], "ktypes": {"kind": "window", "param": 2, "parity": 1}},
+             """unknown "ktypes" key 'parity'"""),
+        ):
+            with pytest.raises(FamilyValidationError) as exc:
+                family_from_json(desc)
+            assert (exc.value.code, exc.value.detail) == ("descriptor-bad-field", detail)
 
 
 class TestTildeClass:

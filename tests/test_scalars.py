@@ -1,5 +1,6 @@
 """Exact scalar and polynomial arithmetic."""
 
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -87,6 +88,18 @@ class TestGaussianRational:
         assert GR(Fraction(-9, 4)) < 0
         with pytest.raises(ValueError):
             GR(1, 1) < GR(2)
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_reflected_and_foreign_ordering(self, op):
+        # a plain number on the left goes through the reflected comparison
+        assert op(1, GR(2)) == op(1, 2) and op(Fraction(5, 2), GR(2)) == op(Fraction(5, 2), 2)
+        assert op(GR(2), GR(2)) == op(2, 2)
+        for left, right in ((GR(0, 1), 0), (0, GR(0, 1)), (Fraction(1, 2), GR(1, 1))):
+            with pytest.raises(ValueError, match="non-real"):
+                op(left, right)
+        for left, right in ((GR(1), 1.5), ("x", GR(1))):
+            with pytest.raises(TypeError):
+                op(left, right)
 
 
 class TestSquareRoots:

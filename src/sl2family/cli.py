@@ -35,7 +35,6 @@ from .families import (
     ktypes_at,
     make_family,
     pinned_level,
-    scalar_from_json,
 )
 from .fibers import (
     DualParam,
@@ -119,15 +118,15 @@ _rational_list = _list_of(_rational)
 _point_list = _list_of(_point)
 
 
-def _load_family_json(value: str) -> dict:
-    """Inline JSON (starts with '{') or a path to a JSON file."""
+def _load_object(value: str, what: str) -> dict:
+    """Read the JSON object named what, inline (starting with '{') or from a file."""
     text = value
     if not value.lstrip().startswith("{"):
         with open(value, "r", encoding="utf-8") as fh:
             text = fh.read()
     obj = json.loads(text)
     if not isinstance(obj, dict):
-        raise ValueError("family descriptor must be a JSON object")
+        raise ValueError(f"{what} must be a JSON object")
     return obj
 
 
@@ -427,9 +426,9 @@ def _parse_candidate(obj: dict) -> Dict[int, tuple]:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValueError(f"candidate entry for m={m} must be a pair [a, b]")
         try:
-            out[m] = tuple(scalar_from_json(x) for x in pair)
-        except FamilyValidationError as err:
-            raise ValueError(f"candidate entry for m={m}: {err.detail}") from err
+            out[m] = tuple(GaussianRational.from_json(x) for x in pair)
+        except ValueError as err:
+            raise ValueError(f"candidate entry for m={m}: {err}") from None
     return out
 
 
@@ -585,27 +584,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             doc, status = cmd_tables(args.which, args.M, args.grid), 0
         elif args.command == "classify":
             flag = "--family: "
-            doc, status = cmd_classify(_load_family_json(args.family))
+            doc, status = cmd_classify(_load_object(args.family, "family descriptor"))
         elif args.command == "analyze":
             points = [*(args.point or ()), *(args.grid or ())]
             if not points:
                 raise ValueError("analyze needs at least one --point or --grid")
             flag = "--family: "
-            doc, status = cmd_analyze(_load_family_json(args.family), points)
+            doc, status = cmd_analyze(_load_object(args.family, "family descriptor"), points)
         elif args.command == "bijection":
             conf = _settings(profile, "bijection", R=args.R, M=args.M, grid=args.grid)
-            if any(r == 0 for r in conf["R"]):
-                raise ValueError("--R values must be nonzero")
             flag = "--candidate: "
-            candidate = None if args.candidate is None else _load_family_json(args.candidate)
+            candidate = None if args.candidate is None else _load_object(args.candidate, "candidate")
             flag = ""
             doc, status = cmd_bijection(conf["R"], conf["M"], conf["grid"], candidate)
         else:
             doc, status = cmd_verify(args.suite, profile, args.R, args.M, args.grid)
+        flag = "--out: " if args.out else ""
+        _emit(doc, args.format, args.out)
     except (OSError, ValueError) as err:
         parser.error(f"{flag}{err}")
-
-    _emit(doc, args.format, args.out)
     return status
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 from typing import Iterator, Optional, Tuple
 
 from .scalars import (
@@ -170,44 +171,38 @@ class KTypeSet:
 
     @staticmethod
     def from_json(obj) -> "KTypeSet":
-        if isinstance(obj, str):
-            return _ktypes_from_string(obj)
-        kind = _KIND_ALIASES.get(obj["kind"], obj["kind"])
-        return KTypeSet(kind, obj.get("param"))
+        """Read {"kind", "param"?}, or a printed form: a name of ``_KIND_NAMES``
+        that takes no parameter, "-k..k", "{n}", or a ray "d,d+2,..." / "d,d-2,..."."""
+        if not isinstance(obj, str):
+            return KTypeSet(_KIND_NAMES.get(obj["kind"], obj["kind"]), obj.get("param"))
+        t = obj.strip()
+        if _KIND_NAMES.get(t) in (ALL_EVEN, ALL_ODD):
+            return KTypeSet(_KIND_NAMES[t])
+        if t.startswith("{") and t.endswith("}"):
+            return KTypeSet.singleton(int(t[1:-1]))
+        if t.endswith(",..."):
+            terms = [int(p) for p in t[:-4].split(",")]
+            steps = {b - a for a, b in zip(terms, terms[1:])}
+            if steps in ({2}, {-2}):
+                return KTypeSet(RAY_UP if steps == {2} else RAY_DOWN, terms[0])
+        elif ".." in t:
+            lo, hi = (int(p) for p in t.split(".."))
+            if lo != -hi:
+                raise ValueError(f"window must be symmetric, got {obj!r}")
+            return KTypeSet.window(hi)
+        raise ValueError(f"cannot parse K-type set {obj!r}")
 
 
-_KIND_ALIASES = {
-    "allEven": ALL_EVEN,
-    "allOdd": ALL_ODD,
-    "rayUp": RAY_UP,
-    "rayDown": RAY_DOWN,
+# Every name a K-type set kind goes by in JSON, to the kind.  "rayUp" and
+# "rayDown" as a whole descriptor "ktypes" string mean the ray from m.
+_KIND_NAMES = {
+    "2Z": ALL_EVEN, "allEven": ALL_EVEN, ALL_EVEN: ALL_EVEN,
+    "2Z+1": ALL_ODD, "allOdd": ALL_ODD, ALL_ODD: ALL_ODD,
+    "rayUp": RAY_UP, RAY_UP: RAY_UP,
+    "rayDown": RAY_DOWN, RAY_DOWN: RAY_DOWN,
+    WINDOW: WINDOW,
+    SINGLETON: SINGLETON,
 }
-
-
-def _ktypes_from_string(text: str) -> KTypeSet:
-    t = text.strip()
-    if t in ("2Z", "allEven", ALL_EVEN):
-        return KTypeSet.all_even()
-    if t in ("2Z+1", "allOdd", ALL_ODD):
-        return KTypeSet.all_odd()
-    if t.startswith("{") and t.endswith("}"):
-        return KTypeSet.singleton(int(t[1:-1]))
-    if t.endswith(",..."):
-        parts = t[:-4].split(",")
-        d = int(parts[0])
-        step = int(parts[1]) - d
-        if step == 2:
-            return KTypeSet.ray_up(d)
-        if step == -2:
-            return KTypeSet.ray_down(d)
-        raise ValueError(f"cannot parse K-type set {text!r}")
-    if ".." in t:
-        lo, hi = t.split("..")
-        lo, hi = int(lo), int(hi)
-        if lo != -hi:
-            raise ValueError(f"window must be symmetric, got {text!r}")
-        return KTypeSet.window(hi)
-    raise ValueError(f"cannot parse K-type set {text!r}")
 
 
 class FamilyValidationError(ValueError):
@@ -241,19 +236,12 @@ def _as_casimir(c) -> Poly:
 def wall_index(value) -> Optional[int]:
     """Solve k(k+2) = value for an integer k >= -1, or return None.
 
-    k(k+2) is injective on k >= -1, so the index is unique when it exists.
+    That is value + 1 = (k+1)^2: value + 1 must be an integer square.
     """
     v = GaussianRational.of(value)
-    if not v.is_real:
-        return None
-    s = has_gaussian_sqrt(v + 1)
-    if s is None or not s.is_real:
-        return None
-    root = abs(s.re)
-    if root.denominator != 1:
-        return None
-    k = int(root) - 1
-    return k if k >= -1 else None
+    n = v.re_num + 1
+    root = isqrt(max(n, 0))
+    return root - 1 if root * root == n and v.den == 1 and not v.im_num else None
 
 
 @dataclass(frozen=True)
@@ -544,24 +532,23 @@ def family_from_json(obj: dict) -> ModuleFamily:
     m = obj["m"]
     if not isinstance(m, int) or isinstance(m, bool):
         raise FamilyValidationError("descriptor-bad-field", '"m" must be an integer')
-    cas = obj["casimir"]
+    cas, var = obj["casimir"], "r"
     if isinstance(cas, dict):
         _reject_unknown_keys(cas, ("coeffs", "var"), '"casimir"')
-        coeffs, var = cas.get("coeffs"), cas.get("var")
-        if not isinstance(coeffs, (list, tuple)) or not isinstance(var, str):
+        cas, var = cas.get("coeffs"), cas.get("var")
+        if not isinstance(cas, (list, tuple)) or not isinstance(var, str):
             raise FamilyValidationError(
                 "descriptor-bad-field", '"casimir" object needs a "coeffs" list and a "var" string'
             )
-        c = Poly.of([scalar_from_json(x) for x in coeffs], var)
-    elif isinstance(cas, (list, tuple)):
-        c = Poly.of([scalar_from_json(x) for x in cas], "r")
-    else:
-        c = Poly.const(scalar_from_json(cas), "r")
+    try:
+        coeffs = [GaussianRational.from_json(x)
+                  for x in (cas if isinstance(cas, (list, tuple)) else [cas])]
+    except ValueError as exc:
+        raise FamilyValidationError("descriptor-bad-field", str(exc)) from exc
     kt = obj.get("ktypes")
-    if isinstance(kt, str) and kt.strip() in ("rayUp", RAY_UP):
-        ktypes: Optional[KTypeSet] = KTypeSet.ray_up(m)
-    elif isinstance(kt, str) and kt.strip() in ("rayDown", RAY_DOWN):
-        ktypes = KTypeSet.ray_down(m)
+    ray = _KIND_NAMES.get(kt.strip()) if isinstance(kt, str) else None
+    if ray in (RAY_UP, RAY_DOWN):
+        ktypes: Optional[KTypeSet] = KTypeSet(ray, m)
     elif kt is not None:
         if isinstance(kt, dict):
             _reject_unknown_keys(kt, ("kind", "param"), '"ktypes"')
@@ -573,29 +560,4 @@ def family_from_json(obj: dict) -> ModuleFamily:
             ) from exc
     else:
         ktypes = None
-    return make_family(m, c, ktypes)
-
-
-def scalar_from_json(x) -> GaussianRational:
-    """An exact scalar from JSON: an integer, a "p/q" string, or {"re", "im"?}
-    with such parts; raises FamilyValidationError on anything else."""
-    if isinstance(x, dict) and "re" in x:
-        return GaussianRational(_json_rational(x["re"]), _json_rational(x.get("im", 0)))
-    return GaussianRational(_json_rational(x))
-
-
-def _json_rational(x) -> Fraction:
-    if isinstance(x, bool):
-        raise FamilyValidationError("descriptor-bad-field", "booleans are not scalars")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise FamilyValidationError(
-                "descriptor-bad-field", f"cannot read scalar from {x!r}"
-            ) from None
-    raise FamilyValidationError(
-        "descriptor-bad-field", f"cannot read scalar from {x!r} (floats are not exact)"
-    )
+    return make_family(m, Poly.of(coeffs, var), ktypes)

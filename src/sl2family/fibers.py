@@ -353,22 +353,20 @@ class ReducibilityLocus:
 
 
 def _real_roots(c2: Fraction, c1: Fraction, c0: Fraction, w: Fraction):
-    """Exact real solutions of c2 r^2 + c1 r + c0 = w.
+    """Exact real solutions of c2 r^2 + c1 r + c0 = w, for c2, c1 not both 0.
 
-    Returns (rational roots, has_irrational, everywhere)."""
+    Returns (rational roots, has_irrational)."""
     if c2 == 0:
-        if c1 == 0:
-            return [], False, c0 == w
-        return [Fraction(w - c0, 1) / c1], False, False
+        return [(w - c0) / c1], False
     disc = c1 * c1 - 4 * c2 * (c0 - w)
     if disc < 0:
-        return [], False, False
+        return [], False
     if disc == 0:
-        return [-c1 / (2 * c2)], False, False
+        return [-c1 / (2 * c2)], False
     s = rational_sqrt(disc)
     if s is None:
-        return [], True, False
-    return [(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)], False, False
+        return [], True
+    return [(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)], False
 
 
 def reducibility_points(
@@ -411,7 +409,7 @@ def reducibility_points(
             if not wall_edges(kt, k):
                 continue
             w = Fraction(k * (k + 2))
-            roots, irr, _ = _real_roots(c2, c1, c0, w)
+            roots, irr = _real_roots(c2, c1, c0, w)
             if not roots and not irr:
                 continue
             rec = WallRecord(

@@ -9,7 +9,9 @@ constructor) rational strings, and raise TypeError on floats.  A real value
 hashes like its Fraction, hence like an equal int; any other value hashes
 like the pair (re, im) of Fractions.  Square roots are witness-based:
 either an exact square root inside Q(i) is produced, or its absence is
-reported.
+reported.  ``GaussianRational.from_json`` is the one reader of the JSON
+scalar format (an int, a "p/q" string, or {"re", "im"?}): family
+descriptors and candidate bijections are both read through it.
 
 ``Terms`` is the one sparse "monomial -> nonzero coefficient" type of the
 package: sums, scalar multiples, powers, equality, hashing and printing
@@ -287,9 +289,28 @@ class GaussianRational:
 
     @staticmethod
     def from_json(obj) -> "GaussianRational":
-        if isinstance(obj, dict):
-            return GaussianRational(Fraction(obj["re"]), Fraction(obj.get("im", 0)))
-        return GaussianRational.of(obj)
+        """Read a JSON scalar: an int, a "p/q" string, or {"re", "im"?} with
+        such parts.  Anything else, a bool or a float included, is a ValueError."""
+        parts = obj if isinstance(obj, dict) else {"re": obj}
+        for key in parts:
+            if key not in ("re", "im"):
+                raise ValueError(f"unknown scalar key {key!r}")
+        if "re" not in parts:
+            raise ValueError(f"cannot read scalar from {obj!r}")
+        values = []
+        for x in (parts["re"], parts.get("im", 0)):
+            if isinstance(x, bool):
+                raise ValueError("booleans are not scalars")
+            if isinstance(x, str):
+                try:
+                    x = Fraction(x)
+                except (ValueError, ZeroDivisionError):
+                    pass
+            if not isinstance(x, (int, Fraction)):
+                note = " (floats are not exact)" if isinstance(x, float) else ""
+                raise ValueError(f"cannot read scalar from {x!r}{note}")
+            values.append(x)
+        return GaussianRational(*values)
 
 
 GR_ZERO = GaussianRational()

@@ -490,25 +490,40 @@ USAGE_ERRORS = [
       '{"m": 0, "casimir": [8], "ktypes": {"kind": "window", "param": 2, "parity": 1}}',
       "--point", "r=1"],
      """--family: descriptor-bad-field: unknown "ktypes" key 'parity'"""),
+    ("analyze-unknown-scalar-key", "default",
+     ["analyze", "--family", '{"m": 0, "casimir": [{"re": 8, "imag": 3}]}', "--point", "r=1"],
+     "--family: descriptor-bad-field: unknown scalar key 'imag'"),
+    ("analyze-one-sided-ray", "default",
+     ["analyze", "--family", '{"m": 3, "casimir": [3], "ktypes": "3,..."}', "--point", "r=1"],
+     """--family: descriptor-bad-field: cannot read "ktypes": cannot parse K-type set '3,...'"""),
     ("candidate-missing-file", "default", SMALL_BIJECTION + ["--candidate", "{tmp}/missing.json"],
      f"--candidate: {NO_SUCH_FILE}'{{tmp}}/missing.json'"),
     ("candidate-non-json", "default", SMALL_BIJECTION + ["--candidate", "{tmp}/nonjson.txt"],
      f"--candidate: {NOT_JSON}"),
     ("candidate-non-object", "default", SMALL_BIJECTION + ["--candidate", "{tmp}/nonobj.json"],
-     f"--candidate: {NOT_OBJECT}"),
+     "--candidate: candidate must be a JSON object"),
     ("candidate-empty", "default", SMALL_BIJECTION + ["--candidate", ""],
      f"--candidate: {NO_SUCH_FILE}''"),
     ("candidate-float", "default",
      SMALL_BIJECTION + ["--candidate", '{"0": [0.5, -1], "1": [1, -1], "-1": [1, -1]}'],
      "candidate entry for m=0: cannot read scalar from 0.5 (floats are not exact)"),
+    ("candidate-unknown-scalar-key", "default",
+     SMALL_BIJECTION + ["--candidate", '{"0": [{"re": 1, "imag": 1}, -1]}'],
+     "candidate entry for m=0: unknown scalar key 'imag'"),
+    ("candidate-boolean", "default", SMALL_BIJECTION + ["--candidate", '{"0": [1, true]}'],
+     "candidate entry for m=0: booleans are not scalars"),
     ("candidate-without-m0", "default",
      SMALL_BIJECTION + ["--candidate", '{"1": [1, -1], "-1": [1, -1]}'],
      "candidate must supply an affine map for m = 0"),
     ("candidate-non-integer-key", "default", SMALL_BIJECTION + ["--candidate", '{"x": [1, -1]}'],
      "candidate key 'x' is not an integer m"),
-    ("bijection-zero-R", "default", ["bijection", "--R", "0"], "--R values must be nonzero"),
+    ("bijection-zero-R", "default", ["bijection", "--R", "0"],
+     "the chart coordinate R must be a nonzero real rational"),
     ("verify-bijection-zero-R", "default", ["verify", "bijection", "--R", "0"],
      "the chart coordinate R must be a nonzero real rational"),
+    ("out-missing-directory", "default",
+     ["tables", "1", "--M", "0", "--out", "{tmp}/no-such-dir/x.json"],
+     f"--out: {NO_SUCH_FILE}'{{tmp}}/no-such-dir/x.json'"),
     ("tables-negative-M", "default", ["tables", "1", "--M", "-1"],
      "the K-type bound M must be >= 0"),
     ("bijection-negative-M", "default", ["bijection", "--M", "-1"],
@@ -613,23 +628,28 @@ class TestEntryPoint:
 
 _json_leaf = st.one_of(
     st.none(), st.booleans(), st.integers(-20, 20), st.floats(allow_nan=False, width=16),
-    st.sampled_from(["1/2", "-3", "0", "x", "1/0", "", "2Z", "-2..2", "3,5,...", "{2}"]),
+    st.sampled_from(["1/2", "-3", "0", "x", "1/0", "", "2Z", "-2..2", "3,5,...", "{2}",
+                     "3,...", "1,2,..."]),
 )
 _json_value = st.recursive(
     _json_leaf,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.dictionaries(st.sampled_from(["re", "im", "var", "coeffs", "kind", "param",
-                                         "cofs", "parity"]),
+                                         "cofs", "parity", "imag"]),
                         inner, max_size=3),
     ),
     max_leaves=8,
 )
+# a scalar object, valid but for an optional unknown key
+_scalar_object = st.fixed_dictionaries(
+    {"re": st.integers(-20, 20)}, optional={"im": st.integers(-2, 2), "imag": _json_value})
 # mostly valid families, but for an optional unknown key inside an object
 _nested_descriptor = st.fixed_dictionaries(
     {"m": st.integers(-1, 1),
      "casimir": st.fixed_dictionaries(
-         {"coeffs": st.lists(st.integers(-20, 20), max_size=3), "var": st.just("r")},
+         {"coeffs": st.lists(st.one_of(st.integers(-20, 20), _scalar_object), max_size=3),
+          "var": st.just("r")},
          optional={"cofs": _json_value})},
     optional={"ktypes": st.fixed_dictionaries(
         {"kind": st.sampled_from(["allEven", "allOdd"])}, optional={"parity": _json_value})},
@@ -643,17 +663,29 @@ _descriptor = st.one_of(st.fixed_dictionaries(
         "ktype": _json_value,  # unknown keys are rejected
     },
 ), _nested_descriptor)
-_candidate = st.dictionaries(
+_pair = st.lists(st.one_of(st.integers(-3, 3), _scalar_object), min_size=2, max_size=2)
+_candidate = st.one_of(st.dictionaries(
     st.sampled_from(["0", "1", "-1", "2", "x"]),
     st.one_of(st.lists(_json_value, min_size=2, max_size=2), _json_value),
     max_size=4,
-)
+), st.fixed_dictionaries({"0": _pair, "1": _pair, "-1": _pair}))  # mostly valid
 
 
 def _unknown_nested_key(desc) -> bool:
+    """Whether the "casimir" or "ktypes" object, or a scalar object among
+    the Casimir coefficients, has a key it does not read."""
     known = {"casimir": {"coeffs", "var"}, "ktypes": {"kind", "param"}}
-    return any(isinstance(desc.get(key), dict) and not set(desc[key]) <= keys
-               for key, keys in known.items())
+    if any(isinstance(desc.get(key), dict) and not set(desc[key]) <= keys
+           for key, keys in known.items()):
+        return True
+    cas = desc.get("casimir")
+    return _unknown_scalar_key(cas.get("coeffs") if isinstance(cas, dict) else cas)
+
+
+def _unknown_scalar_key(values) -> bool:
+    """Whether the list values holds a scalar object with a key other than re/im."""
+    return isinstance(values, list) and any(
+        isinstance(x, dict) and not set(x) <= {"re", "im"} for x in values)
 
 
 def _exit_code(argv) -> int:
@@ -683,4 +715,7 @@ class TestJsonFuzz:
     def test_candidates_never_raise(self, candidate):
         argv = ["bijection", "--R", "1", "--M", "1", "--grid", "0,1",
                 "--candidate", json.dumps(candidate)]
-        assert _exit_code(argv) in (0, 1, 2)
+        code = _exit_code(argv)
+        assert code in (0, 1, 2)
+        if any(_unknown_scalar_key(pair) for pair in candidate.values()):
+            assert code == 2

@@ -124,6 +124,21 @@ class TestKTypeSet:
         assert KTypeSet.from_json({"kind": "rayDown", "param": -1}) == KTypeSet.ray_down(-1)
         assert KTypeSet.from_json("allEven") == KTypeSet.all_even()
         assert KTypeSet.from_json("2Z+1") == KTypeSet.all_odd()
+        assert KTypeSet.from_json({"kind": "ray_up", "param": 3}) == KTypeSet.ray_up(3)
+        assert KTypeSet.from_json(" all_odd ") == KTypeSet.all_odd()
+        assert KTypeSet.from_json("5,3,1,...") == KTypeSet.ray_down(5)
+
+    @pytest.mark.parametrize("text,message", [
+        ("3,...", "cannot parse K-type set '3,...'"),
+        ("1,2,...", "cannot parse K-type set '1,2,...'"),
+        ("1,3,99,...", "cannot parse K-type set '1,3,99,...'"),
+        ("-2..3", "window must be symmetric, got '-2..3'"),
+        ("rayUp", "cannot parse K-type set 'rayUp'"),
+    ])
+    def test_malformed_strings(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            KTypeSet.from_json(text)
+        assert str(exc.value) == message
 
 
 class TestWallIndex:

@@ -101,6 +101,23 @@ class TestGaussianRational:
             with pytest.raises(TypeError):
                 op(left, right)
 
+    @pytest.mark.parametrize("obj,message", [
+        (0.5, "cannot read scalar from 0.5 (floats are not exact)"),
+        (True, "booleans are not scalars"),
+        ({"re": 0.5}, "cannot read scalar from 0.5 (floats are not exact)"),
+        ({"re": 1, "im": False}, "booleans are not scalars"),
+        ({"re": 1, "imag": 5}, "unknown scalar key 'imag'"),
+        ({"im": 1}, "cannot read scalar from {'im': 1}"),
+        ("x", "cannot read scalar from 'x'"),
+        ("1/0", "cannot read scalar from '1/0'"),
+        (None, "cannot read scalar from None"),
+        ([1], "cannot read scalar from [1]"),
+    ])
+    def test_from_json_rejects_everything_else(self, obj, message):
+        with pytest.raises(ValueError) as exc:
+            GR.from_json(obj)
+        assert str(exc.value) == message
+
 
 class TestSquareRoots:
     def brute_force_sqrt(self, x: GaussianRational, bound: int = 6):

@@ -47,7 +47,7 @@ from .fibers import (
     reducibility_points,
     scalar_to_json,
 )
-from .duals import characterize_bijections, check_entry, verify_conjecture1
+from .duals import _nonzero_real, characterize_bijections, check_entry, verify_conjecture1
 from .pbw import COMPACT, SPLIT, UEAElement, casimir, hc_projection, k_order
 from .scalars import GaussianRational, Poly
 from .sheaf import (
@@ -433,12 +433,12 @@ def _parse_candidate(obj: dict) -> Dict[int, tuple]:
 
 
 def _reports(Rs: Sequence, M: int, grid: Sequence) -> List[dict]:
-    """One verify_conjecture1 report per chart coordinate R."""
+    """One verify_conjecture1 report per chart coordinate R, every R checked
+    before the first check runs."""
     reports = []
-    for R in Rs:
+    for R in [_nonzero_real(R) for R in Rs]:
         ok, entries = verify_conjecture1(R, M, grid)
-        reports.append({"R": scalar_to_json(GaussianRational.of(R)), "pass": ok,
-                        "entries": entries})
+        reports.append({"R": scalar_to_json(R), "pass": ok, "entries": entries})
     return reports
 
 

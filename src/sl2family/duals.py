@@ -87,7 +87,11 @@ def is_tempered(p: DualParam) -> bool:
 def vogan_map(m: int, R) -> DualParam:
     """The tempered parameter with real infinitesimal character and lowest
     K-type m, in the group dual at chart coordinate R."""
-    return DualParam.group(pinned_level(m) if m else -1, m, _nonzero_real(R))
+    return _vogan_map(m, _nonzero_real(R))
+
+
+def _vogan_map(m: int, R: GaussianRational) -> DualParam:
+    return DualParam.group(pinned_level(m) if m else -1, m, R)
 
 
 def eta(p: DualParam, R) -> DualParam:
@@ -99,9 +103,13 @@ def eta(p: DualParam, R) -> DualParam:
     """
     if p.flavor != MOTION:
         raise ValueError("eta maps motion-flavor parameters")
-    R = _nonzero_real(R)
+    return _eta(p, _nonzero_real(R))
+
+
+def _eta(p: DualParam, R: GaussianRational) -> DualParam:
+    """eta of a motion parameter at an R that _nonzero_real has returned."""
     if abs(p.m) > 1:
-        return vogan_map(p.m, R)
+        return _vogan_map(p.m, R)
     return DualParam.group(p.level / (R * R) - 1, p.m, R)
 
 
@@ -176,9 +184,11 @@ class DualAtlas:
         seen = set()
         for p in self.params():
             rep = p.canonical()
-            if rep not in seen:
+            if abs(p.m) <= 1:  # repeated levels and m = +-1 merge; |m| > 1 cannot
+                if rep in seen:
+                    continue
                 seen.add(rep)
-                yield rep
+            yield rep
 
 
 def check_entry(check: str, instance: str, ok, detail: str) -> dict:
@@ -206,14 +216,14 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
         raise ValueError("the level grid needs at least two distinct levels")
     report: List[dict] = []
 
-    atlas = DualAtlas(MOTION, M, grid_gr)
-    classes = list(atlas.classes())
-    images = [eta(q, R) for q in classes]
+    # each motion class's image, built once and read by the checks below
+    images = {q: _eta(q, R) for q in DualAtlas(MOTION, M, grid_gr).classes()}
+    classes = list(images)
 
     # Images with equal canonical representatives are exactly the pairs that
     # params_equivalent relates, so grouping by it replaces a pairwise scan;
     # the pairs come out in (i, j) order as that scan listed them.
-    keys = [p.canonical() for p in images]
+    keys = [p.canonical() for p in images.values()]
     groups: Dict[DualParam, List[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
@@ -235,7 +245,7 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     count = 0
     for q in target.classes():
         count += 1
-        if not params_equivalent(eta(eta_inverse(q), R), q):
+        if not params_equivalent(_eta(eta_inverse(q), R), q):
             misses.append(q)
     report.append(check_entry(
         "surjectivity",
@@ -247,20 +257,21 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     ))
 
     for m in range(-M, M + 1):
-        image = eta(DualParam.motion(0, m), R)
-        expected = vogan_map(m, R)
+        character = DualParam.motion(0, m)  # a class when 0 is on the grid or |m| > 1
+        image = images.get(character) or _eta(character, R)
+        expected = _vogan_map(m, R)
         report.append(check_entry(
             "vogan-extension", f"m={m}, R={R}", image == expected,
             f"eta((0,{m})_0) = {image}, minimal-K-type representative {expected}"))
 
-    for q in classes:
+    for q, image in images.items():
         if not q.level.is_real:
             continue
-        image = eta(q, R)
         t_q, t_image = is_tempered(q), is_tempered(image)
+        s_q, s_image = str(q), str(image)
         report.append(check_entry(
-            "tempered", f"{q} -> {image}", t_q == t_image,
-            f"tempered({q}) = {t_q}, tempered({image}) = {t_image}"))
+            "tempered", f"{s_q} -> {s_image}", t_q == t_image,
+            f"tempered({s_q}) = {t_q}, tempered({s_image}) = {t_image}"))
 
     if M >= 1:
         wd_bad = []
@@ -270,7 +281,7 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
             p_plus = DualParam.motion(z, 1)
             p_minus = DualParam.motion(z, -1)
             if params_equivalent(p_plus, p_minus):
-                if not params_equivalent(eta(p_plus, R), eta(p_minus, R)):
+                if not params_equivalent(_eta(p_plus, R), _eta(p_minus, R)):
                     wd_bad.append(z)
         report.append(check_entry(
             "well-defined",
@@ -285,7 +296,7 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     for m in (-1, 0, 1):
         if abs(m) > M:
             continue
-        samples = [(z, eta(DualParam.motion(z, m), R).level) for z in grid_gr]
+        samples = [(z, _eta(DualParam.motion(z, m), R).level) for z in grid_gr]
         z0, l0 = samples[0]
         z1, l1 = next((z, lv) for z, lv in samples if z != z0)
         a = (l1 - l0) / (z1 - z0)

@@ -178,18 +178,20 @@ class KTypeSet:
         t = obj.strip()
         if _KIND_NAMES.get(t) in (ALL_EVEN, ALL_ODD):
             return KTypeSet(_KIND_NAMES[t])
-        if t.startswith("{") and t.endswith("}"):
-            return KTypeSet.singleton(int(t[1:-1]))
-        if t.endswith(",..."):
-            terms = [int(p) for p in t[:-4].split(",")]
-            steps = {b - a for a, b in zip(terms, terms[1:])}
-            if steps in ({2}, {-2}):
-                return KTypeSet(RAY_UP if steps == {2} else RAY_DOWN, terms[0])
-        elif ".." in t:
-            lo, hi = (int(p) for p in t.split(".."))
-            if lo != -hi:
+        ray = t.endswith(",...")
+        try:
+            if t.startswith("{") and t.endswith("}"):
+                return KTypeSet.singleton(int(t[1:-1]))
+            terms = [int(p) for p in (t[:-4].split(",") if ray else t.split(".."))]
+        except ValueError:
+            raise ValueError(f"cannot parse K-type set {obj!r}") from None
+        steps = {b - a for a, b in zip(terms, terms[1:])}
+        if ray and steps in ({2}, {-2}):
+            return KTypeSet(RAY_UP if steps == {2} else RAY_DOWN, terms[0])
+        if not ray and len(terms) == 2:
+            if terms[0] != -terms[1]:
                 raise ValueError(f"window must be symmetric, got {obj!r}")
-            return KTypeSet.window(hi)
+            return KTypeSet.window(terms[1])
         raise ValueError(f"cannot parse K-type set {obj!r}")
 
 

@@ -67,9 +67,10 @@ class DualParam:
     R: Optional[GaussianRational] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "level", GaussianRational.of(self.level))
-        if self.R is not None:
-            object.__setattr__(self, "R", GaussianRational.of(self.R))
+        if not isinstance(self.level, GaussianRational):
+            object.__setattr__(self, "level", GaussianRational(self.level))
+        if self.R is not None and not isinstance(self.R, GaussianRational):
+            object.__setattr__(self, "R", GaussianRational(self.R))
         if self.flavor == GROUP:
             if self.R is not None and not self.R:
                 raise ValueError("group-flavor parameters need R != 0")
@@ -91,12 +92,11 @@ class DualParam:
 
     @staticmethod
     def group(level, m: int, R=None) -> "DualParam":
-        return DualParam(GROUP, GaussianRational.of(level), m,
-                         None if R is None else GaussianRational.of(R))
+        return DualParam(GROUP, level, m, R)
 
     @staticmethod
     def motion(level, m: int) -> "DualParam":
-        return DualParam(MOTION, GaussianRational.of(level), m)
+        return DualParam(MOTION, level, m)
 
     def canonical(self) -> "DualParam":
         """The preferred representative of the parameter's equivalence class.

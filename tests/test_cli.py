@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sl2family import cli
 from sl2family.cli import cmd_analyze, cmd_classify, cmd_verify, main, render_json
 from sl2family.sheaf import ProjectivePoint
 
@@ -230,6 +231,14 @@ class TestClassify:
         assert doc["error"] == "descriptor-bad-field"
         assert doc["detail"] == 'cannot read "ktypes": window needs an integer parameter'
 
+    @pytest.mark.parametrize("ktypes", ["a..b", "-2..0..2", "{x}", "1,x,..."])
+    def test_malformed_ktypes_string_is_a_bad_field(self, capsys, ktypes):
+        desc = json.dumps({"m": 0, "casimir": [8], "ktypes": ktypes})
+        code, doc = run_json(capsys, "classify", "--family", desc)
+        assert code == 1
+        assert doc["error"] == "descriptor-bad-field"
+        assert doc["detail"] == f'cannot read "ktypes": cannot parse K-type set {ktypes!r}'
+
 
 class TestAnalyze:
     def test_limit_ray_point(self, capsys):
@@ -384,6 +393,25 @@ class TestBijection:
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
             "sl2family: error: the level grid needs at least two distinct levels")
+
+    def test_output_is_byte_identical_to_golden(self, capsys, tmp_path):
+        # recorded before each class's image was built once per R
+        out = tmp_path / "b.json"
+        code, _ = run(capsys, "bijection", "--R", "1,-3/2,2", "--M", "12",
+                      "--grid", "0,-1,1,1/2,-9/4,3", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "bijection_M12.json").read_bytes()
+
+    @pytest.mark.parametrize("argv", [["bijection", "--R", "1,0", "--M", "300"],
+                                      ["verify", "bijection", "--R", "1,0"]])
+    def test_every_R_is_checked_before_any_check_runs(self, capsys, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(cli, "verify_conjecture1", lambda *args: calls.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and calls == []
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "sl2family: error: the chart coordinate R must be a nonzero real rational")
 
     def test_float_in_candidate_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -194,8 +194,37 @@ class TestEtaProperties:
         assert p.flavor == "motion"
         assert eta(p, R) == q
 
+    @pytest.mark.parametrize("call,args", [
+        (eta, (mo(2, 1), 0)), (eta, (mo(0, 4), GR(0))), (eta, (mo(2, 0), GR(0, 1))),
+        (vogan_map, (3, 0)), (vogan_map, (0, GR(0))),
+        (eta_inverse, (g(2, 1), 0)), (eta_inverse, (DualParam.group(2, 1), GR(0))),
+    ])
+    def test_public_maps_reject_a_zero_or_non_real_R(self, call, args):
+        # only verify_conjecture1, having checked R once, calls the unchecked steps
+        with pytest.raises(ValueError, match="nonzero real rational"):
+            call(*args)
+
+
+@st.composite
+def level_grids(draw):
+    """Grids that repeat levels and mix the boundary levels -1 and 0 with
+    levels from Q(i)."""
+    levels = draw(st.lists(st.one_of(st.sampled_from((GR(-1), GR(0), GR(1))), LEVELS),
+                           min_size=1, max_size=6))
+    return tuple(levels + draw(st.lists(st.sampled_from(levels), max_size=3)))
+
 
 class TestDualAtlas:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(level_grids(), st.integers(0, 4), CHART_R)
+    def test_classes_are_the_canonical_params_without_repeats(self, grid, M, R):
+        for atlas in (DualAtlas("motion", M, grid), DualAtlas("group", M, grid, R)):
+            expected = []
+            for p in atlas.params():
+                if p.canonical() not in expected:
+                    expected.append(p.canonical())
+            assert list(atlas.classes()) == expected
+
     def test_sizes(self):
         group = DualAtlas("group", 6, GRID, GR(1))
         assert len(list(group.params())) == 43
@@ -250,7 +279,8 @@ class TestConjectureOne:
                 return vogan_map(p.m, R)
             return DualParam.group(p.level * p.level - 1, -1 if p.m == 0 else p.m, R)
 
-        monkeypatch.setattr(duals, "eta", folded)
+        # verify_conjecture1 builds every image through the checked-R step
+        monkeypatch.setattr(duals, "_eta", folded)
         R = GR(1)
         levels = GRID + (GR(0, 1), GR(0, -1))
         for k in range(len(levels)):

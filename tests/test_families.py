@@ -134,6 +134,11 @@ class TestKTypeSet:
         ("1,3,99,...", "cannot parse K-type set '1,3,99,...'"),
         ("-2..3", "window must be symmetric, got '-2..3'"),
         ("rayUp", "cannot parse K-type set 'rayUp'"),
+        # malformed numbers and shapes name the input, not int() or unpacking
+        ("a..b", "cannot parse K-type set 'a..b'"),
+        ("-2..0..2", "cannot parse K-type set '-2..0..2'"),
+        ("{x}", "cannot parse K-type set '{x}'"),
+        ("1,x,...", "cannot parse K-type set '1,x,...'"),
     ])
     def test_malformed_strings(self, text, message):
         with pytest.raises(ValueError) as exc:

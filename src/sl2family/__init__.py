@@ -78,6 +78,7 @@ from .fibers import (
     dual_ktypes,
     evaluate_fiber,
     factor_containing_m,
+    fixed_level,
     is_reducible,
     jantzen_quotient_formula,
     reducibility_points,
@@ -85,8 +86,8 @@ from .fibers import (
 )
 from .duals import (
     CharacterizationResult,
-    DualAtlas,
     characterize_bijections,
+    dual_classes,
     eta,
     eta_inverse,
     is_tempered,

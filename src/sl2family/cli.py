@@ -49,7 +49,7 @@ from .fibers import (
 )
 from .duals import _nonzero_real, characterize_bijections, check_entry, verify_conjecture1
 from .pbw import COMPACT, SPLIT, UEAElement, casimir, hc_projection, k_order
-from .scalars import GaussianRational, Poly
+from .scalars import GaussianRational, Poly, parse_rational
 from .sheaf import (
     CHART_INFINITY,
     ProjectivePoint,
@@ -97,7 +97,7 @@ def _value_of(parse, what: str):
     def value(text: str):
         try:
             return parse(text)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from exc
     return value
 
@@ -112,7 +112,7 @@ def _list_of(item):
     return parse
 
 
-_rational = _value_of(lambda text: Fraction(text.strip()), "an exact rational")
+_rational = _value_of(parse_rational, "an exact rational")
 _point = _value_of(ProjectivePoint.parse, "a base point")
 _rational_list = _list_of(_rational)
 _point_list = _list_of(_point)

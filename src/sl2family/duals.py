@@ -2,30 +2,34 @@
 
 Both fibers of the deformation family carry a classified admissible dual:
 group-flavor parameters (level, m)_R for the fibers away from infinity and
-motion-flavor parameters (level, m)_0 for the fiber at infinity.  This
-module implements the equivalence relation on parameters, the tempered
-subsets, the minimal-K-type correspondence, the bijections eta^R between
-the two duals (one for each nonzero real chart coordinate R), and a
-characterization routine showing that any candidate bijection with the
-three structural properties (extends the minimal-K-type correspondence,
-preserves temperedness, affine in the level) is eta^R for a unique R.
+motion-flavor parameters (level, m)_0 for the fiber at infinity.  Two
+rules of fibers.py define them: parameters are equivalent exactly when
+their ``DualParam.canonical()`` representatives agree, and a minimal
+K-type |m| > 1 fixes the level to ``fixed_level(flavor, m)``.  This module
+implements the equivalence relation, the enumeration of a dual's classes
+(``dual_classes``), the tempered subsets, the minimal-K-type
+correspondence, the bijections eta^R between the two duals (one for each
+nonzero real chart coordinate R), and a characterization routine showing
+that any candidate bijection with the three structural properties
+(extends the minimal-K-type correspondence, preserves temperedness,
+affine in the level) is eta^R for a unique R.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .families import pinned_level
-from .fibers import GROUP, MOTION, DualParam, dual_ktypes, scalar_to_json
+from .fibers import GROUP, MOTION, DualParam, fixed_level, scalar_to_json
 from .scalars import GR_ONE, GaussianRational, has_gaussian_sqrt
 
 __all__ = [
-    "DualAtlas",
     "CharacterizationResult",
     "params_equivalent",
     "is_tempered",
     "vogan_map",
     "eta",
     "eta_inverse",
+    "dual_classes",
     "check_entry",
     "verify_conjecture1",
     "characterize_bijections",
@@ -40,26 +44,14 @@ def _nonzero_real(R) -> GaussianRational:
 
 
 def params_equivalent(a: DualParam, b: DualParam) -> bool:
-    """Whether two parameters name isomorphic irreducible modules.
-
-    Within one dual (same flavor, same R) distinct parameters coincide
-    only across the m = 1 / m = -1 pair at equal levels, and then only
-    when the two named modules carry the same K-types.  At the boundary
-    level (-1 for group flavor, 0 for motion flavor) the K-type sets are
-    one-sided ladders (resp. single characters) and differ, so the two
-    parameters there stay distinct.
-    """
+    """Whether two parameters of one dual (same flavor, same R) name
+    isomorphic irreducible modules: whether their canonical
+    representatives, ``DualParam.canonical()``, are equal."""
     if a.flavor != b.flavor:
         raise ValueError("parameters live in different duals (flavor mismatch)")
     if a.R != b.R:
         raise ValueError("parameters live in different duals (chart coordinate mismatch)")
-    if a.level != b.level:
-        return False
-    if a.m == b.m:
-        return True
-    if {a.m, b.m} != {1, -1}:
-        return False
-    return dual_ktypes(a) == dual_ktypes(b)
+    return a.canonical() == b.canonical()
 
 
 def is_tempered(p: DualParam) -> bool:
@@ -76,12 +68,8 @@ def is_tempered(p: DualParam) -> bool:
         return False
     lv = p.level.re
     if p.flavor == MOTION:
-        if lv == 0:
-            return True
-        return lv < 0 and abs(p.m) <= 1
-    if abs(p.m) > 1:
-        return True
-    return lv <= -1
+        return lv <= 0  # |m| > 1 fixes the motion level at 0
+    return abs(p.m) > 1 or lv <= -1
 
 
 def vogan_map(m: int, R) -> DualParam:
@@ -97,9 +85,8 @@ def _vogan_map(m: int, R: GaussianRational) -> DualParam:
 def eta(p: DualParam, R) -> DualParam:
     """The level-affine bijection from the motion dual to the dual at R.
 
-    For |m| <= 1 the level z goes to z/R^2 - 1; for |m| > 1 the motion
-    level is already pinned to 0 and the image is the pinned discrete
-    parameter with the same minimal K-type.
+    For |m| <= 1 the level z goes to z/R^2 - 1; for |m| > 1 both levels
+    are ``fixed_level`` and the image keeps the minimal K-type.
     """
     if p.flavor != MOTION:
         raise ValueError("eta maps motion-flavor parameters")
@@ -108,13 +95,15 @@ def eta(p: DualParam, R) -> DualParam:
 
 def _eta(p: DualParam, R: GaussianRational) -> DualParam:
     """eta of a motion parameter at an R that _nonzero_real has returned."""
-    if abs(p.m) > 1:
-        return _vogan_map(p.m, R)
-    return DualParam.group(p.level / (R * R) - 1, p.m, R)
+    level = fixed_level(GROUP, p.m)
+    if level is None:
+        level = p.level / (R * R) - 1
+    return DualParam(GROUP, level, p.m, R)
 
 
 def eta_inverse(q: DualParam, R=None) -> DualParam:
-    """Inverse of eta: (level, m)_R with |m| <= 1 goes to ((level+1)R^2, m)_0.
+    """Inverse of eta: (level, m)_R with |m| <= 1 goes to ((level+1)R^2, m)_0,
+    and a fixed-level parameter to the fixed-level character with its m.
 
     R defaults to the parameter's own chart coordinate and, when passed,
     must agree with it.  Parameters taken at r = 0 carry no coordinate,
@@ -130,65 +119,45 @@ def eta_inverse(q: DualParam, R=None) -> DualParam:
         R = _nonzero_real(R)
         if q.R is not None and q.R != R:
             raise ValueError("parameter belongs to the dual at a different R")
-    if abs(q.m) > 1:
-        return DualParam.motion(0, q.m)
-    return DualParam.motion((q.level + 1) * R * R, q.m)
+    level = fixed_level(MOTION, q.m)
+    if level is None:
+        level = (q.level + 1) * R * R
+    return DualParam(MOTION, level, q.m)
 
 
-@dataclass(frozen=True)
-class DualAtlas:
-    """Lazy enumeration of one fiber's admissible dual.
+def dual_classes(flavor: str, M: int, grid: Sequence, R=None) -> List[DualParam]:
+    """One fiber's admissible dual: a canonical representative of each class
+    with |m| <= M, in order of m and then of the grid.
 
-    Walks the parameters with |m| <= M; the free level of the |m| <= 1
-    rows is sampled on ``grid`` while the |m| > 1 levels are pinned by
-    parameter validation.  Group flavor needs the chart coordinate R.
+    The free level of the |m| <= 1 rows is sampled on ``grid``; for |m| > 1
+    the level is ``fixed_level(flavor, m)``.  A group dual needs its chart
+    coordinate R, a nonzero real; a motion dual takes none.
     """
-
-    flavor: str
-    M: int
-    grid: Tuple[GaussianRational, ...]
-    R: Optional[GaussianRational] = None
-
-    def __post_init__(self) -> None:
-        if self.M < 0:
-            raise ValueError("the K-type bound M must be >= 0")
-        object.__setattr__(
-            self, "grid", tuple(GaussianRational.of(z) for z in self.grid)
-        )
-        if self.flavor == GROUP:
-            if self.R is None:
-                raise ValueError("a group-flavor atlas needs the chart coordinate R")
-            object.__setattr__(self, "R", _nonzero_real(self.R))
-        elif self.flavor == MOTION:
-            if self.R is not None:
-                raise ValueError("a motion-flavor atlas carries no chart coordinate")
-        else:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-
-    def params(self) -> Iterator[DualParam]:
-        """Every enumerated parameter, before reduction to classes."""
-        for m in range(-self.M, self.M + 1):
-            if abs(m) <= 1:
-                for z in self.grid:
-                    if self.flavor == MOTION:
-                        yield DualParam.motion(z, m)
-                    else:
-                        yield DualParam.group(z, m, self.R)
-            elif self.flavor == MOTION:
-                yield DualParam.motion(0, m)
-            else:
-                yield DualParam.group(pinned_level(m), m, self.R)
-
-    def classes(self) -> Iterator[DualParam]:
-        """Canonical representatives, one per equivalence class."""
-        seen = set()
-        for p in self.params():
-            rep = p.canonical()
-            if abs(p.m) <= 1:  # repeated levels and m = +-1 merge; |m| > 1 cannot
-                if rep in seen:
-                    continue
+    if M < 0:
+        raise ValueError("the K-type bound M must be >= 0")
+    if flavor == GROUP:
+        if R is None:
+            raise ValueError("a group-flavor atlas needs the chart coordinate R")
+        R = _nonzero_real(R)
+    elif flavor == MOTION:
+        if R is not None:
+            raise ValueError("a motion-flavor atlas carries no chart coordinate")
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    grid = [GaussianRational.of(z) for z in grid]
+    classes: List[DualParam] = []
+    seen = set()  # repeated levels and m = +-1 merge; a fixed-level class cannot
+    for m in range(-M, M + 1):
+        level = fixed_level(flavor, m)
+        if level is not None:
+            classes.append(DualParam(flavor, level, m, R))
+            continue
+        for z in grid:
+            rep = DualParam(flavor, z, m, R).canonical()
+            if rep not in seen:
                 seen.add(rep)
-            yield rep
+                classes.append(rep)
+    return classes
 
 
 def check_entry(check: str, instance: str, ok, detail: str) -> dict:
@@ -217,12 +186,11 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     report: List[dict] = []
 
     # each motion class's image, built once and read by the checks below
-    images = {q: _eta(q, R) for q in DualAtlas(MOTION, M, grid_gr).classes()}
+    images = {q: _eta(q, R) for q in dual_classes(MOTION, M, grid_gr)}
     classes = list(images)
 
-    # Images with equal canonical representatives are exactly the pairs that
-    # params_equivalent relates, so grouping by it replaces a pairwise scan;
-    # the pairs come out in (i, j) order as that scan listed them.
+    # equivalent images share a canonical representative, so grouping by it
+    # lists the colliding pairs in the (i, j) order of a pairwise scan
     keys = [p.canonical() for p in images.values()]
     groups: Dict[DualParam, List[int]] = {}
     for i, key in enumerate(keys):
@@ -231,30 +199,16 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
         (classes[i], classes[j]) for i, key in enumerate(keys) for j in groups[key] if j > i
     ]
     report.append(check_entry(
-        "injectivity",
-        f"{len(classes)} motion classes, R={R}",
-        not collisions,
-        "images of distinct classes are pairwise inequivalent"
-        if not collisions
-        else "image collisions: "
-        + "; ".join(f"{a} and {b}" for a, b in collisions[:3]),
-    ))
+        "injectivity", f"{len(classes)} motion classes, R={R}", not collisions,
+        "image collisions: " + "; ".join(f"{a} and {b}" for a, b in collisions[:3])
+        if collisions else "images of distinct classes are pairwise inequivalent"))
 
-    target = DualAtlas(GROUP, M, grid_gr, R)
-    misses = []
-    count = 0
-    for q in target.classes():
-        count += 1
-        if not params_equivalent(_eta(eta_inverse(q), R), q):
-            misses.append(q)
+    targets = dual_classes(GROUP, M, grid_gr, R)
+    misses = [q for q in targets if not params_equivalent(_eta(eta_inverse(q), R), q)]
     report.append(check_entry(
-        "surjectivity",
-        f"{count} group classes, R={R}",
-        not misses,
-        "every class is the image of its explicit preimage"
-        if not misses
-        else "unreached classes: " + "; ".join(str(q) for q in misses[:3]),
-    ))
+        "surjectivity", f"{len(targets)} group classes, R={R}", not misses,
+        "unreached classes: " + "; ".join(str(q) for q in misses[:3])
+        if misses else "every class is the image of its explicit preimage"))
 
     for m in range(-M, M + 1):
         character = DualParam.motion(0, m)  # a class when 0 is on the grid or |m| > 1
@@ -274,23 +228,13 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
             f"tempered({s_q}) = {t_q}, tempered({s_image}) = {t_image}"))
 
     if M >= 1:
-        wd_bad = []
-        for z in grid_gr:
-            if z == 0:
-                continue
-            p_plus = DualParam.motion(z, 1)
-            p_minus = DualParam.motion(z, -1)
-            if params_equivalent(p_plus, p_minus):
-                if not params_equivalent(_eta(p_plus, R), _eta(p_minus, R)):
-                    wd_bad.append(z)
+        pairs = [(DualParam.motion(z, 1), DualParam.motion(z, -1)) for z in grid_gr if z != 0]
+        wd_bad = [p.level for p, q in pairs
+                  if params_equivalent(p, q) and not params_equivalent(_eta(p, R), _eta(q, R))]
         report.append(check_entry(
-            "well-defined",
-            f"m=1/m=-1 pairs on {len(grid_gr)} levels, R={R}",
-            not wd_bad,
-            "equivalent parameters have equivalent images"
-            if not wd_bad
-            else "broken at levels: " + ", ".join(str(z) for z in wd_bad[:5]),
-        ))
+            "well-defined", f"m=1/m=-1 pairs on {len(grid_gr)} levels, R={R}", not wd_bad,
+            "broken at levels: " + ", ".join(str(z) for z in wd_bad[:5])
+            if wd_bad else "equivalent parameters have equivalent images"))
 
     a_expected = GR_ONE / (R * R)
     for m in (-1, 0, 1):
@@ -308,13 +252,10 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
             f"level map is z -> ({a})z + ({b}); invertible with a = 1/R^2 and b = -1"))
 
     report.append(check_entry(
-        "equivalence-convention",
-        "boundary levels (group -1, motion 0)",
-        True,
+        "equivalence-convention", "boundary levels (group -1, motion 0)", True,
         "reading level-equality alone across m=1/m=-1 would identify the two "
         "one-sided ladders (resp. the two characters); the implemented relation "
-        "also requires equal K-type sets, keeping them distinct",
-    ))
+        "also requires equal K-type sets, keeping them distinct"))
 
     return all(e["pass"] for e in report), report
 

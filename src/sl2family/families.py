@@ -172,9 +172,13 @@ class KTypeSet:
     @staticmethod
     def from_json(obj) -> "KTypeSet":
         """Read {"kind", "param"?}, or a printed form: a name of ``_KIND_NAMES``
-        that takes no parameter, "-k..k", "{n}", or a ray "d,d+2,..." / "d,d-2,..."."""
+        that takes no parameter, "-k..k", "{n}", or a ray "d,d+2,..." / "d,d-2,...".
+        Anything else, an object without a string "kind" included, is a ValueError."""
         if not isinstance(obj, str):
-            return KTypeSet(_KIND_NAMES.get(obj["kind"], obj["kind"]), obj.get("param"))
+            kind = obj.get("kind") if isinstance(obj, dict) else None
+            if not isinstance(kind, str):
+                raise ValueError(f"cannot parse K-type set {obj!r}")
+            return KTypeSet(_KIND_NAMES.get(kind, kind), obj.get("param"))
         t = obj.strip()
         if _KIND_NAMES.get(t) in (ALL_EVEN, ALL_ODD):
             return KTypeSet(_KIND_NAMES[t])
@@ -556,7 +560,7 @@ def family_from_json(obj: dict) -> ModuleFamily:
             _reject_unknown_keys(kt, ("kind", "param"), '"ktypes"')
         try:
             ktypes = KTypeSet.from_json(kt)
-        except (KeyError, ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise FamilyValidationError(
                 "descriptor-bad-field", f'cannot read "ktypes": {exc}'
             ) from exc

@@ -14,6 +14,9 @@ parameter tables for the two fiber types:
   motion fiber (the point at infinity):       level = c2, the eigenvalue
                                               of the rescaled Casimir
 
+In both tables a minimal K-type |m| > 1 fixes the level, to
+``fixed_level(flavor, m)``; for |m| <= 1 it is free.
+
 The closed-form Jantzen quotient is implemented independently of the
 segment analysis so the two can be compared.
 """
@@ -51,14 +54,23 @@ def scalar_to_json(x: GaussianRational):
     return x.to_json()
 
 
+def fixed_level(flavor: str, m: int) -> Optional[int]:
+    """The level a minimal K-type |m| > 1 fixes in the dual of the flavor:
+    ``pinned_level(m)`` in the group dual, 0 in the motion dual.  None when
+    |m| <= 1, where the level is free."""
+    if abs(m) <= 1:
+        return None
+    return pinned_level(m) if flavor == GROUP else 0
+
+
 @dataclass(frozen=True)
 class DualParam:
     """A point of an admissible dual: (level, m) plus the fiber flavor.
 
     Group flavor carries the chart-at-infinity coordinate R of the fiber
     (None for the fiber at r = 0, which the R-coordinate does not reach).
-    Validation enforces the dual tables: for |m| > 1 the group level is
-    ``pinned_level(m)`` and the motion level is 0.
+    Validation enforces the dual tables: for |m| > 1 the level is
+    ``fixed_level(flavor, m)``.
     """
 
     flavor: str
@@ -74,21 +86,15 @@ class DualParam:
         if self.flavor == GROUP:
             if self.R is not None and not self.R:
                 raise ValueError("group-flavor parameters need R != 0")
-            if abs(self.m) > 1 and self.level != pinned_level(self.m):
-                raise ValueError(
-                    f"minimal K-type {self.m} pins the level to {pinned_level(self.m)}, "
-                    f"got {self.level}"
-                )
         elif self.flavor == MOTION:
             if self.R is not None:
                 raise ValueError("motion-flavor parameters carry no R")
-            if abs(self.m) > 1 and self.level != 0:
-                raise ValueError(
-                    f"motion characters with minimal K-type {self.m} have level 0, "
-                    f"got {self.level}"
-                )
         else:
             raise ValueError(f"unknown flavor {self.flavor!r}")
+        if abs(self.m) > 1 and self.level != fixed_level(self.flavor, self.m):
+            raise ValueError(
+                f"minimal K-type {self.m} fixes the {self.flavor} level to "
+                f"{fixed_level(self.flavor, self.m)}, got {self.level}")
 
     @staticmethod
     def group(level, m: int, R=None) -> "DualParam":
@@ -135,7 +141,7 @@ def dual_ktypes(p: DualParam) -> KTypeSet:
     m = p.m
     if p.flavor == GROUP:
         return ktypes_at(m, p.level)
-    if abs(m) > 1 or p.level == 0:
+    if p.level == 0:  # the level of every |m| > 1 motion parameter
         return KTypeSet.singleton(m)
     return KTypeSet.all_even() if m == 0 else KTypeSet.all_odd()
 
@@ -264,6 +270,7 @@ def composition_factors(fib: FiberModule) -> Decomposition:
     """Split the K-type set at the cut edges and name each segment."""
     kt = fib.ktypes
     lo, hi = kt.bounds
+    R = None if fib.flavor == MOTION else fib.point.R_value()
     factors = []
     for a, b in zip((lo,) + tuple(n + 2 for n in fib.cuts), fib.cuts + (hi,)):
         if a is None and b is None:
@@ -281,12 +288,7 @@ def composition_factors(fib: FiberModule) -> Decomposition:
                 f"segment [{a}..{b}] has no admissible-dual shape; "
                 "this contradicts the wall symmetry of ladder coefficients"
             )
-        m_f = seg.minimal()
-        if fib.flavor == GROUP:
-            param = DualParam.group(fib.level, m_f, fib.point.R_value())
-        else:
-            param = DualParam.motion(fib.level, m_f)
-        factors.append(Factor(seg, param.canonical()))
+        factors.append(Factor(seg, DualParam(fib.flavor, fib.level, seg.minimal(), R).canonical()))
     return Decomposition(tuple(factors), not fib.cuts_everywhere or kt.is_finite)
 
 

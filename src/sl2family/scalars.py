@@ -12,6 +12,9 @@ either an exact square root inside Q(i) is produced, or its absence is
 reported.  ``GaussianRational.from_json`` is the one reader of the JSON
 scalar format (an int, a "p/q" string, or {"re", "im"?}): family
 descriptors and candidate bijections are both read through it.
+``parse_rational`` is the one reader of rational strings, for those
+scalars and for the command-line values alike: an integer, "p/q" or a
+decimal, never exponent notation.
 
 ``Terms`` is the one sparse "monomial -> nonzero coefficient" type of the
 package: sums, scalar multiples, powers, equality, hashing and printing
@@ -23,6 +26,7 @@ elements of pbw.py and the sections of sheaf.py are term maps too.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
@@ -34,11 +38,32 @@ NEG_INF = float("-inf")
 RationalInput = Union[int, str, Fraction]
 
 
+# exponent notation as Fraction reads it: a short exponent names a number of
+# any length ("1e-999999999" has a billion-digit denominator)
+_EXPONENT = re.compile(r"[\d.][eE][-+]?\d")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read a rational string: an integer, "p/q", or a decimal such as "-2.25".
+
+    Exponent notation, a zero denominator and anything else Fraction
+    cannot read are a ValueError with a one-line message.
+    """
+    if _EXPONENT.search(text):
+        raise ValueError(f"cannot read scalar from {text!r} (exponent notation is not read)")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot read scalar from {text!r}") from None
+
+
 def _frac(x: RationalInput) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        return parse_rational(x)
     raise TypeError(f"not an exact rational value: {x!r}")
 
 
@@ -138,14 +163,6 @@ class GaussianRational:
     @property
     def is_real(self) -> bool:
         return self._im_num == 0
-
-    def conjugate(self) -> "GaussianRational":
-        return _reduced(self._re_num, -self._im_num, self._den)
-
-    def norm(self) -> Fraction:
-        """|z|^2 as an exact rational."""
-        a, b, d = self._re_num, self._im_num, self._den
-        return Fraction(a * a + b * b, d * d)
 
     def __bool__(self) -> bool:
         return self._re_num != 0 or self._im_num != 0
@@ -302,10 +319,7 @@ class GaussianRational:
             if isinstance(x, bool):
                 raise ValueError("booleans are not scalars")
             if isinstance(x, str):
-                try:
-                    x = Fraction(x)
-                except (ValueError, ZeroDivisionError):
-                    pass
+                x = parse_rational(x)
             if not isinstance(x, (int, Fraction)):
                 note = " (floats are not exact)" if isinstance(x, float) else ""
                 raise ValueError(f"cannot read scalar from {x!r}{note}")

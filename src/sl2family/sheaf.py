@@ -41,10 +41,6 @@ def chart_variable(chart: str) -> str:
         raise ValueError(f"unknown chart {chart!r}") from None
 
 
-def other_chart(chart: str) -> str:
-    return CHART_INFINITY if chart == CHART_FINITE else CHART_FINITE
-
-
 @dataclass(frozen=True)
 class ProjectivePoint:
     """A point [alpha : beta] of the projective line over Q(i), normalized.
@@ -109,11 +105,10 @@ class ProjectivePoint:
         t = text.strip()
         if t in ("inf", "infinity", "oo"):
             return ProjectivePoint.infinity()
-        if t.startswith("r="):
-            return ProjectivePoint.from_r(Fraction(t[2:]))
+        # GaussianRational reads the coordinate strings through parse_rational
         if t.startswith("R="):
-            return ProjectivePoint.from_R(Fraction(t[2:]))
-        return ProjectivePoint.from_r(Fraction(t))
+            return ProjectivePoint.from_R(t[2:])
+        return ProjectivePoint.from_r(t[2:] if t.startswith("r=") else t)
 
     def __str__(self) -> str:
         if self.is_infinity:

@@ -231,6 +231,22 @@ class TestClassify:
         assert doc["error"] == "descriptor-bad-field"
         assert doc["detail"] == 'cannot read "ktypes": window needs an integer parameter'
 
+    @pytest.mark.parametrize("casimir", ["1e-999999999", [-1, 0, "1E3"], [{"re": 0, "im": "2e5"}]])
+    def test_exponent_notation_is_a_bad_field(self, capsys, casimir):
+        # before exponents were refused, "1e-999999999" kept classify busy for minutes
+        code, doc = run_json(capsys, "classify", "--family", json.dumps({"m": 0, "casimir": casimir}))
+        assert code == 1
+        assert doc["error"] == "descriptor-bad-field"
+        assert doc["detail"].endswith("' (exponent notation is not read)")
+
+    @pytest.mark.parametrize("ktypes", [5, [], True, {"param": 2}, {"kind": ["x"]}])
+    def test_non_set_ktypes_value_is_a_bad_field(self, capsys, ktypes):
+        code, doc = run_json(capsys, "classify", "--family",
+                             json.dumps({"m": 0, "casimir": [8], "ktypes": ktypes}))
+        assert code == 1
+        assert doc["error"] == "descriptor-bad-field"
+        assert doc["detail"] == f'cannot read "ktypes": cannot parse K-type set {ktypes!r}'
+
     @pytest.mark.parametrize("ktypes", ["a..b", "-2..0..2", "{x}", "1,x,..."])
     def test_malformed_ktypes_string_is_a_bad_field(self, capsys, ktypes):
         desc = json.dumps({"m": 0, "casimir": [8], "ktypes": ktypes})
@@ -568,6 +584,15 @@ USAGE_ERRORS = [
      "the level grid needs at least two distinct levels"),
     ("verify-bijection-one-level-grid", "default", ["verify", "bijection", "--grid", "0"],
      "the level grid needs at least two distinct levels"),
+    # exponent notation, which names numbers of any length, in a descriptor and a candidate
+    ("analyze-exponent-casimir", "default",
+     ["analyze", "--family", '{"m": 0, "casimir": "1e-999999999"}', "--point", "r=1"],
+     "--family: descriptor-bad-field: cannot read scalar from '1e-999999999' "
+     "(exponent notation is not read)"),
+    ("candidate-exponent", "default",
+     SMALL_BIJECTION + ["--candidate", '{"0": ["1e-999999999", -1], "1": [1, -1], "-1": [1, -1]}'],
+     "candidate entry for m=0: cannot read scalar from '1e-999999999' "
+     "(exponent notation is not read)"),
     ("unknown-profile", "bogus", ["verify", "appendix"],
      "unknown SL2FAMILY_PROFILE 'bogus' (choose 'default' or 'quick')"),
     # a flag the suite does not read
@@ -583,7 +608,36 @@ USAGE_ERRORS = [
 ]
 
 
+# (id, argv, last stderr line): exponent notation in a flag value, which argparse
+# reports under the subcommand's name
+EXPONENT_FLAGS = [
+    ("tables-grid", ["tables", "1", "--grid", "1e-999999999,1"],
+     "sl2family tables: error: argument --grid: not an exact rational: '1e-999999999'"),
+    ("bijection-grid", ["bijection", "--grid", "1e-999999999,1"],
+     "sl2family bijection: error: argument --grid: not an exact rational: '1e-999999999'"),
+    ("bijection-R", ["bijection", "--R", "1,2E999999999"],
+     "sl2family bijection: error: argument --R: not an exact rational: '2E999999999'"),
+    ("verify-bijection-grid", ["verify", "bijection", "--grid", "0,1e3"],
+     "sl2family verify: error: argument --grid: not an exact rational: '1e3'"),
+    ("analyze-point", ["analyze", "--family", FAMILY, "--point", "r=1e-999999999"],
+     "sl2family analyze: error: argument --point: not a base point: 'r=1e-999999999'"),
+    ("analyze-grid", ["analyze", "--family", FAMILY, "--grid", "r=1,R=1e9"],
+     "sl2family analyze: error: argument --grid: not a base point: 'R=1e9'"),
+]
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [case[1:] for case in EXPONENT_FLAGS],
+                             ids=[case[0] for case in EXPONENT_FLAGS])
+    def test_exponent_notation_in_a_flag(self, capsys, argv, message):
+        # before exponents were refused, "1e-999999999" kept the parser busy for minutes
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == message
+
     @pytest.mark.parametrize("profile,argv,message", [case[1:] for case in USAGE_ERRORS],
                              ids=[case[0] for case in USAGE_ERRORS])
     def test_exit_two_with_one_line(self, capsys, monkeypatch, tmp_path, profile, argv, message):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from sl2family import duals
 from sl2family.duals import (
     CharacterizationResult,
-    DualAtlas,
     characterize_bijections,
+    dual_classes,
     eta,
     eta_inverse,
     is_tempered,
@@ -20,7 +20,13 @@ from sl2family.duals import (
     vogan_map,
 )
 from sl2family.families import make_family, pinned_level
-from sl2family.fibers import DualParam, evaluate_fiber, factor_containing_m
+from sl2family.fibers import (
+    DualParam,
+    dual_ktypes,
+    evaluate_fiber,
+    factor_containing_m,
+    fixed_level,
+)
 from sl2family.scalars import GaussianRational as GR
 from sl2family.scalars import Poly
 from sl2family.sheaf import ProjectivePoint
@@ -36,6 +42,26 @@ def g(level, m, R=1) -> DualParam:
 
 def mo(level, m) -> DualParam:
     return DualParam.motion(GR.of(level), m)
+
+
+# Levels from Q(i), chart coordinates of both signs, and minimal K-types
+# beyond the free |m| <= 1 rows, where both duals pin the level.
+LEVELS = st.builds(
+    lambda a, b, d: GR(Fraction(a, d), Fraction(b, d)),
+    st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 12),
+)
+CHART_R = st.builds(
+    lambda sign, n, d: GR(Fraction(sign * n, d)),
+    st.sampled_from((1, -1)), st.integers(1, 15), st.integers(1, 15),
+)
+KTYPES = st.integers(-9, 9)
+
+
+def ktype_equivalent(a: DualParam, b: DualParam) -> bool:
+    """Equivalence by its definition, independent of ``canonical()``: two
+    parameters of one dual name the same module when they have the same level
+    and either the same minimal K-type or the same K-type set."""
+    return a.level == b.level and (a.m == b.m or dual_ktypes(a) == dual_ktypes(b))
 
 
 class TestEquivalence:
@@ -58,6 +84,29 @@ class TestEquivalence:
             params_equivalent(g(5, 1), mo(5, 1))
         with pytest.raises(ValueError, match="chart coordinate"):
             params_equivalent(g(5, 1), g(5, 1, 2))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_ktype_definition(self, data):
+        flavor = data.draw(st.sampled_from(("group", "motion")))
+        R = data.draw(CHART_R) if flavor == "group" else None
+        # the boundary levels -1 and 0, the wall level 3 = 1*(1+2), and Q(i)
+        levels = st.one_of(st.sampled_from((GR(-1), GR(0), GR(3))), LEVELS)
+        shared = data.draw(levels)
+
+        def param() -> DualParam:
+            m = data.draw(st.integers(-3, 3))
+            if abs(m) > 1:
+                return DualParam(flavor, pinned_level(m) if flavor == "group" else 0, m, R)
+            return DualParam(flavor, data.draw(st.one_of(st.just(shared), levels)), m, R)
+
+        a, b = param(), param()
+        assert params_equivalent(a, b) == ktype_equivalent(a, b), (str(a), str(b))
+
+    def test_oracle_sees_both_verdicts_at_each_boundary(self):
+        for p, q, same in ((g(-1, 1), g(-1, -1), False), (g(3, 1), g(3, -1), True),
+                           (mo(0, 1), mo(0, -1), False), (mo(GR(0, 1), 1), mo(GR(0, 1), -1), True)):
+            assert ktype_equivalent(p, q) == params_equivalent(p, q) == same
 
 
 class TestTempered:
@@ -122,16 +171,14 @@ class TestEta:
 
     @pytest.mark.parametrize("R", [GR(1), GR(2), GR(Fraction(1, 2)), GR(3)])
     def test_round_trip_from_motion_side(self, R):
-        atlas = DualAtlas("motion", 6, GRID)
-        for p in atlas.classes():
+        for p in dual_classes("motion", 6, GRID):
             q = eta(p, R)
             assert q.flavor == "group" and q.R == R
             assert eta_inverse(q, R) == p, (str(p), str(R))
 
     @pytest.mark.parametrize("R", [GR(1), GR(2), GR(Fraction(1, 2)), GR(3)])
     def test_round_trip_from_group_side(self, R):
-        atlas = DualAtlas("group", 6, GRID, R)
-        for q in atlas.classes():
+        for q in dual_classes("group", 6, GRID, R):
             p = eta_inverse(q)
             assert p.flavor == "motion"
             assert eta(p, R) == q, (str(q), str(R))
@@ -151,19 +198,6 @@ class TestEta:
                 pt = ProjectivePoint.parse(f"R={R.re}")
                 p_fin = factor_containing_m(evaluate_fiber(fam, pt), fam.m)
                 assert eta(p_inf, R) == p_fin, (str(fam), str(R))
-
-
-# Levels from Q(i), chart coordinates of both signs, and minimal K-types
-# beyond the free |m| <= 1 rows, where both duals pin the level.
-LEVELS = st.builds(
-    lambda a, b, d: GR(Fraction(a, d), Fraction(b, d)),
-    st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 12),
-)
-CHART_R = st.builds(
-    lambda sign, n, d: GR(Fraction(sign * n, d)),
-    st.sampled_from((1, -1)), st.integers(1, 15), st.integers(1, 15),
-)
-KTYPES = st.integers(-9, 9)
 
 
 @st.composite
@@ -214,36 +248,60 @@ def level_grids(draw):
     return tuple(levels + draw(st.lists(st.sampled_from(levels), max_size=3)))
 
 
+def enumerated_params(flavor, M, grid, R=None):
+    """Every parameter of one dual with |m| <= M, before reduction to classes:
+    the free levels on the grid for |m| <= 1, read off the tables otherwise."""
+    params = []
+    for m in range(-M, M + 1):
+        levels = grid if abs(m) <= 1 else [pinned_level(m) if flavor == "group" else 0]
+        params.extend(DualParam(flavor, z, m, R) for z in levels)
+    return params
+
+
 class TestDualAtlas:
+    """``dual_classes``: one fiber's admissible dual, one representative a class."""
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(level_grids(), st.integers(0, 4), CHART_R)
     def test_classes_are_the_canonical_params_without_repeats(self, grid, M, R):
-        for atlas in (DualAtlas("motion", M, grid), DualAtlas("group", M, grid, R)):
+        for flavor, R_or_none in (("motion", None), ("group", R)):
             expected = []
-            for p in atlas.params():
+            for p in enumerated_params(flavor, M, grid, R_or_none):
                 if p.canonical() not in expected:
                     expected.append(p.canonical())
-            assert list(atlas.classes()) == expected
+            assert dual_classes(flavor, M, grid, R_or_none) == expected
 
     def test_sizes(self):
-        group = DualAtlas("group", 6, GRID, GR(1))
-        assert len(list(group.params())) == 43
-        assert len(list(group.classes())) == 33
-        motion = DualAtlas("motion", 6, GRID)
-        assert len(list(motion.classes())) == 33
+        assert len(enumerated_params("group", 6, GRID, GR(1))) == 43
+        assert len(dual_classes("group", 6, GRID, GR(1))) == 33
+        assert len(dual_classes("motion", 6, GRID)) == 33
 
     def test_classes_are_canonical_and_distinct(self):
-        atlas = DualAtlas("group", 4, GRID, GR(2))
-        classes = list(atlas.classes())
+        classes = dual_classes("group", 4, GRID, GR(2))
         assert len(set(classes)) == len(classes)
         for p in classes:
             assert p.canonical() == p
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown flavor"):
-            list(DualAtlas("circle", 6, GRID, GR(1)).params())
+            dual_classes("circle", 6, GRID, GR(1))
         with pytest.raises(ValueError, match="chart coordinate R"):
-            list(DualAtlas("group", 6, GRID).params())
+            dual_classes("group", 6, GRID)
+        with pytest.raises(ValueError, match="nonzero real rational"):
+            dual_classes("group", 6, GRID, GR(0, 1))
+        with pytest.raises(ValueError, match="carries no chart coordinate"):
+            dual_classes("motion", 6, GRID, GR(1))
+        with pytest.raises(ValueError, match="M must be >= 0"):
+            dual_classes("motion", -1, GRID)
+
+    def test_fixed_level_is_the_table_rule(self):
+        for m in range(-9, 10):
+            if abs(m) <= 1:
+                assert fixed_level("group", m) is None and fixed_level("motion", m) is None
+            else:
+                assert (fixed_level("group", m), fixed_level("motion", m)) == (pinned_level(m), 0)
+                with pytest.raises(ValueError, match=f"fixes the motion level to 0, got 1"):
+                    DualParam.motion(1, m)
 
 
 class TestConjectureOne:
@@ -273,7 +331,8 @@ class TestConjectureOne:
         # A broken eta that sends z and -z to one level and m = 0 to m = -1,
         # so images collide within one m, across m = +-1 away from the
         # boundary level, and at the boundary level -1, where (-1,1) and
-        # (-1,-1) stay distinct.  The reference is the pairwise scan.
+        # (-1,-1) stay distinct.  The reference is the pairwise scan, judged
+        # by the K-type definition of equivalence.
         def folded(p, R):
             if abs(p.m) > 1:
                 return vogan_map(p.m, R)
@@ -285,13 +344,13 @@ class TestConjectureOne:
         levels = GRID + (GR(0, 1), GR(0, -1))
         for k in range(len(levels)):
             grid = levels[k:] + levels[:k]
-            classes = list(DualAtlas("motion", 3, grid).classes())
+            classes = dual_classes("motion", 3, grid)
             images = [folded(q, R) for q in classes]
             pairs = [
                 (classes[i], classes[j])
                 for i in range(len(classes))
                 for j in range(i + 1, len(classes))
-                if params_equivalent(images[i], images[j])
+                if ktype_equivalent(images[i], images[j])
             ]
             assert len(pairs) > 3
             ok, report = verify_conjecture1(R, 3, grid)

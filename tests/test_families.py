@@ -145,6 +145,13 @@ class TestKTypeSet:
             KTypeSet.from_json(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("obj", [5, None, [], ["2Z"], True, {"param": 2}, {"kind": ["x"]},
+                                     {"kind": 7, "param": 2}])
+    def test_neither_string_nor_kind_object(self, obj):
+        with pytest.raises(ValueError) as exc:
+            KTypeSet.from_json(obj)
+        assert str(exc.value) == f"cannot parse K-type set {obj!r}"
+
 
 class TestWallIndex:
     @pytest.mark.parametrize(
@@ -374,6 +381,19 @@ class TestFamilyJson:
             with pytest.raises(FamilyValidationError) as exc:
                 family_from_json(desc)
             assert (exc.value.code, exc.value.detail) == ("descriptor-bad-field", detail)
+        # a "ktypes" value that is neither a string nor an object with a string
+        # "kind" names the input, not a Python error
+        for kt in (5, [], True, {"param": 2}, {"kind": ["x"]}):
+            with pytest.raises(FamilyValidationError) as exc:
+                family_from_json({"m": 0, "casimir": [8], "ktypes": kt})
+            assert (exc.value.code, exc.value.detail) == (
+                "descriptor-bad-field", f'cannot read "ktypes": cannot parse K-type set {kt!r}')
+        # exponent notation is refused at once, however large the exponent
+        with pytest.raises(FamilyValidationError) as exc:
+            family_from_json({"m": 0, "casimir": "1e-999999999"})
+        assert (exc.value.code, exc.value.detail) == (
+            "descriptor-bad-field",
+            "cannot read scalar from '1e-999999999' (exponent notation is not read)")
 
 
 class TestTildeClass:

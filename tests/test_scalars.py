@@ -17,6 +17,7 @@ from sl2family.scalars import (
     Poly,
     chart_substitute,
     has_gaussian_sqrt,
+    parse_rational,
     rational_sqrt,
 )
 
@@ -76,12 +77,6 @@ class TestGaussianRational:
         assert GR(2) ** 0 == 1
         assert GR(2) ** -2 == Fraction(1, 4)
 
-    def test_conjugate_and_norm(self):
-        x = GR(3, -4)
-        assert x.conjugate() == GR(3, 4)
-        assert x.norm() == 25
-        assert (x * x.conjugate()) == 25
-
     def test_is_real_and_ordering(self):
         assert GR(5).is_real and not GR(5, 1).is_real
         assert GR(1) < GR(2)
@@ -112,11 +107,43 @@ class TestGaussianRational:
         ("1/0", "cannot read scalar from '1/0'"),
         (None, "cannot read scalar from None"),
         ([1], "cannot read scalar from [1]"),
+        ("1e3", "cannot read scalar from '1e3' (exponent notation is not read)"),
+        ({"re": 1, "im": "-2.5E-999999999"},
+         "cannot read scalar from '-2.5E-999999999' (exponent notation is not read)"),
     ])
     def test_from_json_rejects_everything_else(self, obj, message):
         with pytest.raises(ValueError) as exc:
             GR.from_json(obj)
         assert str(exc.value) == message
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("text,value", [
+        ("3", 3), (" -3 ", -3), ("+7", 7), ("1/2", Fraction(1, 2)), ("-6/4", Fraction(-3, 2)),
+        ("2.25", Fraction(9, 4)), ("-.5", Fraction(-1, 2)), ("0", 0),
+    ])
+    def test_reads_integers_ratios_and_decimals(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1e3", "1E3", "1e-999999999", "-2.5e+7", ".5e2", "5.e2", "1_0e1", "\u0663e\u0663",
+    ])
+    def test_refuses_exponent_notation(self, text):
+        # "1e-999999999" alone keeps Fraction busy for minutes; refusing it is immediate
+        with pytest.raises(ValueError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == f"cannot read scalar from {text!r} (exponent notation is not read)"
+
+    @pytest.mark.parametrize("text", ["x", "", "1/0", "1/2/3", "one", "1.5/2", "inf", "nan"])
+    def test_refuses_everything_else(self, text):
+        with pytest.raises(ValueError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == f"cannot read scalar from {text!r}"
+
+    def test_constructor_strings_go_through_it(self):
+        assert GR("-9/4", "1/2") == GR(Fraction(-9, 4), Fraction(1, 2))
+        with pytest.raises(ValueError, match="exponent notation"):
+            GR("1e-999999999")
 
 
 class TestSquareRoots:

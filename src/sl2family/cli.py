@@ -24,6 +24,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .families import (
@@ -98,7 +99,7 @@ def _value_of(parse, what: str):
         try:
             return parse(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from exc
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r} ({exc})") from exc
     return value
 
 
@@ -191,8 +192,57 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- rendering --------------------------------------------------------------
 
 
+# how each leaf type is written, by C functions only
+_JSON_LEAF = {str: _quote, int: int.__repr__, bool: {False: "false", True: "true"}.__getitem__,
+              type(None): {None: "null"}.__getitem__}
+
+
 def render_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """doc as json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) writes
+    it, plus a newline, without the pure-Python encoder an indent makes that call
+    use.  Keys are str and values dict, list, str, int, bool or None (exactly those
+    types); any other type, a float included, raises TypeError."""
+    out: List[str] = []
+    _put_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _put_json(obj, nl: str, out: List[str]) -> None:
+    """Append obj's JSON text to out; nl is the line break and indent inside obj."""
+    t = type(obj)
+    leaf = _JSON_LEAF.get(t)
+    if leaf is not None:
+        out.append(leaf(obj))
+    elif t is not dict and t is not list:
+        raise TypeError(f"cannot render {t.__name__} as JSON")
+    elif not obj:
+        out.append("{}" if t is dict else "[]")
+    elif t is dict:
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            v = obj[key]
+            leaf = _JSON_LEAF.get(type(v))
+            if leaf is not None:
+                out.append(f"{sep}{_quote(key)}: {leaf(v)}")
+            else:
+                out.append(f"{sep}{_quote(key)}: ")
+                _put_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in obj:
+            leaf = _JSON_LEAF.get(type(v))
+            if leaf is not None:
+                out.append(sep + leaf(v))
+            else:
+                out.append(sep)
+                _put_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
 
 
 def _text_scalar(v) -> str:

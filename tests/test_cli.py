@@ -30,6 +30,11 @@ GRID_KTYPES = (
 GRID_CASIMIRS = ([-1], [0], [3], [8], [15], [24], [5], [-1, 0, 1], [0, 1])
 
 
+def stdlib_json(doc) -> str:
+    """The rendering render_json must match byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
 def classify_grid():
     for m in range(-6, 7):
         for kt in GRID_KTYPES:
@@ -126,6 +131,35 @@ class TestDeterminism:
         assert list(doc) == sorted(doc)
 
 
+# JSON trees with every leaf render_json takes, empty containers at every depth,
+# and strings that need escapes: quotes, backslashes, control, non-ASCII and
+# astral characters, and lone surrogates
+_json_text = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600'),
+    st.characters()), max_size=6)
+_json_tree = st.recursive(
+    st.one_of(st.none(), st.booleans(), _json_text, st.integers(),
+              st.integers(2**64, 2**200), st.integers(-2**200, -2**64)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_json_text, children, max_size=4)),
+    max_leaves=40)
+
+
+class TestRenderJson:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(doc=_json_tree)
+    def test_matches_the_stdlib_rendering(self, doc):
+        assert render_json(doc) == stdlib_json(doc)
+
+    def test_float_leaf_is_refused(self):
+        with pytest.raises(TypeError):
+            render_json({"a": [1, {"b": 0.5}]})
+
+    def test_int_key_is_refused(self):
+        with pytest.raises(TypeError):
+            render_json({"a": {1: "x"}})
+
+
 class TestClassify:
     def test_valid_family(self, capsys):
         code, doc = run_json(
@@ -176,7 +210,7 @@ class TestClassify:
         for (code, idx), desc in zip(golden["results"], descs):
             doc, got = cmd_classify(desc)
             assert got == code, desc
-            assert render_json(doc) == render_json(golden["outputs"][idx]), desc
+            assert render_json(doc) == stdlib_json(golden["outputs"][idx]), desc
 
 
     @pytest.mark.parametrize(
@@ -612,18 +646,47 @@ USAGE_ERRORS = [
 # reports under the subcommand's name
 EXPONENT_FLAGS = [
     ("tables-grid", ["tables", "1", "--grid", "1e-999999999,1"],
-     "sl2family tables: error: argument --grid: not an exact rational: '1e-999999999'"),
+     "sl2family tables: error: argument --grid: not an exact rational: '1e-999999999' "
+     "(cannot read scalar from '1e-999999999' (exponent notation is not read))"),
     ("bijection-grid", ["bijection", "--grid", "1e-999999999,1"],
-     "sl2family bijection: error: argument --grid: not an exact rational: '1e-999999999'"),
+     "sl2family bijection: error: argument --grid: not an exact rational: '1e-999999999' "
+     "(cannot read scalar from '1e-999999999' (exponent notation is not read))"),
     ("bijection-R", ["bijection", "--R", "1,2E999999999"],
-     "sl2family bijection: error: argument --R: not an exact rational: '2E999999999'"),
+     "sl2family bijection: error: argument --R: not an exact rational: '2E999999999' "
+     "(cannot read scalar from '2E999999999' (exponent notation is not read))"),
     ("verify-bijection-grid", ["verify", "bijection", "--grid", "0,1e3"],
-     "sl2family verify: error: argument --grid: not an exact rational: '1e3'"),
+     "sl2family verify: error: argument --grid: not an exact rational: '1e3' "
+     "(cannot read scalar from '1e3' (exponent notation is not read))"),
     ("analyze-point", ["analyze", "--family", FAMILY, "--point", "r=1e-999999999"],
-     "sl2family analyze: error: argument --point: not a base point: 'r=1e-999999999'"),
+     "sl2family analyze: error: argument --point: not a base point: 'r=1e-999999999' "
+     "(cannot read scalar from '1e-999999999' (exponent notation is not read))"),
     ("analyze-grid", ["analyze", "--family", FAMILY, "--grid", "r=1,R=1e9"],
-     "sl2family analyze: error: argument --grid: not a base point: 'R=1e9'"),
+     "sl2family analyze: error: argument --grid: not a base point: 'R=1e9' "
+     "(cannot read scalar from '1e9' (exponent notation is not read))"),
 ]
+
+# (id, argv, last stderr line): other unreadable flag values, each with the reader's reason
+UNREADABLE_FLAGS = [
+    ("bijection-grid", ["bijection", "--grid", "0,zz"],
+     "sl2family bijection: error: argument --grid: not an exact rational: 'zz' "
+     "(cannot read scalar from 'zz')"),
+    ("bijection-R", ["bijection", "--R", "1/0"],
+     "sl2family bijection: error: argument --R: not an exact rational: '1/0' "
+     "(cannot read scalar from '1/0')"),
+    ("analyze-point", ["analyze", "--family", FAMILY, "--point", "r=1+2i"],
+     "sl2family analyze: error: argument --point: not a base point: 'r=1+2i' "
+     "(cannot read scalar from '1+2i')"),
+]
+
+
+def _flag_error(capsys, argv) -> str:
+    """The last stderr line of main(argv), which must exit 2 and print nothing."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err.splitlines()[-1]
 
 
 class TestUsageErrors:
@@ -631,12 +694,12 @@ class TestUsageErrors:
                              ids=[case[0] for case in EXPONENT_FLAGS])
     def test_exponent_notation_in_a_flag(self, capsys, argv, message):
         # before exponents were refused, "1e-999999999" kept the parser busy for minutes
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == message
+        assert _flag_error(capsys, argv) == message
+
+    @pytest.mark.parametrize("argv,message", [case[1:] for case in UNREADABLE_FLAGS],
+                             ids=[case[0] for case in UNREADABLE_FLAGS])
+    def test_unreadable_flag_value_gives_the_reason(self, capsys, argv, message):
+        assert _flag_error(capsys, argv) == message
 
     @pytest.mark.parametrize("profile,argv,message", [case[1:] for case in USAGE_ERRORS],
                              ids=[case[0] for case in USAGE_ERRORS])

@@ -29,7 +29,6 @@ from .pbw import (
     UEAElement,
     casimir,
     change_basis,
-    commutator,
     hc_projection,
     k_order,
     normal_multiply,

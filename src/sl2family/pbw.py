@@ -16,7 +16,10 @@ rewriting and ``UEAElement`` a normal form over Q(i); the sections of
 sheaf.py, with Laurent coefficients, multiply on the same core one R-degree
 slice at a time.
 
-``change_basis`` rewrites a whole element in the other basis.  The
+``change_basis`` rewrites a whole element in the other basis.  Twice each
+transition constant is a Gaussian integer, so the image of a word of length
+L has Gaussian-integer coefficients over 2^L: the rewrite runs on those
+integers, and Q(i) coefficients are built only for the result.  The
 Harish-Chandra projection onto the other basis's Cartan does not need that
 rewrite: it lets the element act on a Verma module of the target basis,
 with coefficients that are polynomials in the highest weight, and reads
@@ -30,7 +33,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Tuple
 
-from .scalars import NEG_INF, GR_ONE, GaussianRational, Terms, _add_term, _power
+from .scalars import NEG_INF, GR_ONE, GaussianRational, Terms, _add_term, _power, _reduced
 
 Monomial = Tuple[int, int, int]
 
@@ -168,10 +171,6 @@ class UEAElement(NormalForm):
         return {"basis": self.basis.name, "terms": self._terms_json()}
 
 
-def commutator(u: UEAElement, v: UEAElement) -> UEAElement:
-    return u * v - v * u
-
-
 def casimir(basis: Sl2Basis = COMPACT) -> UEAElement:
     """The Casimir element H^2 + 2H + 4YX, same shape in either basis."""
     return UEAElement(
@@ -202,6 +201,19 @@ _SPLIT_IN_COMPACT = {
     _CARTAN: [(_RAISE, GR_ONE), (_LOWER, GR_ONE)],
     _RAISE: [(_CARTAN, _HALF_I), (_RAISE, -_HALF_I), (_LOWER, _HALF_I)],
 }
+# the table of images in each target basis, and the same table doubled: twice
+# each constant is a Gaussian integer, as slot -> [(slot, re, im)]
+_TABLES = {SPLIT: _COMPACT_IN_SPLIT, COMPACT: _SPLIT_IN_COMPACT}
+_DOUBLED = {
+    target: {s: [(t, (2 * c).re_num, (2 * c).im_num) for t, c in row] for s, row in table.items()}
+    for target, table in _TABLES.items()
+}
+
+
+def _check_bases(*bases) -> None:
+    for basis in bases:
+        if basis not in _TABLES:
+            raise ValueError(f"unknown basis {basis!r}: expected compact or split")
 
 
 def _last_letter(mono: Monomial) -> Tuple[Monomial, int]:
@@ -219,32 +231,44 @@ def change_basis(u: UEAElement, target: Sl2Basis) -> UEAElement:
 
     The map is an algebra homomorphism, so the image of a monomial is the
     image of its word prefix times the image of its last generator, a
-    combination of three single-generator right multiplications.  Images
-    are cached per monomial for the duration of one call.
+    combination of three single-generator right multiplications.  Twice each
+    generator image has Gaussian-integer coefficients, so 2^len(word) times
+    the image of a word does too: it is kept as two int term maps, the real
+    and imaginary parts, and cached per monomial for the duration of one
+    call.  Q(i) arithmetic runs only in the final sum over u's terms.
+    Raises ValueError for a basis that is neither COMPACT nor SPLIT.
     """
-    if u.basis is target:
+    _check_bases(u.basis, target)
+    if u.basis == target:
         return u
-    table = _COMPACT_IN_SPLIT if target is SPLIT else _SPLIT_IN_COMPACT
-    images: Dict[Monomial, dict] = {(0, 0, 0): {(0, 0, 0): GR_ONE}}
+    table = _DOUBLED[target]
+    images: Dict[Monomial, Tuple[dict, dict]] = {(0, 0, 0): ({(0, 0, 0): 1}, {})}
 
-    def image(mono: Monomial) -> dict:
+    def image(mono: Monomial) -> Tuple[dict, dict]:
         pending = []
         while mono not in images:
             pending.append(mono)
             mono = _last_letter(mono)[0]
         img = images[mono]
         for word in reversed(pending):
-            step: dict = {}
-            for tslot, coeff in table[_last_letter(word)[1]]:
-                for key, v in times_generator(img, tslot).items():
-                    _add_term(step, key, v * coeff)
-            images[word] = img = step
+            re, im = {}, {}
+            for tslot, cr, ci in table[_last_letter(word)[1]]:
+                x, y = times_generator(img[0], tslot), times_generator(img[1], tslot)
+                # (x + iy)(cr + i ci) = (cr x - ci y) + i(ci x + cr y)
+                for acc, w, part in ((re, cr, x), (re, -ci, y), (im, ci, x), (im, cr, y)):
+                    if w:
+                        for key, v in part.items():
+                            _add_term(acc, key, w * v)
+            images[word] = img = (re, im)
         return img
 
     out: dict = {}
     for mono, coeff in u.terms.items():
-        for key, v in image(mono).items():
-            _add_term(out, key, v * coeff)
+        cr, ci, den = coeff.re_num, coeff.im_num, coeff.den << sum(mono)
+        re, im = image(mono)
+        for key in {**re, **im}:
+            vr, vi = re.get(key, 0), im.get(key, 0)
+            _add_term(out, key, _reduced(cr * vr - ci * vi, cr * vi + ci * vr, den))
     return UEAElement._make(target, out)
 
 
@@ -311,8 +335,9 @@ def hc_projection(u: UEAElement, cartan: str) -> UEAElement:
     target = COMPACT if cartan == "compact" else SPLIT if cartan == "split" else None
     if target is None:
         raise ValueError(f"unknown cartan {cartan!r}")
+    _check_bases(u.basis)
     out: dict = {}
-    if u.basis is target:
+    if u.basis == target:
         for (a, b, c), coeff in u.terms.items():
             if a or c:
                 continue
@@ -320,7 +345,7 @@ def hc_projection(u: UEAElement, cartan: str) -> UEAElement:
             for j in range(b + 1):
                 _add_term(out, (0, j, 0), coeff * (comb(b, j) * (-1) ** (b - j)))
         return UEAElement._make(target, out)
-    table = _COMPACT_IN_SPLIT if target is SPLIT else _SPLIT_IN_COMPACT
+    table = _TABLES[target]
     low, car, rai = (
         tuple(dict(table[slot]).get(t, 0) for t in (_CARTAN, _RAISE, _LOWER))
         for slot in (_LOWER, _CARTAN, _RAISE)

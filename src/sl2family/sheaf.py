@@ -203,7 +203,7 @@ def section_from_constant(u: UEAElement, chart: str = CHART_FINITE) -> FamilySec
     the finite-chart frames.  Over the chart at infinity the ladder frames
     rescale, so the section may acquire poles there.
     """
-    if u.basis is not COMPACT:
+    if u.basis != COMPACT:
         raise ValueError("constant sections are taken in the compact basis")
     base = FamilySection(CHART_FINITE, u.terms)  # constant coefficients
     return base if chart == CHART_FINITE else to_infinity_chart(base)

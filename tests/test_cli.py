@@ -499,6 +499,14 @@ class TestVerify:
         assert quick_code == 0
         assert doc["counts"]["pass"] < quick_doc["counts"]["pass"]
 
+    def test_appendix_is_byte_identical_to_golden(self, capsys, monkeypatch, tmp_path):
+        # recorded before change_basis ran on Gaussian-integer term maps
+        monkeypatch.delenv("SL2FAMILY_PROFILE", raising=False)
+        out = tmp_path / "a.json"
+        code, _ = run(capsys, "verify", "appendix", "--M", "12", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "appendix_M12.json").read_bytes()
+
     @pytest.mark.parametrize("suite,M", [("appendix", "0")])
     def test_suite_with_no_checks_fails(self, capsys, suite, M):
         code, doc = run_json(capsys, "verify", suite, "--M", M)

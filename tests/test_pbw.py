@@ -1,23 +1,24 @@
 """Normal-form engine: fixtures, an independent module-action oracle,
 basis changes, filtration order, and the Cartan projection."""
 
+import copy
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Dict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2family import pbw
 from sl2family.pbw import (
     COMPACT,
     SPLIT,
+    Sl2Basis,
     UEAElement,
     casimir,
     change_basis,
-    commutator,
     hc_projection,
     k_order,
 )
@@ -29,6 +30,14 @@ GR = GaussianRational
 
 def gen(name: str, basis=COMPACT) -> UEAElement:
     return UEAElement.generator(basis, name)
+
+
+def commutator(u: UEAElement, v: UEAElement) -> UEAElement:
+    return u * v - v * u
+
+
+# a basis equal to neither hard-wired one
+WEIRD = Sl2Basis("weird", ("A", "B", "C"))
 
 
 # -- highest-weight module oracle -------------------------------------------
@@ -197,6 +206,113 @@ class TestChangeBasis:
             assert change_basis(casimir(COMPACT) ** n, SPLIT) == casimir(SPLIT) ** n, n
             assert change_basis(casimir(SPLIT) ** n, COMPACT) == casimir(COMPACT) ** n, n
 
+    def test_doubled_tables(self):
+        for target, table in pbw._TABLES.items():
+            doubled = pbw._DOUBLED[target]
+            assert set(doubled) == set(table)
+            for slot, row in table.items():
+                assert [t for t, _re, _im in doubled[slot]] == [t for t, _c in row]
+                for (_, re, im), (_, c) in zip(doubled[slot], row):
+                    assert type(re) is int and type(im) is int
+                    assert GR(re, im) == 2 * c
+
+    def test_value_equal_bases_take_the_same_table(self):
+        split, compact = copy.deepcopy(SPLIT), copy.deepcopy(COMPACT)
+        assert split is not SPLIT and compact is not COMPACT
+        assert change_basis(gen("Hs", SPLIT), split) == gen("Hs", SPLIT)
+        assert change_basis(gen("H", compact), COMPACT) == gen("H")
+        assert change_basis(gen("Hs", SPLIT), compact) == gen("X") + gen("Y")
+        for basis, target, twin in ((COMPACT, SPLIT, split), (SPLIT, COMPACT, compact)):
+            low, car, rai = (gen(name, basis) for name in basis.gens)
+            u = low * car + rai * GR_I
+            assert change_basis(u, twin) == change_basis(u, target)
+
+    def test_foreign_basis_is_refused(self):
+        with pytest.raises(ValueError, match="weird"):
+            change_basis(casimir(COMPACT), WEIRD)
+        with pytest.raises(ValueError, match="weird"):
+            change_basis(casimir(WEIRD), SPLIT)
+        with pytest.raises(ValueError, match="weird"):
+            change_basis(casimir(WEIRD), WEIRD)
+
+
+# -- the integer rewrite against products of generator images ---------------
+#
+# change_basis runs on Gaussian-integer term maps; the oracle multiplies the
+# generator images, written out here and checked on the 2x2 realizations,
+# with the Q(i) product of UEAElement.
+
+def _images(target, rows) -> tuple:
+    """The images of a (lowering, cartan, raising) triple, from (name, coeff) rows."""
+    return tuple(
+        sum((gen(name, target) * GR.of(c) for name, c in row), UEAElement.zero(target))
+        for row in rows
+    )
+
+
+HALF = Fraction(1, 2)
+HALF_I = GR(0, HALF)
+IMAGES = {
+    SPLIT: _images(SPLIT, (
+        (("Hs", HALF), ("Xs", -HALF_I), ("Ys", -HALF_I)),
+        (("Ys", GR_I), ("Xs", -GR_I)),
+        (("Hs", HALF), ("Xs", HALF_I), ("Ys", HALF_I)),
+    )),
+    COMPACT: _images(COMPACT, (
+        (("H", -HALF_I), ("X", -HALF_I), ("Y", HALF_I)),
+        (("X", 1), ("Y", 1)),
+        (("H", HALF_I), ("X", -HALF_I), ("Y", HALF_I)),
+    )),
+}
+OTHER = {COMPACT: SPLIT, SPLIT: COMPACT}
+
+
+def product_oracle(u: UEAElement) -> UEAElement:
+    """sum coeff * low^a * rai^c * car^b over u's terms, in images."""
+    target = OTHER[u.basis]
+    low, car, rai = IMAGES[target]
+    out = UEAElement.zero(target)
+    for (a, b, c), coeff in u.terms.items():
+        out = out + low ** a * rai ** c * car ** b * coeff
+    return out
+
+
+COEFFS = st.builds(
+    lambda re, im, den: GR(Fraction(re, den), Fraction(im, den)),
+    st.integers(-(2 ** 80), 2 ** 80), st.integers(-(2 ** 80), 2 ** 80).filter(bool),
+    st.integers(1, 10 ** 6),
+)
+MONOS = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).filter(
+    lambda m: sum(m) <= 6)
+ELEMENTS = st.builds(
+    UEAElement, st.sampled_from([COMPACT, SPLIT]),
+    st.dictionaries(MONOS, COEFFS | st.integers(-3, 3), max_size=4),
+)
+
+
+class TestChangeBasisProductOracle:
+    @pytest.mark.parametrize("target", [COMPACT, SPLIT])
+    def test_images_act_like_the_generators(self, target):
+        source = OTHER[target]
+        for name, image in zip(source.gens, IMAGES[target]):
+            for n in range(4):
+                assert rho_element(image, n) == rho_element(gen(name, source), n), name
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ELEMENTS)
+    @example(UEAElement.zero(COMPACT))
+    @example(UEAElement.zero(SPLIT))
+    def test_matches_products_of_generator_images(self, u):
+        assert change_basis(u, OTHER[u.basis]) == product_oracle(u)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ELEMENTS, st.integers(1, 4))
+    def test_coefficients_in_lowest_terms(self, u, n):
+        for w in (u, casimir(u.basis) ** n):
+            for coeff in change_basis(w, OTHER[w.basis]).terms.values():
+                assert type(coeff) is GaussianRational
+                assert coeff.den > 0 and gcd(coeff.re_num, coeff.im_num, coeff.den) == 1
+
 
 # -- matrix oracle for change_basis -----------------------------------------
 #
@@ -258,6 +374,12 @@ class TestOrderFiltration:
         assert k_order(gen("Hs", SPLIT)) == 1
         assert k_order(gen("Xs", SPLIT)) == 1
 
+    def test_value_equal_and_foreign_bases(self):
+        assert k_order(gen("Hs", copy.deepcopy(SPLIT))) == 1
+        assert k_order(gen("H", copy.deepcopy(COMPACT))) == 0
+        with pytest.raises(ValueError, match="weird"):
+            k_order(casimir(WEIRD))
+
 
 class TestCartanProjection:
     def h_poly(self, basis, coeffs) -> UEAElement:
@@ -304,6 +426,14 @@ class TestCartanProjection:
     def test_unknown_cartan_rejected(self):
         with pytest.raises(ValueError):
             hc_projection(gen("H"), "diagonal")
+
+    def test_value_equal_and_foreign_bases(self):
+        for basis in (COMPACT, SPLIT):
+            u = casimir(copy.deepcopy(basis)) ** 2
+            for cartan in ("compact", "split"):
+                assert hc_projection(u, cartan) == hc_projection(casimir(basis) ** 2, cartan)
+        with pytest.raises(ValueError, match="weird"):
+            hc_projection(casimir(WEIRD), "compact")
 
 
 class TestCartanProjectionMatrixOracle:

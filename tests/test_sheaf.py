@@ -1,12 +1,13 @@
 """Sections over the projective line of deformations: Laurent coefficients,
 chart transport, the center, and the Cartan-valued projection."""
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from sl2family.pbw import COMPACT, UEAElement, casimir
+from sl2family.pbw import COMPACT, SPLIT, Sl2Basis, UEAElement, casimir
 from sl2family.scalars import GaussianRational as GR
 from sl2family.scalars import Poly
 from sl2family.sheaf import (
@@ -177,6 +178,14 @@ class TestChartTransport:
             a + b
         with pytest.raises(ValueError):
             a * b
+
+    def test_constant_sections_compare_bases_by_value(self):
+        for chart in (CHART_FINITE, CHART_INFINITY):
+            assert (section_from_constant(casimir(copy.deepcopy(COMPACT)), chart)
+                    == section_from_constant(casimir(COMPACT), chart))
+        for basis in (SPLIT, Sl2Basis("weird", ("A", "B", "C"))):
+            with pytest.raises(ValueError, match="compact basis"):
+                section_from_constant(casimir(basis))
 
 
 def _seeded_section(rng: random.Random, chart: str, deg: int) -> FamilySection:

@@ -18,7 +18,6 @@ from .scalars import (
     GaussianRational,
     Laurent,
     Poly,
-    chart_substitute,
     has_gaussian_sqrt,
     rational_sqrt,
 )

@@ -125,7 +125,10 @@ def _load_object(value: str, what: str) -> dict:
     if not value.lstrip().startswith("{"):
         with open(value, "r", encoding="utf-8") as fh:
             text = fh.read()
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} nests too deeply to read") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object")
     return obj

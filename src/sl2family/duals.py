@@ -22,19 +22,6 @@ from .families import pinned_level
 from .fibers import GROUP, MOTION, DualParam, fixed_level, scalar_to_json
 from .scalars import GR_ONE, GaussianRational, has_gaussian_sqrt
 
-__all__ = [
-    "CharacterizationResult",
-    "params_equivalent",
-    "is_tempered",
-    "vogan_map",
-    "eta",
-    "eta_inverse",
-    "dual_classes",
-    "check_entry",
-    "verify_conjecture1",
-    "characterize_bijections",
-]
-
 
 def _nonzero_real(R) -> GaussianRational:
     R = GaussianRational.of(R)

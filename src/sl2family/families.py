@@ -231,7 +231,7 @@ def _as_casimir(c) -> Poly:
         raise FamilyValidationError(
             "casimir-variable", f"casimir must be a polynomial in r, got {p.var}"
         )
-    if isinstance(p.degree(), int) and p.degree() > 2:
+    if p.degree() > 2:
         raise FamilyValidationError(
             "casimir-degree",
             f"casimir acts by a polynomial of degree <= 2, got degree {p.degree()}",
@@ -329,10 +329,9 @@ def ktypes_at(m: int, level) -> Optional[KTypeSet]:
 
 def make_family(m: int, casimir, ktypes: Optional[KTypeSet] = None) -> ModuleFamily:
     """Validated family constructor; raises FamilyValidationError off-table."""
-    c = _as_casimir(casimir)
     if ktypes is None:
-        ktypes = infer_ktypes(m, c)
-    fam = ModuleFamily(m, ktypes, c)
+        ktypes = infer_ktypes(m, casimir)
+    fam = ModuleFamily(m, ktypes, casimir)
     _validate_row(fam)
     return fam
 

@@ -259,12 +259,6 @@ class Decomposition:
     factors: Tuple[Factor, ...]
     complete: bool
 
-    def params(self) -> Tuple[DualParam, ...]:
-        return tuple(f.param for f in self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
 
 def composition_factors(fib: FiberModule) -> Decomposition:
     """Split the K-type set at the cut edges and name each segment."""

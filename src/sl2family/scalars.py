@@ -19,9 +19,10 @@ decimal, never exponent notation.
 ``Terms`` is the one sparse "monomial -> nonzero coefficient" type of the
 package: sums, scalar multiples, powers, equality, hashing and printing
 live there once.  ``Laurent`` (convolution product, integer exponents of
-a chart variable) and ``Poly`` (a Laurent polynomial without negative
-exponents, with a dense coefficient view) are defined here; the PBW
-elements of pbw.py and the sections of sheaf.py are term maps too.
+a chart variable, one Horner evaluation) and ``Poly`` (a Laurent
+polynomial without negative exponents, read and shown as a dense
+coefficient list) are defined here; the PBW elements of pbw.py and the
+sections of sheaf.py are term maps too.
 """
 
 from __future__ import annotations
@@ -556,10 +557,6 @@ class Terms:
         return f"<{type(self).__name__} {self.tag}: {self}>"
 
 
-def _other_var(var: str) -> str:
-    return "R" if var == "r" else "r"
-
-
 class Laurent(Terms):
     """A Laurent polynomial over Q(i) in a tagged chart coordinate.
 
@@ -595,27 +592,19 @@ class Laurent(Terms):
     def monomial(var: str, exp: int, coeff=1) -> "Laurent":
         return Laurent(var, {exp: coeff})
 
-    @staticmethod
-    def from_poly(p: "Poly") -> "Laurent":
-        return Laurent._make(p.var, dict(p.terms))
-
     # -- structure ---------------------------------------------------------
 
     def valuation(self) -> Optional[int]:
         """Order of vanishing at coordinate 0; None for the zero element."""
         return min(self.terms) if self.terms else None
 
-    def degree(self) -> Optional[int]:
-        return max(self.terms) if self.terms else None
+    def degree(self):
+        """Degree, with the zero element mapped to the -inf sentinel."""
+        return max(self.terms) if self.terms else NEG_INF
 
     @property
     def is_polynomial(self) -> bool:
         return all(e >= 0 for e in self.terms)
-
-    def to_poly(self) -> "Poly":
-        if not self.is_polynomial:
-            raise ValueError(f"{self} has a pole at {self.var}=0")
-        return Poly._make(self.var, dict(self.terms))
 
     # -- substitutions and evaluation -----------------------------------------
 
@@ -625,18 +614,26 @@ class Laurent(Terms):
 
     def reciprocal_substitution(self) -> "Laurent":
         """Substitute the coordinate by its reciprocal, flipping the chart tag."""
-        return Laurent._make(_other_var(self.tag), {-e: c for e, c in self.terms.items()})
+        var = "R" if self.tag == "r" else "r"
+        return Laurent._make(var, {-e: c for e, c in self.terms.items()})
 
     def eval(self, x) -> GaussianRational:
-        x = GaussianRational.of(x) if not isinstance(x, GaussianRational) else x
-        acc = GR_ZERO
-        for e, c in self.terms.items():
-            if e >= 0:
-                acc = acc + c * x ** e if e else acc + c
-                continue
+        """Exact evaluation: Horner's scheme over the exponents lo..hi, where lo
+        is the least exponent or 0, then a division by x^(-lo) when lo < 0.
+        A pole at x = 0 is a ZeroDivisionError."""
+        x = _coeff_of(x)
+        terms = self.terms
+        if not terms:
+            return GR_ZERO
+        hi, lo = max(terms), min(min(terms), 0)
+        acc = terms[hi]
+        for e in range(hi - 1, lo - 1, -1):
+            c = terms.get(e)
+            acc = acc * x if c is None else acc * x + c
+        if lo:
             if not x:
                 raise ZeroDivisionError(f"pole of {self} at {self.var}=0")
-            acc = acc + c / x ** (-e)
+            acc = acc / x ** -lo
         return acc
 
     # -- serialization ------------------------------------------------------
@@ -655,65 +652,39 @@ class Laurent(Terms):
 class Poly(Laurent):
     """A Laurent polynomial with no negative exponent.
 
-    ``coeffs`` is the dense view: the coefficients lowest degree first,
-    without trailing zeros.  Constructed from that view, as
-    ``Poly(coeffs, var)``; coefficients may be given as anything
-    ``GaussianRational`` accepts, or as (re, im) pairs.
+    The sparse term map is its only storage; ``coeffs`` is the dense view,
+    the coefficients lowest degree first, without trailing zeros.
+    Constructed from that view, as ``Poly(coeffs, var)``; coefficients may
+    be given as anything ``GaussianRational`` accepts, or as (re, im) pairs.
     """
 
-    __slots__ = ("coeffs", "_terms")
+    __slots__ = ()
 
     def __init__(self, coeffs=(), var: str = "r") -> None:
-        cs = [_coeff_of(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.tag, self.coeffs, self._terms = var, tuple(cs), None
-
-    @classmethod
-    def _make(cls, var, terms: dict) -> "Poly":
-        p = _new(cls)
-        p.tag, p._terms = var, terms
-        p.coeffs = tuple([terms.get(k, GR_ZERO) for k in range(max(terms, default=-1) + 1)])
-        return p
-
-    @property
-    def terms(self) -> dict:
-        """The sparse view, built from the dense one when first asked for."""
-        if self._terms is None:
-            self._terms = {k: c for k, c in enumerate(self.coeffs) if c}
-        return self._terms
+        terms = {}
+        for k, c in enumerate(coeffs):
+            c = _coeff_of(c)
+            if c:
+                terms[k] = c
+        self.tag, self.terms = var, terms
 
     @staticmethod
     def of(cs, var: str = "r") -> "Poly":
         return Poly(cs, var)
 
-    def degree(self):
-        """Degree, with the zero polynomial mapped to the -inf sentinel."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    @property
+    def coeffs(self) -> tuple:
+        terms = self.terms
+        return tuple([terms.get(k, GR_ZERO) for k in range(max(terms, default=-1) + 1)])
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        """Whether no exponent but 0 occurs."""
+        return not any(self.terms)
 
     def coeff(self, k: int) -> GaussianRational:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else GR_ZERO
+        return self.terms.get(k, GR_ZERO)
 
-    def eval(self, x) -> GaussianRational:
-        """Exact evaluation by Horner's scheme."""
-        x = _coeff_of(x)
-        acc = GR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    __call__ = eval
-
-
-def chart_substitute(p: Poly) -> tuple:
-    """Substitute the reciprocal coordinate and clear the pole.
-
-    For p of degree d in the variable r, p(1/R) = R^(-d) * q(R) with
-    q(0) != 0; returns (q, d).  The zero polynomial maps to (0, 0), and the
-    variable tag flips between the two charts.
-    """
-    return Poly(p.coeffs[::-1], _other_var(p.var)), max(p.degree(), 0)
+    # own entries, so that a per-class wrapper (perfbench/tracer.py) sees them
+    eval = Laurent.eval
+    __call__ = Laurent.eval

@@ -159,14 +159,19 @@ class FamilySection(NormalForm):
     def _coerce(self, x):
         return _laurent_in(self.var, x)
 
-    def _product(self, terms: dict) -> dict:
+    def _slices(self) -> dict:
+        """R-degree in the finite frame -> {monomial: Q(i) coefficient}."""
         lift = 1 if self.tag == CHART_INFINITY else 0  # R-power per ladder generator
         slices: dict = {}
         for mono, f in self.terms.items():
             for e, x in f.terms.items():
                 slices.setdefault(e + lift * (mono[0] + mono[2]), {})[mono] = x
+        return slices
+
+    def _product(self, terms: dict) -> dict:
+        lift = 1 if self.tag == CHART_INFINITY else 0
         acc: dict = {}  # (monomial, R-degree in the finite frame) -> sum
-        for e1, part in slices.items():
+        for e1, part in self._slices().items():
             for mono, g in terms.items():
                 prod = times_monomial(part, mono)
                 for e2, y in g.terms.items():
@@ -283,13 +288,8 @@ def center_decompose(s: FamilySection) -> Optional[Dict[int, Laurent]]:
     """
     if any(a != c for (a, b, c) in s.terms):
         return None
-    # the R-degree of t, and of Finf^a Einf^a = R^(2a) F^a E^a per unit of a
-    t = 2 if s.chart == CHART_INFINITY else 0
-    slices: dict = {}
-    for mono, f in s.terms.items():
-        for e, x in f.terms.items():
-            slices.setdefault(e + t * mono[0], {})[mono] = x
-    for part in slices.values():
+    t = 2 if s.chart == CHART_INFINITY else 0  # the R-degree of t
+    for part in s._slices().values():
         bracket = times_monomial(part, (0, 0, 1))
         for (a, b, c), x in part.items():
             _add_term(bracket, (a, b, c + 1), -x)

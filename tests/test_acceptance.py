@@ -26,13 +26,14 @@ from sl2family.fibers import (
 )
 from sl2family.pbw import COMPACT, UEAElement, casimir, hc_projection, k_order
 from sl2family.scalars import GaussianRational as GR
-from sl2family.scalars import Poly, chart_substitute
+from sl2family.scalars import Poly
 from sl2family.sheaf import (
     CHART_INFINITY,
     ProjectivePoint,
     casimir_section,
     gamma_family,
 )
+from polys import chart_substitute
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -547,7 +547,8 @@ NOT_JSON = "Expecting value: line 1 column 1 (char 0)"
 NOT_OBJECT = "family descriptor must be a JSON object"
 
 # (id, SL2FAMILY_PROFILE, argv, last stderr line after "sl2family: error: ");
-# {tmp} is a directory holding missing.json (absent), nonjson.txt and nonobj.json
+# {tmp} is a directory holding missing.json (absent), nonjson.txt, nonobj.json and
+# deep.json (a descriptor whose "casimir" nests 5,000 lists deep)
 USAGE_ERRORS = [
     ("classify-missing-file", "default", ["classify", "--family", "{tmp}/missing.json"],
      f"--family: {NO_SUCH_FILE}'{{tmp}}/missing.json'"),
@@ -555,6 +556,8 @@ USAGE_ERRORS = [
      f"--family: {NOT_JSON}"),
     ("classify-non-object", "default", ["classify", "--family", "{tmp}/nonobj.json"],
      f"--family: {NOT_OBJECT}"),
+    ("classify-deep-nesting", "default", ["classify", "--family", "{tmp}/deep.json"],
+     "--family: family descriptor nests too deeply to read"),
     ("analyze-missing-file", "default",
      ["analyze", "--family", "{tmp}/missing.json", "--point", "r=1"],
      f"--family: {NO_SUCH_FILE}'{{tmp}}/missing.json'"),
@@ -588,6 +591,8 @@ USAGE_ERRORS = [
      f"--candidate: {NOT_JSON}"),
     ("candidate-non-object", "default", SMALL_BIJECTION + ["--candidate", "{tmp}/nonobj.json"],
      "--candidate: candidate must be a JSON object"),
+    ("candidate-deep-nesting", "default", SMALL_BIJECTION + ["--candidate", "{tmp}/deep.json"],
+     "--candidate: candidate nests too deeply to read"),
     ("candidate-empty", "default", SMALL_BIJECTION + ["--candidate", ""],
      f"--candidate: {NO_SUCH_FILE}''"),
     ("candidate-float", "default",
@@ -714,6 +719,8 @@ class TestUsageErrors:
     def test_exit_two_with_one_line(self, capsys, monkeypatch, tmp_path, profile, argv, message):
         (tmp_path / "nonjson.txt").write_text("not json", encoding="utf-8")
         (tmp_path / "nonobj.json").write_text("[1, 2]", encoding="utf-8")
+        deep = '{"m": 0, "casimir": ' + "[" * 5000 + "1" + "]" * 5000 + "}"
+        (tmp_path / "deep.json").write_text(deep, encoding="utf-8")
         monkeypatch.setenv("SL2FAMILY_PROFILE", profile)
         with pytest.raises(SystemExit) as exc:
             main([a.replace("{tmp}", str(tmp_path)) for a in argv])

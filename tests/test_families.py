@@ -27,7 +27,8 @@ from sl2family.families import (
 )
 from sl2family.fibers import DualParam, dual_ktypes
 from sl2family.scalars import GaussianRational as GR
-from sl2family.scalars import Poly, chart_substitute
+from sl2family.scalars import Poly
+from polys import chart_substitute
 
 
 def cpoly(*coeffs) -> Poly:

@@ -9,7 +9,7 @@ STAR_EXPORTS = {
     "InfChar", "KTypeSet", "LadderAction", "Laurent", "ModuleFamily", "NotCentralError",
     "Poly", "ProjectivePoint", "ReducibilityLocus", "SPLIT", "Sl2Basis", "UEAElement",
     "WallRecord", "__version__", "casimir", "casimir_section", "center_decompose",
-    "center_membership", "change_basis", "characterize_bijections", "chart_substitute",
+    "center_membership", "change_basis", "characterize_bijections",
     "composition_factors", "dual_classes", "dual_ktypes", "eta", "eta_inverse",
     "evaluate_fiber", "factor_containing_m", "family_from_json", "fixed_level", "gamma_family",
     "has_gaussian_sqrt", "hc_projection", "in_tilde_class", "infer_ktypes",
@@ -25,6 +25,6 @@ def test_star_import_exports_the_public_names():
     namespace: dict = {}
     exec("from sl2family import *", namespace)
     namespace.pop("__builtins__")
-    assert len(STAR_EXPORTS) == 72
+    assert len(STAR_EXPORTS) == 71
     assert set(namespace) == STAR_EXPORTS
     assert len(sl2family.__all__) == len(STAR_EXPORTS)  # no name listed twice

@@ -15,11 +15,11 @@ from sl2family.scalars import (
     GR_ZERO,
     GaussianRational,
     Poly,
-    chart_substitute,
     has_gaussian_sqrt,
     parse_rational,
     rational_sqrt,
 )
+from polys import chart_substitute
 
 GR = GaussianRational
 

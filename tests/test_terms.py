@@ -4,7 +4,8 @@ Poly views against each other, substitutions and chart round trips."""
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2family import (
@@ -25,6 +26,7 @@ from sl2family import (
     to_infinity_chart,
 )
 from sl2family.scalars import GaussianRational as GR
+from polys import from_poly, to_poly
 
 F = Fraction
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -186,15 +188,39 @@ LAURENTS = st.builds(lambda var, cs: Laurent(var, cs), st.sampled_from("rR"),
 @given(DENSE, DENSE, SCALARS)
 def test_poly_arithmetic_is_laurent_arithmetic(a, b, c):
     p, q = Poly(a, "r"), Poly(b, "r")
-    lp, lq = Laurent.from_poly(p), Laurent.from_poly(q)
+    lp, lq = from_poly(p), from_poly(q)
     for poly, laurent in ((p + q, lp + lq), (p - q, lp - lq), (p * q, lp * lq),
                           (-p, -lp), (p * c, lp * c), (c + p, c + lp), (p ** 2, lp ** 2)):
-        assert Laurent.from_poly(poly) == laurent
-        assert laurent.to_poly() == poly
+        assert from_poly(poly) == laurent
+        assert to_poly(laurent) == poly
         assert poly.coeffs == tuple(laurent.coeffs.get(k, GR(0)) for k in range(len(poly.coeffs)))
         assert str(poly) == str(laurent) and poly.to_json() == laurent.to_json()
     x = GR(F(2, 3), -1)
     assert p.eval(x) == lp.eval(x) == p(x)
+
+
+POINTS = SCALARS | st.just(GR(0))
+
+
+def sum_of_terms(f, x):
+    """f at x as sum c * x^e, each power from GaussianRational.__pow__."""
+    return sum((c * x ** e for e, c in f.terms.items()), GR(0))
+
+
+@PROPERTY_SETTINGS
+@given(LAURENTS | st.builds(Poly, DENSE, st.sampled_from("rR")), POINTS)
+@example(Laurent("r", {-1: GR(1), 2: GR(3)}), GR(0))  # a pole at 0
+@example(Poly([GR(3), GR(0), GR(1)], "r"), GR(0))  # 0 without a pole
+@example(Laurent("r", {3: GR(F(1, 2))}), GR(0))  # 0 with no constant term
+@example(Laurent("R", {-2: GR(1, 1), 3: GR(F(1, 2))}), GR(F(2, 3), -1))
+def test_eval_is_the_sum_of_terms(f, x):
+    if not x and any(e < 0 for e in f.terms):
+        with pytest.raises(ZeroDivisionError):
+            f.eval(x)
+        return
+    assert f.eval(x) == sum_of_terms(f, x)
+    if isinstance(f, Poly):
+        assert f(x) == sum_of_terms(f, x)
 
 
 @PROPERTY_SETTINGS
@@ -235,7 +261,7 @@ def test_equal_polys_hash_equal(a, b):
     p, q = Poly(a, "r"), Poly(b, "r")
     built = (p + q) - q
     assert built == p and hash(built) == hash(p)
-    backwards = Laurent("r", dict(reversed(list(p.terms.items())))).to_poly()
+    backwards = to_poly(Laurent("r", dict(reversed(list(p.terms.items())))))
     assert backwards == p and hash(backwards) == hash(p)
     assert Poly(a + [0, 0], "r") == p and hash(Poly(a + [0, 0], "r")) == hash(p)
     if len(p.coeffs) <= 3:

@@ -252,14 +252,18 @@ def wall_index(value) -> Optional[int]:
 
 @dataclass(frozen=True)
 class ModuleFamily:
-    """Classification data of an algebraic family of Harish-Chandra modules."""
+    """Classification data of an algebraic family of Harish-Chandra modules;
+    ``ktypes=None`` infers the K-types, as ``infer_ktypes`` does."""
 
     m: int
-    ktypes: KTypeSet
+    ktypes: Optional[KTypeSet]
     casimir: Poly
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "casimir", _as_casimir(self.casimir))
+        c = _as_casimir(self.casimir)
+        object.__setattr__(self, "casimir", c)
+        if self.ktypes is None:
+            object.__setattr__(self, "ktypes", _row_ktypes(self.m, c))
         if self.m % 2 != self.ktypes.parity:
             raise FamilyValidationError(
                 "parity-mismatch",
@@ -329,8 +333,6 @@ def ktypes_at(m: int, level) -> Optional[KTypeSet]:
 
 def make_family(m: int, casimir, ktypes: Optional[KTypeSet] = None) -> ModuleFamily:
     """Validated family constructor; raises FamilyValidationError off-table."""
-    if ktypes is None:
-        ktypes = infer_ktypes(m, casimir)
     fam = ModuleFamily(m, ktypes, casimir)
     _validate_row(fam)
     return fam
@@ -386,7 +388,10 @@ def _validate_row(fam: ModuleFamily) -> None:
 
 def infer_ktypes(m: int, casimir) -> KTypeSet:
     """The unique K-type set making (m, casimir) a valid family."""
-    c = _as_casimir(casimir)
+    return _row_ktypes(m, _as_casimir(casimir))
+
+
+def _row_ktypes(m: int, c: Poly) -> KTypeSet:
     kt = ktypes_at(m, c.coeff(0) if c.is_constant else None)
     if kt is None:
         raise FamilyValidationError(

@@ -10,27 +10,26 @@ which is the ordering adapted to the Cartan-decomposition filtration: for
 the compact basis the filtration degree of a monomial is just a + c, the
 total exponent on the non-compact generators.
 
-The rewriting core works over Q(i) with [raising, lowering] = cartan.
+The rewriting core (``times_generator``) uses [raising, lowering] = cartan.
 ``NormalForm`` is the term map (see scalars.Terms) whose product is that
 rewriting and ``UEAElement`` a normal form over Q(i); the sections of
 sheaf.py, with Laurent coefficients, multiply on the same core one R-degree
 slice at a time.
 
-``change_basis`` rewrites a whole element in the other basis.  Twice each
-transition constant is a Gaussian integer, so the image of a word of length
-L has Gaussian-integer coefficients over 2^L: the rewrite runs on those
-integers, and Q(i) coefficients are built only for the result.  The
-Harish-Chandra projection onto the other basis's Cartan does not need that
-rewrite: it lets the element act on a Verma module of the target basis,
-with coefficients that are polynomials in the highest weight, and reads
-off one coefficient (see ``hc_projection``).
+The Q(i) loops here run on Gaussian integers: an element is brought to a
+pair of int term maps (real and imaginary parts) over one common
+denominator, the work runs on those, and each output coefficient is reduced
+once, at the end.  This holds for ``normal_multiply``, for ``change_basis``
+(twice each transition constant is a Gaussian integer, so the image of a
+word of length L is one over 2^L) and for ``hc_projection``, which lets the
+element act on a Verma module of the target basis instead of rewriting it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Dict, Tuple
 
 from .scalars import NEG_INF, GR_ONE, GaussianRational, Terms, _add_term, _power, _reduced
@@ -80,13 +79,52 @@ def times_monomial(terms: dict, mono: Monomial) -> dict:
     return terms
 
 
+def _integral(terms: dict) -> Tuple[int, dict, dict]:
+    """(D, re, im): the common denominator D of a Q(i) term map, and the int
+    term maps of D times its real and imaginary parts."""
+    den = lcm(*(c.den for c in terms.values()))
+    re = {key: c.re_num * (den // c.den) for key, c in terms.items() if c.re_num}
+    im = {key: c.im_num * (den // c.den) for key, c in terms.items() if c.im_num}
+    return den, re, im
+
+
+def _mac(re: dict, im: dict, x: dict, y: dict, cr: int, ci: int) -> None:
+    """re + i*im += (cr + i*ci)(x + i*y), over int term maps."""
+    for acc, w, part in ((re, cr, x), (re, -ci, y), (im, ci, x), (im, cr, y)):
+        if w:
+            for key, v in part.items():
+                s = acc.get(key, 0) + w * v
+                if s:
+                    acc[key] = s
+                else:  # w * v is nonzero, so the key was there
+                    del acc[key]
+
+
+def _apply(x: tuple, row: list, op, *args) -> tuple:
+    """A doubled generator image row [(slot, cr, ci)] applied to the int pair
+    x = (re, im), with op(part, slot, *args) the action of one target slot."""
+    re, im = {}, {}
+    for slot, cr, ci in row:
+        _mac(re, im, op(x[0], slot, *args), op(x[1], slot, *args), cr, ci)
+    return re, im
+
+
+def _rational(re: dict, im: dict, den: int) -> dict:
+    """The Q(i) term map (re + i*im) / den, each coefficient reduced once."""
+    return {key: _reduced(re.get(key, 0), im.get(key, 0), den) for key in {**re, **im}}
+
+
 def normal_multiply(ut: dict, vt: dict) -> dict:
-    """Product of two normal-form term maps over Q(i), renormalized."""
-    out: dict = {}
-    for mono, cv in vt.items():
-        for key, cu in times_monomial(ut, mono).items():
-            _add_term(out, key, cu * cv)
-    return out
+    """Product of two normal-form term maps over Q(i), renormalized: u's two
+    int maps over D_u are rewritten by v's monomials, summed with v's int
+    coefficients over D_v, and each coefficient is reduced once."""
+    du, ure, uim = _integral(ut)
+    dv, vre, vim = _integral(vt)
+    re, im = {}, {}
+    for mono in vt:
+        x, y = times_monomial(ure, mono), times_monomial(uim, mono)
+        _mac(re, im, x, y, vre.get(mono, 0), vim.get(mono, 0))
+    return _rational(re, im, du * dv)
 
 
 @dataclass(frozen=True)
@@ -235,7 +273,9 @@ def change_basis(u: UEAElement, target: Sl2Basis) -> UEAElement:
     generator image has Gaussian-integer coefficients, so 2^len(word) times
     the image of a word does too: it is kept as two int term maps, the real
     and imaginary parts, and cached per monomial for the duration of one
-    call.  Q(i) arithmetic runs only in the final sum over u's terms.
+    call.  The sum over u's terms runs on the same integers, over D * 2^top
+    with D the common denominator of u and top its degree, and each output
+    coefficient is reduced once.
     Raises ValueError for a basis that is neither COMPACT nor SPLIT.
     """
     _check_bases(u.basis, target)
@@ -251,25 +291,16 @@ def change_basis(u: UEAElement, target: Sl2Basis) -> UEAElement:
             mono = _last_letter(mono)[0]
         img = images[mono]
         for word in reversed(pending):
-            re, im = {}, {}
-            for tslot, cr, ci in table[_last_letter(word)[1]]:
-                x, y = times_generator(img[0], tslot), times_generator(img[1], tslot)
-                # (x + iy)(cr + i ci) = (cr x - ci y) + i(ci x + cr y)
-                for acc, w, part in ((re, cr, x), (re, -ci, y), (im, ci, x), (im, cr, y)):
-                    if w:
-                        for key, v in part.items():
-                            _add_term(acc, key, w * v)
-            images[word] = img = (re, im)
+            images[word] = img = _apply(img, table[_last_letter(word)[1]], times_generator)
         return img
 
-    out: dict = {}
-    for mono, coeff in u.terms.items():
-        cr, ci, den = coeff.re_num, coeff.im_num, coeff.den << sum(mono)
-        re, im = image(mono)
-        for key in {**re, **im}:
-            vr, vi = re.get(key, 0), im.get(key, 0)
-            _add_term(out, key, _reduced(cr * vr - ci * vi, cr * vi + ci * vr, den))
-    return UEAElement._make(target, out)
+    den, ure, uim = _integral(u.terms)
+    top = max(map(sum, u.terms), default=0)
+    re, im = {}, {}
+    for mono in u.terms:
+        pad = top - sum(mono)
+        _mac(re, im, *image(mono), ure.get(mono, 0) << pad, uim.get(mono, 0) << pad)
+    return UEAElement._make(target, _rational(re, im, den << top))
 
 
 def k_order(u: UEAElement):
@@ -287,28 +318,22 @@ def k_order(u: UEAElement):
     return max(a + c for (a, b, c) in v.terms)
 
 
-def _act(x: dict, image: tuple, keep: int) -> dict:
-    """Apply a source generator to a Verma-module vector, dropping k > keep.
+def _verma(x: dict, slot: int, keep: int) -> dict:
+    """Apply a target generator to an int Verma-module vector, dropping k > keep.
 
-    A vector maps (k, j) to the coefficient of mu^j v_k, with mu = lambda + 1.
-    ``image`` holds the generator's coefficients (h, e, f) on the target
-    (cartan, raising, lowering), which act by
-
-        H v_k = (mu - 2k - 1) v_k,  E v_k = k(mu - k) v_(k-1),  F v_k = v_(k+1).
+    A vector maps (k, j) to the coefficient of mu^j v_k, with mu = lambda + 1,
+    and H v_k = (mu - 2k - 1) v_k, E v_k = k(mu - k) v_(k-1), F v_k = v_(k+1).
     """
-    h, e, f = image
+    if slot == _LOWER:
+        return {(k + 1, j): z for (k, j), z in x.items() if k < keep}
     out: dict = {}
     for (k, j), z in x.items():
-        if f and k < keep:
-            _add_term(out, (k + 1, j), f * z)
-        if h and k <= keep:
-            hz = h * z
-            _add_term(out, (k, j + 1), hz)
-            _add_term(out, (k, j), hz * -(2 * k + 1))
-        if e and 0 < k <= keep + 1:
-            ez = e * z * k
-            _add_term(out, (k - 1, j + 1), ez)
-            _add_term(out, (k - 1, j), ez * -k)
+        if slot == _CARTAN and k <= keep:
+            _add_term(out, (k, j + 1), z)
+            _add_term(out, (k, j), z * -(2 * k + 1))
+        elif slot == _RAISE and 0 < k <= keep + 1:
+            _add_term(out, (k - 1, j + 1), z * k)
+            _add_term(out, (k - 1, j), z * -k * k)
     return out
 
 
@@ -325,12 +350,14 @@ def hc_projection(u: UEAElement, cartan: str) -> UEAElement:
     on the highest-weight vector v_0 of the Verma module with basis
     v_k = F^k v_0 and H v_0 = lambda v_0: for a normal form F^a E^c H^b,
     E kills v_0, so the v_0 coefficient of u v_0 is p(lambda).  Each source
-    generator acts through its three-term image in the target basis (see
-    ``_act``), with polynomials in mu = lambda + 1 as coefficients, so the
-    v_0 coefficient is p(mu - 1), the projection itself.  H^b v_0 is
+    generator acts through its doubled three-term image in the target basis
+    (see ``_verma``), with polynomials in mu = lambda + 1 as coefficients, so
+    the v_0 coefficient is p(mu - 1), the projection itself.  H^b v_0 is
     computed once for all monomials, the ladder letters are applied by
     Horner's rule in c and then in a, and a component v_k is dropped as
-    soon as fewer than k letters remain to bring it back to v_0.
+    soon as fewer than k letters remain to bring it back to v_0.  Vectors
+    are pairs of int maps: the term (a, b, c) is padded by 2^(top-a-b-c), so
+    every term meets 2^top, and the result is divided by D * 2^top once.
     """
     target = COMPACT if cartan == "compact" else SPLIT if cartan == "split" else None
     if target is None:
@@ -345,32 +372,27 @@ def hc_projection(u: UEAElement, cartan: str) -> UEAElement:
             for j in range(b + 1):
                 _add_term(out, (0, j, 0), coeff * (comb(b, j) * (-1) ** (b - j)))
         return UEAElement._make(target, out)
-    table = _TABLES[target]
-    low, car, rai = (
-        tuple(dict(table[slot]).get(t, 0) for t in (_CARTAN, _RAISE, _LOWER))
-        for slot in (_LOWER, _CARTAN, _RAISE)
-    )
+    table = _DOUBLED[target]
+    den, re, im = _integral(u.terms)
+    top = max(map(sum, u.terms), default=0)
     rows: Dict[int, Dict[int, list]] = {}
-    for (a, b, c), coeff in u.terms.items():
-        rows.setdefault(a, {}).setdefault(c, []).append((b, coeff))
-    top = u.degree()
-    powers = [{(0, 0): GR_ONE}]  # H^b v_0
+    for mono in u.terms:
+        (a, b, c), pad = mono, top - sum(mono)
+        entry = (b, re.get(mono, 0) << pad, im.get(mono, 0) << pad)
+        rows.setdefault(a, {}).setdefault(c, []).append(entry)
+    powers = [({(0, 0): 1}, {})]  # 2^b H^b v_0
     for b in range(1, max((b for (_, b, _) in u.terms), default=0) + 1):
-        powers.append(_act(powers[-1], car, top - b))
-    acc: dict = {}
+        powers.append(_apply(powers[-1], table[_CARTAN], _verma, top - b))
+    acc: tuple = ({}, {})
     for a in range(max(rows, default=-1), -1, -1):
-        acc = _act(acc, low, a)
+        acc = _apply(acc, table[_LOWER], _verma, a)
         row = rows.get(a, {})
-        inner: dict = {}
+        inner: tuple = ({}, {})
         for c in range(max(row, default=-1), -1, -1):
-            inner = _act(inner, rai, a + c)
-            for b, coeff in row.get(c, ()):
-                for (k, j), z in powers[b].items():
-                    if k <= a + c:
-                        _add_term(inner, (k, j), coeff * z)
-        for key, z in inner.items():
-            _add_term(acc, key, z)
-    for (k, j), coeff in acc.items():
-        if k == 0:
-            out[(0, j, 0)] = coeff
-    return UEAElement._make(target, out)
+            inner = _apply(inner, table[_RAISE], _verma, a + c)
+            for b, cr, ci in row.get(c, ()):
+                x, y = ({kj: z for kj, z in p.items() if kj[0] <= a + c} for p in powers[b])
+                _mac(*inner, x, y, cr, ci)
+        _mac(*acc, *inner, 1, 0)
+    re, im = ({(0, j, 0): z for (k, j), z in p.items() if k == 0} for p in acc)
+    return UEAElement._make(target, _rational(re, im, den << top))

@@ -43,6 +43,14 @@ RationalInput = Union[int, str, Fraction]
 # any length ("1e-999999999" has a billion-digit denominator)
 _EXPONENT = re.compile(r"[\d.][eE][-+]?\d")
 
+_QUOTE_MAX = 60  # characters of an offending value quoted in an error message
+
+
+def _quote(x) -> str:
+    """repr(x) for an error message, cut to a bounded prefix."""
+    text = repr(x)
+    return text if len(text) <= _QUOTE_MAX else text[:_QUOTE_MAX] + "..."
+
 
 def parse_rational(text: str) -> Fraction:
     """Read a rational string: an integer, "p/q", or a decimal such as "-2.25".
@@ -51,11 +59,11 @@ def parse_rational(text: str) -> Fraction:
     cannot read are a ValueError with a one-line message.
     """
     if _EXPONENT.search(text):
-        raise ValueError(f"cannot read scalar from {text!r} (exponent notation is not read)")
+        raise ValueError(f"cannot read scalar from {_quote(text)} (exponent notation is not read)")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot read scalar from {text!r}") from None
+        raise ValueError(f"cannot read scalar from {_quote(text)}") from None
 
 
 def _frac(x: RationalInput) -> Fraction:
@@ -65,7 +73,7 @@ def _frac(x: RationalInput) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return parse_rational(x)
-    raise TypeError(f"not an exact rational value: {x!r}")
+    raise TypeError(f"not an exact rational value: {_quote(x)}")
 
 
 _new = object.__new__
@@ -312,9 +320,9 @@ class GaussianRational:
         parts = obj if isinstance(obj, dict) else {"re": obj}
         for key in parts:
             if key not in ("re", "im"):
-                raise ValueError(f"unknown scalar key {key!r}")
+                raise ValueError(f"unknown scalar key {_quote(key)}")
         if "re" not in parts:
-            raise ValueError(f"cannot read scalar from {obj!r}")
+            raise ValueError(f"cannot read scalar from {_quote(obj)}")
         values = []
         for x in (parts["re"], parts.get("im", 0)):
             if isinstance(x, bool):
@@ -323,7 +331,7 @@ class GaussianRational:
                 x = parse_rational(x)
             if not isinstance(x, (int, Fraction)):
                 note = " (floats are not exact)" if isinstance(x, float) else ""
-                raise ValueError(f"cannot read scalar from {x!r}{note}")
+                raise ValueError(f"cannot read scalar from {_quote(x)}{note}")
             values.append(x)
         return GaussianRational(*values)
 

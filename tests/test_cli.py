@@ -273,6 +273,20 @@ class TestClassify:
         assert doc["error"] == "descriptor-bad-field"
         assert doc["detail"].endswith("' (exponent notation is not read)")
 
+    @pytest.mark.parametrize("casimir,start", [
+        ([[1] * 200_000], "cannot read scalar from [1, 1, "),
+        (["1" * 5000 + "/3"], "cannot read scalar from '1111"),
+        ([{"re": 1, "im": "x" * 10_000}], "cannot read scalar from 'xxxx"),
+        ([{"re": 1, "k" * 10_000: 1}], "unknown scalar key 'kkkk"),
+        (["1e5" + "0" * 10_000], "cannot read scalar from '1e50000"),
+    ], ids=["long-list", "5000-digit-ratio", "long-string", "long-key", "long-exponent"])
+    def test_scalar_detail_is_bounded(self, capsys, casimir, start):
+        # the detail used to quote the whole value: 600 KB for the long list
+        code, doc = run_json(capsys, "classify", "--family", json.dumps({"m": 0, "casimir": casimir}))
+        assert code == 1
+        assert doc["error"] == "descriptor-bad-field"
+        assert doc["detail"].startswith(start) and len(doc["detail"]) <= 120
+
     @pytest.mark.parametrize("ktypes", [5, [], True, {"param": 2}, {"kind": ["x"]}])
     def test_non_set_ktypes_value_is_a_bad_field(self, capsys, ktypes):
         code, doc = run_json(capsys, "classify", "--family",
@@ -506,6 +520,15 @@ class TestVerify:
         code, _ = run(capsys, "verify", "appendix", "--M", "12", "--out", str(out))
         assert code == 0
         assert out.read_bytes() == (FIXTURES / "appendix_M12.json").read_bytes()
+
+    def test_appendix_M16_is_byte_identical_to_golden(self, capsys, monkeypatch, tmp_path):
+        # recorded before normal_multiply, change_basis's sum and the Verma
+        # projection ran on Gaussian integers
+        monkeypatch.delenv("SL2FAMILY_PROFILE", raising=False)
+        out = tmp_path / "a.json"
+        code, _ = run(capsys, "verify", "appendix", "--M", "16", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "appendix_M16.json").read_bytes()
 
     @pytest.mark.parametrize("suite,M", [("appendix", "0")])
     def test_suite_with_no_checks_fails(self, capsys, suite, M):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from sl2family import families
 from sl2family.families import (
     ALL_EVEN,
     ALL_ODD,
@@ -282,6 +283,27 @@ class TestMakeFamily:
             builder()
         assert exc.value.code == code
         assert exc.value.detail
+
+    @pytest.mark.parametrize("ktypes", [None, KTypeSet.all_even()])
+    def test_casimir_validated_once(self, monkeypatch, ktypes):
+        calls = []
+        real = families._as_casimir
+        monkeypatch.setattr(families, "_as_casimir", lambda c: calls.append(c) or real(c))
+        assert make_family(0, [-1, 0, 1], ktypes).ktypes == KTypeSet.all_even()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("m,casimir,message", [
+        (0, [0, 0, 0, 1],
+         "casimir-degree: casimir acts by a polynomial of degree <= 2, got degree 3"),
+        (0, Poly((GR(1),), "R"), "casimir-variable: casimir must be a polynomial in r, got R"),
+        (2, cpoly(1), "row-mismatch: minimal K-type 2 forces c(r) = 0 constantly, got 1"),
+        (2, [1, 0, 1], "row-mismatch: minimal K-type 2 forces c(r) = 0 constantly, got r^2 + 1"),
+    ], ids=["degree", "variable", "constant-row", "quadratic-row"])
+    def test_inferred_rejections(self, m, casimir, message):
+        for build in (make_family, infer_ktypes):
+            with pytest.raises(FamilyValidationError) as exc:
+                build(m, casimir)
+            assert str(exc.value) == message
 
     def test_validator_against_independent_table(self):
         constants = [GR(-4), GR(-1), GR(0), GR(1), GR(3), GR(5), GR(8), GR(15), GR(24)]

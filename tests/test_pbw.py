@@ -560,3 +560,58 @@ class TestVermaProjection:
         z1, z2 = central(g1), central(g2)
         product = hc_projection(z1, cartan) * hc_projection(z2, cartan)
         assert hc_projection(z1 * z2, cartan) == product
+
+
+# -- the Gaussian-integer core against Q(i) arithmetic --------------------------
+#
+# normal_multiply, the sum in change_basis and the Verma projection run on
+# int term maps over one common denominator and reduce each coefficient once.
+# The references below keep GaussianRational coefficients at every step.
+
+def q_multiply(ut: dict, vt: dict) -> dict:
+    """The product by times_monomial with Q(i) coefficients, summed term by term."""
+    out: dict = {}
+    for mono, cv in vt.items():
+        for key, cu in pbw.times_monomial(ut, mono).items():
+            out[key] = out.get(key, GR(0)) + cu * cv
+    return {key: c for key, c in out.items() if c}
+
+
+def assert_lowest_terms(terms: dict) -> None:
+    for coeff in terms.values():
+        assert type(coeff) is GaussianRational
+        assert coeff.den > 0 and gcd(coeff.re_num, coeff.im_num, coeff.den) == 1
+
+
+# purely imaginary coefficients, with large numerators and distinct denominators
+IMAGINARY = {
+    basis: UEAElement(basis, {(1, 2, 1): GR(0, Fraction(3 * 2 ** 70, 7)),
+                              (0, 3, 0): GR(0, -5), (2, 0, 1): GR(0, Fraction(-1, 6))})
+    for basis in (COMPACT, SPLIT)
+}
+
+
+class TestIntegerCore:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ELEMENTS, ELEMENTS)
+    @example(UEAElement.zero(COMPACT), IMAGINARY[COMPACT])
+    @example(IMAGINARY[SPLIT], UEAElement.zero(SPLIT))
+    @example(IMAGINARY[COMPACT], IMAGINARY[COMPACT])
+    @example(IMAGINARY[SPLIT], casimir(SPLIT) * GR(0, Fraction(2, 3)))
+    def test_normal_multiply_matches_q_arithmetic(self, u, v):
+        product = pbw.normal_multiply(u.terms, v.terms)
+        assert product == q_multiply(u.terms, v.terms)
+        assert_lowest_terms(product)
+
+    @pytest.mark.parametrize("cartan", ["compact", "split"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(u=ELEMENTS)
+    @example(u=UEAElement.zero(COMPACT))
+    @example(u=UEAElement.zero(SPLIT))
+    @example(u=IMAGINARY[COMPACT])
+    @example(u=IMAGINARY[SPLIT])
+    @example(u=(casimir(SPLIT) * GR(Fraction(1, 3), Fraction(-2, 5))) ** 3)
+    def test_hc_projection_matches_the_rewrite_oracle(self, cartan, u):
+        image = hc_projection(u, cartan)
+        assert image == rewrite_oracle(u, cartan)
+        assert_lowest_terms(image.terms)

@@ -116,6 +116,19 @@ class TestGaussianRational:
             GR.from_json(obj)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("obj,start", [
+        ([1] * 200_000, "cannot read scalar from [1, 1, 1"),
+        ({"im": [1] * 10_000}, "cannot read scalar from {'im': [1, 1"),
+        ({"re": 1, "k" * 10_000: 1}, "unknown scalar key 'kkk"),
+        ("1" * 5000 + "/3", "cannot read scalar from '111"),
+        ("1e3" + "0" * 5000, "cannot read scalar from '1e3000"),
+    ], ids=["long-list", "long-im", "long-key", "5000-digit-ratio", "long-exponent"])
+    def test_error_quotes_a_bounded_prefix(self, obj, start):
+        with pytest.raises(ValueError) as exc:
+            GR.from_json(obj)
+        message = str(exc.value)
+        assert message.startswith(start) and "..." in message and len(message) <= 120
+
 
 class TestParseRational:
     @pytest.mark.parametrize("text,value", [

@@ -9,13 +9,12 @@ Subcommands:
                 quotient, agreement
 * ``bijection`` run the level-affine bijection verifier, optionally
                 characterizing a candidate map
-* ``verify``    run a named verification suite with profile-sized grids
+* ``verify``    run a named verification suite on its default grids, each
+                overridden by its flag
 
 All JSON output is deterministic: sorted keys, two-space indent, ASCII
 escapes, canonical lowest-terms rationals.  Exit status is 0 when every
-check passes, 1 when some check fails, 2 on usage errors.  The environment
-variable ``SL2FAMILY_PROFILE`` (``default`` or ``quick``) sizes the grids
-used when flags do not override them.
+check passes, 1 when some check fails, 2 on usage errors.
 """
 
 import argparse
@@ -23,8 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import partial
-from json.encoder import encode_basestring_ascii as _quote
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .families import (
@@ -33,16 +31,18 @@ from .families import (
     family_from_json,
     in_tilde_class,
     infinitesimal_character,
-    ktypes_at,
     make_family,
     pinned_level,
 )
 from .fibers import (
+    GROUP,
+    MOTION,
     DualParam,
     composition_factors,
     dual_ktypes,
     evaluate_fiber,
     factor_containing_m,
+    fixed_level,
     is_reducible,
     jantzen_quotient_formula,
     reducibility_points,
@@ -50,7 +50,7 @@ from .fibers import (
 )
 from .duals import _nonzero_real, characterize_bijections, check_entry, verify_conjecture1
 from .pbw import COMPACT, SPLIT, UEAElement, casimir, hc_projection, k_order
-from .scalars import GaussianRational, Poly, parse_rational
+from .scalars import GaussianRational, Poly, _quote, parse_rational
 from .sheaf import (
     CHART_INFINITY,
     ProjectivePoint,
@@ -58,30 +58,6 @@ from .sheaf import (
     center_membership,
     gamma_family,
 )
-
-# Suite settings, keyed by the flag that overrides each one; "points" has no flag.
-PROFILES: Dict[str, Dict[str, dict]] = {
-    "default": {
-        "conjecture2": {
-            "M": 4,
-            "grid": (-4, -1, 0, 1, 3, 8, 15),
-            "points": ("r=1", "r=-1", "r=2", "r=-2", "r=3", "r=-3", "r=1/2", "r=-1/2", "inf"),
-        },
-        "bijection": {
-            "R": (1, 2, Fraction(1, 2), 3),
-            "M": 6,
-            "grid": (0, 1, -1, 2, -2, 4, -4, Fraction(-9, 4), 3, 8, 15),
-        },
-        "appendix": {"M": 3},
-        "regularity": {"M": 3},
-    },
-    "quick": {
-        "conjecture2": {"M": 2, "grid": (0, 1, -4), "points": ("r=1", "r=-1", "r=1/2", "inf")},
-        "bijection": {"R": (1, 2), "M": 3, "grid": (0, 1, -1, Fraction(-9, 4))},
-        "appendix": {"M": 2},
-        "regularity": {"M": 2},
-    },
-}
 
 GENERIC_EVEN = "c(r)≠k(k+2), 0≤k even"
 GENERIC_ODD = "c(r)≠k(k+2), -1≤k odd"
@@ -99,7 +75,7 @@ def _value_of(parse, what: str):
         try:
             return parse(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not {what}: {text!r} ({exc})") from exc
+            raise argparse.ArgumentTypeError(f"not {what}: {_quote(text)} ({exc})") from exc
     return value
 
 
@@ -173,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bijection", help="verify the level-affine dual bijection")
     b.add_argument("--R", type=_rational_list, default=None, metavar="LIST",
-                   help="chart coordinates to verify at (default per profile)")
+                   help="chart coordinates to verify at (default 1,2,1/2,3)")
     b.add_argument("--M", type=int, default=None, help="bound on |m|")
     b.add_argument("--grid", type=_rational_list, default=None, metavar="LIST",
                    help="level samples")
@@ -196,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # how each leaf type is written, by C functions only
-_JSON_LEAF = {str: _quote, int: int.__repr__, bool: {False: "false", True: "true"}.__getitem__,
+_JSON_LEAF = {str: _json_str, int: int.__repr__, bool: {False: "false", True: "true"}.__getitem__,
               type(None): {None: "null"}.__getitem__}
 
 
@@ -228,9 +204,9 @@ def _put_json(obj, nl: str, out: List[str]) -> None:
             v = obj[key]
             leaf = _JSON_LEAF.get(type(v))
             if leaf is not None:
-                out.append(f"{sep}{_quote(key)}: {leaf(v)}")
+                out.append(f"{sep}{_json_str(key)}: {leaf(v)}")
             else:
-                out.append(f"{sep}{_quote(key)}: ")
+                out.append(f"{sep}{_json_str(key)}: ")
                 _put_json(v, inner, out)
             sep = "," + inner
         out.append(nl + "}")
@@ -307,72 +283,55 @@ def _emit(doc, fmt: str, out: Optional[str]) -> None:
 # -- tables -----------------------------------------------------------------
 
 
-def _ladder_rows(M: int, key: str, generic: Tuple[str, str]) -> List[dict]:
-    """Table 1 (key "casimir") or table 2 (key "level"): the classification
-    rows with |m| <= M, generic[parity] standing for a non-wall level."""
+# which -> (key of the level column, dual flavor, the generic-level text by
+# parity of m).  A family with constant c(r) = z has the K-types of the
+# group-dual parameter (z, m), so table 1 reads its rows from the group dual.
+_TABLES = {
+    1: ("casimir", GROUP, (GENERIC_EVEN, GENERIC_ODD)),
+    2: ("level", GROUP, (LEVEL_EVEN, LEVEL_ODD)),
+    3: ("level", MOTION, (LEVEL_NONZERO, LEVEL_NONZERO)),
+}
+
+
+def _table_rows(M: int, key: str, flavor: str, generic: Tuple[str, str]) -> List[dict]:
+    """The rows with |m| <= M.  A free level (|m| <= 1) gets a row for every
+    level off the walls, shown as generic[parity] with the K-types of level 1,
+    and a row for each wall: the group levels k(k+2), k of the parity of m,
+    from the limit rays up, or the motion level 0.  A fixed level gets one row."""
     rows: List[dict] = []
     for m in range(-M, M + 1):
-        if abs(m) <= 1:
-            rows.append({"m": m, "ktypes": str(ktypes_at(m, None)), key: generic[m % 2]})
-            # the wall levels k(k+2), k of the parity of m, from the limit rays up
-            levels = [k * (k + 2) for k in range(-abs(m), M + 1, 2)]
+        fixed = fixed_level(flavor, m)
+        if fixed is not None:
+            levels = [(fixed, fixed)]
         else:
-            levels = [pinned_level(m)]
-        rows.extend({"m": m, "ktypes": str(ktypes_at(m, lv)), key: lv} for lv in levels)
-    return rows
-
-
-def _table3_rows(M: int) -> List[dict]:
-    """Table 3: a row for every nonzero level (shown with the K-types of
-    level 1) when |m| <= 1, and a row for level 0."""
-    rows: List[dict] = []
-    for m in range(-M, M + 1):
-        levels = ((LEVEL_NONZERO, 1), (0, 0)) if abs(m) <= 1 else ((0, 0),)
-        rows.extend({"m": m, "level": shown, "ktypes": str(dual_ktypes(DualParam.motion(lv, m)))}
+            walls = [k * (k + 2) for k in range(-abs(m), M + 1, 2)] if flavor == GROUP else [0]
+            levels = [(generic[m % 2], 1), *((w, w) for w in walls)]
+        rows.extend({"m": m, key: shown, "ktypes": str(dual_ktypes(DualParam(flavor, lv, m)))}
                     for shown, lv in levels)
     return rows
-
-
-def _instances(make, key: str, M: int, grid: Sequence) -> List[dict]:
-    """Concrete rows at the grid levels; make(level, m) is a DualParam
-    constructor, which raises ValueError off the table."""
-    rows: List[dict] = []
-    for v in grid:
-        for m in range(-M, M + 1):
-            try:
-                q = make(v, m)
-            except ValueError:
-                continue
-            rows.append({"m": m, key: scalar_to_json(q.level), "ktypes": str(dual_ktypes(q))})
-    return rows
-
-
-# which -> (base rows of |m| <= M, concrete rows at grid levels).  A family
-# with constant c(r) = z has the K-types of the group-dual parameter (z, m),
-# so table 1 reads its instances from the group dual too.
-_TABLES = {
-    1: (partial(_ladder_rows, key="casimir", generic=(GENERIC_EVEN, GENERIC_ODD)),
-        partial(_instances, DualParam.group, "casimir")),
-    2: (partial(_ladder_rows, key="level", generic=(LEVEL_EVEN, LEVEL_ODD)),
-        partial(_instances, DualParam.group, "level")),
-    3: (_table3_rows, partial(_instances, DualParam.motion, "level")),
-}
 
 
 def cmd_tables(which: int, M: int, grid: Optional[Sequence] = None) -> dict:
     """Rows of table 1 (families), 2 (group dual), or 3 (motion dual)."""
     if M < 0:
         raise ValueError("the K-type bound M must be >= 0")
-    rows, instances = _TABLES[which]
-    base = rows(M)
-    doc = {"table": which, "M": M, "rows": base}
+    key, flavor, generic = _TABLES[which]
+    rows = _table_rows(M, key, flavor, generic)
+    doc = {"table": which, "M": M, "rows": rows}
     if grid is not None:
-        seen = [json.dumps(r, sort_keys=True) for r in base]
-        for row in instances(M, grid):
-            key = json.dumps(row, sort_keys=True)
-            if key not in seen:
-                seen.append(key)
-                base.append(row)
+        # the concrete rows at the grid levels, each not yet listed
+        seen = {json.dumps(r, sort_keys=True) for r in rows}
+        for v in grid:
+            for m in range(-M, M + 1):
+                try:
+                    q = DualParam(flavor, v, m)
+                except ValueError:  # off the table
+                    continue
+                row = {"m": m, key: scalar_to_json(q.level), "ktypes": str(dual_ktypes(q))}
+                text = json.dumps(row, sort_keys=True)
+                if text not in seen:
+                    seen.add(text)
+                    rows.append(row)
         doc["grid"] = [scalar_to_json(GaussianRational.of(v)) for v in grid]
     return doc
 
@@ -475,7 +434,7 @@ def _parse_candidate(obj: dict) -> Dict[int, tuple]:
         try:
             m = int(key)
         except ValueError:
-            raise ValueError(f"candidate key {key!r} is not an integer m") from None
+            raise ValueError(f"candidate key {_quote(key)} is not an integer m") from None
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValueError(f"candidate entry for m={m} must be a pair [a, b]")
         try:
@@ -579,18 +538,28 @@ def _suite_regularity(M: int) -> List[dict]:
     return entries
 
 
+# suite -> (check function, settings keyed by the flag that overrides each
+# one; "points" has no flag)
 _SUITES = {
-    "conjecture2": _suite_conjecture2,
-    "bijection": _suite_bijection,
-    "appendix": _suite_appendix,
-    "regularity": _suite_regularity,
+    "conjecture2": (_suite_conjecture2, {
+        "M": 4,
+        "grid": (-4, -1, 0, 1, 3, 8, 15),
+        "points": ("r=1", "r=-1", "r=2", "r=-2", "r=3", "r=-3", "r=1/2", "r=-1/2", "inf"),
+    }),
+    "bijection": (_suite_bijection, {
+        "R": (1, 2, Fraction(1, 2), 3),
+        "M": 6,
+        "grid": (0, 1, -1, 2, -2, 4, -4, Fraction(-9, 4), 3, 8, 15),
+    }),
+    "appendix": (_suite_appendix, {"M": 3}),
+    "regularity": (_suite_regularity, {"M": 3}),
 }
 
 
-def _settings(profile: str, suite: str, **flags) -> dict:
-    """The profile's settings for suite, each overridden by its flag when
-    given; a flag the suite does not read is a ValueError."""
-    settings = dict(PROFILES[profile][suite])
+def _settings(suite: str, **flags) -> dict:
+    """The settings of suite, each overridden by its flag when given; a flag
+    the suite does not read is a ValueError."""
+    settings = dict(_SUITES[suite][1])
     for flag, value in flags.items():
         if value is not None:
             if flag not in settings:
@@ -599,18 +568,18 @@ def _settings(profile: str, suite: str, **flags) -> dict:
     return settings
 
 
-def cmd_verify(suite: str, profile: str, Rs: Optional[Sequence] = None,
-               M: Optional[int] = None, grid: Optional[Sequence] = None) -> Tuple[dict, int]:
-    """Run one named suite; grids come from the profile unless overridden."""
-    settings = _settings(profile, suite, R=Rs, M=M, grid=grid)
+def cmd_verify(suite: str, Rs: Optional[Sequence] = None, M: Optional[int] = None,
+               grid: Optional[Sequence] = None) -> Tuple[dict, int]:
+    """Run one named suite on its settings, each overridden by its flag."""
+    settings = _settings(suite, R=Rs, M=M, grid=grid)
     if settings["M"] < 0:
         bound = "Casimir power" if suite in ("appendix", "regularity") else "K-type"
         raise ValueError(f"the {bound} bound M must be >= 0")
-    entries = _SUITES[suite](**settings)
+    entries = _SUITES[suite][0](**settings)
     n_pass = sum(1 for e in entries if e["pass"])
     doc = {
         "suite": suite,
-        "profile": profile,
+        "profile": "default",  # the one settings table; kept so reports stay comparable
         # a suite that ran no checks has shown nothing
         "pass": bool(entries) and n_pass == len(entries),
         "counts": {"pass": n_pass, "fail": len(entries) - n_pass},
@@ -625,12 +594,6 @@ def cmd_verify(suite: str, profile: str, Rs: Optional[Sequence] = None,
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    profile = os.environ.get("SL2FAMILY_PROFILE", "default")
-    if profile not in PROFILES:
-        parser.error(
-            f"unknown SL2FAMILY_PROFILE {profile!r} (choose 'default' or 'quick')"
-        )
-
     flag = ""  # names the flag whose value is being read, in a usage error
     try:
         if args.command == "tables":
@@ -645,13 +608,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             flag = "--family: "
             doc, status = cmd_analyze(_load_object(args.family, "family descriptor"), points)
         elif args.command == "bijection":
-            conf = _settings(profile, "bijection", R=args.R, M=args.M, grid=args.grid)
+            conf = _settings("bijection", R=args.R, M=args.M, grid=args.grid)
             flag = "--candidate: "
             candidate = None if args.candidate is None else _load_object(args.candidate, "candidate")
             flag = ""
             doc, status = cmd_bijection(conf["R"], conf["M"], conf["grid"], candidate)
         else:
-            doc, status = cmd_verify(args.suite, profile, args.R, args.M, args.grid)
+            doc, status = cmd_verify(args.suite, args.R, args.M, args.grid)
         flag = "--out: " if args.out else ""
         _emit(doc, args.format, args.out)
     except (OSError, ValueError) as err:

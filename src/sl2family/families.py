@@ -33,6 +33,7 @@ from .scalars import (
     GR_ZERO,
     GaussianRational,
     Poly,
+    _quote,
     has_gaussian_sqrt,
 )
 
@@ -55,7 +56,7 @@ class KTypeSet:
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown K-type set kind {self.kind!r}")
+            raise ValueError(f"unknown K-type set kind {_quote(self.kind)}")
         if self.kind in (ALL_EVEN, ALL_ODD):
             if self.param is not None:
                 raise ValueError(f"{self.kind} takes no parameter")
@@ -177,7 +178,7 @@ class KTypeSet:
         if not isinstance(obj, str):
             kind = obj.get("kind") if isinstance(obj, dict) else None
             if not isinstance(kind, str):
-                raise ValueError(f"cannot parse K-type set {obj!r}")
+                raise ValueError(f"cannot parse K-type set {_quote(obj)}")
             return KTypeSet(_KIND_NAMES.get(kind, kind), obj.get("param"))
         t = obj.strip()
         if _KIND_NAMES.get(t) in (ALL_EVEN, ALL_ODD):
@@ -188,15 +189,15 @@ class KTypeSet:
                 return KTypeSet.singleton(int(t[1:-1]))
             terms = [int(p) for p in (t[:-4].split(",") if ray else t.split(".."))]
         except ValueError:
-            raise ValueError(f"cannot parse K-type set {obj!r}") from None
+            raise ValueError(f"cannot parse K-type set {_quote(obj)}") from None
         steps = {b - a for a, b in zip(terms, terms[1:])}
         if ray and steps in ({2}, {-2}):
             return KTypeSet(RAY_UP if steps == {2} else RAY_DOWN, terms[0])
         if not ray and len(terms) == 2:
             if terms[0] != -terms[1]:
-                raise ValueError(f"window must be symmetric, got {obj!r}")
+                raise ValueError(f"window must be symmetric, got {_quote(obj)}")
             return KTypeSet.window(terms[1])
-        raise ValueError(f"cannot parse K-type set {obj!r}")
+        raise ValueError(f"cannot parse K-type set {_quote(obj)}")
 
 
 # Every name a K-type set kind goes by in JSON, to the kind.  "rayUp" and
@@ -529,7 +530,8 @@ def intertwiner_exists(fam: ModuleFamily) -> bool:
 def _reject_unknown_keys(obj: dict, known: Tuple[str, ...], what: str) -> None:
     unknown = [k for k in obj if k not in known]
     if unknown:
-        raise FamilyValidationError("descriptor-bad-field", f"unknown {what} key {unknown[0]!r}")
+        raise FamilyValidationError("descriptor-bad-field",
+                                    f"unknown {what} key {_quote(unknown[0])}")
 
 
 def family_from_json(obj: dict) -> ModuleFamily:

@@ -64,6 +64,14 @@ class TestTableFixtures:
         expected = (FIXTURES / f"table{which}_M6.json").read_text(encoding="utf-8")
         assert out == expected
 
+    @pytest.mark.parametrize("which", ["1", "2", "3"])
+    def test_grid_is_byte_identical_to_committed_fixture(self, capsys, which):
+        # recorded before tables 1-3 shared one row builder; the grid repeats
+        # level 0 and mixes wall levels (0, -1, 3, 8, 15) with off-wall ones
+        code, out = run(capsys, "tables", which, "--M", "6", "--grid=0,1,-1,-4,3,8,1/2,0,15")
+        assert code == 0
+        assert out == (FIXTURES / f"table{which}_grid_M6.json").read_text(encoding="utf-8")
+
     def test_fixture_shapes(self):
         table1 = json.loads((FIXTURES / "table1_M6.json").read_text())
         table2 = json.loads((FIXTURES / "table2_M6.json").read_text())
@@ -489,11 +497,10 @@ class TestBijection:
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["conjecture2", "bijection", "appendix", "regularity"])
-    def test_quick_profile_suites(self, capsys, monkeypatch, suite):
-        monkeypatch.setenv("SL2FAMILY_PROFILE", "quick")
+    def test_every_suite_passes_on_its_defaults(self, capsys, suite):
         code, doc = run_json(capsys, "verify", suite)
         assert code == 0
-        assert doc["pass"] and doc["profile"] == "quick"
+        assert doc["pass"] and doc["profile"] == "default"
         assert doc["suite"] == suite
         assert doc["counts"]["fail"] == 0
         assert doc["counts"]["pass"] == len(doc["entries"])
@@ -505,26 +512,31 @@ class TestVerify:
         assert doc["profile"] == "default"
         assert doc["counts"] == {"fail": 0, "pass": 243}
 
-    def test_size_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SL2FAMILY_PROFILE", "quick")
+    def test_size_override(self, capsys):
         code, doc = run_json(capsys, "verify", "appendix", "--M", "1")
         assert code == 0
-        quick_code, quick_doc = run_json(capsys, "verify", "appendix")
-        assert quick_code == 0
-        assert doc["counts"]["pass"] < quick_doc["counts"]["pass"]
+        default_code, default_doc = run_json(capsys, "verify", "appendix")
+        assert default_code == 0
+        assert doc["counts"]["pass"] < default_doc["counts"]["pass"]
 
-    def test_appendix_is_byte_identical_to_golden(self, capsys, monkeypatch, tmp_path):
-        # recorded before change_basis ran on Gaussian-integer term maps
+    @pytest.mark.parametrize("value", ["quick", "bogus"])
+    def test_profile_variable_is_not_read(self, capsys, monkeypatch, value):
+        # SL2FAMILY_PROFILE once chose a smaller "quick" grid; it no longer has an effect
         monkeypatch.delenv("SL2FAMILY_PROFILE", raising=False)
+        unset = run(capsys, "verify", "appendix")
+        monkeypatch.setenv("SL2FAMILY_PROFILE", value)
+        assert run(capsys, "verify", "appendix") == unset
+
+    def test_appendix_is_byte_identical_to_golden(self, capsys, tmp_path):
+        # recorded before change_basis ran on Gaussian-integer term maps
         out = tmp_path / "a.json"
         code, _ = run(capsys, "verify", "appendix", "--M", "12", "--out", str(out))
         assert code == 0
         assert out.read_bytes() == (FIXTURES / "appendix_M12.json").read_bytes()
 
-    def test_appendix_M16_is_byte_identical_to_golden(self, capsys, monkeypatch, tmp_path):
+    def test_appendix_M16_is_byte_identical_to_golden(self, capsys, tmp_path):
         # recorded before normal_multiply, change_basis's sum and the Verma
         # projection ran on Gaussian integers
-        monkeypatch.delenv("SL2FAMILY_PROFILE", raising=False)
         out = tmp_path / "a.json"
         code, _ = run(capsys, "verify", "appendix", "--M", "16", "--out", str(out))
         assert code == 0
@@ -538,7 +550,7 @@ class TestVerify:
 
     def test_conjecture2_with_no_checks_fails(self):
         # M = 0 with an empty level grid leaves conjecture2 no family to check
-        doc, code = cmd_verify("conjecture2", "default", M=0, grid=[])
+        doc, code = cmd_verify("conjecture2", M=0, grid=[])
         assert code == 1
         assert doc["entries"] == [] and doc["pass"] is False
 
@@ -556,12 +568,6 @@ class TestVerify:
             main(["verify", "balance"])
         assert exc.value.code == 2
 
-    def test_unknown_profile_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SL2FAMILY_PROFILE", "bogus")
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "conjecture2"])
-        assert exc.value.code == 2
-
 
 FAMILY = '{"m": 0, "casimir": [-1, 0, 1]}'
 SMALL_BIJECTION = ["bijection", "--R", "1", "--M", "1", "--grid", "0,1"]
@@ -569,111 +575,109 @@ NO_SUCH_FILE = "[Errno 2] No such file or directory: "
 NOT_JSON = "Expecting value: line 1 column 1 (char 0)"
 NOT_OBJECT = "family descriptor must be a JSON object"
 
-# (id, SL2FAMILY_PROFILE, argv, last stderr line after "sl2family: error: ");
+# (id, argv, last stderr line after "sl2family: error: ");
 # {tmp} is a directory holding missing.json (absent), nonjson.txt, nonobj.json and
 # deep.json (a descriptor whose "casimir" nests 5,000 lists deep)
 USAGE_ERRORS = [
-    ("classify-missing-file", "default", ["classify", "--family", "{tmp}/missing.json"],
+    ("classify-missing-file", ["classify", "--family", "{tmp}/missing.json"],
      f"--family: {NO_SUCH_FILE}'{{tmp}}/missing.json'"),
-    ("classify-non-json", "default", ["classify", "--family", "{tmp}/nonjson.txt"],
+    ("classify-non-json", ["classify", "--family", "{tmp}/nonjson.txt"],
      f"--family: {NOT_JSON}"),
-    ("classify-non-object", "default", ["classify", "--family", "{tmp}/nonobj.json"],
+    ("classify-non-object", ["classify", "--family", "{tmp}/nonobj.json"],
      f"--family: {NOT_OBJECT}"),
-    ("classify-deep-nesting", "default", ["classify", "--family", "{tmp}/deep.json"],
+    ("classify-deep-nesting", ["classify", "--family", "{tmp}/deep.json"],
      "--family: family descriptor nests too deeply to read"),
-    ("analyze-missing-file", "default",
+    ("analyze-missing-file",
      ["analyze", "--family", "{tmp}/missing.json", "--point", "r=1"],
      f"--family: {NO_SUCH_FILE}'{{tmp}}/missing.json'"),
-    ("analyze-non-json", "default", ["analyze", "--family", "{tmp}/nonjson.txt", "--point", "r=1"],
+    ("analyze-non-json", ["analyze", "--family", "{tmp}/nonjson.txt", "--point", "r=1"],
      f"--family: {NOT_JSON}"),
-    ("analyze-non-object", "default",
+    ("analyze-non-object",
      ["analyze", "--family", "{tmp}/nonobj.json", "--point", "r=1"], f"--family: {NOT_OBJECT}"),
-    ("analyze-no-points", "default", ["analyze", "--family", FAMILY],
+    ("analyze-no-points", ["analyze", "--family", FAMILY],
      "analyze needs at least one --point or --grid"),
-    ("analyze-non-real-casimir", "default",
+    ("analyze-non-real-casimir",
      ["analyze", "--family", '{"m": 0, "casimir": [{"re": 0, "im": 1}]}', "--point", "r=1"],
      "--family: reducibility on the real line needs a real Casimir polynomial"),
-    ("analyze-unknown-casimir-key", "default",
+    ("analyze-unknown-casimir-key",
      ["analyze", "--family", '{"m": 0, "casimir": {"coeffs": [8], "var": "r", "cofs": [3]}}',
       "--point", "r=1"],
      """--family: descriptor-bad-field: unknown "casimir" key 'cofs'"""),
-    ("analyze-unknown-ktypes-key", "default",
+    ("analyze-unknown-ktypes-key",
      ["analyze", "--family",
       '{"m": 0, "casimir": [8], "ktypes": {"kind": "window", "param": 2, "parity": 1}}',
       "--point", "r=1"],
      """--family: descriptor-bad-field: unknown "ktypes" key 'parity'"""),
-    ("analyze-unknown-scalar-key", "default",
+    ("analyze-unknown-scalar-key",
      ["analyze", "--family", '{"m": 0, "casimir": [{"re": 8, "imag": 3}]}', "--point", "r=1"],
      "--family: descriptor-bad-field: unknown scalar key 'imag'"),
-    ("analyze-one-sided-ray", "default",
+    ("analyze-one-sided-ray",
      ["analyze", "--family", '{"m": 3, "casimir": [3], "ktypes": "3,..."}', "--point", "r=1"],
      """--family: descriptor-bad-field: cannot read "ktypes": cannot parse K-type set '3,...'"""),
-    ("candidate-missing-file", "default", SMALL_BIJECTION + ["--candidate", "{tmp}/missing.json"],
+    ("candidate-missing-file", SMALL_BIJECTION + ["--candidate", "{tmp}/missing.json"],
      f"--candidate: {NO_SUCH_FILE}'{{tmp}}/missing.json'"),
-    ("candidate-non-json", "default", SMALL_BIJECTION + ["--candidate", "{tmp}/nonjson.txt"],
+    ("candidate-non-json", SMALL_BIJECTION + ["--candidate", "{tmp}/nonjson.txt"],
      f"--candidate: {NOT_JSON}"),
-    ("candidate-non-object", "default", SMALL_BIJECTION + ["--candidate", "{tmp}/nonobj.json"],
+    ("candidate-non-object", SMALL_BIJECTION + ["--candidate", "{tmp}/nonobj.json"],
      "--candidate: candidate must be a JSON object"),
-    ("candidate-deep-nesting", "default", SMALL_BIJECTION + ["--candidate", "{tmp}/deep.json"],
+    ("candidate-deep-nesting", SMALL_BIJECTION + ["--candidate", "{tmp}/deep.json"],
      "--candidate: candidate nests too deeply to read"),
-    ("candidate-empty", "default", SMALL_BIJECTION + ["--candidate", ""],
+    ("candidate-empty", SMALL_BIJECTION + ["--candidate", ""],
      f"--candidate: {NO_SUCH_FILE}''"),
-    ("candidate-float", "default",
+    ("candidate-float",
      SMALL_BIJECTION + ["--candidate", '{"0": [0.5, -1], "1": [1, -1], "-1": [1, -1]}'],
      "candidate entry for m=0: cannot read scalar from 0.5 (floats are not exact)"),
-    ("candidate-unknown-scalar-key", "default",
+    ("candidate-unknown-scalar-key",
      SMALL_BIJECTION + ["--candidate", '{"0": [{"re": 1, "imag": 1}, -1]}'],
      "candidate entry for m=0: unknown scalar key 'imag'"),
-    ("candidate-boolean", "default", SMALL_BIJECTION + ["--candidate", '{"0": [1, true]}'],
+    ("candidate-boolean", SMALL_BIJECTION + ["--candidate", '{"0": [1, true]}'],
      "candidate entry for m=0: booleans are not scalars"),
-    ("candidate-without-m0", "default",
+    ("candidate-without-m0",
      SMALL_BIJECTION + ["--candidate", '{"1": [1, -1], "-1": [1, -1]}'],
      "candidate must supply an affine map for m = 0"),
-    ("candidate-non-integer-key", "default", SMALL_BIJECTION + ["--candidate", '{"x": [1, -1]}'],
+    ("candidate-non-integer-key", SMALL_BIJECTION + ["--candidate", '{"x": [1, -1]}'],
      "candidate key 'x' is not an integer m"),
-    ("bijection-zero-R", "default", ["bijection", "--R", "0"],
+    ("bijection-zero-R", ["bijection", "--R", "0"],
      "the chart coordinate R must be a nonzero real rational"),
-    ("verify-bijection-zero-R", "default", ["verify", "bijection", "--R", "0"],
+    ("verify-bijection-zero-R", ["verify", "bijection", "--R", "0"],
      "the chart coordinate R must be a nonzero real rational"),
-    ("out-missing-directory", "default",
+    ("out-missing-directory",
      ["tables", "1", "--M", "0", "--out", "{tmp}/no-such-dir/x.json"],
      f"--out: {NO_SUCH_FILE}'{{tmp}}/no-such-dir/x.json'"),
-    ("tables-negative-M", "default", ["tables", "1", "--M", "-1"],
+    ("tables-negative-M", ["tables", "1", "--M", "-1"],
      "the K-type bound M must be >= 0"),
-    ("bijection-negative-M", "default", ["bijection", "--M", "-1"],
+    ("bijection-negative-M", ["bijection", "--M", "-1"],
      "the K-type bound M must be >= 0"),
-    ("conjecture2-negative-M", "default", ["verify", "conjecture2", "--M", "-1"],
+    ("conjecture2-negative-M", ["verify", "conjecture2", "--M", "-1"],
      "the K-type bound M must be >= 0"),
-    ("verify-bijection-negative-M", "default", ["verify", "bijection", "--M", "-1"],
+    ("verify-bijection-negative-M", ["verify", "bijection", "--M", "-1"],
      "the K-type bound M must be >= 0"),
-    ("appendix-negative-M", "default", ["verify", "appendix", "--M", "-1"],
+    ("appendix-negative-M", ["verify", "appendix", "--M", "-1"],
      "the Casimir power bound M must be >= 0"),
-    ("regularity-negative-M", "default", ["verify", "regularity", "--M", "-1"],
+    ("regularity-negative-M", ["verify", "regularity", "--M", "-1"],
      "the Casimir power bound M must be >= 0"),
-    ("bijection-one-level-grid", "default", ["bijection", "--R", "1", "--M", "3", "--grid", "1,1"],
+    ("bijection-one-level-grid", ["bijection", "--R", "1", "--M", "3", "--grid", "1,1"],
      "the level grid needs at least two distinct levels"),
-    ("verify-bijection-one-level-grid", "default", ["verify", "bijection", "--grid", "0"],
+    ("verify-bijection-one-level-grid", ["verify", "bijection", "--grid", "0"],
      "the level grid needs at least two distinct levels"),
     # exponent notation, which names numbers of any length, in a descriptor and a candidate
-    ("analyze-exponent-casimir", "default",
+    ("analyze-exponent-casimir",
      ["analyze", "--family", '{"m": 0, "casimir": "1e-999999999"}', "--point", "r=1"],
      "--family: descriptor-bad-field: cannot read scalar from '1e-999999999' "
      "(exponent notation is not read)"),
-    ("candidate-exponent", "default",
+    ("candidate-exponent",
      SMALL_BIJECTION + ["--candidate", '{"0": ["1e-999999999", -1], "1": [1, -1], "-1": [1, -1]}'],
      "candidate entry for m=0: cannot read scalar from '1e-999999999' "
      "(exponent notation is not read)"),
-    ("unknown-profile", "bogus", ["verify", "appendix"],
-     "unknown SL2FAMILY_PROFILE 'bogus' (choose 'default' or 'quick')"),
     # a flag the suite does not read
-    ("conjecture2-R", "default", ["verify", "conjecture2", "--R", "1"],
+    ("conjecture2-R", ["verify", "conjecture2", "--R", "1"],
      "verify conjecture2 takes no --R"),
-    ("appendix-R", "default", ["verify", "appendix", "--R", "2"], "verify appendix takes no --R"),
-    ("appendix-grid", "quick", ["verify", "appendix", "--grid", "1,2"],
+    ("appendix-R", ["verify", "appendix", "--R", "2"], "verify appendix takes no --R"),
+    ("appendix-grid", ["verify", "appendix", "--grid", "1,2"],
      "verify appendix takes no --grid"),
-    ("regularity-R", "quick", ["verify", "regularity", "--R", "2"],
+    ("regularity-R", ["verify", "regularity", "--R", "2"],
      "verify regularity takes no --R"),
-    ("regularity-grid", "default", ["verify", "regularity", "--grid", "1,2"],
+    ("regularity-grid", ["verify", "regularity", "--grid", "1,2"],
      "verify regularity takes no --grid"),
 ]
 
@@ -715,6 +719,24 @@ UNREADABLE_FLAGS = [
 ]
 
 
+LONG = "x" * 20_000
+
+# (id, argv, start of the last stderr line): a 20,000-character value, of which
+# the message quotes a bounded prefix
+LONG_VALUES = [
+    ("candidate-key", SMALL_BIJECTION + ["--candidate", json.dumps({LONG: [1, -1]})],
+     "sl2family: error: candidate key 'xxx"),
+    ("tables-grid", ["tables", "1", "--grid", "0," + LONG],
+     "sl2family tables: error: argument --grid: not an exact rational: 'xxx"),
+    ("bijection-grid", ["bijection", "--grid", "0," + "1" * 20_000],
+     "sl2family bijection: error: argument --grid: not an exact rational: '111"),
+    ("bijection-R", ["bijection", "--R", LONG],
+     "sl2family bijection: error: argument --R: not an exact rational: 'xxx"),
+    ("analyze-point", ["analyze", "--family", FAMILY, "--point", "r=" + LONG],
+     "sl2family analyze: error: argument --point: not a base point: 'r=xxx"),
+]
+
+
 def _flag_error(capsys, argv) -> str:
     """The last stderr line of main(argv), which must exit 2 and print nothing."""
     with pytest.raises(SystemExit) as exc:
@@ -737,14 +759,20 @@ class TestUsageErrors:
     def test_unreadable_flag_value_gives_the_reason(self, capsys, argv, message):
         assert _flag_error(capsys, argv) == message
 
-    @pytest.mark.parametrize("profile,argv,message", [case[1:] for case in USAGE_ERRORS],
+    @pytest.mark.parametrize("argv,start", [case[1:] for case in LONG_VALUES],
+                             ids=[case[0] for case in LONG_VALUES])
+    def test_long_value_is_quoted_by_a_bounded_prefix(self, capsys, argv, start):
+        # the message used to quote the whole value: about 20 KB of stderr
+        line = _flag_error(capsys, argv)
+        assert line.startswith(start) and "..." in line and len(line) <= 300
+
+    @pytest.mark.parametrize("argv,message", [case[1:] for case in USAGE_ERRORS],
                              ids=[case[0] for case in USAGE_ERRORS])
-    def test_exit_two_with_one_line(self, capsys, monkeypatch, tmp_path, profile, argv, message):
+    def test_exit_two_with_one_line(self, capsys, tmp_path, argv, message):
         (tmp_path / "nonjson.txt").write_text("not json", encoding="utf-8")
         (tmp_path / "nonobj.json").write_text("[1, 2]", encoding="utf-8")
         deep = '{"m": 0, "casimir": ' + "[" * 5000 + "1" + "]" * 5000 + "}"
         (tmp_path / "deep.json").write_text(deep, encoding="utf-8")
-        monkeypatch.setenv("SL2FAMILY_PROFILE", profile)
         with pytest.raises(SystemExit) as exc:
             main([a.replace("{tmp}", str(tmp_path)) for a in argv])
         assert exc.value.code == 2
@@ -763,8 +791,7 @@ class TestTextFormat:
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
 
-    def test_text_and_json_agree_on_pass(self, capsys, monkeypatch):
-        monkeypatch.setenv("SL2FAMILY_PROFILE", "quick")
+    def test_text_and_json_agree_on_pass(self, capsys):
         code, out = run(capsys, "verify", "regularity", "--format", "text")
         assert code == 0
         assert "pass: true" in out

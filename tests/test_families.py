@@ -154,6 +154,20 @@ class TestKTypeSet:
             KTypeSet.from_json(obj)
         assert str(exc.value) == f"cannot parse K-type set {obj!r}"
 
+    @pytest.mark.parametrize("obj,start", [
+        ({"kind": "x" * 20_000}, "unknown K-type set kind 'xxx"),
+        (",".join(["1"] * 10_000), "cannot parse K-type set '1,1,1"),
+        ("-1.." + "1" * 4000, "window must be symmetric, got '-1..111"),
+        ("{" + "x" * 20_000 + "}", "cannot parse K-type set '{xxx"),
+        ({"kind": ["x"] * 10_000}, "cannot parse K-type set {'kind': ['x'"),
+    ], ids=["unknown-kind", "long-list", "asymmetric-window", "long-singleton", "long-object"])
+    def test_error_quotes_a_bounded_prefix(self, obj, start):
+        # the message used to quote the whole value
+        with pytest.raises(ValueError) as exc:
+            KTypeSet.from_json(obj)
+        message = str(exc.value)
+        assert message.startswith(start) and "..." in message and len(message) <= 120
+
 
 class TestWallIndex:
     @pytest.mark.parametrize(
@@ -381,6 +395,21 @@ class TestFamilyJson:
         assert fam2.ktypes == KTypeSet.ray_down(-1)
         fam3 = family_from_json({"m": 0, "casimir": ["-1", 0, "1/2"]})
         assert fam3.c2 == GR(Fraction(1, 2))
+
+    @pytest.mark.parametrize("desc,start", [
+        ({"m": 0, "casimir": [8], "k" * 20_000: 1}, "unknown descriptor key 'kkk"),
+        ({"m": 0, "casimir": {"coeffs": [8], "var": "r", "k" * 20_000: 1}},
+         """unknown "casimir" key 'kkk"""),
+        ({"m": 0, "casimir": [8], "ktypes": {"kind": "2Z", "k" * 20_000: 1}},
+         """unknown "ktypes" key 'kkk"""),
+    ], ids=["descriptor", "casimir", "ktypes"])
+    def test_unknown_key_quotes_a_bounded_prefix(self, desc, start):
+        # the detail used to quote the whole key
+        with pytest.raises(FamilyValidationError) as exc:
+            family_from_json(desc)
+        detail = exc.value.detail
+        assert exc.value.code == "descriptor-bad-field"
+        assert detail.startswith(start) and detail.endswith("...") and len(detail) <= 120
 
     def test_descriptor_errors(self):
         with pytest.raises(FamilyValidationError) as exc:

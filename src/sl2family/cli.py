@@ -50,7 +50,7 @@ from .fibers import (
 )
 from .duals import _nonzero_real, characterize_bijections, check_entry, verify_conjecture1
 from .pbw import COMPACT, SPLIT, UEAElement, casimir, hc_projection, k_order
-from .scalars import GaussianRational, Poly, _quote, parse_rational
+from .scalars import GaussianRational, Poly, _quote, parse_int, parse_rational
 from .sheaf import (
     CHART_INFINITY,
     ProjectivePoint,
@@ -89,6 +89,7 @@ def _list_of(item):
     return parse
 
 
+_integer = _value_of(parse_int, "an integer")
 _rational = _value_of(parse_rational, "an exact rational")
 _point = _value_of(ProjectivePoint.parse, "a base point")
 _rational_list = _list_of(_rational)
@@ -102,7 +103,7 @@ def _load_object(value: str, what: str) -> dict:
         with open(value, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=parse_int)
     except RecursionError:
         raise ValueError(f"{what} nests too deeply to read") from None
     if not isinstance(obj, dict):
@@ -117,8 +118,19 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
                      help="write the report to PATH instead of stdout")
 
 
+_ERROR_MAX = 300  # characters of a usage error; the readers' own messages stay below
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with every usage error cut to a bounded line: its own messages
+    for a bad choice, an unknown subcommand or stray arguments echo them whole."""
+
+    def error(self, message: str):
+        super().error(message if len(message) <= _ERROR_MAX else message[:_ERROR_MAX] + "...")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sl2family",
         description="Exact computations with the deformation family over the "
         "projective line: classification tables, fiberwise composition "
@@ -127,9 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("tables", help="emit table rows as JSON")
-    t.add_argument("which", type=int, choices=(1, 2, 3),
+    t.add_argument("which", type=_integer, choices=(1, 2, 3),
                    help="1: family classification, 2: group dual, 3: motion dual")
-    t.add_argument("--M", type=int, default=6, help="bound on |m| (default 6)")
+    t.add_argument("--M", type=_integer, default=6, help="bound on |m| (default 6)")
     t.add_argument("--grid", type=_rational_list, default=None, metavar="LIST",
                    help="comma-separated levels; appends matching concrete rows")
     _add_output_flags(t)
@@ -150,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bijection", help="verify the level-affine dual bijection")
     b.add_argument("--R", type=_rational_list, default=None, metavar="LIST",
                    help="chart coordinates to verify at (default 1,2,1/2,3)")
-    b.add_argument("--M", type=int, default=None, help="bound on |m|")
+    b.add_argument("--M", type=_integer, default=None, help="bound on |m|")
     b.add_argument("--grid", type=_rational_list, default=None, metavar="LIST",
                    help="level samples")
     b.add_argument("--candidate", default=None, metavar="JSON|PATH",
@@ -161,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=tuple(_SUITES))
     v.add_argument("--R", type=_rational_list, default=None, metavar="LIST")
-    v.add_argument("--M", type=int, default=None)
+    v.add_argument("--M", type=_integer, default=None)
     v.add_argument("--grid", type=_rational_list, default=None, metavar="LIST")
     _add_output_flags(v)
 

@@ -12,17 +12,19 @@ total exponent on the non-compact generators.
 
 The rewriting core (``times_generator``) uses [raising, lowering] = cartan.
 ``NormalForm`` is the term map (see scalars.Terms) whose product is that
-rewriting and ``UEAElement`` a normal form over Q(i); the sections of
-sheaf.py, with Laurent coefficients, multiply on the same core one R-degree
-slice at a time.
+rewriting and ``UEAElement`` a normal form over Q(i).
 
-The Q(i) loops here run on Gaussian integers: an element is brought to a
-pair of int term maps (real and imaginary parts) over one common
-denominator, the work runs on those, and each output coefficient is reduced
-once, at the end.  This holds for ``normal_multiply``, for ``change_basis``
-(twice each transition constant is a Gaussian integer, so the image of a
-word of length L is one over 2^L) and for ``hc_projection``, which lets the
-element act on a Verma module of the target basis instead of rewriting it.
+The Q(i) loops run on Gaussian integers: an element is brought to a pair of
+int term maps (real and imaginary parts) over one common denominator
+(``_integral``), the work runs on those, and each output coefficient is
+reduced once, at the end (``_rational``); ``times_monomial`` passes an
+empty half through unrewritten.  This holds for ``normal_multiply``, for
+``change_basis`` (twice each transition constant is a Gaussian integer, so
+the image of a word of length L is one over 2^L), for ``hc_projection``,
+which lets the element act on a Verma module of the target basis instead of
+rewriting it, and in sheaf.py for the product of sections (one R-degree
+slice at a time) and the center test of ``center_decompose`` (a zero test,
+with no denominator).
 """
 
 from __future__ import annotations
@@ -68,7 +70,10 @@ def times_generator(terms: dict, gen: int) -> dict:
 
 
 def times_monomial(terms: dict, mono: Monomial) -> dict:
-    """Right-multiply a normal-form term map by the monomial F^a E^c H^b."""
+    """Right-multiply a normal-form term map by the monomial F^a E^c H^b.
+    An empty map is returned as it is, with no rewrite."""
+    if not terms:
+        return terms
     a, b, c = mono
     for _ in range(a):
         terms = times_generator(terms, _LOWER)

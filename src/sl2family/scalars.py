@@ -14,7 +14,9 @@ scalar format (an int, a "p/q" string, or {"re", "im"?}): family
 descriptors and candidate bijections are both read through it.
 ``parse_rational`` is the one reader of rational strings, for those
 scalars and for the command-line values alike: an integer, "p/q" or a
-decimal, never exponent notation.
+decimal, never exponent notation.  ``parse_int`` reads integer strings,
+for JSON input and integer flags.  Both refuse more than ``DIGITS_MAX``
+digits in a row with one message.
 
 ``Terms`` is the one sparse "monomial -> nonzero coefficient" type of the
 package: sums, scalar multiples, powers, equality, hashing and printing
@@ -52,14 +54,41 @@ def _quote(x) -> str:
     return text if len(text) <= _QUOTE_MAX else text[:_QUOTE_MAX] + "..."
 
 
+# the most digits in a row that any reader takes: Python's default bound on
+# int() of a string, fixed here so that every input path refuses alike
+DIGITS_MAX = 4300
+_DIGIT_RUN = re.compile(r"\d+")
+
+
+def _check_digits(text: str, what: str) -> None:
+    """Refuse text, read as what, when more than DIGITS_MAX digits stand in a
+    row (an underscore between two digits does not end the row)."""
+    if len(text) > DIGITS_MAX:  # a shorter text holds no longer row
+        longest = max(map(len, _DIGIT_RUN.findall(text.replace("_", ""))), default=0)
+        if longest > DIGITS_MAX:
+            raise ValueError(
+                f"cannot read {what} from {_quote(text)} (more than {DIGITS_MAX} digits)")
+
+
+def parse_int(text: str) -> int:
+    """Read an integer string as int() does, with at most DIGITS_MAX digits."""
+    _check_digits(text, "an integer")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"cannot read an integer from {_quote(text)}") from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Read a rational string: an integer, "p/q", or a decimal such as "-2.25".
 
-    Exponent notation, a zero denominator and anything else Fraction
-    cannot read are a ValueError with a one-line message.
+    Exponent notation, more than DIGITS_MAX digits in a row, a zero
+    denominator and anything else Fraction cannot read are a ValueError
+    with a one-line message.
     """
     if _EXPONENT.search(text):
         raise ValueError(f"cannot read scalar from {_quote(text)} (exponent notation is not read)")
+    _check_digits(text, "scalar")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

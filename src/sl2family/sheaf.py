@@ -6,16 +6,13 @@ r) carries the constant sl2 structure, and the chart at infinity
 generators whose bracket is [raising, lowering] = R^2 * cartan.  A section
 (``FamilySection``) is a PBW normal form (pbw.NormalForm) with Laurent
 polynomials in the chart coordinate as coefficients; negative exponents
-are legal and flag a rational (non-regular) section; sections multiply on
-the Q(i) rewriting core of pbw.py.  ``CartanSection`` is a term map from
-powers of the Cartan generator to Laurent polynomials.  ``Laurent`` itself
-lives in scalars.py.
+are legal and flag a rational (non-regular) section.  ``CartanSection`` maps
+powers of the Cartan generator to Laurent polynomials (scalars.Laurent).
 
-Central sections are recognized without building Casimir powers:
-``center_decompose`` tests that a weight-zero section commutes with the
-raising generator, one R-degree slice at a time, and reads the Laurent
-coefficients of the Casimir powers off the Cartan part (the H^b terms)
-alone.
+Sections multiply on the Gaussian-integer core of pbw.py.  Central
+sections are recognized without building Casimir powers: a weight-zero
+section must commute with the raising generator (``center_decompose``), and
+the coefficients of the Casimir powers come off the Cartan part alone.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Optional
 
-from .pbw import COMPACT, NormalForm, UEAElement, casimir, times_monomial
+from .pbw import COMPACT, NormalForm, UEAElement, _integral, _mac, _rational, casimir, times_monomial
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, Laurent, Terms, _add_term, _power
 
 CHART_FINITE = "X0"
@@ -116,6 +113,11 @@ class ProjectivePoint:
         return f"r={self.beta}"
 
 
+def _flat(terms: dict) -> dict:
+    """{(monomial, exponent): Q(i) coefficient} of a section's term map."""
+    return {(mono, e): x for mono, f in terms.items() for e, x in f.terms.items()}
+
+
 def _laurent_in(var: str, x) -> Optional[Laurent]:
     """x as a Laurent coefficient in var, or None when it is not one."""
     if isinstance(x, Laurent):
@@ -135,11 +137,12 @@ class FamilySection(NormalForm):
     chart coordinate.  Coefficients with negative exponents are permitted
     and flag a rational section.
 
-    The product runs on the Q(i) core of pbw.py.  At infinity it uses the
-    finite frame X = Xinf/R, Y = Yinf/R, H = Hinf, where [X, Y] = H, so
-    Finf^a Einf^c H^b = R^(a+c) F^a E^c H^b.  The left factor splits into
-    R-degree slices over Q(i), each rewritten by pbw.times_monomial, and
-    each product monomial divides by R^(a+c) on the way back.
+    The product runs on the Gaussian-integer core of pbw.py.  At infinity
+    it uses the finite frame X = Xinf/R, Y = Yinf/R, H = Hinf, where
+    [X, Y] = H, so Finf^a Einf^c H^b = R^(a+c) F^a E^c H^b.  Each int slice
+    of the left factor (``_slices``) is rewritten by pbw.times_monomial,
+    summed with the right factor's int coefficients and reduced once; each
+    product monomial divides by R^(a+c) on the way back.
     """
 
     __slots__ = ()
@@ -159,30 +162,31 @@ class FamilySection(NormalForm):
     def _coerce(self, x):
         return _laurent_in(self.var, x)
 
-    def _slices(self) -> dict:
-        """R-degree in the finite frame -> {monomial: Q(i) coefficient}."""
+    def _slices(self) -> tuple:
+        """(D, {finite-frame R-degree: (re, im)}): D * self as int slices."""
         lift = 1 if self.tag == CHART_INFINITY else 0  # R-power per ladder generator
+        den, re, im = _integral(_flat(self.terms))
         slices: dict = {}
-        for mono, f in self.terms.items():
-            for e, x in f.terms.items():
-                slices.setdefault(e + lift * (mono[0] + mono[2]), {})[mono] = x
-        return slices
+        for half, part in enumerate((re, im)):
+            for (mono, e), z in part.items():
+                slices.setdefault(e + lift * (mono[0] + mono[2]), ({}, {}))[half][mono] = z
+        return den, slices
 
     def _product(self, terms: dict) -> dict:
         lift = 1 if self.tag == CHART_INFINITY else 0
-        acc: dict = {}  # (monomial, R-degree in the finite frame) -> sum
-        for e1, part in self._slices().items():
+        du, slices = self._slices()
+        dv, vre, vim = _integral(_flat(terms))
+        acc: dict = {}  # R-degree in the finite frame -> int pair over du * dv
+        for e1, (x, y) in slices.items():
             for mono, g in terms.items():
-                prod = times_monomial(part, mono)
-                for e2, y in g.terms.items():
-                    e = e1 + e2 + lift * (mono[0] + mono[2])
-                    for key, x in prod.items():
-                        cur = acc.get((key, e))
-                        acc[key, e] = x * y if cur is None else cur + x * y
+                px, py = times_monomial(x, mono), times_monomial(y, mono)
+                for e2 in g.terms:
+                    pair = acc.setdefault(e1 + e2 + lift * (mono[0] + mono[2]), ({}, {}))
+                    _mac(*pair, px, py, vre.get((mono, e2), 0), vim.get((mono, e2), 0))
         out: dict = {}
-        for (key, e), x in acc.items():
-            if x:
-                out.setdefault(key, {})[e - lift * (key[0] + key[2])] = x
+        for e, pair in acc.items():
+            for key, z in _rational(*pair, du * dv).items():
+                out.setdefault(key, {})[e - lift * (key[0] + key[2])] = z
         return {k: Laurent._make(self.var, f) for k, f in out.items()}
 
     def _gens(self):
@@ -275,9 +279,9 @@ def center_decompose(s: FamilySection) -> Optional[Dict[int, Laurent]]:
     the center of the chart).  No Casimir power is built:
 
     1. every monomial F^a E^c H^b must have weight zero, a = c;
-    2. s must commute with the raising generator X.  In the finite frame
-       each R-degree slice of s is checked over Q(i), the right product by
-       pbw.times_monomial and the left one by
+    2. s must commute with X.  [X, .] has integer weights, so each int half
+       (real, imaginary) of each finite-frame slice is checked with no
+       denominator: the right product by pbw.times_monomial, the left one by
        X F^a E^c H^b = F^a E^(c+1) H^b + a F^(a-1) E^c H^(b+1)
                        + a(2c - a + 1) F^(a-1) E^c H^b.
        The weight-zero centralizer of X in U(sl2) is Q(i)[Casimir], so the
@@ -289,7 +293,7 @@ def center_decompose(s: FamilySection) -> Optional[Dict[int, Laurent]]:
     if any(a != c for (a, b, c) in s.terms):
         return None
     t = 2 if s.chart == CHART_INFINITY else 0  # the R-degree of t
-    for part in s._slices().values():
+    for part in (half for pair in s._slices()[1].values() for half in pair):
         bracket = times_monomial(part, (0, 0, 1))
         for (a, b, c), x in part.items():
             _add_term(bracket, (a, b, c + 1), -x)
@@ -368,15 +372,11 @@ class CartanSection(Terms):
         return self._in_chart(CHART_FINITE)
 
     def is_regular_at(self, p: ProjectivePoint) -> bool:
-        if p.is_infinity:
-            v = self.in_infinity_chart()
-            if self.cartan == "compact":
-                return all(f.valuation() >= 0 for f in v.coeffs.values())
-            return all(f.valuation() >= k for k, f in v.coeffs.items())
-        if p.is_origin:
-            v = self.in_finite_chart()
-            return all(f.valuation() >= 0 for f in v.coeffs.values())
-        return True
+        if not (p.is_infinity or p.is_origin):
+            return True
+        v = self._in_chart(CHART_INFINITY if p.is_infinity else CHART_FINITE)
+        twist = p.is_infinity and self.cartan == "split"  # h^k vanishes to order k
+        return all(f.valuation() >= (k if twist else 0) for k, f in v.coeffs.items())
 
     def to_json(self) -> dict:
         return {

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sl2family import cli
-from sl2family.cli import cmd_analyze, cmd_classify, cmd_verify, main, render_json
+from sl2family.cli import _load_object, cmd_analyze, cmd_classify, cmd_verify, main, render_json
 from sl2family.sheaf import ProjectivePoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -542,6 +542,14 @@ class TestVerify:
         assert code == 0
         assert out.read_bytes() == (FIXTURES / "appendix_M16.json").read_bytes()
 
+    def test_regularity_M24_is_byte_identical_to_golden(self, capsys, tmp_path):
+        # recorded before section products and center_decompose ran on
+        # Gaussian integers
+        out = tmp_path / "r.json"
+        code, _ = run(capsys, "verify", "regularity", "--M", "24", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "regularity_M24.json").read_bytes()
+
     @pytest.mark.parametrize("suite,M", [("appendix", "0")])
     def test_suite_with_no_checks_fails(self, capsys, suite, M):
         code, doc = run_json(capsys, "verify", suite, "--M", M)
@@ -716,6 +724,12 @@ UNREADABLE_FLAGS = [
     ("analyze-point", ["analyze", "--family", FAMILY, "--point", "r=1+2i"],
      "sl2family analyze: error: argument --point: not a base point: 'r=1+2i' "
      "(cannot read scalar from '1+2i')"),
+    ("bijection-M", ["bijection", "--M", "abc"],
+     "sl2family bijection: error: argument --M: not an integer: 'abc' "
+     "(cannot read an integer from 'abc')"),
+    ("tables-which", ["tables", "one"],
+     "sl2family tables: error: argument which: not an integer: 'one' "
+     "(cannot read an integer from 'one')"),
 ]
 
 
@@ -734,6 +748,35 @@ LONG_VALUES = [
      "sl2family bijection: error: argument --R: not an exact rational: 'xxx"),
     ("analyze-point", ["analyze", "--family", FAMILY, "--point", "r=" + LONG],
      "sl2family analyze: error: argument --point: not a base point: 'r=xxx"),
+]
+
+
+DIGITS = "1" * 5000
+
+# (id, argv, start of the last stderr line): an integer flag, a choice, a
+# subcommand or a stray argument of 5,000 digits or 20,000 characters, which
+# argparse's own messages used to echo whole
+LONG_ARGUMENTS = [
+    ("tables-M-digits", ["tables", "1", "--M", DIGITS],
+     "sl2family tables: error: argument --M: not an integer: '111"),
+    ("tables-M", ["tables", "1", "--M", LONG],
+     "sl2family tables: error: argument --M: not an integer: 'xxx"),
+    ("bijection-M", ["bijection", "--M", LONG],
+     "sl2family bijection: error: argument --M: not an integer: 'xxx"),
+    ("verify-M", ["verify", "appendix", "--M", "1" * 20_000],
+     "sl2family verify: error: argument --M: not an integer: '111"),
+    ("tables-which", ["tables", DIGITS],
+     "sl2family tables: error: argument which: not an integer: '111"),
+    ("tables-which-int", ["tables", "1" * 4000],
+     "sl2family tables: error: argument which: invalid choice: 111"),
+    ("verify-suite", ["verify", LONG],
+     "sl2family verify: error: argument suite: invalid choice: 'xxx"),
+    ("format", ["tables", "1", "--format", LONG],
+     "sl2family tables: error: argument --format: invalid choice: 'xxx"),
+    ("command", [LONG], "sl2family: error: argument command: invalid choice: 'xxx"),
+    ("stray-argument", ["tables", "1", LONG], "sl2family: error: unrecognized arguments: xxx"),
+    ("stray-flag", ["verify", "appendix", "--" + LONG],
+     "sl2family: error: unrecognized arguments: --xxx"),
 ]
 
 
@@ -765,6 +808,33 @@ class TestUsageErrors:
         # the message used to quote the whole value: about 20 KB of stderr
         line = _flag_error(capsys, argv)
         assert line.startswith(start) and "..." in line and len(line) <= 300
+
+    @pytest.mark.parametrize("argv,start", [case[1:] for case in LONG_ARGUMENTS],
+                             ids=[case[0] for case in LONG_ARGUMENTS])
+    def test_long_argument_is_not_echoed_whole(self, capsys, argv, start):
+        # argparse's "invalid int value" and "invalid choice" quoted all of it: 20 KB
+        line = _flag_error(capsys, argv)
+        assert line.startswith(start) and "..." in line and len(line) <= 400
+
+    def test_more_than_the_digit_limit_names_the_limit(self, capsys):
+        line = _flag_error(capsys, ["verify", "regularity", "--M", DIGITS])
+        assert line.endswith("... (more than 4300 digits))")
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--family", '{"m": 0, "casimir": ' + DIGITS + "}"],
+        ["analyze", "--family", '{"m": 0, "casimir": [-1, 0, ' + DIGITS + "]}", "--point", "2"],
+        SMALL_BIJECTION + ["--candidate", '{"0": [' + DIGITS + ", 1]}"],
+    ], ids=["classify", "analyze", "candidate"])
+    def test_long_json_int_names_the_digit_limit(self, capsys, argv):
+        # Python's own message here was "... use sys.set_int_max_str_digits() ..."
+        flag = "--candidate" if "--candidate" in argv else "--family"
+        assert _flag_error(capsys, argv) == (
+            f"sl2family: error: {flag}: cannot read an integer from '{DIGITS[:59]}... "
+            "(more than 4300 digits)")
+
+    def test_json_int_at_the_digit_limit_reads(self):
+        digits = "7" * 4300
+        assert _load_object('{"m": -' + digits + "}", "x") == {"m": -int(digits)}
 
     @pytest.mark.parametrize("argv,message", [case[1:] for case in USAGE_ERRORS],
                              ids=[case[0] for case in USAGE_ERRORS])

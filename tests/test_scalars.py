@@ -15,7 +15,9 @@ from sl2family.scalars import (
     GR_ZERO,
     GaussianRational,
     Poly,
+    _quote,
     has_gaussian_sqrt,
+    parse_int,
     parse_rational,
     rational_sqrt,
 )
@@ -157,6 +159,43 @@ class TestParseRational:
         assert GR("-9/4", "1/2") == GR(Fraction(-9, 4), Fraction(1, 2))
         with pytest.raises(ValueError, match="exponent notation"):
             GR("1e-999999999")
+
+
+class TestDigitLimit:
+    """Every reader takes at most 4300 digits in a row (Python's default
+    bound on int() of a string) and names the limit past it."""
+
+    @pytest.mark.parametrize("text", [
+        "9" * 4300, "-" + "9" * 4300 + "/" + "7" * 4300, "0." + "3" * 4300, "1" * 4300 + ".5",
+    ])
+    def test_rational_at_the_limit_reads(self, text):
+        assert parse_rational(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", [
+        "9" * 4301, "1/" + "3" * 4301, "0." + "3" * 4301, " -" + "1" * 5000 + " ",
+        "1" + "_1" * 4300, "\u0663" * 4301,
+    ])
+    def test_rational_past_the_limit_names_it(self, text):
+        with pytest.raises(ValueError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == f"cannot read scalar from {_quote(text)} (more than 4300 digits)"
+
+    @pytest.mark.parametrize("text,value", [
+        ("12", 12), (" -3 ", -3), ("+7", 7), ("1_000", 1000), ("8" * 4300, int("8" * 4300)),
+    ])
+    def test_int_reads_what_int_reads(self, text, value):
+        assert parse_int(text) == value
+
+    @pytest.mark.parametrize("text,reason", [
+        ("x", ""), ("1.5", ""), ("", ""), ("9" * 4301, " (more than 4300 digits)"),
+        ("x" * 10_000, ""),
+    ])
+    def test_int_refuses_everything_else(self, text, reason):
+        with pytest.raises(ValueError) as exc:
+            parse_int(text)
+        message = str(exc.value)
+        assert message == f"cannot read an integer from {_quote(text)}{reason}"
+        assert len(message) <= 120
 
 
 class TestSquareRoots:

@@ -4,9 +4,11 @@ chart transport, the center, and the Cartan-valued projection."""
 import copy
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from sl2family import pbw
 from sl2family.pbw import COMPACT, SPLIT, Sl2Basis, UEAElement, casimir
 from sl2family.scalars import GaussianRational as GR
 from sl2family.scalars import Poly
@@ -383,6 +385,110 @@ class TestDecomposeOracle:
             for key, f in p.terms.items():
                 t = p - FamilySection(chart, {key: f})
                 assert center_decompose(t) is _power_peeling_decompose(t) is None, key
+
+
+# -- the Gaussian-integer path against Q(i) arithmetic ---------------------------
+#
+# Section products and the bracket check of center_decompose run on int term
+# maps over one common denominator.  The reference keeps GaussianRational
+# coefficients at every step: Q(i) R-degree slices of the left factor, each
+# rewritten by times_monomial and summed term by term.
+
+def q_section_product(s: FamilySection, t: FamilySection) -> dict:
+    """The product s * t as {monomial: Laurent}, by Q(i) slices of s."""
+    lift = 1 if s.chart == CHART_INFINITY else 0  # R-power per ladder generator
+    slices: dict = {}
+    for mono, f in s.terms.items():
+        for e, x in f.terms.items():
+            slices.setdefault(e + lift * (mono[0] + mono[2]), {})[mono] = x
+    acc: dict = {}
+    for e1, part in slices.items():
+        for mono, g in t.terms.items():
+            prod = pbw.times_monomial(part, mono)
+            for e2, y in g.terms.items():
+                e = e1 + e2 + lift * (mono[0] + mono[2])
+                for key, x in prod.items():
+                    acc[key, e] = acc.get((key, e), GR(0)) + x * y
+    out: dict = {}
+    for (key, e), x in acc.items():
+        if x:
+            out.setdefault(key, {})[e - lift * (key[0] + key[2])] = x
+    return {key: Laurent(s.var, f) for key, f in out.items()}
+
+
+def _wide_section(rng: random.Random, chart: str, deg: int, parts=(True, True)) -> FamilySection:
+    """Up to four PBW monomials of degree <= deg, with Laurent coefficients of
+    up to three terms, exponents -3..3 and denominators of about 20 digits;
+    parts says whether the real and the imaginary parts may be nonzero."""
+    def part(on: bool) -> Fraction:
+        if not on:
+            return Fraction(0)
+        return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(10 ** 19, 10 ** 20))
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        a = rng.randint(0, deg)
+        c = rng.randint(0, deg - a)
+        coeffs = {rng.randint(-3, 3): GR(part(parts[0]), part(parts[1]))
+                  for _ in range(rng.randint(1, 3))}
+        terms[(a, rng.randint(0, deg - a - c), c)] = Laurent(chart_variable(chart), coeffs)
+    return FamilySection(chart, terms)
+
+
+def _assert_lowest_terms(s: FamilySection) -> None:
+    for f in s.terms.values():
+        for x in f.terms.values():
+            assert type(x) is GR and x.den > 0 and gcd(x.re_num, x.im_num, x.den) == 1
+
+
+class TestIntegerPath:
+    @pytest.mark.parametrize("chart", [CHART_FINITE, CHART_INFINITY])
+    def test_product_matches_q_slices(self, chart):
+        rng = random.Random(31415 + (chart == CHART_INFINITY))
+        om = casimir_section(chart)
+        pairs = [(_seeded_section(rng, chart, 3), _seeded_section(rng, chart, 2)) for _ in range(6)]
+        pairs += [(_wide_section(rng, chart, 3), _wide_section(rng, chart, 3)) for _ in range(6)]
+        real, imaginary = (True, False), (False, True)
+        pairs += [(_wide_section(rng, chart, 2, real), _wide_section(rng, chart, 2, imaginary)),
+                  (_wide_section(rng, chart, 2, imaginary), _wide_section(rng, chart, 2, real)),
+                  (_wide_section(rng, chart, 2, imaginary), _wide_section(rng, chart, 2)),
+                  (om, _wide_section(rng, chart, 2)), (_wide_section(rng, chart, 2), om ** 2),
+                  (FamilySection.zero(chart), om), (om, FamilySection.zero(chart))]
+        coeffs = [f for pair in pairs for s in pair for f in s.terms.values()]
+        assert any(f.valuation() < 0 for f in coeffs)
+        assert any(x.den > 10 ** 18 and x.im_num for f in coeffs for x in f.terms.values())
+        for s, t in pairs:
+            product = s * t
+            assert product.terms == q_section_product(s, t), (str(s), str(t))
+            _assert_lowest_terms(product)
+
+    @pytest.mark.parametrize("chart", [CHART_FINITE, CHART_INFINITY])
+    def test_a_real_factor_rewrites_one_half(self, chart, monkeypatch):
+        calls = []
+        real = pbw.times_generator
+
+        def counted(terms, gen):
+            calls.append(gen)
+            return real(terms, gen)
+
+        monkeypatch.setattr(pbw, "times_generator", counted)
+        om = casimir_section(chart)
+        om * om  # one slice; v's letters: H^2, H, Y X
+        assert len(calls) == 5
+        om * (om * GR(0, 1))  # v's coefficients do not add rewrites
+        assert len(calls) == 10
+
+    @pytest.mark.parametrize("chart", [CHART_FINITE, CHART_INFINITY])
+    def test_decompose_needs_both_halves_central(self, chart):
+        om = casimir_section(chart)
+        var = chart_variable(chart)
+        t = Laurent.one(var) if chart == CHART_FINITE else Laurent.monomial(var, 2)
+        # H shares its monomial and its R-degree slice with the Casimir
+        h = FamilySection(chart, {(0, 1, 0): t * GR(Fraction(1, 3))})
+        i = GR(0, 1)
+        assert center_decompose(om + h * i) is None  # only the real half commutes with X
+        assert center_decompose(h + om * i) is None  # only the imaginary half does
+        assert center_decompose(om * GR(Fraction(1, 7)) + om ** 2 * i) == {
+            2: Laurent.const(i, var), 1: Laurent.const(Fraction(1, 7), var)}
 
 
 class TestRegularity:

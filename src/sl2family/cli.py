@@ -50,7 +50,7 @@ from .fibers import (
 )
 from .duals import _nonzero_real, characterize_bijections, check_entry, verify_conjecture1
 from .pbw import COMPACT, SPLIT, UEAElement, casimir, hc_projection, k_order
-from .scalars import GaussianRational, Poly, _quote, parse_int, parse_rational
+from .scalars import GaussianRational, Poly, _check_digits, _quote, parse_int, parse_rational
 from .sheaf import (
     CHART_INFINITY,
     ProjectivePoint,
@@ -443,6 +443,7 @@ def cmd_analyze(obj: dict, points: Sequence[ProjectivePoint]) -> Tuple[dict, int
 def _parse_candidate(obj: dict) -> Dict[int, tuple]:
     out: Dict[int, tuple] = {}
     for key, pair in obj.items():
+        _check_digits(key, "candidate key")
         try:
             m = int(key)
         except ValueError:
@@ -607,6 +608,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     flag = ""  # names the flag whose value is being read, in a usage error
+    # every reader bounds its digits itself; the interpreter's bound would only stop output
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         if args.command == "tables":
             doc, status = cmd_tables(args.which, args.M, args.grid), 0
@@ -631,6 +636,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit(doc, args.format, args.out)
     except (OSError, ValueError) as err:
         parser.error(f"{flag}{err}")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return status
 
 

@@ -2,10 +2,12 @@
 
 Both fibers of the deformation family carry a classified admissible dual:
 group-flavor parameters (level, m)_R for the fibers away from infinity and
-motion-flavor parameters (level, m)_0 for the fiber at infinity.  Two
+motion-flavor parameters (level, m)_0 for the fiber at infinity.  Three
 rules of fibers.py define them: parameters are equivalent exactly when
-their ``DualParam.canonical()`` representatives agree, and a minimal
-K-type |m| > 1 fixes the level to ``fixed_level(flavor, m)``.  This module
+their ``DualParam.canonical()`` representatives agree, a minimal K-type
+|m| > 1 fixes the level to ``fixed_level(flavor, m)``, and the boundary
+level of each dual, ``boundary_level(flavor)``, is where temperedness of
+the |m| <= 1 parameters ends and where m = 1, -1 stay apart.  This module
 implements the equivalence relation, the enumeration of a dual's classes
 (``dual_classes``), the tempered subsets, the minimal-K-type
 correspondence, the bijections eta^R between the two duals (one for each
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .families import pinned_level
-from .fibers import GROUP, MOTION, DualParam, fixed_level, scalar_to_json
+from .fibers import GROUP, MOTION, DualParam, boundary_level, fixed_level, scalar_to_json
 from .scalars import GR_ONE, GaussianRational, has_gaussian_sqrt
 
 
@@ -44,29 +46,20 @@ def params_equivalent(a: DualParam, b: DualParam) -> bool:
 def is_tempered(p: DualParam) -> bool:
     """Exact membership in the tempered subset of the parameter space.
 
-    Motion flavor: the characters (0, m)_0 together with (level, m)_0 for
-    real level < 0 and |m| <= 1.  Group flavor: every parameter with
-    |m| > 1 (the level is pinned to the discrete value), and for
-    |m| <= 1 exactly the real levels <= -1, the value -1 naming the
-    spherical endpoint (m = 0) or the two one-sided ladders (m = +-1).
-    Parameters with non-real level are never tempered.
+    Every parameter with |m| > 1 (its level is fixed), and for |m| <= 1
+    exactly the real levels up to ``boundary_level``: <= -1 in the group
+    dual, the value -1 naming the spherical endpoint (m = 0) or the two
+    one-sided ladders (m = +-1); <= 0 in the motion dual, the value 0
+    naming the characters.  Non-real levels are never tempered.
     """
-    if not p.level.is_real:
-        return False
-    lv = p.level.re
-    if p.flavor == MOTION:
-        return lv <= 0  # |m| > 1 fixes the motion level at 0
-    return abs(p.m) > 1 or lv <= -1
+    lv = p.level  # lv <= boundary, compared over lv's positive denominator: no Fraction
+    return lv.is_real and (abs(p.m) > 1 or lv.re_num <= boundary_level(p.flavor) * lv.den)
 
 
 def vogan_map(m: int, R) -> DualParam:
     """The tempered parameter with real infinitesimal character and lowest
     K-type m, in the group dual at chart coordinate R."""
-    return _vogan_map(m, _nonzero_real(R))
-
-
-def _vogan_map(m: int, R: GaussianRational) -> DualParam:
-    return DualParam.group(pinned_level(m) if m else -1, m, R)
+    return DualParam.group(pinned_level(m) if m else -1, m, _nonzero_real(R))
 
 
 def eta(p: DualParam, R) -> DualParam:
@@ -200,7 +193,7 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     for m in range(-M, M + 1):
         character = DualParam.motion(0, m)  # a class when 0 is on the grid or |m| > 1
         image = images.get(character) or _eta(character, R)
-        expected = _vogan_map(m, R)
+        expected = vogan_map(m, R)
         report.append(check_entry(
             "vogan-extension", f"m={m}, R={R}", image == expected,
             f"eta((0,{m})_0) = {image}, minimal-K-type representative {expected}"))
@@ -327,8 +320,6 @@ def characterize_bijections(candidate: Dict[int, tuple]) -> CharacterizationResu
             f"all constraints hold with scale a = {a}, but sqrt(a) is irrational; "
             f"no rational chart coordinate realizes the candidate exactly",
         )
-    if root.re < 0:
-        root = -root
     R = GR_ONE / root
     return CharacterizationResult(
         R,

@@ -29,13 +29,8 @@ from functools import cached_property
 from math import isqrt
 from typing import Iterator, Optional, Tuple
 
-from .scalars import (
-    GR_ZERO,
-    GaussianRational,
-    Poly,
-    _quote,
-    has_gaussian_sqrt,
-)
+from .scalars import GR_ZERO, GaussianRational, Poly, _check_digits, _quote, has_gaussian_sqrt
+from .sheaf import CHART_FINITE, chart_variable
 
 ALL_EVEN = "all_even"
 ALL_ODD = "all_odd"
@@ -136,11 +131,8 @@ class KTypeSet:
     @property
     def has_edge(self) -> bool:
         """Whether some pair (n, n+2) lies entirely in the set."""
-        if self.kind == SINGLETON:
-            return False
-        if self.kind == WINDOW:
-            return self.param >= 1
-        return True
+        lo, hi = self.bounds
+        return None in (lo, hi) or lo < hi
 
     def members(self, lo: int, hi: int) -> Iterator[int]:
         """The members in [lo, hi], ascending."""
@@ -181,6 +173,7 @@ class KTypeSet:
                 raise ValueError(f"cannot parse K-type set {_quote(obj)}")
             return KTypeSet(_KIND_NAMES.get(kind, kind), obj.get("param"))
         t = obj.strip()
+        _check_digits(t, "K-type set")
         if _KIND_NAMES.get(t) in (ALL_EVEN, ALL_ODD):
             return KTypeSet(_KIND_NAMES[t])
         ray = t.endswith(",...")
@@ -254,7 +247,7 @@ def wall_index(value) -> Optional[int]:
 @dataclass(frozen=True)
 class ModuleFamily:
     """Classification data of an algebraic family of Harish-Chandra modules;
-    ``ktypes=None`` infers the K-types, as ``infer_ktypes`` does."""
+    ``ktypes=None`` infers the K-types from the table row of (m, casimir)."""
 
     m: int
     ktypes: Optional[KTypeSet]
@@ -264,7 +257,11 @@ class ModuleFamily:
         c = _as_casimir(self.casimir)
         object.__setattr__(self, "casimir", c)
         if self.ktypes is None:
-            object.__setattr__(self, "ktypes", _row_ktypes(self.m, c))
+            kt = ktypes_at(self.m, c.coeff(0) if c.is_constant else None)
+            if kt is None:
+                raise FamilyValidationError("row-mismatch", f"minimal K-type {self.m} forces "
+                                            f"c(r) = {pinned_level(self.m)} constantly, got {c}")
+            object.__setattr__(self, "ktypes", kt)
         if self.m % 2 != self.ktypes.parity:
             raise FamilyValidationError(
                 "parity-mismatch",
@@ -389,17 +386,7 @@ def _validate_row(fam: ModuleFamily) -> None:
 
 def infer_ktypes(m: int, casimir) -> KTypeSet:
     """The unique K-type set making (m, casimir) a valid family."""
-    return _row_ktypes(m, _as_casimir(casimir))
-
-
-def _row_ktypes(m: int, c: Poly) -> KTypeSet:
-    kt = ktypes_at(m, c.coeff(0) if c.is_constant else None)
-    if kt is None:
-        raise FamilyValidationError(
-            "row-mismatch",
-            f"minimal K-type {m} forces c(r) = {pinned_level(m)} constantly, got {c}",
-        )
-    return kt
+    return ModuleFamily(m, None, casimir).ktypes
 
 
 def in_tilde_class(fam: ModuleFamily) -> Tuple[bool, str]:
@@ -454,16 +441,12 @@ class LadderAction:
 
     @property
     def var(self) -> str:
-        return "r" if self.chart == "X0" else "R"
+        return chart_variable(self.chart)
 
     def _nonunit(self, wall: int) -> Poly:
-        c = self.casimir
-        quarter = Fraction(1, 4)
-        if self.chart == "X0":
-            coeffs = [(c.coeff(0) - wall) * quarter, c.coeff(1) * quarter, c.coeff(2) * quarter]
-        else:
-            coeffs = [c.coeff(2) * quarter, c.coeff(1) * quarter, (c.coeff(0) - wall) * quarter]
-        return Poly.of(coeffs, self.var)
+        c, quarter = self.casimir, Fraction(1, 4)
+        coeffs = [(c.coeff(0) - wall) * quarter, c.coeff(1) * quarter, c.coeff(2) * quarter]
+        return Poly.of(coeffs if self.chart == CHART_FINITE else coeffs[::-1], self.var)
 
     def up(self, n: int) -> Poly:
         if self.m <= n:
@@ -476,9 +459,8 @@ class LadderAction:
         return self._nonunit(n * (n - 2))
 
 
-def ladder_action(fam: ModuleFamily, chart: str = "X0") -> LadderAction:
-    if chart not in ("X0", "Xinf"):
-        raise ValueError(f"unknown chart {chart!r}")
+def ladder_action(fam: ModuleFamily, chart: str = CHART_FINITE) -> LadderAction:
+    chart_variable(chart)  # a ValueError for an unknown chart
     return LadderAction(chart, fam.m, fam.casimir)
 
 

@@ -15,7 +15,10 @@ parameter tables for the two fiber types:
                                               of the rescaled Casimir
 
 In both tables a minimal K-type |m| > 1 fixes the level, to
-``fixed_level(flavor, m)``; for |m| <= 1 it is free.
+``fixed_level(flavor, m)``; for |m| <= 1 it is free.  ``boundary_level``
+holds the one level where (level, 1) and (level, -1) name two modules:
+-1 in the group dual, 0 in the motion dual.  ``DualParam.canonical`` and
+``duals.is_tempered`` both read it.
 
 The closed-form Jantzen quotient is implemented independently of the
 segment analysis so the two can be compared.
@@ -40,7 +43,7 @@ from .families import (
     wall_index,
 )
 from .scalars import GR_ZERO, GaussianRational, rational_sqrt
-from .sheaf import ProjectivePoint
+from .sheaf import CHART_FINITE, CHART_INFINITY, ProjectivePoint
 
 GROUP = "group"
 MOTION = "motion"
@@ -61,6 +64,12 @@ def fixed_level(flavor: str, m: int) -> Optional[int]:
     if abs(m) <= 1:
         return None
     return pinned_level(m) if flavor == GROUP else 0
+
+
+def boundary_level(flavor: str) -> int:
+    """The level where (level, 1) and (level, -1) stay two modules: -1 in the
+    group dual (the two limit rays), 0 in the motion dual (two characters)."""
+    return -1 if flavor == GROUP else 0
 
 
 @dataclass(frozen=True)
@@ -107,15 +116,10 @@ class DualParam:
     def canonical(self) -> "DualParam":
         """The preferred representative of the parameter's equivalence class.
 
-        (level, -1) and (level, 1) name the same module except at the
-        boundary level (-1 for group, 0 for motion) where the two
-        one-sided ladders (resp. the two characters) are genuinely
-        distinct; away from it the m = 1 representative is preferred.
+        (level, -1) and (level, 1) name the same module except at
+        ``boundary_level``; away from it the m = 1 representative is preferred.
         """
-        if self.m != -1:
-            return self
-        boundary = -1 if self.flavor == GROUP else 0
-        if self.level == boundary:
+        if self.m != -1 or self.level == boundary_level(self.flavor):
             return self
         return DualParam(self.flavor, self.level, 1, self.R)
 
@@ -124,13 +128,9 @@ class DualParam:
         return f"({self.level},{self.m})_{tag}"
 
     def to_json(self) -> dict:
-        if self.flavor == MOTION:
-            r_json = 0
-        else:
-            r_json = None if self.R is None else scalar_to_json(self.R)
         return {
             "flavor": self.flavor,
-            "R": r_json,
+            "R": 0 if self.flavor == MOTION else None if self.R is None else scalar_to_json(self.R),
             "level": scalar_to_json(self.level),
             "m": self.m,
         }
@@ -200,9 +200,9 @@ class FiberModule:
     def _coefficients(self, step: int) -> Dict[int, GaussianRational]:
         """n -> the scalar carrying the n-line to the (n+step)-line, inside window."""
         if self.point.is_infinity:
-            act, x = ladder_action(self.family, "Xinf"), GR_ZERO
+            act, x = ladder_action(self.family, CHART_INFINITY), GR_ZERO
         else:
-            act, x = ladder_action(self.family, "X0"), self.point.r_value()
+            act, x = ladder_action(self.family, CHART_FINITE), self.point.r_value()
         coeff = act.up if step > 0 else act.down
         lo, hi = self.window
         return {n: coeff(n).eval(x) for n in self.ktypes.members(lo, hi)
@@ -320,14 +320,14 @@ class ReducibilityLocus:
     True when that list is provably the entire locus; otherwise walls
     holds per-level detail up to the enumeration bound max_k, and
     irrational or unbounded wall sets are flagged rather than truncated
-    silently.
+    silently.  The domain is always the real projective line.
     """
 
-    domain: str
     points: Tuple[ProjectivePoint, ...]
     walls: Tuple[WallRecord, ...]
     complete: bool
-    max_k: int
+    domain = "realProjLine"
+    max_k = 12
 
     def to_json(self) -> dict:
         return {
@@ -365,18 +365,15 @@ def _real_roots(c2: Fraction, c1: Fraction, c0: Fraction, w: Fraction):
     return [(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)], False
 
 
-def reducibility_points(
-    fam: ModuleFamily, domain: str = "realProjLine", max_k: int = 12
-) -> ReducibilityLocus:
-    """Solve c(r) = n(n+2) over the real points, edge by edge.
+def reducibility_points(fam: ModuleFamily) -> ReducibilityLocus:
+    """Solve c(r) = n(n+2) over the real projective line, edge by edge.
 
-    domain is "realLine" or "realProjLine"; the projective variant also
-    reports the point at infinity when the motion fiber decomposes.
-    Requires a real Casimir polynomial: complex-valued c(r) never meets
-    the real wall levels, and the Jantzen machinery needs the real form.
+    The walls k(k+2) are enumerated up to k = ``ReducibilityLocus.max_k``,
+    and further where a window's edges or a bounded c(r) need it; the point
+    at infinity is reported when the motion fiber decomposes.  Requires a
+    real Casimir polynomial: complex-valued c(r) never meets the real wall
+    levels, and the Jantzen machinery needs the real form.
     """
-    if domain not in ("realLine", "realProjLine"):
-        raise ValueError(f"unknown domain {domain!r}")
     if not intertwiner_exists(fam):
         raise ValueError("reducibility on the real line needs a real Casimir polynomial")
     c2, c1, c0 = fam.c2.re, fam.c1.re, fam.c0.re
@@ -393,7 +390,7 @@ def reducibility_points(
             walls.append(WallRecord(k0, GaussianRational.of(c0), (), False, True))
             complete = False
     else:
-        bound = max_k
+        bound = ReducibilityLocus.max_k
         if kt.kind == WINDOW:
             bound = max(bound, kt.param)  # cover every interior edge
         if c2 < 0:
@@ -420,9 +417,9 @@ def reducibility_points(
                 complete = False
 
     pts = sorted(set(pts), key=lambda q: q.r_value().re)
-    if domain == "realProjLine" and fam.c2 == 0 and kt.has_edge:
+    if fam.c2 == 0 and kt.has_edge:
         pts.append(ProjectivePoint.infinity())
-    return ReducibilityLocus(domain, tuple(pts), tuple(walls), complete, max_k)
+    return ReducibilityLocus(tuple(pts), tuple(walls), complete)
 
 
 def jantzen_quotient_formula(fam: ModuleFamily, p: ProjectivePoint) -> DualParam:

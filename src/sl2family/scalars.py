@@ -171,9 +171,12 @@ class GaussianRational:
     # -- coercion ---------------------------------------------------------
 
     @staticmethod
-    def of(x: Union["GaussianRational", RationalInput]) -> "GaussianRational":
+    def of(x: Union["GaussianRational", RationalInput, tuple]) -> "GaussianRational":
+        """x itself, a (re, im) pair, or anything the constructor reads."""
         if isinstance(x, GaussianRational):
             return x
+        if isinstance(x, tuple) and len(x) == 2:
+            return GaussianRational(*x)
         return GaussianRational(x)
 
     # -- structure --------------------------------------------------------
@@ -386,7 +389,7 @@ def has_gaussian_sqrt(x) -> Optional[GaussianRational]:
     The returned witness w satisfies w*w == x and is normalized to have
     positive real part, or nonnegative imaginary part when purely imaginary.
     """
-    x = GaussianRational.of(x) if not isinstance(x, GaussianRational) else x
+    x = GaussianRational.of(x)
     a, b = x.re, x.im
     if b == 0:
         s = rational_sqrt(a)
@@ -408,14 +411,6 @@ def has_gaussian_sqrt(x) -> Optional[GaussianRational]:
     root = GaussianRational(u, v)
     assert root * root == x
     return root
-
-
-def _coeff_of(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, tuple) and len(x) == 2:
-        return GaussianRational(x[0], x[1])
-    return GaussianRational(x)
 
 
 def _add_term(acc: dict, key, value) -> None:
@@ -618,7 +613,7 @@ class Laurent(Terms):
 
     @classmethod
     def const(cls, c, var: str = "r"):
-        c = _coeff_of(c)
+        c = GaussianRational.of(c)
         return cls._make(var, {0: c} if c else {})
 
     @classmethod
@@ -658,7 +653,7 @@ class Laurent(Terms):
         """Exact evaluation: Horner's scheme over the exponents lo..hi, where lo
         is the least exponent or 0, then a division by x^(-lo) when lo < 0.
         A pole at x = 0 is a ZeroDivisionError."""
-        x = _coeff_of(x)
+        x = GaussianRational.of(x)
         terms = self.terms
         if not terms:
             return GR_ZERO
@@ -691,8 +686,8 @@ class Poly(Laurent):
 
     The sparse term map is its only storage; ``coeffs`` is the dense view,
     the coefficients lowest degree first, without trailing zeros.
-    Constructed from that view, as ``Poly(coeffs, var)``; coefficients may
-    be given as anything ``GaussianRational`` accepts, or as (re, im) pairs.
+    Constructed from that view, as ``Poly(coeffs, var)``, with coefficients
+    as ``GaussianRational.of`` reads them, (re, im) pairs included.
     """
 
     __slots__ = ()
@@ -700,7 +695,7 @@ class Poly(Laurent):
     def __init__(self, coeffs=(), var: str = "r") -> None:
         terms = {}
         for k, c in enumerate(coeffs):
-            c = _coeff_of(c)
+            c = GaussianRational.of(c)
             if c:
                 terms[k] = c
         self.tag, self.terms = var, terms

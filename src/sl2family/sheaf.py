@@ -258,13 +258,10 @@ def is_regular_at(s: FamilySection, p: ProjectivePoint) -> bool:
     Coefficients are Laurent polynomials, so poles only occur at the two
     chart origins; everywhere else sections are automatically regular.
     """
-    if p.is_infinity:
-        v = s if s.chart == CHART_INFINITY else to_infinity_chart(s)
-        return not v.rational
-    if p.is_origin:
-        v = s if s.chart == CHART_FINITE else to_finite_chart(s)
-        return not v.rational
-    return True
+    if not (p.is_infinity or p.is_origin):
+        return True
+    chart = CHART_INFINITY if p.is_infinity else CHART_FINITE
+    return not (s if s.chart == chart else _transported(s, chart)).rational
 
 
 class NotCentralError(ValueError):

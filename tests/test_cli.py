@@ -369,6 +369,15 @@ class TestAnalyze:
         assert by_point["inf"]["flavor"] == "motion"
         assert all(e["agree"] for e in doc["points"])
 
+    def test_irrational_walls_and_motion_fiber_match_golden(self, capsys, tmp_path):
+        # recorded before the boundary level, reducibility_points' settings and
+        # the chart names each got one home
+        out = tmp_path / "a.json"
+        code, _ = run(capsys, "analyze", "--family", '{"m": 0, "casimir": [0, 0, 1]}',
+                      "--grid", "r=0,r=2,r=-1/2,inf", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "analyze_m0_r2_grid.json").read_bytes()
+
     def test_origin_has_no_formula(self, capsys):
         code, doc = run_json(
             capsys,
@@ -549,6 +558,13 @@ class TestVerify:
         code, _ = run(capsys, "verify", "regularity", "--M", "24", "--out", str(out))
         assert code == 0
         assert out.read_bytes() == (FIXTURES / "regularity_M24.json").read_bytes()
+
+    def test_conjecture2_is_byte_identical_to_golden(self, capsys, tmp_path):
+        # recorded before the boundary level and the Q(i) coercion each got one home
+        out = tmp_path / "c.json"
+        code, _ = run(capsys, "verify", "conjecture2", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "conjecture2_default.json").read_bytes()
 
     @pytest.mark.parametrize("suite,M", [("appendix", "0")])
     def test_suite_with_no_checks_fails(self, capsys, suite, M):
@@ -780,6 +796,31 @@ LONG_ARGUMENTS = [
 ]
 
 
+OVER = "1" * 4301  # one digit past the limit
+
+
+def _analyze(desc: str, point: str = "2") -> list:
+    return ["analyze", "--family", desc, "--point", point]
+
+
+# (id, argv): every place that reads integer text, given a run of 4,301 digits
+DIGIT_READERS = [
+    ("json-int", _analyze('{"m": 0, "casimir": ' + OVER + "}")),
+    ("casimir-ratio", _analyze('{"m": 0, "casimir": "' + OVER + '/3"}')),
+    ("ktypes-singleton", _analyze('{"m": 0, "casimir": 0, "ktypes": "{' + OVER + '}"}')),
+    ("ktypes-window", _analyze('{"m": 0, "casimir": 0, "ktypes": "-' + OVER + ".." + OVER + '"}')),
+    ("ktypes-ray", _analyze('{"m": 1, "casimir": -1, "ktypes": "' + OVER + "," + OVER + ',..."}')),
+    ("ktypes-param", _analyze('{"m": 0, "casimir": 0, "ktypes": {"kind": "window", "param": '
+                              + OVER + "}}")),
+    ("candidate-key", SMALL_BIJECTION + ["--candidate", '{"' + OVER + '": [1, -1]}']),
+    ("candidate-entry", SMALL_BIJECTION + ["--candidate", '{"0": ["' + OVER + '", -1]}']),
+    ("M", ["tables", "1", "--M", OVER]),
+    ("grid", ["bijection", "--grid", "0," + OVER]),
+    ("point", _analyze('{"m": 0, "casimir": [-1, 0, 1]}', "r=" + OVER)),
+    ("table-number", ["tables", OVER]),
+]
+
+
 def _flag_error(capsys, argv) -> str:
     """The last stderr line of main(argv), which must exit 2 and print nothing."""
     with pytest.raises(SystemExit) as exc:
@@ -819,6 +860,17 @@ class TestUsageErrors:
     def test_more_than_the_digit_limit_names_the_limit(self, capsys):
         line = _flag_error(capsys, ["verify", "regularity", "--M", DIGITS])
         assert line.endswith("... (more than 4300 digits))")
+
+    @pytest.mark.parametrize("argv", [case[1] for case in DIGIT_READERS],
+                             ids=[case[0] for case in DIGIT_READERS])
+    def test_every_reader_names_the_digit_limit(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        line = err.splitlines()[-1]
+        assert "more than 4300 digits" in line and len(line.encode()) <= 400
+        assert len(err.encode()) <= 1000  # the usage lines and that one
 
     @pytest.mark.parametrize("argv", [
         ["classify", "--family", '{"m": 0, "casimir": ' + DIGITS + "}"],
@@ -877,6 +929,19 @@ class TestEntryPoint:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert len(doc["rows"]) == 2
+
+    def test_output_integers_pass_the_interpreter_limit(self):
+        # D^3 + D has 8,998 digits, past the interpreter's bound on int -> str;
+        # with D = 10^2999 its decimal text is written out without that conversion
+        d = "1" + "0" * 2999
+        proc = subprocess.run(
+            [sys.executable, "-m", "sl2family", "analyze", "--family",
+             f'{{"m": 0, "casimir": [{d}, 0, {d}]}}', "--point", f"r={d}"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (entry,) = json.loads(proc.stdout, parse_int=str)["points"]
+        assert entry["level"] == "1" + "0" * 5997 + "1" + "0" * 2999
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

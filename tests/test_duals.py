@@ -19,17 +19,20 @@ from sl2family.duals import (
     verify_conjecture1,
     vogan_map,
 )
-from sl2family.families import make_family, pinned_level
+from sl2family.cli import cmd_tables
+from sl2family.families import KTypeSet, make_family, pinned_level
 from sl2family.fibers import (
     DualParam,
     dual_ktypes,
     evaluate_fiber,
     factor_containing_m,
     fixed_level,
+    scalar_to_json,
 )
 from sl2family.scalars import GaussianRational as GR
 from sl2family.scalars import Poly
 from sl2family.sheaf import ProjectivePoint
+import mackey
 
 GRID = tuple(
     GR.of(v) for v in (0, 1, -1, 2, -2, 4, -4, Fraction(-9, 4), 3, 8, 15)
@@ -422,3 +425,84 @@ class TestCharacterization:
             "violated": None,
             "detail": "candidate coincides with the level-affine bijection at R = 2",
         }
+
+
+class TestMackeyOracle:
+    """The motion dual against orbits in p* and their stabilizers (``mackey``).
+
+    The tables' level is the value of the rescaled Casimir R^2 * Casimir at
+    R = 0, which is 4 Y X there; a unitary orbit has level -4 |xi(X)|^2, so
+    the tempered levels are the real z <= 0.
+    """
+
+    SPAN = range(-20, 21)
+    MS = range(-4, 5)
+
+    def test_level_normalization(self):
+        assert mackey.real_form_swaps_ladders()
+        assert mackey.CASIMIR_XY == 4
+        assert mackey.WEIGHTS == {"X": 2, "Y": -2}
+        assert mackey.stabilizer_order(mackey.orbit_point(3)) == 2
+        assert mackey.stabilizer_order(mackey.orbit_point(0)) == 0
+
+    def params(self):
+        """(parameter, oracle module) for every (level, m) the oracle names."""
+        for z in mackey.LEVEL_GRID:
+            for m in self.MS:
+                mod = mackey.module_named(z, m)
+                if mod is not None:
+                    yield mo(z, m), mod
+
+    def test_ktypes(self):
+        for p, mod in self.params():
+            kt = dual_ktypes(p)
+            assert kt.is_finite == mod.is_finite, str(p)
+            assert [n for n in self.SPAN if n in kt] == [n for n in self.SPAN if mod.has_ktype(n)]
+
+    def test_levels_off_every_orbit_are_refused(self):
+        # a minimal K-type |m| > 1 occurs only at the zero orbit
+        for z in mackey.LEVEL_GRID:
+            for m in self.MS:
+                if mackey.module_named(z, m) is None:
+                    assert abs(m) > 1 and z != 0
+                    with pytest.raises(ValueError):
+                        mo(z, m)
+
+    def test_equivalence(self):
+        params = list(self.params())
+        verdicts = set()
+        for p, a in params:
+            for q, b in params:
+                same = a.key() == b.key()
+                assert params_equivalent(p, q) == same, (str(p), str(q))
+                if {p.m, q.m} == {1, -1} and p.level == q.level:
+                    verdicts.add((bool(p.level), same))
+        # (c, 1) ~ (c, -1) for c != 0, and the two characters stay apart at 0
+        assert verdicts == {(True, True), (False, False)}
+
+    def test_tempered(self):
+        seen = set()
+        for p, mod in self.params():
+            assert is_tempered(p) == mod.is_tempered(), str(p)
+            seen.add(mod.is_tempered())
+        assert seen == {True, False}
+
+    def test_table3(self):
+        doc = cmd_tables(3, 8, mackey.LEVEL_GRID)
+        listed, expected = [], []
+        for m in range(-8, 9):
+            if any(m in mod.minimal_ktypes() for mod in mackey.modules_at(1)):
+                expected.append((m, "c≠0", mackey.module_named(1, m)))
+            expected.append((m, 0, mackey.module_named(0, m)))
+        for z in mackey.LEVEL_GRID:
+            if not z:
+                continue  # the level-0 rows are listed already
+            for m in range(-8, 9):
+                mod = mackey.module_named(z, m)
+                if mod is not None:
+                    expected.append((m, scalar_to_json(GR.of(z)), mod))
+        for row in doc["rows"]:
+            kt = KTypeSet.from_json(row["ktypes"])
+            listed.append((row["m"], row["level"], [n for n in self.SPAN if n in kt]))
+        assert listed == [(m, level, [n for n in self.SPAN if mod.has_ktype(n)])
+                          for m, level, mod in expected]

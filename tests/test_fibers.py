@@ -319,8 +319,6 @@ class TestReducibilityLocus:
         loc = reducibility_points(RAY)
         assert [str(p) for p in loc.points] == ["inf"] and loc.complete
         assert loc.walls == ()
-        line = reducibility_points(RAY, "realLine")
-        assert line.points == () and line.domain == "realLine"
 
     def test_irrational_walls_flagged(self):
         loc = reducibility_points(make_family(0, cpoly(0, 0, 1)))  # c(r) = r^2
@@ -348,8 +346,6 @@ class TestReducibilityLocus:
         assert not loc.complete
 
     def test_rejections(self):
-        with pytest.raises(ValueError):
-            reducibility_points(EVEN_GENERIC, "circle")
         complex_fam = make_family(0, Poly((GR(0, 1),), "r"))
         with pytest.raises(ValueError):
             reducibility_points(complex_fam)

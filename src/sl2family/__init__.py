@@ -20,6 +20,7 @@ from .scalars import (
     Poly,
     has_gaussian_sqrt,
     rational_sqrt,
+    scalar_to_json,
 )
 from .pbw import (
     COMPACT,
@@ -80,7 +81,6 @@ from .fibers import (
     is_reducible,
     jantzen_quotient_formula,
     reducibility_points,
-    scalar_to_json,
 )
 from .duals import (
     CharacterizationResult,

@@ -50,7 +50,7 @@ from .fibers import (
 )
 from .duals import _nonzero_real, characterize_bijections, check_entry, verify_conjecture1
 from .pbw import COMPACT, SPLIT, UEAElement, casimir, hc_projection, k_order
-from .scalars import GaussianRational, Poly, _check_digits, _quote, parse_int, parse_rational
+from .scalars import GaussianRational, Poly, _check_digits, _cut, _quote, parse_int, parse_rational
 from .sheaf import (
     CHART_INFINITY,
     ProjectivePoint,
@@ -118,15 +118,12 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
                      help="write the report to PATH instead of stdout")
 
 
-_ERROR_MAX = 300  # characters of a usage error; the readers' own messages stay below
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with every usage error cut to a bounded line: its own messages
     for a bad choice, an unknown subcommand or stray arguments echo them whole."""
 
     def error(self, message: str):
-        super().error(message if len(message) <= _ERROR_MAX else message[:_ERROR_MAX] + "...")
+        super().error(_cut(message))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -351,14 +348,6 @@ def cmd_tables(which: int, M: int, grid: Optional[Sequence] = None) -> dict:
 # -- classify / analyze -----------------------------------------------------
 
 
-def _family_doc(fam: ModuleFamily) -> dict:
-    return {
-        "m": fam.m,
-        "ktypes": str(fam.ktypes),
-        "casimir": [scalar_to_json(fam.c0), scalar_to_json(fam.c1), scalar_to_json(fam.c2)],
-    }
-
-
 def _character_doc(fam: ModuleFamily, cartan: str) -> dict:
     ic = infinitesimal_character(fam, cartan)
     return {
@@ -384,7 +373,7 @@ def cmd_classify(obj: dict) -> Tuple[dict, int]:
         "valid": True,
         "error": None,
         "detail": None,
-        "family": _family_doc(fam),
+        "family": fam.to_json(),
         "tilde": {"member": member, "reason": reason},
         "characters": {cartan: _character_doc(fam, cartan) for cartan in ("compact", "split")},
     }
@@ -428,7 +417,7 @@ def cmd_analyze(obj: dict, points: Sequence[ProjectivePoint]) -> Tuple[dict, int
             entry["note"] = f"no closed-form quotient: {reason}"
         entries.append(entry)
     doc = {
-        "family": _family_doc(fam),
+        "family": fam.to_json(),
         "tilde": {"member": member, "reason": reason},
         "locus": locus.to_json(),
         "points": entries,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .families import pinned_level
-from .fibers import GROUP, MOTION, DualParam, boundary_level, fixed_level, scalar_to_json
-from .scalars import GR_ONE, GaussianRational, has_gaussian_sqrt
+from .fibers import GROUP, MOTION, DualParam, boundary_level, fixed_level
+from .scalars import GR_ONE, GaussianRational, has_gaussian_sqrt, scalar_to_json
 
 
 def _nonzero_real(R) -> GaussianRational:

@@ -29,7 +29,8 @@ from functools import cached_property
 from math import isqrt
 from typing import Iterator, Optional, Tuple
 
-from .scalars import GR_ZERO, GaussianRational, Poly, _check_digits, _quote, has_gaussian_sqrt
+from .scalars import (GR_ZERO, GaussianRational, Poly, _check_digits, _cut, _quote,
+                      has_gaussian_sqrt, scalar_to_json)
 from .sheaf import CHART_FINITE, chart_variable
 
 ALL_EVEN = "all_even"
@@ -156,12 +157,6 @@ class KTypeSet:
             return f"{self.param},{self.param - 2},..."
         return f"{{{self.param}}}"
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.param is not None:
-            out["param"] = self.param
-        return out
-
     @staticmethod
     def from_json(obj) -> "KTypeSet":
         """Read {"kind", "param"?}, or a printed form: a name of ``_KIND_NAMES``
@@ -209,6 +204,7 @@ class FamilyValidationError(ValueError):
     """A (m, ktypes, casimir) triple that matches no classification row."""
 
     def __init__(self, code: str, detail: str) -> None:
+        detail = _cut(detail)  # the values it names may be long
         super().__init__(f"{code}: {detail}")
         self.code = code
         self.detail = detail
@@ -295,11 +291,10 @@ class ModuleFamily:
         return f"family(m={self.m}, I={self.ktypes}, c(r)={self.casimir})"
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "ktypes": self.ktypes.to_json(),
-            "casimir": self.casimir.to_json(),
-        }
+        """The descriptor ``family_from_json`` reads back: the K-type set as
+        printed and the coefficients c0, c1, c2 as compact scalars."""
+        return {"m": self.m, "ktypes": str(self.ktypes),
+                "casimir": [scalar_to_json(self.casimir.coeff(k)) for k in range(3)]}
 
 
 def pinned_level(m: int) -> int:

@@ -42,19 +42,11 @@ from .families import (
     pinned_level,
     wall_index,
 )
-from .scalars import GR_ZERO, GaussianRational, rational_sqrt
+from .scalars import GR_ZERO, GaussianRational, rational_sqrt, scalar_to_json
 from .sheaf import CHART_FINITE, CHART_INFINITY, ProjectivePoint
 
 GROUP = "group"
 MOTION = "motion"
-
-
-def scalar_to_json(x: GaussianRational):
-    """Compact exact encoding: int, "p/q" string, or {"re","im"} object."""
-    x = GaussianRational.of(x)
-    if x.is_real:  # then re_num / den is in lowest terms
-        return x.re_num if x.den == 1 else f"{x.re_num}/{x.den}"
-    return x.to_json()
 
 
 def fixed_level(flavor: str, m: int) -> Optional[int]:

@@ -14,27 +14,28 @@ The rewriting core (``times_generator``) uses [raising, lowering] = cartan.
 ``NormalForm`` is the term map (see scalars.Terms) whose product is that
 rewriting and ``UEAElement`` a normal form over Q(i).
 
-The Q(i) loops run on Gaussian integers: an element is brought to a pair of
-int term maps (real and imaginary parts) over one common denominator
-(``_integral``), the work runs on those, and each output coefficient is
-reduced once, at the end (``_rational``); ``times_monomial`` passes an
-empty half through unrewritten.  This holds for ``normal_multiply``, for
-``change_basis`` (twice each transition constant is a Gaussian integer, so
-the image of a word of length L is one over 2^L), for ``hc_projection``,
-which lets the element act on a Verma module of the target basis instead of
-rewriting it, and in sheaf.py for the product of sections (one R-degree
-slice at a time) and the center test of ``center_decompose`` (a zero test,
-with no denominator).
+The Q(i) loops run on Gaussian integers, and only this module knows that
+format: an element is brought to a pair of int term maps (real and
+imaginary parts) over one common denominator (``_integral``), the work runs
+on those, and each output coefficient is reduced once, at the end
+(``_rational``); ``times_monomial`` passes an empty half through
+unrewritten.  ``graded_multiply`` is the one product loop, over normal forms
+graded by a degree that adds (sheaf.py grades sections by R-degree), and
+``normal_multiply`` is its one-grade case; ``commutes_with_raising`` is the
+center test of sheaf.center_decompose.  ``change_basis`` (twice each
+transition constant is a Gaussian integer, so the image of a word of length
+L is one over 2^L) and ``hc_projection``, which lets the element act on a
+Verma module of the target basis instead of rewriting it, run on the same
+integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, lcm
 from typing import Dict, Tuple
 
-from .scalars import NEG_INF, GR_ONE, GaussianRational, Terms, _add_term, _power, _reduced
+from .scalars import NEG_INF, GR_ONE, Terms, _add_term, _power, _reduced
 
 Monomial = Tuple[int, int, int]
 
@@ -84,10 +85,27 @@ def times_monomial(terms: dict, mono: Monomial) -> dict:
     return terms
 
 
-def _integral(terms: dict) -> Tuple[int, dict, dict]:
-    """(D, re, im): the common denominator D of a Q(i) term map, and the int
-    term maps of D times its real and imaginary parts."""
-    den = lcm(*(c.den for c in terms.values()))
+def commutes_with_raising(terms: dict) -> bool:
+    """Whether the Q(i) term map u commutes with the raising generator E:
+    each int half of D u (``_integral``) against times_generator and
+    E F^a E^c H^b = F^a E^(c+1) H^b + a F^(a-1) E^c H^(b+1)
+                    + a(2c - a + 1) F^(a-1) E^c H^b."""
+    for part in _integral(terms)[1:]:
+        bracket = times_generator(part, _RAISE)
+        for (a, b, c), x in part.items():
+            _add_term(bracket, (a, b, c + 1), -x)
+            if a:
+                _add_term(bracket, (a - 1, b + 1, c), x * -a)
+                _add_term(bracket, (a - 1, b, c), x * (a * (a - 2 * c - 1)))
+        if bracket:
+            return False
+    return True
+
+
+def _integral(terms: dict, den: int = 0) -> Tuple[int, dict, dict]:
+    """(D, re, im): a common denominator D of a Q(i) term map (the least one
+    unless den gives it) and the int term maps of D times its two parts."""
+    den = den or lcm(*(c.den for c in terms.values()))
     re = {key: c.re_num * (den // c.den) for key, c in terms.items() if c.re_num}
     im = {key: c.im_num * (den // c.den) for key, c in terms.items() if c.im_num}
     return den, re, im
@@ -119,17 +137,35 @@ def _rational(re: dict, im: dict, den: int) -> dict:
     return {key: _reduced(re.get(key, 0), im.get(key, 0), den) for key in {**re, **im}}
 
 
+def graded_multiply(u: dict, v: dict) -> dict:
+    """Product of graded normal forms {grade: {monomial: Q(i)}}, grades adding.
+
+    Each operand is brought to int term maps over one common denominator;
+    each int slice of u is rewritten once per monomial of v, summed with v's
+    int coefficients of that monomial in every grade, and each output
+    coefficient is reduced once, over D_u * D_v.
+    """
+    du = lcm(*[c.den for t in u.values() for c in t.values()])
+    dv = lcm(*[c.den for t in v.values() for c in t.values()])
+    rows: Dict[Monomial, list] = {}  # v's monomial -> [(grade, re, im)]
+    for g, t in v.items():
+        _, vre, vim = _integral(t, dv)
+        for mono in t:
+            rows.setdefault(mono, []).append((g, vre.get(mono, 0), vim.get(mono, 0)))
+    acc = {g1 + g2: ({}, {}) for g1 in u for g2 in v}  # grade -> int pair over du * dv
+    for g1, t in u.items():
+        _, x, y = _integral(t, du)
+        for mono, row in rows.items():
+            px, py = times_monomial(x, mono), times_monomial(y, mono)
+            for g2, cr, ci in row:
+                re, im = acc[g1 + g2]
+                _mac(re, im, px, py, cr, ci)
+    return {g: _rational(re, im, du * dv) for g, (re, im) in acc.items() if re or im}
+
+
 def normal_multiply(ut: dict, vt: dict) -> dict:
-    """Product of two normal-form term maps over Q(i), renormalized: u's two
-    int maps over D_u are rewritten by v's monomials, summed with v's int
-    coefficients over D_v, and each coefficient is reduced once."""
-    du, ure, uim = _integral(ut)
-    dv, vre, vim = _integral(vt)
-    re, im = {}, {}
-    for mono in vt:
-        x, y = times_monomial(ure, mono), times_monomial(uim, mono)
-        _mac(re, im, x, y, vre.get(mono, 0), vim.get(mono, 0))
-    return _rational(re, im, du * dv)
+    """Product of two normal-form term maps over Q(i): graded_multiply on one grade."""
+    return graded_multiply({0: ut}, {0: vt}).get(0, {})
 
 
 @dataclass(frozen=True)
@@ -216,46 +252,29 @@ class UEAElement(NormalForm):
 
 def casimir(basis: Sl2Basis = COMPACT) -> UEAElement:
     """The Casimir element H^2 + 2H + 4YX, same shape in either basis."""
-    return UEAElement(
-        basis,
-        {
-            (0, 2, 0): GR_ONE,
-            (0, 1, 0): GaussianRational(2),
-            (1, 0, 1): GaussianRational(4),
-        },
-    )
+    return UEAElement(basis, {(0, 2, 0): 1, (0, 1, 0): 2, (1, 0, 1): 4})
 
 
-_HALF = Fraction(1, 2)
-_I = GaussianRational(0, 1)
-_HALF_I = GaussianRational(0, _HALF)
-
-# Generator images under the two change-of-basis maps, as slot -> [(slot, coeff)].
-# These are the transition constants of the standard 2x2 matrix realizations
-# of the two bases; they intertwine the brackets and are mutually inverse
-# (checked by tests/test_pbw.py::TestChangeBasis::test_transition_constants).
-_COMPACT_IN_SPLIT = {
-    _LOWER: [(_CARTAN, GaussianRational(_HALF)), (_RAISE, -_HALF_I), (_LOWER, -_HALF_I)],
-    _CARTAN: [(_LOWER, _I), (_RAISE, -_I)],
-    _RAISE: [(_CARTAN, GaussianRational(_HALF)), (_RAISE, _HALF_I), (_LOWER, _HALF_I)],
-}
-_SPLIT_IN_COMPACT = {
-    _LOWER: [(_CARTAN, -_HALF_I), (_RAISE, -_HALF_I), (_LOWER, _HALF_I)],
-    _CARTAN: [(_RAISE, GR_ONE), (_LOWER, GR_ONE)],
-    _RAISE: [(_CARTAN, _HALF_I), (_RAISE, -_HALF_I), (_LOWER, _HALF_I)],
-}
-# the table of images in each target basis, and the same table doubled: twice
-# each constant is a Gaussian integer, as slot -> [(slot, re, im)]
-_TABLES = {SPLIT: _COMPACT_IN_SPLIT, COMPACT: _SPLIT_IN_COMPACT}
+# Per target basis, twice the image of each source generator, as slot ->
+# [(slot, re, im)]: the transition constants of the 2x2 realizations of the
+# two bases, doubled to Gaussian integers (checked by tests/test_pbw.py).
 _DOUBLED = {
-    target: {s: [(t, (2 * c).re_num, (2 * c).im_num) for t, c in row] for s, row in table.items()}
-    for target, table in _TABLES.items()
+    SPLIT: {
+        _LOWER: [(_CARTAN, 1, 0), (_RAISE, 0, -1), (_LOWER, 0, -1)],
+        _CARTAN: [(_LOWER, 0, 2), (_RAISE, 0, -2)],
+        _RAISE: [(_CARTAN, 1, 0), (_RAISE, 0, 1), (_LOWER, 0, 1)],
+    },
+    COMPACT: {
+        _LOWER: [(_CARTAN, 0, -1), (_RAISE, 0, -1), (_LOWER, 0, 1)],
+        _CARTAN: [(_RAISE, 2, 0), (_LOWER, 2, 0)],
+        _RAISE: [(_CARTAN, 0, 1), (_RAISE, 0, -1), (_LOWER, 0, 1)],
+    },
 }
 
 
 def _check_bases(*bases) -> None:
     for basis in bases:
-        if basis not in _TABLES:
+        if basis not in _DOUBLED:
             raise ValueError(f"unknown basis {basis!r}: expected compact or split")
 
 

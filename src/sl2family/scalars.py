@@ -11,7 +11,8 @@ like the pair (re, im) of Fractions.  Square roots are witness-based:
 either an exact square root inside Q(i) is produced, or its absence is
 reported.  ``GaussianRational.from_json`` is the one reader of the JSON
 scalar format (an int, a "p/q" string, or {"re", "im"?}): family
-descriptors and candidate bijections are both read through it.
+descriptors and candidate bijections are both read through it, and
+``scalar_to_json`` writes it in its compact form.
 ``parse_rational`` is the one reader of rational strings, for those
 scalars and for the command-line values alike: an integer, "p/q" or a
 decimal, never exponent notation.  ``parse_int`` reads integer strings,
@@ -48,10 +49,14 @@ _EXPONENT = re.compile(r"[\d.][eE][-+]?\d")
 _QUOTE_MAX = 60  # characters of an offending value quoted in an error message
 
 
+def _cut(text: str, most: int = 300) -> str:
+    """text, or its first most (300: a whole error message) characters and "..."."""
+    return text if len(text) <= most else text[:most] + "..."
+
+
 def _quote(x) -> str:
     """repr(x) for an error message, cut to a bounded prefix."""
-    text = repr(x)
-    return text if len(text) <= _QUOTE_MAX else text[:_QUOTE_MAX] + "..."
+    return _cut(repr(x), _QUOTE_MAX)
 
 
 # the most digits in a row that any reader takes: Python's default bound on
@@ -371,6 +376,14 @@ class GaussianRational:
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
+
+
+def scalar_to_json(x: GaussianRational):
+    """Compact exact encoding: int, "p/q" string, or {"re","im"} object."""
+    x = GaussianRational.of(x)
+    if x.is_real:  # then re_num / den is in lowest terms
+        return x.re_num if x.den == 1 else f"{x.re_num}/{x.den}"
+    return x.to_json()
 
 
 def rational_sqrt(f: Fraction) -> Optional[Fraction]:

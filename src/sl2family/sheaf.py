@@ -9,10 +9,11 @@ polynomials in the chart coordinate as coefficients; negative exponents
 are legal and flag a rational (non-regular) section.  ``CartanSection`` maps
 powers of the Cartan generator to Laurent polynomials (scalars.Laurent).
 
-Sections multiply on the Gaussian-integer core of pbw.py.  Central
-sections are recognized without building Casimir powers: a weight-zero
-section must commute with the raising generator (``center_decompose``), and
-the coefficients of the Casimir powers come off the Cartan part alone.
+A section is read as a PBW normal form graded by its R-degree in the finite
+frame (``_graded``): its product is pbw.graded_multiply and its center test
+pbw.commutes_with_raising, slice by slice; only pbw.py sees int term maps.
+``center_decompose`` builds no Casimir power: the coefficients of the Casimir
+powers come off the Cartan part alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Optional
 
-from .pbw import COMPACT, NormalForm, UEAElement, _integral, _mac, _rational, casimir, times_monomial
+from .pbw import COMPACT, NormalForm, UEAElement, casimir, commutes_with_raising, graded_multiply
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, Laurent, Terms, _add_term, _power
 
 CHART_FINITE = "X0"
@@ -113,9 +114,13 @@ class ProjectivePoint:
         return f"r={self.beta}"
 
 
-def _flat(terms: dict) -> dict:
-    """{(monomial, exponent): Q(i) coefficient} of a section's term map."""
-    return {(mono, e): x for mono, f in terms.items() for e, x in f.terms.items()}
+def _graded(terms: dict, lift: bool) -> dict:
+    """{finite-frame R-degree: {monomial: Q(i)}} of a section's terms (lift at infinity)."""
+    out: dict = {}
+    for mono, f in terms.items():
+        for e, x in f.terms.items():
+            out.setdefault(e + lift * (mono[0] + mono[2]), {})[mono] = x
+    return out
 
 
 def _laurent_in(var: str, x) -> Optional[Laurent]:
@@ -137,12 +142,10 @@ class FamilySection(NormalForm):
     chart coordinate.  Coefficients with negative exponents are permitted
     and flag a rational section.
 
-    The product runs on the Gaussian-integer core of pbw.py.  At infinity
-    it uses the finite frame X = Xinf/R, Y = Yinf/R, H = Hinf, where
-    [X, Y] = H, so Finf^a Einf^c H^b = R^(a+c) F^a E^c H^b.  Each int slice
-    of the left factor (``_slices``) is rewritten by pbw.times_monomial,
-    summed with the right factor's int coefficients and reduced once; each
-    product monomial divides by R^(a+c) on the way back.
+    The product is pbw.graded_multiply in the finite frame X = Xinf/R,
+    Y = Yinf/R, H = Hinf, where [X, Y] = H and Finf^a Einf^c H^b =
+    R^(a+c) F^a E^c H^b: a term R^e Finf^a Einf^c H^b has the grade e + a + c
+    (``_graded``), and a product monomial divides by R^(a+c) on the way back.
     """
 
     __slots__ = ()
@@ -162,30 +165,11 @@ class FamilySection(NormalForm):
     def _coerce(self, x):
         return _laurent_in(self.var, x)
 
-    def _slices(self) -> tuple:
-        """(D, {finite-frame R-degree: (re, im)}): D * self as int slices."""
-        lift = 1 if self.tag == CHART_INFINITY else 0  # R-power per ladder generator
-        den, re, im = _integral(_flat(self.terms))
-        slices: dict = {}
-        for half, part in enumerate((re, im)):
-            for (mono, e), z in part.items():
-                slices.setdefault(e + lift * (mono[0] + mono[2]), ({}, {}))[half][mono] = z
-        return den, slices
-
     def _product(self, terms: dict) -> dict:
-        lift = 1 if self.tag == CHART_INFINITY else 0
-        du, slices = self._slices()
-        dv, vre, vim = _integral(_flat(terms))
-        acc: dict = {}  # R-degree in the finite frame -> int pair over du * dv
-        for e1, (x, y) in slices.items():
-            for mono, g in terms.items():
-                px, py = times_monomial(x, mono), times_monomial(y, mono)
-                for e2 in g.terms:
-                    pair = acc.setdefault(e1 + e2 + lift * (mono[0] + mono[2]), ({}, {}))
-                    _mac(*pair, px, py, vre.get((mono, e2), 0), vim.get((mono, e2), 0))
+        lift = self.tag == CHART_INFINITY
         out: dict = {}
-        for e, pair in acc.items():
-            for key, z in _rational(*pair, du * dv).items():
+        for e, part in graded_multiply(_graded(self.terms, lift), _graded(terms, lift)).items():
+            for key, z in part.items():
                 out.setdefault(key, {})[e - lift * (key[0] + key[2])] = z
         return {k: Laurent._make(self.var, f) for k, f in out.items()}
 
@@ -276,12 +260,9 @@ def center_decompose(s: FamilySection) -> Optional[Dict[int, Laurent]]:
     the center of the chart).  No Casimir power is built:
 
     1. every monomial F^a E^c H^b must have weight zero, a = c;
-    2. s must commute with X.  [X, .] has integer weights, so each int half
-       (real, imaginary) of each finite-frame slice is checked with no
-       denominator: the right product by pbw.times_monomial, the left one by
-       X F^a E^c H^b = F^a E^(c+1) H^b + a F^(a-1) E^c H^(b+1)
-                       + a(2c - a + 1) F^(a-1) E^c H^b.
-       The weight-zero centralizer of X in U(sl2) is Q(i)[Casimir], so the
+    2. s must commute with X, slice by slice in the finite frame
+       (pbw.commutes_with_raising on each grade of ``_graded``).  The
+       weight-zero centralizer of X in U(sl2) is Q(i)[Casimir], so the
        sections passing 1 and 2 are exactly the Laurent combinations;
     3. the g_j come from the Cartan part (the H^b terms) alone, which is
        sum_j g_j t^j (h^2 + 2h)^j with t = 1 (finite chart) or R^2 (at
@@ -289,16 +270,9 @@ def center_decompose(s: FamilySection) -> Optional[Dict[int, Laurent]]:
     """
     if any(a != c for (a, b, c) in s.terms):
         return None
+    if not all(map(commutes_with_raising, _graded(s.terms, s.chart == CHART_INFINITY).values())):
+        return None
     t = 2 if s.chart == CHART_INFINITY else 0  # the R-degree of t
-    for part in (half for pair in s._slices()[1].values() for half in pair):
-        bracket = times_monomial(part, (0, 0, 1))
-        for (a, b, c), x in part.items():
-            _add_term(bracket, (a, b, c + 1), -x)
-            if a:
-                _add_term(bracket, (a - 1, b + 1, c), x * -a)
-                _add_term(bracket, (a - 1, b, c), x * (a * (a - 2 * c - 1)))
-        if bracket:
-            return None
     cartan = {b: f for (a, b, c), f in s.terms.items() if a == 0}
     out: Dict[int, Laurent] = {}
     while cartan:

@@ -1064,3 +1064,111 @@ class TestJsonFuzz:
         assert code in (0, 1, 2)
         if any(_unknown_scalar_key(pair) for pair in candidate.values()):
             assert code == 2
+
+
+# -- size-hostile inputs --------------------------------------------------------
+#
+# Digit runs on both sides of the 4,300-digit limit, lists of up to 10^4 items
+# and nesting up to 5,000 deep, in every JSON field and every flag.  A run
+# succeeds, or exits 2 with one error line, or (classify) exits 1 with a
+# report whose detail is bounded.  Analysis stays at finite points: the motion
+# fiber of a window family still lists every K-type of the window.
+
+_RUN = st.builds(lambda digit, n: digit * n, st.sampled_from("179"),
+                 st.one_of(st.integers(1, 5000), st.sampled_from([4300, 4301])))
+_SIGNED = st.builds(str.__add__, st.sampled_from(["", "-"]), _RUN)
+# a number or K-type text around a digit run, as JSON
+_NUMBER = st.builds(lambda form, r: form.replace("@", r), st.sampled_from(
+    ["@", '"@"', '"1/@"', '"@/7"', '{"re": 1, "im": @}', '{"re": "@"}']), _SIGNED)
+# K-type set strings around a run of ones: "@1,@3,..." is the ray from 11...1
+_KTYPE_TEXT = st.builds(lambda form, r: form.replace("@", r), st.sampled_from(
+    ['"{@}"', '"-@..@"', '"-@..1"', '"@1,@3,..."', '"-@1,-@3,..."']),
+    st.integers(1, 5000).map("1".__mul__))
+_LIST = st.builds(lambda item, n: "[" + ",".join([item] * n) + "]",
+                  st.sampled_from(["1", '"1/2"', "[]", "{}", '"2Z"', '{"re": 1}']),
+                  st.integers(0, 10_000))
+_NESTED = st.builds(lambda ends, depth: ends[0] * depth + "1" + ends[1] * depth,
+                    st.sampled_from([("[", "]"), ('{"re": ', "}"), ('{"kind": ', "}")]),
+                    st.integers(1, 5000))
+_HOSTILE = st.one_of(_NUMBER, _KTYPE_TEXT, _LIST, _NESTED)
+
+# @ marks the field that gets the hostile value
+_FAMILY_FIELDS = ['{"m": @, "casimir": [-1, 0, 1]}', '{"m": 0, "casimir": @}',
+                  '{"m": 0, "casimir": [1, @]}', '{"m": 0, "casimir": {"coeffs": @, "var": "r"}}',
+                  '{"m": 0, "casimir": [8], "ktypes": @}',
+                  '{"m": 0, "casimir": [8], "ktypes": {"kind": "window", "param": @}}']
+_CANDIDATE_FIELDS = ['{"0": @, "1": [1, -1], "-1": [1, -1]}',
+                     '{"0": [@, -1], "1": [1, -1], "-1": [1, -1]}',
+                     '{"0": [1, -1], "1": [1, {"re": @}], "-1": [1, -1]}']
+
+_FLAG_TOKEN = st.one_of(_SIGNED, st.builds("{}/{}".format, _SIGNED, _RUN),
+                        st.builds("1/{}".format, _RUN), st.sampled_from(["0", "1", "x"]))
+# a short token repeated up to 10^4 times, then one flag token
+_FLAG_LIST = st.builds(lambda item, n, last: ",".join([item] * n + [last]),
+                       st.sampled_from(["0", "1", "-3", "1/2", "x", ""]), st.integers(0, 10_000),
+                       _FLAG_TOKEN)
+# argv with a hostile flag value; --M and the table number read no valid huge value,
+# which would only ask for that much work
+_FLAG_ARGV = st.one_of(
+    st.builds(lambda m: ["tables", "1", "--M=" + m],
+              st.one_of(_SIGNED.map("-{}".format), _RUN.filter(lambda r: len(r) > 4300),
+                        _RUN.map("{}x".format))),
+    st.builds(lambda which: ["tables", which], _SIGNED),
+    st.builds(lambda R: ["bijection", "--R=" + R, "--M", "0", "--grid", "0,1"], _FLAG_LIST),
+    st.builds(lambda grid: ["bijection", "--R", "1", "--M", "0", "--grid=" + grid], _FLAG_LIST),
+    st.builds(lambda which, grid: ["tables", which, "--M", "0", "--grid=" + grid],
+              st.sampled_from("123"), _FLAG_LIST),
+    st.builds(lambda point: ["analyze", "--family", '{"m": 0, "casimir": [-1, 0, 1]}',
+                             "--point=" + point],
+              st.builds(str.__add__, st.sampled_from(["", "r=", "R="]), _FLAG_TOKEN)),
+)
+
+
+def _bounded_run(argv) -> int:
+    """main(argv)'s status, asserting a bounded error line (exit 2) or detail (exit 1)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert len(lines[-1].encode()) <= 400 and len(err.getvalue().encode()) <= 1000
+    elif code == 1 and argv[0] == "classify":
+        assert len(json.loads(out.getvalue())["detail"]) <= 400
+    return code
+
+
+class TestSizeHostileFuzz:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(field=st.sampled_from(_FAMILY_FIELDS), value=_HOSTILE)
+    def test_family_fields(self, field, value):
+        text = field.replace("@", value)
+        _bounded_run(["classify", "--family", text])
+        _bounded_run(["analyze", "--family", text, "--point", "r=1"])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(field=st.sampled_from(_CANDIDATE_FIELDS), value=_HOSTILE, key=_SIGNED,
+           keys=st.integers(0, 10_000), which=st.integers(0, 2))
+    def test_candidate_keys_and_entries(self, field, value, key, keys, which):
+        text = [field.replace("@", value), '{"' + key + '": [1, -1]}',
+                "{" + ",".join(f'"{i}": [1, -1]' for i in range(keys)) + "}"][which]
+        _bounded_run(["bijection", "--R", "1", "--M", "1", "--grid", "0,1", "--candidate", text])
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(argv=_FLAG_ARGV)
+    def test_flags(self, argv):
+        _bounded_run(argv)
+
+    def test_long_minimal_ktype_detail_is_bounded(self, capsys):
+        # the row-mismatch detail used to name m and its pinned level whole: 12 KB
+        desc = '{"m": ' + "7" * 4000 + ', "casimir": 0}'
+        code, doc = run_json(capsys, "classify", "--family", desc)
+        assert code == 1 and doc["error"] == "row-mismatch"
+        assert doc["detail"] == "minimal K-type " + "7" * 285 + "..."

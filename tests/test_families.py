@@ -113,9 +113,12 @@ class TestKTypeSet:
             KTypeSet.ray_down(-3),
             KTypeSet.singleton(2),
         ]
-        for s in sets:
-            assert KTypeSet.from_json(s.to_json()) == s
-        # string forms parse back too
+        objects = [{"kind": "all_even"}, {"kind": "all_odd"}, {"kind": "window", "param": 0},
+                   {"kind": "window", "param": 4}, {"kind": "ray_up", "param": 1},
+                   {"kind": "ray_down", "param": -3}, {"kind": "singleton", "param": 2}]
+        for obj, s in zip(objects, sets):
+            assert KTypeSet.from_json(obj) == s
+        # the printed forms parse back too
         for s in sets:
             assert KTypeSet.from_json(str(s)) == s
 
@@ -384,9 +387,23 @@ class TestFamilyJson:
             make_family(1, cpoly(-1)),
             make_family(-4, cpoly(8)),
             make_family(0, cpoly(8)),
+            make_family(3, cpoly(3)),
+            make_family(-1, cpoly(-1), KTypeSet.ray_down(-1)),
+            make_family(1, cpoly(GR(Fraction(1, 2), -3), Fraction(-2, 7), GR(0, 1))),
         ]
         for fam in fams:
             assert family_from_json(fam.to_json()) == fam
+
+    def test_to_json_is_the_descriptor_the_cli_prints(self):
+        from sl2family.cli import cmd_classify
+
+        fam = make_family(1, cpoly(GR(Fraction(1, 2), -3), Fraction(-2, 7), GR(0, 1)))
+        assert fam.to_json() == {"m": 1, "ktypes": "2Z+1", "casimir": [
+            {"re": "1/2", "im": "-3"}, "-2/7", {"re": "0", "im": "1"}]}
+        assert make_family(-4, cpoly(8)).to_json() == {"m": -4, "ktypes": "-4,-6,...",
+                                                       "casimir": [8, 0, 0]}
+        for obj in (fam.to_json(), {"m": 0, "casimir": "-1/3"}):
+            assert cmd_classify(obj)[0]["family"] == family_from_json(obj).to_json()
 
     def test_descriptor_forms(self):
         fam = family_from_json({"m": 1, "casimir": [-1, 0, 0], "ktypes": "rayUp"})

@@ -207,14 +207,20 @@ class TestChangeBasis:
             assert change_basis(casimir(SPLIT) ** n, COMPACT) == casimir(COMPACT) ** n, n
 
     def test_doubled_tables(self):
-        for target, table in pbw._TABLES.items():
-            doubled = pbw._DOUBLED[target]
-            assert set(doubled) == set(table)
+        # each doubled row, halved, writes the 2x2 matrix of its source
+        # generator in the 2x2 matrices of the target triple
+        assert set(pbw._DOUBLED) == {COMPACT, SPLIT}
+        for target, table in pbw._DOUBLED.items():
+            source = SPLIT if target == COMPACT else COMPACT
+            assert sorted(table) == [0, 1, 2]
             for slot, row in table.items():
-                assert [t for t, _re, _im in doubled[slot]] == [t for t, _c in row]
-                for (_, re, im), (_, c) in zip(doubled[slot], row):
+                image = [[GR(0)] * 2 for _ in range(2)]
+                for t, re, im in row:
                     assert type(re) is int and type(im) is int
-                    assert GR(re, im) == 2 * c
+                    half = GR(Fraction(re, 2), Fraction(im, 2))
+                    m = TRIPLES_2X2[target.name][t]
+                    image = [[image[j][k] + half * m[j][k] for k in range(2)] for j in range(2)]
+                assert image == [[GR.of(x) for x in r] for r in TRIPLES_2X2[source.name][slot]]
 
     def test_value_equal_bases_take_the_same_table(self):
         split, compact = copy.deepcopy(SPLIT), copy.deepcopy(COMPACT)
@@ -615,3 +621,23 @@ class TestIntegerCore:
         image = hc_projection(u, cartan)
         assert image == rewrite_oracle(u, cartan)
         assert_lowest_terms(image.terms)
+
+    @pytest.mark.parametrize("basis", [COMPACT, SPLIT])
+    def test_commutes_with_raising_matches_the_bracket(self, basis):
+        raising = {(0, 0, 1): GR_ONE}
+        cas, h = casimir(basis), UEAElement.monomial(basis, (0, 1, 0))
+        cases = seeded_elements(basis, 1618 + (basis is SPLIT))
+        # weight zero but not central, in one half or in both
+        cases += [h, cas * h, cas + h * GR(0, 3), h + cas * GR(0, 3), cas ** 2 * GR(1, 1) + h * GR_I]
+        for u in list(cases):  # and the real and imaginary parts of each
+            cases.append(UEAElement(basis, {k: GR(c.re) for k, c in u.terms.items()}))
+            cases.append(UEAElement(basis, {k: GR(0, c.im) for k, c in u.terms.items()}))
+        kinds = set()  # (central, has a real part, has an imaginary part)
+        for u in cases:
+            got = pbw.commutes_with_raising(u.terms)
+            assert got == (pbw.normal_multiply(raising, u.terms)
+                           == pbw.normal_multiply(u.terms, raising)), str(u)
+            kinds.add((got, any(c.re for c in u.terms.values()), any(c.im for c in u.terms.values())))
+        # central and non-central, with real-only, imaginary-only and mixed coefficients
+        assert {(True, True, True), (False, True, True), (True, True, False),
+                (False, True, False), (True, False, True), (False, False, True)} <= kinds

@@ -389,10 +389,12 @@ class TestDecomposeOracle:
 
 # -- the Gaussian-integer path against Q(i) arithmetic ---------------------------
 #
-# Section products and the bracket check of center_decompose run on int term
-# maps over one common denominator.  The reference keeps GaussianRational
+# Section products (pbw.graded_multiply) and the bracket check of
+# center_decompose (pbw.commutes_with_raising) run on int term maps over one
+# common denominator.  The first reference keeps GaussianRational
 # coefficients at every step: Q(i) R-degree slices of the left factor, each
-# rewritten by times_monomial and summed term by term.
+# rewritten by times_monomial and summed term by term.  The second reads no
+# part of pbw: the matrices of tests/sl2_matrices.py.
 
 def q_section_product(s: FamilySection, t: FamilySection) -> dict:
     """The product s * t as {monomial: Laurent}, by Q(i) slices of s."""
@@ -440,26 +442,45 @@ def _assert_lowest_terms(s: FamilySection) -> None:
             assert type(x) is GR and x.den > 0 and gcd(x.re_num, x.im_num, x.den) == 1
 
 
+def _integer_path_pairs(chart: str) -> list:
+    """Seeded and wide section pairs: complex coefficients of about 20 digits,
+    real-only and imaginary-only factors, poles, the Casimir and zero."""
+    rng = random.Random(31415 + (chart == CHART_INFINITY))
+    om = casimir_section(chart)
+    pairs = [(_seeded_section(rng, chart, 3), _seeded_section(rng, chart, 2)) for _ in range(6)]
+    pairs += [(_wide_section(rng, chart, 3), _wide_section(rng, chart, 3)) for _ in range(6)]
+    real, imaginary = (True, False), (False, True)
+    pairs += [(_wide_section(rng, chart, 2, real), _wide_section(rng, chart, 2, imaginary)),
+              (_wide_section(rng, chart, 2, imaginary), _wide_section(rng, chart, 2, real)),
+              (_wide_section(rng, chart, 2, imaginary), _wide_section(rng, chart, 2)),
+              (om, _wide_section(rng, chart, 2)), (_wide_section(rng, chart, 2), om ** 2),
+              (FamilySection.zero(chart), om), (om, FamilySection.zero(chart))]
+    coeffs = [f for pair in pairs for s in pair for f in s.terms.values()]
+    assert any(f.valuation() < 0 for f in coeffs)
+    assert any(x.den > 10 ** 18 and x.im_num for f in coeffs for x in f.terms.values())
+    return pairs
+
+
 class TestIntegerPath:
     @pytest.mark.parametrize("chart", [CHART_FINITE, CHART_INFINITY])
     def test_product_matches_q_slices(self, chart):
-        rng = random.Random(31415 + (chart == CHART_INFINITY))
-        om = casimir_section(chart)
-        pairs = [(_seeded_section(rng, chart, 3), _seeded_section(rng, chart, 2)) for _ in range(6)]
-        pairs += [(_wide_section(rng, chart, 3), _wide_section(rng, chart, 3)) for _ in range(6)]
-        real, imaginary = (True, False), (False, True)
-        pairs += [(_wide_section(rng, chart, 2, real), _wide_section(rng, chart, 2, imaginary)),
-                  (_wide_section(rng, chart, 2, imaginary), _wide_section(rng, chart, 2, real)),
-                  (_wide_section(rng, chart, 2, imaginary), _wide_section(rng, chart, 2)),
-                  (om, _wide_section(rng, chart, 2)), (_wide_section(rng, chart, 2), om ** 2),
-                  (FamilySection.zero(chart), om), (om, FamilySection.zero(chart))]
-        coeffs = [f for pair in pairs for s in pair for f in s.terms.values()]
-        assert any(f.valuation() < 0 for f in coeffs)
-        assert any(x.den > 10 ** 18 and x.im_num for f in coeffs for x in f.terms.values())
-        for s, t in pairs:
+        for s, t in _integer_path_pairs(chart):
             product = s * t
             assert product.terms == q_section_product(s, t), (str(s), str(t))
             _assert_lowest_terms(product)
+
+    @pytest.mark.parametrize("chart", [CHART_FINITE, CHART_INFINITY])
+    def test_product_acts_as_matrix_product(self, chart):
+        # independent of pbw: each section acts, at a coordinate value, as a
+        # sum of words in the 2x2 generator matrices (rho_section), on the
+        # modules of dimension 1..4; at infinity R0 != 0 scales each ladder letter
+        points = (GR(2), GR(Fraction(-1, 3)), GR(1, -2))
+        for s, t in _integer_path_pairs(chart):
+            product = s * t
+            for n in range(4):
+                for x in points:
+                    assert rho_section(product, x, n) == mat_mul(
+                        rho_section(s, x, n), rho_section(t, x, n)), (str(s), str(t), n, str(x))
 
     @pytest.mark.parametrize("chart", [CHART_FINITE, CHART_INFINITY])
     def test_a_real_factor_rewrites_one_half(self, chart, monkeypatch):

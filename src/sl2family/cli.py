@@ -50,7 +50,8 @@ from .fibers import (
 )
 from .duals import _nonzero_real, characterize_bijections, check_entry, verify_conjecture1
 from .pbw import COMPACT, SPLIT, UEAElement, casimir, hc_projection, k_order
-from .scalars import GaussianRational, Poly, _check_digits, _cut, _quote, parse_int, parse_rational
+from .scalars import (GaussianRational, Poly, _any_digits, _check_digits, _cut, _quote, parse_int,
+                      parse_rational)
 from .sheaf import (
     CHART_INFINITY,
     ProjectivePoint,
@@ -447,10 +448,10 @@ def _parse_candidate(obj: dict) -> Dict[int, tuple]:
 
 
 def _reports(Rs: Sequence, M: int, grid: Sequence) -> List[dict]:
-    """One verify_conjecture1 report per chart coordinate R, every R checked
-    before the first check runs."""
+    """One verify_conjecture1 report per distinct chart coordinate R, in the
+    order of first occurrence; every R is checked before the first check runs."""
     reports = []
-    for R in [_nonzero_real(R) for R in Rs]:
+    for R in dict.fromkeys([_nonzero_real(R) for R in Rs]):
         ok, entries = verify_conjecture1(R, M, grid)
         reports.append({"R": scalar_to_json(R), "pass": ok, "entries": entries})
     return reports
@@ -593,14 +594,12 @@ def cmd_verify(suite: str, Rs: Optional[Sequence] = None, M: Optional[int] = Non
 # -- entry point --------------------------------------------------------------
 
 
+# every reader bounds its digits itself; the interpreter's bound would only stop output
+@_any_digits()
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     flag = ""  # names the flag whose value is being read, in a usage error
-    # every reader bounds its digits itself; the interpreter's bound would only stop output
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
         if args.command == "tables":
             doc, status = cmd_tables(args.which, args.M, args.grid), 0
@@ -625,9 +624,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit(doc, args.format, args.out)
     except (OSError, ValueError) as err:
         parser.error(f"{flag}{err}")
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
     return status
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 from math import isqrt
 from typing import Iterator, Optional, Tuple
 
-from .scalars import (GR_ZERO, GaussianRational, Poly, _check_digits, _cut, _quote,
+from .scalars import (GR_ZERO, GaussianRational, Poly, _any_digits, _check_digits, _cut, _quote,
                       has_gaussian_sqrt, scalar_to_json)
 from .sheaf import CHART_FINITE, chart_variable
 
@@ -203,8 +203,11 @@ _KIND_NAMES = {
 class FamilyValidationError(ValueError):
     """A (m, ktypes, casimir) triple that matches no classification row."""
 
-    def __init__(self, code: str, detail: str) -> None:
-        detail = _cut(detail)  # the values it names may be long
+    def __init__(self, code: str, detail: str, **words) -> None:
+        if words:  # detail is a template, and the values it names may be long
+            with _any_digits():
+                detail = detail.format(**words)
+        detail = _cut(detail)
         super().__init__(f"{code}: {detail}")
         self.code = code
         self.detail = detail
@@ -255,19 +258,16 @@ class ModuleFamily:
         if self.ktypes is None:
             kt = ktypes_at(self.m, c.coeff(0) if c.is_constant else None)
             if kt is None:
-                raise FamilyValidationError("row-mismatch", f"minimal K-type {self.m} forces "
-                                            f"c(r) = {pinned_level(self.m)} constantly, got {c}")
+                raise FamilyValidationError(
+                    "row-mismatch", "minimal K-type {m} forces c(r) = {want} constantly, got {c}",
+                    m=self.m, want=pinned_level(self.m), c=c)
             object.__setattr__(self, "ktypes", kt)
         if self.m % 2 != self.ktypes.parity:
-            raise FamilyValidationError(
-                "parity-mismatch",
-                f"minimal K-type {self.m} has different parity than {self.ktypes}",
-            )
+            raise FamilyValidationError("parity-mismatch", "minimal K-type {m} has different "
+                                        "parity than {kt}", m=self.m, kt=self.ktypes)
         if not self.ktypes.contains(self.m):
-            raise FamilyValidationError(
-                "minimal-ktype-missing",
-                f"minimal K-type {self.m} is not a member of {self.ktypes}",
-            )
+            raise FamilyValidationError("minimal-ktype-missing", "minimal K-type {m} is not a "
+                                        "member of {kt}", m=self.m, kt=self.ktypes)
 
     @property
     def c2(self) -> GaussianRational:
@@ -373,10 +373,10 @@ def _validate_row(fam: ModuleFamily) -> None:
                  c=fam.casimir, cv=cv, k=None if cv is None else wall_index(cv),
                  want=row_level(p))
     if (m != p) if ray else abs(m) > 1:
-        raise FamilyValidationError("minimal-ktype-mismatch", mismatch.format(**words))
+        raise FamilyValidationError("minimal-ktype-mismatch", mismatch, **words)
     if ray and ktypes_at(p, pinned_level(p)) != kt:
-        raise FamilyValidationError("row-mismatch", _WRONG_WAY[kt.kind].format(**words))
-    raise FamilyValidationError("row-mismatch", off_level.format(**words))
+        raise FamilyValidationError("row-mismatch", _WRONG_WAY[kt.kind], **words)
+    raise FamilyValidationError("row-mismatch", off_level, **words)
 
 
 def infer_ktypes(m: int, casimir) -> KTypeSet:

@@ -408,7 +408,7 @@ def reducibility_points(fam: ModuleFamily) -> ReducibilityLocus:
             if irr:
                 complete = False
 
-    pts = sorted(set(pts), key=lambda q: q.r_value().re)
+    pts = sorted(set(pts), key=lambda q: q.r.re)
     if fam.c2 == 0 and kt.has_edge:
         pts.append(ProjectivePoint.infinity())
     return ReducibilityLocus(tuple(pts), tuple(walls), complete)
@@ -430,6 +430,5 @@ def jantzen_quotient_formula(fam: ModuleFamily, p: ProjectivePoint) -> DualParam
         raise ValueError("r = 0 lies outside the chart at infinity; the formula does not apply")
     if p.is_infinity:
         return DualParam.motion(fam.c2, fam.m).canonical()
-    r0 = p.r_value()
-    level = fam.c2 * r0 * r0 + fam.c0
+    level = fam.c2 * p.r * p.r + fam.c0
     return DualParam.group(level, fam.m, p.R_value()).canonical()

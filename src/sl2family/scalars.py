@@ -7,17 +7,18 @@ equal values have equal parts and arithmetic is integer arithmetic plus one
 gcd.  Constructors and operators accept int, Fraction and (for the
 constructor) rational strings, and raise TypeError on floats.  A real value
 hashes like its Fraction, hence like an equal int; any other value hashes
-like the pair (re, im) of Fractions.  Square roots are witness-based:
-either an exact square root inside Q(i) is produced, or its absence is
-reported.  ``GaussianRational.from_json`` is the one reader of the JSON
-scalar format (an int, a "p/q" string, or {"re", "im"?}): family
-descriptors and candidate bijections are both read through it, and
-``scalar_to_json`` writes it in its compact form.
+like the pair (re, im) of Fractions.  Q(i) is not ordered: the order
+operators raise TypeError (compare ``re`` Fractions).  Square roots are
+witness-based: an exact root in Q(i) is produced, or its absence reported.
+``GaussianRational.from_json`` is the one reader of the JSON scalar format
+(an int, a "p/q" string, or {"re", "im"?}) for family descriptors and
+candidate bijections alike; ``scalar_to_json`` writes its compact form.
 ``parse_rational`` is the one reader of rational strings, for those
 scalars and for the command-line values alike: an integer, "p/q" or a
 decimal, never exponent notation.  ``parse_int`` reads integer strings,
 for JSON input and integer flags.  Both refuse more than ``DIGITS_MAX``
-digits in a row with one message.
+digits in a row with one message, so ``_any_digits`` may lift the
+interpreter's own digit limit for output of integers of any length.
 
 ``Terms`` is the one sparse "monomial -> nonzero coefficient" type of the
 package: sums, scalar multiples, powers, equality, hashing and printing
@@ -31,8 +32,9 @@ sections of sheaf.py are term maps too.
 from __future__ import annotations
 
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from functools import total_ordering
 from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
@@ -73,6 +75,19 @@ def _check_digits(text: str, what: str) -> None:
         if longest > DIGITS_MAX:
             raise ValueError(
                 f"cannot read {what} from {_quote(text)} (more than {DIGITS_MAX} digits)")
+
+
+@contextmanager
+def _any_digits():
+    """Run the block under no int/str digit limit, and restore the limit after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def parse_int(text: str) -> int:
@@ -151,7 +166,6 @@ def _ratio_str(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-@total_ordering
 class GaussianRational:
     """A number a + b*i with rational a, b, kept in lowest terms.
 
@@ -310,21 +324,6 @@ class GaussianRational:
                 return hash(self._re_num)
             return hash(Fraction(self._re_num, self._den))
         return hash((self.re, self.im))
-
-    # -- ordering (real values only) ---------------------------------------
-
-    def _real_part_or_raise(self) -> Fraction:
-        if self._im_num != 0:
-            raise ValueError(f"ordering is undefined for non-real value {self}")
-        return self.re
-
-    def __lt__(self, other):
-        # total_ordering derives <=, > and >= from this and __eq__
-        if isinstance(other, GaussianRational):
-            return self._real_part_or_raise() < other._real_part_or_raise()
-        if isinstance(other, (int, Fraction)):
-            return self._real_part_or_raise() < other
-        return NotImplemented
 
     # -- rendering ----------------------------------------------------------
 

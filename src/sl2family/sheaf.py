@@ -41,62 +41,49 @@ def chart_variable(chart: str) -> str:
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """A point [alpha : beta] of the projective line over Q(i), normalized.
+    """A point of the projective line over Q(i): its finite-chart coordinate r,
+    None at infinity.  The chart at infinity has the coordinate R = 1/r; it is
+    0 at infinity, and the point r = 0 lies outside that chart."""
 
-    Normal form: [1 : r] for finite points (r is the finite-chart
-    coordinate) and [0 : 1] for the point at infinity.  The chart-at-
-    infinity coordinate of [alpha : beta] is R = alpha/beta.
-    """
-
-    alpha: GaussianRational
-    beta: GaussianRational
+    r: Optional[GaussianRational]
 
     def __post_init__(self) -> None:
-        a, b = GaussianRational.of(self.alpha), GaussianRational.of(self.beta)
-        if not a and not b:
-            raise ValueError("[0 : 0] is not a projective point")
-        if a:
-            b = b / a
-            a = GR_ONE
-        else:
-            b = GR_ONE
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
+        if self.r is not None:
+            object.__setattr__(self, "r", GaussianRational.of(self.r))
 
     @staticmethod
     def from_r(x) -> "ProjectivePoint":
-        return ProjectivePoint(GR_ONE, GaussianRational.of(x))
+        return ProjectivePoint(GaussianRational.of(x))
 
     @staticmethod
     def from_R(x) -> "ProjectivePoint":
-        return ProjectivePoint(GaussianRational.of(x), GR_ONE)
+        R = GaussianRational.of(x)
+        return ProjectivePoint(GR_ONE / R if R else None)
 
     @staticmethod
     def infinity() -> "ProjectivePoint":
-        return ProjectivePoint(GR_ZERO, GR_ONE)
+        return ProjectivePoint(None)
 
     @property
     def is_infinity(self) -> bool:
-        return not self.alpha
+        return self.r is None
 
     @property
     def is_origin(self) -> bool:
-        """True at [1 : 0], the point r=0 outside the chart at infinity."""
-        return bool(self.alpha) and not self.beta
+        """True at r = 0, the point outside the chart at infinity."""
+        return self.r is not None and not self.r
 
     @property
     def is_real(self) -> bool:
-        return self.alpha.is_real and self.beta.is_real
+        return self.r is None or self.r.is_real
 
     def r_value(self) -> Optional[GaussianRational]:
-        if self.is_infinity:
-            return None
-        return self.beta
+        return self.r
 
     def R_value(self) -> Optional[GaussianRational]:
-        if self.is_origin:
-            return None
-        return self.alpha / self.beta
+        if self.r is None:
+            return GR_ZERO
+        return GR_ONE / self.r if self.r else None
 
     @staticmethod
     def parse(text: str) -> "ProjectivePoint":
@@ -109,9 +96,7 @@ class ProjectivePoint:
         return ProjectivePoint.from_r(t[2:] if t.startswith("r=") else t)
 
     def __str__(self) -> str:
-        if self.is_infinity:
-            return "inf"
-        return f"r={self.beta}"
+        return "inf" if self.r is None else f"r={self.r}"
 
 
 def _graded(terms: dict, lift: bool) -> dict:
@@ -330,22 +315,18 @@ class CartanSection(Terms):
     def _key_str(self, k: int) -> str:
         return _power("H" if self.cartan == "compact" else "Hs", k)
 
-    def _in_chart(self, chart: str) -> "CartanSection":
+    def in_chart(self, chart: str) -> "CartanSection":
+        """The same section read in chart (coefficients under r = 1/R)."""
         if self.chart == chart:
             return self
+        chart_variable(chart)  # an unknown chart is a ValueError
         flipped = {k: f.reciprocal_substitution() for k, f in self.terms.items()}
         return CartanSection._make((chart, self.cartan), flipped)
-
-    def in_infinity_chart(self) -> "CartanSection":
-        return self._in_chart(CHART_INFINITY)
-
-    def in_finite_chart(self) -> "CartanSection":
-        return self._in_chart(CHART_FINITE)
 
     def is_regular_at(self, p: ProjectivePoint) -> bool:
         if not (p.is_infinity or p.is_origin):
             return True
-        v = self._in_chart(CHART_INFINITY if p.is_infinity else CHART_FINITE)
+        v = self.in_chart(CHART_INFINITY if p.is_infinity else CHART_FINITE)
         twist = p.is_infinity and self.cartan == "split"  # h^k vanishes to order k
         return all(f.valuation() >= (k if twist else 0) for k, f in v.coeffs.items())
 

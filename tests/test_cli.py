@@ -483,6 +483,18 @@ class TestBijection:
         assert code == 0
         assert out.read_bytes() == (FIXTURES / "bijection_M12.json").read_bytes()
 
+    def test_each_distinct_R_is_checked_once(self, capsys):
+        # the first occurrence of each value stays, as with the levels of tables --grid
+        code, doc = run_json(capsys, "bijection", "--R", "1,1,2/2", "--M", "0", "--grid", "0,1")
+        assert code == 0 and doc == run_json(capsys, "bijection", "--R", "1", "--M", "0",
+                                             "--grid", "0,1")[1]
+        code, doc = run_json(capsys, "bijection", "--R", "2,1,4/2", "--M", "0", "--grid", "0,1")
+        assert code == 0 and [rep["R"] for rep in doc["reports"]] == [2, 1]
+        code, doc = run_json(capsys, "verify", "bijection", "--R", "1,1", "--M", "0", "--grid", "0,1")
+        assert code == 0 and doc["counts"] == {"pass": 7, "fail": 0}
+        assert doc == run_json(capsys, "verify", "bijection", "--R", "1", "--M", "0",
+                               "--grid", "0,1")[1]
+
     @pytest.mark.parametrize("argv", [["bijection", "--R", "1,0", "--M", "300"],
                                       ["verify", "bijection", "--R", "1,0"]])
     def test_every_R_is_checked_before_any_check_runs(self, capsys, monkeypatch, argv):

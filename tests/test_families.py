@@ -2,6 +2,7 @@
 ladder coefficients, and infinitesimal characters."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -300,6 +301,33 @@ class TestMakeFamily:
             builder()
         assert exc.value.code == code
         assert exc.value.detail
+
+    # int("7" * 4000), int("9" * 4400) and int("5" * 4400), built without int()
+    # of a string, which is itself over the interpreter's default limit
+    @pytest.mark.parametrize("code,builder,start", [
+        ("row-mismatch", lambda: make_family(7 * (10**4000 - 1) // 9, 0), "minimal K-type 777"),
+        ("row-mismatch", lambda: make_family(0, 10**5000, KTypeSet.window(2)),
+         "window -2..2 requires c(r) = 8 constantly, got 1000"),
+        ("parity-mismatch", lambda: make_family(0, 3, KTypeSet.window(10**4400 - 1)),
+         "minimal K-type 0 has different parity than -999"),
+        ("row-mismatch", lambda: make_family(5 * (10**4400 - 1) // 9, 0,
+                                             KTypeSet.ray_up(5 * (10**4400 - 1) // 9)),
+         "upward ray from 555"),
+    ], ids=["inferred", "casimir", "window", "ray"])
+    def test_long_numbers_in_details_under_the_default_limit(self, code, builder, start):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int/str digit limit")
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(FamilyValidationError) as exc:
+                builder()
+            assert sys.get_int_max_str_digits() == 4300  # restored after the detail
+        finally:
+            sys.set_int_max_str_digits(before)
+        detail = exc.value.detail
+        assert exc.value.code == code and str(exc.value) == f"{code}: {detail}"
+        assert detail.startswith(start) and detail.endswith("...") and len(detail) == 303
 
     @pytest.mark.parametrize("ktypes", [None, KTypeSet.all_even()])
     def test_casimir_validated_once(self, monkeypatch, ktypes):

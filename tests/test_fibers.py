@@ -441,4 +441,4 @@ class TestJantzenQuotient:
         with pytest.raises(ValueError, match="does not extend"):
             jantzen_quotient_formula(make_family(0, cpoly(-1, 1, 1)), P("1"))
         with pytest.raises(ValueError, match="real points"):
-            jantzen_quotient_formula(EVEN_GENERIC, ProjectivePoint(GR(1), GR(0, 1)))
+            jantzen_quotient_formula(EVEN_GENERIC, ProjectivePoint.from_r(GR(0, 1)))

@@ -2,11 +2,14 @@
 chart transport, the center, and the Cartan-valued projection."""
 
 import copy
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2family import pbw
 from sl2family.pbw import COMPACT, SPLIT, Sl2Basis, UEAElement, casimir
@@ -122,12 +125,36 @@ class TestProjectivePoint:
         assert ProjectivePoint.parse("0").r_value() == GR(0)
 
     def test_normalization_and_reality(self):
-        assert ProjectivePoint(GR(2), GR(4)) == ProjectivePoint(GR(1), GR(2))
-        assert ProjectivePoint(GR(0), GR(3)).is_infinity
-        assert ProjectivePoint.parse("2").is_real
-        assert not ProjectivePoint(GR(1), GR(0, 1)).is_real
-        with pytest.raises(ValueError):
-            ProjectivePoint(GR(0), GR(0))
+        assert [f.name for f in dataclasses.fields(ProjectivePoint)] == ["r"]
+        assert ProjectivePoint.from_R(GR(2)) == ProjectivePoint.from_r(Fraction(1, 2))
+        assert ProjectivePoint.from_r("4/2").r == GR(2) and ProjectivePoint.from_r(2).r == GR(2)
+        assert ProjectivePoint.from_R(GR(0)).is_infinity
+        assert ProjectivePoint.parse("2").is_real and ProjectivePoint.infinity().is_real
+        assert not ProjectivePoint.from_r(GR(0, 1)).is_real
+        assert not ProjectivePoint.from_R(GR(0, 2)).is_real
+        with pytest.raises(TypeError):
+            ProjectivePoint.from_r(0.5)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(st.none(), st.just(Fraction(0)), st.fractions(max_denominator=60)))
+    def test_coordinates_round_trip(self, x):
+        # x is the coordinate r of a real point, or None at infinity
+        p = ProjectivePoint.infinity() if x is None else ProjectivePoint.from_r(x)
+        q = ProjectivePoint.parse(str(p))
+        assert q == p and hash(q) == hash(p) and str(q) == str(p)
+        assert p.r_value() == x and p.is_real and p.is_infinity == (x is None)
+        if x is not None:
+            forms = [GR(x), str(x)] + ([x.numerator] if x.denominator == 1 else [])
+            for same in map(ProjectivePoint.from_r, forms):
+                assert same == p and hash(same) == hash(p)
+            assert ProjectivePoint.from_r(x + 1) != p
+        R = p.R_value()
+        assert (R is None) == p.is_origin
+        if R is not None:
+            assert ProjectivePoint.from_R(R) == p
+            assert ProjectivePoint.from_R(R).R_value() == R
+            assert ProjectivePoint.from_R(R).is_infinity == (R == 0)
+            assert ProjectivePoint.parse(f"R={R}") == p
 
 
 class TestChartTransport:
@@ -569,9 +596,12 @@ class TestGammaFamily:
 
     def test_chart_moves(self):
         g = gamma_family(casimir_section(CHART_FINITE), "compact")
-        gi = g.in_infinity_chart()
-        assert gi.chart == CHART_INFINITY
-        assert gi.in_finite_chart() == g
+        gi = g.in_chart(CHART_INFINITY)
+        assert gi.chart == CHART_INFINITY and gi.cartan == "compact"
+        assert gi.in_chart(CHART_FINITE) == g and g.in_chart(CHART_FINITE) is g
+        assert not hasattr(g, "in_infinity_chart") and not hasattr(g, "in_finite_chart")
+        with pytest.raises(ValueError, match="unknown chart"):
+            g.in_chart("X2")
 
     def test_non_central_rejected(self):
         h = FamilySection(CHART_FINITE, {(0, 1, 0): Laurent.one("r")})

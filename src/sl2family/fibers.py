@@ -194,7 +194,7 @@ class FiberModule:
         if self.point.is_infinity:
             act, x = ladder_action(self.family, CHART_INFINITY), GR_ZERO
         else:
-            act, x = ladder_action(self.family, CHART_FINITE), self.point.r_value()
+            act, x = ladder_action(self.family, CHART_FINITE), self.point.r
         coeff = act.up if step > 0 else act.down
         lo, hi = self.window
         return {n: coeff(n).eval(x) for n in self.ktypes.members(lo, hi)
@@ -218,7 +218,7 @@ def evaluate_fiber(fam: ModuleFamily, p: ProjectivePoint) -> FiberModule:
         level = fam.c2
         cuts = () if level else tuple(n for n in kt.members(-bound, bound - 2) if n + 2 in kt)
     else:
-        level = fam.casimir.eval(p.r_value())
+        level = fam.casimir.eval(p.r)
         cuts = wall_edges(kt, wall_index(level))
     return FiberModule(fam, p, level, cuts, (-bound, bound))
 

@@ -22,11 +22,11 @@ on those, and each output coefficient is reduced once, at the end
 unrewritten.  ``graded_multiply`` is the one product loop, over normal forms
 graded by a degree that adds (sheaf.py grades sections by R-degree), and
 ``normal_multiply`` is its one-grade case; ``commutes_with_raising`` is the
-center test of sheaf.center_decompose.  ``change_basis`` (twice each
+center test of sheaf.center_decompose and of ``change_basis``.
+``change_basis`` relabels a central element, whose terms are the same in
+both bases, and rewrites any other on the same integers (twice each
 transition constant is a Gaussian integer, so the image of a word of length
-L is one over 2^L) and ``hc_projection``, which lets the element act on a
-Verma module of the target basis instead of rewriting it, run on the same
-integers.
+L is one over 2^L); ``hc_projection`` reads the Cartan part of its result.
 """
 
 from __future__ import annotations
@@ -89,7 +89,9 @@ def commutes_with_raising(terms: dict) -> bool:
     """Whether the Q(i) term map u commutes with the raising generator E:
     each int half of D u (``_integral``) against times_generator and
     E F^a E^c H^b = F^a E^(c+1) H^b + a F^(a-1) E^c H^(b+1)
-                    + a(2c - a + 1) F^(a-1) E^c H^b."""
+                    + a(2c - a + 1) F^(a-1) E^c H^b.
+    On a map of weight zero (every term has a = c) it is the center test of
+    ``change_basis`` and sheaf.center_decompose."""
     for part in _integral(terms)[1:]:
         bracket = times_generator(part, _RAISE)
         for (a, b, c), x in part.items():
@@ -272,12 +274,6 @@ _DOUBLED = {
 }
 
 
-def _check_bases(*bases) -> None:
-    for basis in bases:
-        if basis not in _DOUBLED:
-            raise ValueError(f"unknown basis {basis!r}: expected compact or split")
-
-
 def _last_letter(mono: Monomial) -> Tuple[Monomial, int]:
     """Split the word F^a E^c H^b into its prefix and its last generator."""
     a, b, c = mono
@@ -291,20 +287,26 @@ def _last_letter(mono: Monomial) -> Tuple[Monomial, int]:
 def change_basis(u: UEAElement, target: Sl2Basis) -> UEAElement:
     """Rewrite u in the other hard-wired basis, renormalizing the PBW order.
 
-    The map is an algebra homomorphism, so the image of a monomial is the
-    image of its word prefix times the image of its last generator, a
-    combination of three single-generator right multiplications.  Twice each
-    generator image has Gaussian-integer coefficients, so 2^len(word) times
-    the image of a word does too: it is kept as two int term maps, the real
-    and imaginary parts, and cached per monomial for the duration of one
-    call.  The sum over u's terms runs on the same integers, over D * 2^top
-    with D the common denominator of u and top its degree, and each output
-    coefficient is reduced once.
+    A central u has the same terms in both bases and is relabelled.  Any
+    other u is rewritten: the map is an algebra homomorphism, so the image
+    of a monomial is the image of its word prefix times the image of its
+    last generator, a combination of three single-generator right
+    multiplications.  Twice each generator image has Gaussian-integer
+    coefficients, so 2^len(word) times the image of a word does too: it is
+    kept as two int term maps, the real and imaginary parts, and cached per
+    monomial for the duration of one call.  The sum over u's terms runs on
+    the same integers, over D * 2^top with D the common denominator of u and
+    top its degree, and each output coefficient is reduced once.
     Raises ValueError for a basis that is neither COMPACT nor SPLIT.
     """
-    _check_bases(u.basis, target)
+    for basis in (u.basis, target):
+        if basis not in _DOUBLED:
+            raise ValueError(f"unknown basis {basis!r}: expected compact or split")
     if u.basis == target:
         return u
+    # the Cayley transform between the bases is inner, so it fixes the center
+    if all(a == c for a, _, c in u.terms) and commutes_with_raising(u.terms):
+        return UEAElement._make(target, u.terms)
     table = _DOUBLED[target]
     images: Dict[Monomial, Tuple[dict, dict]] = {(0, 0, 0): ({(0, 0, 0): 1}, {})}
 
@@ -342,81 +344,23 @@ def k_order(u: UEAElement):
     return max(a + c for (a, b, c) in v.terms)
 
 
-def _verma(x: dict, slot: int, keep: int) -> dict:
-    """Apply a target generator to an int Verma-module vector, dropping k > keep.
-
-    A vector maps (k, j) to the coefficient of mu^j v_k, with mu = lambda + 1,
-    and H v_k = (mu - 2k - 1) v_k, E v_k = k(mu - k) v_(k-1), F v_k = v_(k+1).
-    """
-    if slot == _LOWER:
-        return {(k + 1, j): z for (k, j), z in x.items() if k < keep}
-    out: dict = {}
-    for (k, j), z in x.items():
-        if slot == _CARTAN and k <= keep:
-            _add_term(out, (k, j + 1), z)
-            _add_term(out, (k, j), z * -(2 * k + 1))
-        elif slot == _RAISE and 0 < k <= keep + 1:
-            _add_term(out, (k - 1, j + 1), z * k)
-            _add_term(out, (k - 1, j), z * -k * k)
-    return out
-
-
 def hc_projection(u: UEAElement, cartan: str) -> UEAElement:
     """Project onto the Cartan polynomial part and apply the rho-shift.
 
     For either Cartan ("compact" or "split") with target basis F, H, E, the
-    Cartan part of u is the sum p(h) of the terms coeff * h^b of its normal
-    form without a ladder generator, and the result is p(h - 1).  On central
-    elements this is the algebra homomorphism onto the Weyl-invariant
-    polynomials.
-
-    In the target basis the terms are read off directly.  Otherwise u acts
-    on the highest-weight vector v_0 of the Verma module with basis
-    v_k = F^k v_0 and H v_0 = lambda v_0: for a normal form F^a E^c H^b,
-    E kills v_0, so the v_0 coefficient of u v_0 is p(lambda).  Each source
-    generator acts through its doubled three-term image in the target basis
-    (see ``_verma``), with polynomials in mu = lambda + 1 as coefficients, so
-    the v_0 coefficient is p(mu - 1), the projection itself.  H^b v_0 is
-    computed once for all monomials, the ladder letters are applied by
-    Horner's rule in c and then in a, and a component v_k is dropped as
-    soon as fewer than k letters remain to bring it back to v_0.  Vectors
-    are pairs of int maps: the term (a, b, c) is padded by 2^(top-a-b-c), so
-    every term meets 2^top, and the result is divided by D * 2^top once.
+    Cartan part of u is the sum p(h) of the ladder-free terms coeff * h^b of
+    change_basis(u, target), and the result is p(h - 1).  On central elements
+    this is the algebra homomorphism onto the Weyl-invariant polynomials.
+    Raises ValueError for an unknown cartan or basis.
     """
     target = COMPACT if cartan == "compact" else SPLIT if cartan == "split" else None
     if target is None:
         raise ValueError(f"unknown cartan {cartan!r}")
-    _check_bases(u.basis)
     out: dict = {}
-    if u.basis == target:
-        for (a, b, c), coeff in u.terms.items():
-            if a or c:
-                continue
-            # (h - 1)^b expanded
-            for j in range(b + 1):
-                _add_term(out, (0, j, 0), coeff * (comb(b, j) * (-1) ** (b - j)))
-        return UEAElement._make(target, out)
-    table = _DOUBLED[target]
-    den, re, im = _integral(u.terms)
-    top = max(map(sum, u.terms), default=0)
-    rows: Dict[int, Dict[int, list]] = {}
-    for mono in u.terms:
-        (a, b, c), pad = mono, top - sum(mono)
-        entry = (b, re.get(mono, 0) << pad, im.get(mono, 0) << pad)
-        rows.setdefault(a, {}).setdefault(c, []).append(entry)
-    powers = [({(0, 0): 1}, {})]  # 2^b H^b v_0
-    for b in range(1, max((b for (_, b, _) in u.terms), default=0) + 1):
-        powers.append(_apply(powers[-1], table[_CARTAN], _verma, top - b))
-    acc: tuple = ({}, {})
-    for a in range(max(rows, default=-1), -1, -1):
-        acc = _apply(acc, table[_LOWER], _verma, a)
-        row = rows.get(a, {})
-        inner: tuple = ({}, {})
-        for c in range(max(row, default=-1), -1, -1):
-            inner = _apply(inner, table[_RAISE], _verma, a + c)
-            for b, cr, ci in row.get(c, ()):
-                x, y = ({kj: z for kj, z in p.items() if kj[0] <= a + c} for p in powers[b])
-                _mac(*inner, x, y, cr, ci)
-        _mac(*acc, *inner, 1, 0)
-    re, im = ({(0, j, 0): z for (k, j), z in p.items() if k == 0} for p in acc)
-    return UEAElement._make(target, _rational(re, im, den << top))
+    for (a, b, c), coeff in change_basis(u, target).terms.items():
+        if a or c:
+            continue
+        # (h - 1)^b expanded
+        for j in range(b + 1):
+            _add_term(out, (0, j, 0), coeff * (comb(b, j) * (-1) ** (b - j)))
+    return UEAElement._make(target, out)

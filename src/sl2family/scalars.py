@@ -15,10 +15,11 @@ witness-based: an exact root in Q(i) is produced, or its absence reported.
 candidate bijections alike; ``scalar_to_json`` writes its compact form.
 ``parse_rational`` is the one reader of rational strings, for those
 scalars and for the command-line values alike: an integer, "p/q" or a
-decimal, never exponent notation.  ``parse_int`` reads integer strings,
-for JSON input and integer flags.  Both refuse more than ``DIGITS_MAX``
-digits in a row with one message, so ``_any_digits`` may lift the
-interpreter's own digit limit for output of integers of any length.
+decimal, never exponent notation.  ``parse_gaussian`` reads what
+``GaussianRational.__str__`` writes as well, for point coordinates.
+``parse_int`` reads integer strings, for JSON input and integer flags.  All
+three refuse more than ``DIGITS_MAX`` digits in a row with one message, so
+``_any_digits`` may lift the interpreter's own digit limit for output.
 
 ``Terms`` is the one sparse "monomial -> nonzero coefficient" type of the
 package: sums, scalar multiples, powers, equality, hashing and printing
@@ -112,6 +113,25 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot read scalar from {_quote(text)}") from None
+
+
+# the Q(i) forms GaussianRational.__str__ writes: "i", "-3i", "(1/2)i", "1/2-(3/4)i"
+_GAUSSIAN = re.compile(r"\s*(?:([-+]?\d+(?:/\d+)?)(?=[-+]))?([-+]?)(\d*|\(\d+/\d+\))i\s*")
+
+
+def parse_gaussian(text: str) -> "GaussianRational":
+    """Read a Q(i) string as GaussianRational.__str__ writes it, or a rational
+    string as parse_rational reads it, with the same refusals and messages."""
+    m = _GAUSSIAN.fullmatch(text)
+    if m is None:
+        return GaussianRational(parse_rational(text))
+    _check_digits(text, "scalar")
+    re_text, sign, coef = m.groups()
+    try:
+        imag = Fraction(coef.strip("()") or 1)
+        return GaussianRational(Fraction(re_text or 0), -imag if sign == "-" else imag)
+    except ZeroDivisionError:
         raise ValueError(f"cannot read scalar from {_quote(text)}") from None
 
 

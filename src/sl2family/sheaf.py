@@ -24,7 +24,8 @@ from math import comb
 from typing import Dict, Optional
 
 from .pbw import COMPACT, NormalForm, UEAElement, casimir, commutes_with_raising, graded_multiply
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, Laurent, Terms, _add_term, _power
+from .scalars import (GR_ONE, GR_ZERO, GaussianRational, Laurent, Terms, _add_term, _power,
+                      parse_gaussian)
 
 CHART_FINITE = "X0"
 CHART_INFINITY = "Xinf"
@@ -77,9 +78,6 @@ class ProjectivePoint:
     def is_real(self) -> bool:
         return self.r is None or self.r.is_real
 
-    def r_value(self) -> Optional[GaussianRational]:
-        return self.r
-
     def R_value(self) -> Optional[GaussianRational]:
         if self.r is None:
             return GR_ZERO
@@ -90,10 +88,9 @@ class ProjectivePoint:
         t = text.strip()
         if t in ("inf", "infinity", "oo"):
             return ProjectivePoint.infinity()
-        # GaussianRational reads the coordinate strings through parse_rational
         if t.startswith("R="):
-            return ProjectivePoint.from_R(t[2:])
-        return ProjectivePoint.from_r(t[2:] if t.startswith("r=") else t)
+            return ProjectivePoint.from_R(parse_gaussian(t[2:]))
+        return ProjectivePoint.from_r(parse_gaussian(t[2:] if t.startswith("r=") else t))
 
     def __str__(self) -> str:
         return "inf" if self.r is None else f"r={self.r}"

@@ -378,6 +378,17 @@ class TestAnalyze:
         assert code == 0
         assert out.read_bytes() == (FIXTURES / "analyze_m0_r2_grid.json").read_bytes()
 
+    def test_non_real_points_match_golden(self, capsys, tmp_path):
+        # points in the forms GaussianRational writes, in both charts
+        out = tmp_path / "a.json"
+        code, _ = run(capsys, "analyze", "--family", '{"m": 1, "casimir": [-1, 0, 2]}',
+                      "--grid", "r=1+i,R=-1/2+i,inf", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "analyze_m1_nonreal_grid.json").read_bytes()
+        doc = json.loads(out.read_bytes())
+        assert [p["point"] for p in doc["points"]] == ["r=1+i", "r=-2/5-(4/5)i", "inf"]
+        assert doc["points"][0]["level"] == {"re": "-1", "im": "4"}
+
     def test_origin_has_no_formula(self, capsys):
         code, doc = run_json(
             capsys,
@@ -556,8 +567,8 @@ class TestVerify:
         assert out.read_bytes() == (FIXTURES / "appendix_M12.json").read_bytes()
 
     def test_appendix_M16_is_byte_identical_to_golden(self, capsys, tmp_path):
-        # recorded before normal_multiply, change_basis's sum and the Verma
-        # projection ran on Gaussian integers
+        # recorded before normal_multiply and change_basis's sum ran on Gaussian
+        # integers, and before hc_projection read a relabelled central element
         out = tmp_path / "a.json"
         code, _ = run(capsys, "verify", "appendix", "--M", "16", "--out", str(out))
         assert code == 0
@@ -749,9 +760,9 @@ UNREADABLE_FLAGS = [
     ("bijection-R", ["bijection", "--R", "1/0"],
      "sl2family bijection: error: argument --R: not an exact rational: '1/0' "
      "(cannot read scalar from '1/0')"),
-    ("analyze-point", ["analyze", "--family", FAMILY, "--point", "r=1+2i"],
-     "sl2family analyze: error: argument --point: not a base point: 'r=1+2i' "
-     "(cannot read scalar from '1+2i')"),
+    ("analyze-point", ["analyze", "--family", FAMILY, "--point", "r=1+2j"],
+     "sl2family analyze: error: argument --point: not a base point: 'r=1+2j' "
+     "(cannot read scalar from '1+2j')"),
     ("bijection-M", ["bijection", "--M", "abc"],
      "sl2family bijection: error: argument --M: not an integer: 'abc' "
      "(cannot read an integer from 'abc')"),

@@ -210,7 +210,7 @@ class TestCutRuleOracle:
         checked = group_cuts = 0
         for fam, p in _ladder_oracle_cases(random.Random(20170617)):
             fib = evaluate_fiber(fam, p)
-            chart, x = ("Xinf", GR(0)) if p.is_infinity else ("X0", p.r_value())
+            chart, x = ("Xinf", GR(0)) if p.is_infinity else ("X0", p.r)
             act = ladder_action(fam, chart)
             bound = abs(fam.m) + abs(fam.ktypes.param or 0) + 12
             for n in range(-bound, bound):
@@ -393,7 +393,7 @@ class TestReducibilityLocus:
                 assert (k in walls) == bool(roots), (str(c), k)
                 if k in walls:
                     w = walls[k]
-                    assert [q.r_value().re for q in w.points] == rational, (str(c), k)
+                    assert [q.r.re for q in w.points] == rational, (str(c), k)
                     assert w.irrational == irrational and not w.everywhere, (str(c), k)
                     seen["rational"] += bool(rational)
                     seen["irrational"] += irrational

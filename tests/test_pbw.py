@@ -23,7 +23,7 @@ from sl2family.pbw import (
     k_order,
 )
 from sl2family.scalars import GR_I, GR_ONE, GaussianRational
-from sl2_matrices import TRIPLES_2X2, mat_bracket, rho_2x2, rho_element
+from sl2_matrices import TRIPLES_2X2, mat_bracket, mat_mul, rho_2x2, rho_element
 
 GR = GaussianRational
 
@@ -42,8 +42,8 @@ WEIRD = Sl2Basis("weird", ("A", "B", "C"))
 
 # -- highest-weight module oracle -------------------------------------------
 #
-# On the module with highest weight lam and basis v_0, v_1, ... the three
-# generators act by
+# On the Verma module with highest weight lam and basis v_0, v_1, ... the
+# (lowering, cartan, raising) generators Y, H, X of either triple act by
 #     Y v_j = v_{j+1},   H v_j = (lam - 2j) v_j,   X v_j = j(lam - j + 1) v_{j-1}.
 # Applying elements to vectors never invokes the product under test, so
 # comparing "apply(u*v)" with "apply(u) after apply(v)" is an independent
@@ -66,7 +66,7 @@ def _apply_gen(slot: int, vec: Vector, lam: GaussianRational) -> Vector:
 
 
 def apply_element(u: UEAElement, vec: Vector, lam: GaussianRational) -> Vector:
-    assert u.basis is COMPACT
+    """u v on the Verma module of u's own triple."""
     total: Vector = {}
     for (a, b, c), coeff in u.terms.items():
         cur = dict(vec)
@@ -355,6 +355,33 @@ class TestChangeBasisMatrixOracle:
             for n in range(6):
                 assert rho_element(v, n) == rho_element(u, n), (str(u), n)
 
+    @pytest.mark.parametrize("source,target", [(COMPACT, SPLIT), (SPLIT, COMPACT)])
+    def test_casimir_polynomials_keep_their_terms(self, source, target):
+        # the Cayley transform is inner: a central element is relabelled
+        rng = random.Random(16180 + (source is SPLIT))
+        for _ in range(4):
+            z = UEAElement.zero(source)
+            for j in rng.sample(range(4), rng.randint(1, 3)):
+                z = z + casimir(source) ** j * GR(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                                  Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            v = change_basis(z, target)
+            assert v.basis is target and v.terms == z.terms
+            for n in range(5):
+                assert rho_element(v, n) == rho_element(z, n), (str(z), n)
+
+    @pytest.mark.parametrize("source,target", [(COMPACT, SPLIT), (SPLIT, COMPACT)])
+    def test_weight_zero_elements_that_are_not_central_are_rewritten(self, source, target):
+        low, car, rai = (gen(name, source) for name in source.gens)
+        cas = casimir(source)
+        cases = [car, low * rai, car * cas, low * rai + car, cas + car * GR_I,
+                 cas * cas - car * car * GR(0, Fraction(1, 2))]
+        for u in cases:
+            assert all(a == c for a, _, c in u.terms) and not commutator(rai, u).is_zero
+            v = change_basis(u, target)
+            assert v.terms != u.terms
+            for n in range(5):
+                assert rho_element(v, n) == rho_element(u, n), (str(u), n)
+
 
 class TestOrderFiltration:
     def test_order_fixtures(self):
@@ -442,6 +469,24 @@ class TestCartanProjection:
             hc_projection(casimir(WEIRD), "compact")
 
 
+def top_weight_coefficient(u: UEAElement, target, n: int) -> GR:
+    """c with P rho(u) v = c v on the module of dimension n + 1, where P
+    projects onto the top weight space of target's Cartan and v spans it."""
+    car = rho_2x2(TRIPLES_2X2[target.name][1], n)
+    proj = [[GR(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+    for k in range(1, n + 1):  # kill the weight n - 2k
+        shifted = [[(x - (n - 2 * k) * (i == j)) / (2 * k) for j, x in enumerate(r)]
+                   for i, r in enumerate(car)]
+        proj = mat_mul(shifted, proj)
+    v = next(col for col in zip(*proj) if any(col))
+    w = [sum((x * y for x, y in zip(r, v)), GR(0)) for r in rho_element(u, n)]
+    pw = [sum((x * y for x, y in zip(r, w)), GR(0)) for r in proj]
+    k = next(k for k, x in enumerate(v) if x)
+    c = pw[k] / v[k]
+    assert pw == [c * x for x in v]
+    return c
+
+
 class TestCartanProjectionMatrixOracle:
     """A central z acts on the irreducible module of dimension n + 1 by the
     scalar hc_projection(z) at h = n + 1 (the Casimir by (n+1)^2 - 1)."""
@@ -470,12 +515,26 @@ class TestCartanProjectionMatrixOracle:
                               for i in range(n + 1)]
                     assert action == scalar, (str(z), cartan, n)
 
+    @pytest.mark.parametrize("basis", [COMPACT, SPLIT])
+    @pytest.mark.parametrize("cartan", ["compact", "split"])
+    def test_seeded_elements_by_their_highest_weight_coefficient(self, basis, cartan):
+        # on the module of dimension n + 1, with v the highest-weight vector of
+        # the target Cartan, rho(u) v = p(n) v + (lower weights), where p(h - 1)
+        # is the projection; the projector onto the top weight finds p(n)
+        for u in seeded_elements(basis, 4242 + (basis is SPLIT)):
+            image = hc_projection(u, cartan)
+            for n in range(5):
+                value = sum((coeff * (n + 1) ** b for (_, b, _), coeff in image.terms.items()),
+                            GR(0))
+                assert top_weight_coefficient(u, CARTANS[cartan], n) == value, (str(u), cartan, n)
+
 
 # -- the projection against a full rewrite ------------------------------------
 #
-# hc_projection reaches the other basis's Cartan through a Verma module and
-# never rewrites the element.  The oracle below does rewrite it: keep the
-# (0, b, 0) terms of change_basis(u, target), then shift h -> h - 1.
+# hc_projection reads the Cartan part of change_basis(u, target).  The oracle
+# below writes u in the target basis without change_basis, as the products of
+# generator images of product_oracle, keeps its (0, b, 0) terms, then shifts
+# h -> h - 1.
 
 CARTANS = {"compact": COMPACT, "split": SPLIT}
 
@@ -485,13 +544,14 @@ CASIMIR_POLYS = st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.in
 
 
 def rewrite_oracle(u: UEAElement, cartan: str) -> UEAElement:
-    v = change_basis(u, CARTANS[cartan])
-    out = UEAElement.zero(v.basis)
+    target = CARTANS[cartan]
+    v = u if u.basis == target else product_oracle(u)
+    out = UEAElement.zero(target)
     for (a, b, c), coeff in v.terms.items():
         if a == c == 0:
             for j in range(b + 1):
                 shifted = coeff * comb(b, j) * (-1) ** (b - j)
-                out = out + UEAElement.monomial(v.basis, (0, j, 0), shifted)
+                out = out + UEAElement.monomial(target, (0, j, 0), shifted)
     return out
 
 
@@ -502,7 +562,8 @@ def h_power_minus_one(basis, n: int) -> UEAElement:
 
 
 def seeded_elements(basis, seed: int) -> list:
-    """Zero, constants, polynomials in the Casimir and non-central elements."""
+    """Zero, constants, polynomials in the Casimir and non-central elements,
+    some of them of weight zero."""
     rng = random.Random(seed)
 
     def coeff() -> GR:
@@ -523,10 +584,43 @@ def seeded_elements(basis, seed: int) -> list:
             key = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
             terms[key] = terms.get(key, GR(0)) + coeff()
         elems.append(UEAElement(basis, terms))
+    low, car, rai = (UEAElement.generator(basis, name) for name in basis.gens)
+    # of weight zero, but not central
+    elems += [car * coeff(), low * rai + car * coeff(), car * cas * coeff()]
     return elems
 
 
+def verma_coefficient(u: UEAElement, target, lam: GR) -> GR:
+    """The v_0 coefficient of u v_0 on the Verma module of highest weight lam
+    for the target triple.  A u in the other basis acts word by word, each
+    generator through its image (IMAGES, checked on the 2x2 realizations)."""
+    if u.basis == target:
+        return apply_element(u, {0: GR_ONE}, lam).get(0, GR(0))
+    low, car, rai = IMAGES[target]
+    total = GR(0)
+    for (a, b, c), coeff in u.terms.items():
+        vec = {0: GR_ONE}
+        for image, e in ((car, b), (rai, c), (low, a)):
+            for _ in range(e):
+                vec = apply_element(image, vec, lam)
+        total = total + coeff * vec.get(0, GR(0))
+    return total
+
+
 class TestVermaProjection:
+    """hc_projection(u) at h = lam + 1 is the v_0 coefficient of u v_0 on the
+    Verma module of highest weight lam for the target Cartan."""
+
+    @pytest.mark.parametrize("basis", [COMPACT, SPLIT])
+    @pytest.mark.parametrize("cartan", ["compact", "split"])
+    def test_highest_weight_coefficient_on_verma_modules(self, basis, cartan):
+        for u in seeded_elements(basis, 6060 + (basis is SPLIT)):
+            image = hc_projection(u, cartan)
+            for lam in LAMBDAS:
+                value = sum((coeff * (lam + 1) ** b for (_, b, _), coeff in image.terms.items()),
+                            GR(0))
+                assert verma_coefficient(u, CARTANS[cartan], lam) == value, (str(u), cartan, lam)
+
     @pytest.mark.parametrize("basis", [COMPACT, SPLIT])
     @pytest.mark.parametrize("cartan", ["compact", "split"])
     def test_matches_the_rewrite_oracle(self, basis, cartan):
@@ -542,16 +636,19 @@ class TestVermaProjection:
             power = power * casimir(basis)
             assert hc_projection(power, cartan) == h_power_minus_one(CARTANS[cartan], n), n
 
-    def test_other_basis_path_never_rewrites(self, monkeypatch):
-        cases = [(u, cartan) for basis, cartan in ((COMPACT, "split"), (SPLIT, "compact"))
-                 for u in seeded_elements(basis, 99 + (basis is SPLIT))]
-        expected = [rewrite_oracle(u, cartan) for u, cartan in cases]
+    @pytest.mark.parametrize("basis,cartan", [(COMPACT, "split"), (SPLIT, "compact")])
+    def test_central_elements_are_relabelled_not_rewritten(self, monkeypatch, basis, cartan):
+        def refuse(*args):
+            raise AssertionError("a central element was rewritten")
 
-        def refuse(u, target):
-            raise AssertionError("hc_projection called change_basis")
-
-        monkeypatch.setattr(pbw, "change_basis", refuse)
-        assert [hc_projection(u, cartan) for u, cartan in cases] == expected
+        monkeypatch.setattr(pbw, "_apply", refuse)
+        target, power = CARTANS[cartan], UEAElement.one(basis)
+        for n in range(1, 9):
+            power = power * casimir(basis)
+            assert change_basis(power, target) == casimir(target) ** n, n
+            assert hc_projection(power, cartan) == h_power_minus_one(target, n), n
+        with pytest.raises(AssertionError, match="rewritten"):
+            change_basis(gen(basis.gens[1], basis), target)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.sampled_from([COMPACT, SPLIT]), st.sampled_from(["compact", "split"]),
@@ -570,8 +667,8 @@ class TestVermaProjection:
 
 # -- the Gaussian-integer core against Q(i) arithmetic --------------------------
 #
-# normal_multiply, the sum in change_basis and the Verma projection run on
-# int term maps over one common denominator and reduce each coefficient once.
+# normal_multiply and the sum in change_basis run on int term maps over one
+# common denominator and reduce each coefficient once.
 # The references below keep GaussianRational coefficients at every step.
 
 def q_multiply(ut: dict, vt: dict) -> dict:

@@ -17,6 +17,7 @@ from sl2family.scalars import (
     Poly,
     _quote,
     has_gaussian_sqrt,
+    parse_gaussian,
     parse_int,
     parse_rational,
     rational_sqrt,
@@ -272,6 +273,49 @@ class TestPoly:
 
 # -- properties against a (Fraction, Fraction) reference model ---------------
 #
+class TestParseGaussian:
+    @pytest.mark.parametrize("text,value", [
+        ("i", GR(0, 1)), ("-i", GR(0, -1)), ("3i", GR(0, 3)), ("(1/2)i", GR(0, Fraction(1, 2))),
+        ("-(3/4)i", GR(0, Fraction(-3, 4))), ("1/2-(3/4)i", GR(Fraction(1, 2), Fraction(-3, 4))),
+        ("1+i", GR(1, 1)), ("-2-5i", GR(-2, -5)), (" +i ", GR(0, 1)), ("(6/4)i", GR(0, Fraction(3, 2))),
+        ("-7/2", GR(Fraction(-7, 2))), ("2.25", GR(Fraction(9, 4))), ("0", GR_ZERO),
+    ])
+    def test_reads_what_str_writes_and_real_forms(self, text, value):
+        assert parse_gaussian(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1+2j", "(1/0)i", "1/0+i", "1e5i", "", "zz", "1+-2i", "i i", "(1/2)", "1.5i", "2(1/2)i",
+        "1/2/3", "1e-999999999", "1" * 4301 + "i", "1+(1/" + "3" * 4301 + ")i", "1" * 20_000,
+    ])
+    def test_refuses_with_the_rational_readers_message(self, text):
+        with pytest.raises(ValueError) as mine:
+            parse_gaussian(text)
+        with pytest.raises(ValueError) as theirs:
+            parse_rational(text)
+        assert str(mine.value) == str(theirs.value)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.fractions(max_denominator=10 ** 6), st.fractions(max_denominator=10 ** 6))
+    def test_round_trip(self, re, im):
+        x = GR(re, im)
+        assert parse_gaussian(str(x)) == x
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.text(alphabet="0123456789/+-()i.e ", max_size=12))
+    def test_reads_rationals_alike_and_refuses_alike(self, text):
+        try:
+            expected = GR(parse_rational(text))
+        except ValueError as exc:
+            try:
+                value = parse_gaussian(text)
+            except ValueError as mine:
+                assert str(mine) == str(exc)
+            else:  # a new reading: a Q(i) form, which str writes back the same way
+                assert "i" in text and parse_gaussian(str(value)) == value
+        else:
+            assert parse_gaussian(text) == expected
+
+
 # A model value is the pair (re, im) of Fractions; its arithmetic is the
 # textbook formula for a + b*i.  Every operand is drawn as one of int,
 # Fraction and GaussianRational together with its model.

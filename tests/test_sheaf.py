@@ -117,12 +117,12 @@ class TestProjectivePoint:
 
     def test_coordinates(self):
         p = ProjectivePoint.parse("3")
-        assert p.r_value() == GR(3)
+        assert p.r == GR(3)
         assert p.R_value() == GR(Fraction(1, 3))
-        assert ProjectivePoint.parse("inf").r_value() is None
+        assert ProjectivePoint.parse("inf").r is None
         assert ProjectivePoint.parse("inf").R_value() == GR(0)
         assert ProjectivePoint.parse("0").R_value() is None
-        assert ProjectivePoint.parse("0").r_value() == GR(0)
+        assert ProjectivePoint.parse("0").r == GR(0)
 
     def test_normalization_and_reality(self):
         assert [f.name for f in dataclasses.fields(ProjectivePoint)] == ["r"]
@@ -142,7 +142,7 @@ class TestProjectivePoint:
         p = ProjectivePoint.infinity() if x is None else ProjectivePoint.from_r(x)
         q = ProjectivePoint.parse(str(p))
         assert q == p and hash(q) == hash(p) and str(q) == str(p)
-        assert p.r_value() == x and p.is_real and p.is_infinity == (x is None)
+        assert p.r == x and p.is_real and p.is_infinity == (x is None)
         if x is not None:
             forms = [GR(x), str(x)] + ([x.numerator] if x.denominator == 1 else [])
             for same in map(ProjectivePoint.from_r, forms):
@@ -155,6 +155,25 @@ class TestProjectivePoint:
             assert ProjectivePoint.from_R(R).R_value() == R
             assert ProjectivePoint.from_R(R).is_infinity == (R == 0)
             assert ProjectivePoint.parse(f"R={R}") == p
+
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.fractions(max_denominator=60), st.fractions(max_denominator=60).filter(bool))
+    def test_non_real_points_round_trip(self, re, im):
+        p = ProjectivePoint.from_r(GR(re, im))
+        assert not p.is_real
+        for text in (str(p), str(p.r)):
+            q = ProjectivePoint.parse(text)
+            assert q == p and hash(q) == hash(p) and str(q) == str(p)
+        assert ProjectivePoint.parse(f"R={p.R_value()}") == p
+
+    def test_non_real_forms(self):
+        assert str(ProjectivePoint.parse("r=1+i")) == "r=1+i"
+        assert ProjectivePoint.parse("R=i") == ProjectivePoint.from_r(GR(0, -1))
+        assert ProjectivePoint.parse("R=-1/2+i").r == GR(Fraction(-2, 5), Fraction(-4, 5))
+        with pytest.raises(ValueError) as exc:
+            ProjectivePoint.parse("r=1+2j")
+        assert str(exc.value) == "cannot read scalar from '1+2j'"
 
 
 class TestChartTransport:

@@ -24,6 +24,7 @@ def test_workflow_parses_and_its_golden_files_exist():
     doc = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     steps = [step for job in doc["jobs"].values() for step in job["steps"]]
     fixtures = [path for step in steps for path in cmp_fixtures(step.get("run", ""))]
-    assert len(fixtures) == 12
+    assert len(fixtures) == 13
     assert [p for p in fixtures if "$" in p or not (ROOT / p).is_file()] == []
+    assert "tests/fixtures/analyze_m1_nonreal_grid.json" in fixtures
     assert any("pyyaml" in step.get("run", "").split() for step in steps)

@@ -391,7 +391,7 @@ def cmd_analyze(obj: dict, points: Sequence[ProjectivePoint]) -> Tuple[dict, int
     for p in points:
         fib = evaluate_fiber(fam, p)
         dec = composition_factors(fib)
-        cont = factor_containing_m(fib)
+        cont = next(f.param for f in dec.factors if fam.m in f.ktypes)
         entry = {
             "point": str(p),
             "flavor": fib.flavor,

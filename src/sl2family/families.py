@@ -16,7 +16,9 @@ The table lives in two functions: ``pinned_level(m)`` gives the level a
 minimal K-type |m| >= 1 pins, and ``ktypes_at(m, level)`` gives the one
 K-type set of the row at (m, level).  Family validation, K-type inference,
 the K-types of group-dual parameters (``fibers.dual_ktypes``) and the CLI's
-tables 1 and 2 all read the classification from there.
+tables 1 and 2 all read the classification from there.  Every
+``ModuleFamily`` is a row of the table: its constructor raises a
+``FamilyValidationError`` on any other triple.
 
 Everything here is exact: coefficients live in Q(i).
 """
@@ -245,7 +247,8 @@ def wall_index(value) -> Optional[int]:
 
 @dataclass(frozen=True)
 class ModuleFamily:
-    """Classification data of an algebraic family of Harish-Chandra modules;
+    """Classification data of an algebraic family of Harish-Chandra modules,
+    always a table row: an off-table triple raises FamilyValidationError.
     ``ktypes=None`` infers the K-types from the table row of (m, casimir)."""
 
     m: int
@@ -268,6 +271,7 @@ class ModuleFamily:
         if not self.ktypes.contains(self.m):
             raise FamilyValidationError("minimal-ktype-missing", "minimal K-type {m} is not a "
                                         "member of {kt}", m=self.m, kt=self.ktypes)
+        _validate_row(self)
 
     @property
     def c2(self) -> GaussianRational:
@@ -325,10 +329,9 @@ def ktypes_at(m: int, level) -> Optional[KTypeSet]:
 
 
 def make_family(m: int, casimir, ktypes: Optional[KTypeSet] = None) -> ModuleFamily:
-    """Validated family constructor; raises FamilyValidationError off-table."""
-    fam = ModuleFamily(m, ktypes, casimir)
-    _validate_row(fam)
-    return fam
+    """``ModuleFamily(m, ktypes, casimir)``, with the K-types last and
+    optional; raises FamilyValidationError off-table."""
+    return ModuleFamily(m, ktypes, casimir)
 
 
 # Per K-type shape: the rejection when m is not a minimal K-type of the set,
@@ -389,32 +392,21 @@ def in_tilde_class(fam: ModuleFamily) -> Tuple[bool, str]:
 
     Returns (answer, reason).  For |m| > 1 every family extends.  For
     |m| <= 1 the split-Cartan infinitesimal character forces the Casimir
-    polynomial into the shape c2*r^2 - 1, and when additionally c2 = 0 the
-    m = +-1 families must be one-sided rays.
+    polynomial into the shape c2*r^2 - 1.  The table row of such a c(r)
+    fixes the K-types: the full ladder of m's parity, except the one-sided
+    ray from m = +-1 when c2 = 0.
     """
-    m = fam.m
-    if abs(m) > 1:
+    if abs(fam.m) > 1:
         return True, "discrete ladder families always extend"
     if fam.c1 != 0 or fam.c0 != -1:
         return (
             False,
             f"extension requires c(r) = c2*r^2 - 1, got c(r) = {fam.casimir}",
         )
-    if m == 0:
-        if fam.ktypes.kind != ALL_EVEN:
-            return False, f"extension at m=0 requires the full even ladder, got {fam.ktypes}"
+    if fam.m == 0:
         return True, "c(r) = c2*r^2 - 1 on the full even ladder"
-    want_ray = KTypeSet.ray_up(1) if m == 1 else KTypeSet.ray_down(-1)
     if fam.c2 == 0:
-        if fam.ktypes != want_ray:
-            return (
-                False,
-                f"extension at m={m} with c2=0 requires the one-sided ray {want_ray}, "
-                f"got {fam.ktypes}",
-            )
         return True, "limit ray with c(r) = -1"
-    if fam.ktypes.kind != ALL_ODD:
-        return False, f"extension at m={m} with c2!=0 requires the full odd ladder, got {fam.ktypes}"
     return True, "c(r) = c2*r^2 - 1 on the full odd ladder"
 
 

@@ -13,8 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sl2family import cli
+from family_sweep import sweep_points, validated_families
+from sl2family import cli, fibers
 from sl2family.cli import _load_object, cmd_analyze, cmd_classify, cmd_verify, main, render_json
+from sl2family.families import intertwiner_exists
+from sl2family.fibers import evaluate_fiber, factor_containing_m
 from sl2family.sheaf import ProjectivePoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -388,6 +391,51 @@ class TestAnalyze:
         doc = json.loads(out.read_bytes())
         assert [p["point"] for p in doc["points"]] == ["r=1+i", "r=-2/5-(4/5)i", "inf"]
         assert doc["points"][0]["level"] == {"re": "-1", "im": "4"}
+
+    # c(r) = 15 on the window -3..3, at a group point, at the origin, and at
+    # the motion fiber, where each K-type is its own factor
+    def test_constant_window_family_matches_golden(self, capsys, tmp_path):
+        out = tmp_path / "a.json"
+        code, _ = run(capsys, "analyze", "--family", '{"m": 1, "casimir": 15}',
+                      "--grid", "r=1,r=0,inf", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "analyze_m1_window3_grid.json").read_bytes()
+
+    # constant c(r) on a lowest-weight ray: the motion fiber lists a window of
+    # its infinitely many one-K-type factors
+    def test_constant_ray_family_matches_golden(self, capsys, tmp_path):
+        out = tmp_path / "a.json"
+        code, _ = run(capsys, "analyze", "--family", '{"m": 3, "casimir": 3}',
+                      "--grid", "r=2,inf", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "analyze_m3_ray_grid.json").read_bytes()
+
+    def test_containing_m_is_read_off_one_decomposition(self, monkeypatch):
+        """On every real family and point of the validated sweep, analyze
+        decomposes each fiber once, and the factor it reports as containing
+        m is factor_containing_m's."""
+        calls = []
+        real = fibers.composition_factors
+
+        def counted(fib):
+            calls.append(fib)
+            return real(fib)
+
+        monkeypatch.setattr(cli, "composition_factors", counted)
+        monkeypatch.setattr(fibers, "composition_factors", counted)
+        checked = 0
+        for fam in validated_families():
+            if not intertwiner_exists(fam):
+                continue  # analyze refuses a non-real c(r)
+            pts = sweep_points(fam)
+            calls.clear()
+            doc, _ = cmd_analyze(fam.to_json(), pts)
+            assert len(calls) == len(pts), str(fam)
+            for p, entry in zip(pts, doc["points"]):
+                want = factor_containing_m(evaluate_fiber(fam, p))
+                assert entry["containing_m"] == want.to_json(), (str(fam), str(p))
+                checked += 1
+        assert checked > 1000
 
     def test_origin_has_no_formula(self, capsys):
         code, doc = run_json(

@@ -243,6 +243,20 @@ def _row_is_valid(m: int, kind: str, param: int, casimir: Poly) -> bool:
     return cv is not None and cv == GR.of(want)
 
 
+def _bare(m, casimir, ktypes=None) -> ModuleFamily:
+    """The dataclass constructor, called with make_family's arguments."""
+    return ModuleFamily(m, ktypes, casimir)
+
+
+def _outcome(build, *args):
+    """True for an accepted triple, else the (code, detail) of its refusal."""
+    try:
+        build(*args)
+    except FamilyValidationError as exc:
+        return exc.code, exc.detail
+    return True
+
+
 class TestMakeFamily:
     def test_standard_rows_accepted(self):
         rows = [
@@ -282,25 +296,30 @@ class TestMakeFamily:
         assert fam.casimir_value() is None
         assert make_family(0, 5).casimir_value() == GR(5)
 
+    # each builder takes a constructor with make_family's signature
     @pytest.mark.parametrize(
         "code,builder",
         [
-            ("casimir-degree", lambda: make_family(0, [0, 0, 0, 1])),
-            ("casimir-variable", lambda: make_family(0, Poly((GR(1),), "R"))),
-            ("parity-mismatch", lambda: make_family(1, cpoly(8), KTypeSet.window(2))),
-            ("minimal-ktype-missing", lambda: make_family(3, cpoly(5), KTypeSet.ray_up(5))),
-            ("minimal-ktype-mismatch", lambda: make_family(2, cpoly(8), KTypeSet.window(2))),
-            ("row-mismatch", lambda: make_family(2, cpoly(1))),
-            ("row-mismatch", lambda: make_family(0, cpoly(8), KTypeSet.all_even())),
-            ("row-mismatch", lambda: make_family(0, cpoly(-1, 0, 1), KTypeSet.window(2))),
-            ("singleton-not-a-family", lambda: make_family(2, cpoly(0), KTypeSet.singleton(2))),
+            ("casimir-degree", lambda make: make(0, [0, 0, 0, 1])),
+            ("casimir-variable", lambda make: make(0, Poly((GR(1),), "R"))),
+            ("parity-mismatch", lambda make: make(1, cpoly(8), KTypeSet.window(2))),
+            ("minimal-ktype-missing", lambda make: make(3, cpoly(5), KTypeSet.ray_up(5))),
+            ("minimal-ktype-mismatch", lambda make: make(2, cpoly(8), KTypeSet.window(2))),
+            ("row-mismatch", lambda make: make(2, cpoly(1))),
+            ("row-mismatch", lambda make: make(0, cpoly(8), KTypeSet.all_even())),
+            ("row-mismatch", lambda make: make(0, cpoly(-1, 0, 1), KTypeSet.window(2))),
+            ("singleton-not-a-family", lambda make: make(2, cpoly(0), KTypeSet.singleton(2))),
         ],
     )
     def test_rejection_codes(self, code, builder):
-        with pytest.raises(FamilyValidationError) as exc:
-            builder()
-        assert exc.value.code == code
-        assert exc.value.detail
+        """make_family and the bare ModuleFamily constructor refuse alike."""
+        errors = []
+        for make in (make_family, _bare):
+            with pytest.raises(FamilyValidationError) as exc:
+                builder(make)
+            errors.append((exc.value.code, exc.value.detail))
+        assert errors[0][0] == code and errors[0][1]
+        assert errors[1] == errors[0]
 
     # int("7" * 4000), int("9" * 4400) and int("5" * 4400), built without int()
     # of a string, which is itself over the interpreter's default limit
@@ -345,7 +364,7 @@ class TestMakeFamily:
         (2, [1, 0, 1], "row-mismatch: minimal K-type 2 forces c(r) = 0 constantly, got r^2 + 1"),
     ], ids=["degree", "variable", "constant-row", "quadratic-row"])
     def test_inferred_rejections(self, m, casimir, message):
-        for build in (make_family, infer_ktypes):
+        for build in (make_family, _bare, infer_ktypes):
             with pytest.raises(FamilyValidationError) as exc:
                 build(m, casimir)
             assert str(exc.value) == message
@@ -375,12 +394,11 @@ class TestMakeFamily:
                 for kind, param in kinds:
                     kt = builders[kind](param)
                     expected = _row_is_valid(m, kind, param, c)
-                    try:
-                        make_family(m, c, kt)
-                        got = True
-                    except FamilyValidationError:
-                        got = False
+                    outcome = _outcome(make_family, m, c, kt)
+                    got = outcome is True
                     assert got == expected, (m, kind, param, str(c))
+                    # the bare constructor accepts and refuses exactly alike
+                    assert _outcome(_bare, m, c, kt) == outcome, (m, kind, param, str(c))
                     checked += 1
                     accepted += got
                     if expected:

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from sl2family.families import KTypeSet, ModuleFamily, ladder_action, make_family
+from family_sweep import sweep_points, validated_families
+from sl2family.families import (FamilyValidationError, KTypeSet, ModuleFamily, in_tilde_class,
+                                intertwiner_exists, ladder_action, make_family, wall_index)
 from sl2family.fibers import (
     GROUP,
     MOTION,
@@ -20,6 +22,7 @@ from sl2family.fibers import (
     jantzen_quotient_formula,
     reducibility_points,
     scalar_to_json,
+    wall_edges,
 )
 from sl2family.scalars import GaussianRational as GR
 from sl2family.scalars import Poly, rational_sqrt
@@ -158,8 +161,8 @@ class TestEvaluateFiber:
 
 
 def _ladder_oracle_cases(rng: random.Random):
-    """(family, point) pairs over every table row and off-table families,
-    at rational, complex, wall-root and infinite points."""
+    """(family, point) pairs over every table row, at rational, complex,
+    wall-root and infinite points.  (An off-table triple is no family.)"""
 
     def q() -> Fraction:
         return Fraction(rng.randint(-12, 12), rng.randint(1, 4))
@@ -170,7 +173,7 @@ def _ladder_oracle_cases(rng: random.Random):
         return make_family(m, cpoly(k * (k + 2) - c2 * r0 * r0 - c1 * r0, c1, c2))
 
     fams = []
-    for _ in range(10):
+    for _ in range(20):
         k = rng.randint(0, 4)
         d = rng.randint(2, 7)
         fams += [
@@ -183,11 +186,10 @@ def _ladder_oracle_cases(rng: random.Random):
             make_family(d, d * (d - 2)),  # lowest- and highest-weight ladders
             make_family(-d, d * (d - 2)),
         ]
-        for kt in (KTypeSet.all_even(), KTypeSet.all_odd(), KTypeSet.window(rng.randint(0, 6)),
-                   KTypeSet.ray_up(rng.randint(-5, 5)), KTypeSet.ray_down(rng.randint(-5, 5))):
-            m = rng.choice(list(kt.members(-8, 8)))
-            fams.append(ModuleFamily(m, kt, cpoly(q(), q(), q())))  # off the table
-            fams.append(ModuleFamily(m, kt, cpoly(rng.randint(-1, 6) * rng.randint(1, 8))))
+        # a random quadratic and a random constant, each on the row it infers
+        for m in (0, rng.choice((1, -1))):
+            fams.append(make_family(m, cpoly(q(), q(), q())))
+            fams.append(make_family(m, rng.randint(-1, 6) * rng.randint(1, 8)))
     for fam in fams:
         pts = [P("inf"), P("r=0"), P(f"r={q()}"), ProjectivePoint.from_r(GR(q(), q() or 1))]
         c2, c1, c0 = (fam.casimir.coeff(i).re for i in (2, 1, 0))
@@ -302,7 +304,7 @@ class TestReducibilityLocus:
         ]
         assert not loc.complete  # walls continue past the tabulated bound
         assert [w.k for w in loc.walls] == list(range(0, 13, 2))
-        assert all(not w.irrational and not w.everywhere for w in loc.walls)
+        assert all(not w.irrational for w in loc.walls)
         wall0 = loc.walls[0]
         assert wall0.level == GR(0) and [str(p) for p in wall0.points] == ["r=-1", "r=1"]
 
@@ -338,12 +340,14 @@ class TestReducibilityLocus:
         assert str(loc.points[-1]) == "inf"
         assert not loc.complete
 
-    def test_off_table_constant_family_is_reducible_everywhere(self):
-        # bypasses the row validator: full even ladder pinned on wall 0
-        fam = ModuleFamily(0, KTypeSet.all_even(), cpoly(0))
-        loc = reducibility_points(fam)
-        assert [(w.k, w.everywhere) for w in loc.walls] == [(0, True)]
-        assert not loc.complete
+    def test_off_table_constant_family_is_refused(self):
+        # the full even ladder pinned on wall 0 is no family: the constructor
+        # refuses it, so no locus is ever reducible everywhere
+        with pytest.raises(FamilyValidationError) as exc:
+            ModuleFamily(0, KTypeSet.all_even(), cpoly(0))
+        assert exc.value.code == "row-mismatch"
+        assert exc.value.detail == ("c(r) constantly 0 = 0(0+2) on the full even ladder "
+                                    "demands a window or ray instead")
 
     def test_rejections(self):
         complex_fam = make_family(0, Poly((GR(0, 1),), "r"))
@@ -358,7 +362,11 @@ class TestReducibilityLocus:
             "max_k": 12,
             "walls": [],
         }
-
+        # the JSON keeps the "everywhere" key, always false
+        assert reducibility_points(EVEN_GENERIC).to_json()["walls"][0] == {
+            "k": 0, "level": 0, "points": ["r=-1", "r=1"], "irrational": False,
+            "everywhere": False,
+        }
 
     def test_walls_match_sympy_real_roots(self):
         """Seeded real quadratics c(r): a wall level k(k+2) of the K-type
@@ -394,7 +402,7 @@ class TestReducibilityLocus:
                 if k in walls:
                     w = walls[k]
                     assert [q.r.re for q in w.points] == rational, (str(c), k)
-                    assert w.irrational == irrational and not w.everywhere, (str(c), k)
+                    assert w.irrational == irrational, (str(c), k)
                     seen["rational"] += bool(rational)
                     seen["irrational"] += irrational
         assert seen["rational"] and seen["irrational"]
@@ -442,3 +450,40 @@ class TestJantzenQuotient:
             jantzen_quotient_formula(make_family(0, cpoly(-1, 1, 1)), P("1"))
         with pytest.raises(ValueError, match="real points"):
             jantzen_quotient_formula(EVEN_GENERIC, ProjectivePoint.from_r(GR(0, 1)))
+
+
+# what in_tilde_class answers a table row, and the start of its one refusal
+TILDE_REASONS = {
+    "discrete ladder families always extend",
+    "c(r) = c2*r^2 - 1 on the full even ladder",
+    "limit ray with c(r) = -1",
+    "c(r) = c2*r^2 - 1 on the full odd ladder",
+}
+TILDE_REFUSAL = "extension requires c(r) = c2*r^2 - 1, got c(r) = "
+
+
+class TestValidatedSweep:
+    def test_table_rows_need_no_off_table_branch(self):
+        """On every family of the sweep: in_tilde_class gives one of its five
+        reasons; a constant c(r) cuts none of its K-types' edges, so its locus
+        has no finite point and is complete; and the cut edges split the
+        K-types into segments that partition them, each of a dual's shape."""
+        families = fibers = constants = 0
+        for fam in validated_families():
+            families += 1
+            ok, reason = in_tilde_class(fam)
+            assert (reason in TILDE_REASONS) if ok else reason == TILDE_REFUSAL + str(fam.casimir)
+            if fam.casimir.is_constant:
+                constants += 1
+                assert wall_edges(fam.ktypes, wall_index(fam.c0)) == (), str(fam)
+                if intertwiner_exists(fam):
+                    loc = reducibility_points(fam)
+                    assert loc.complete and loc.walls == (), str(fam)
+                    assert all(q.is_infinity for q in loc.points), str(fam)
+            for p in sweep_points(fam):
+                fib = evaluate_fiber(fam, p)
+                factors = composition_factors(fib).factors
+                for n in fam.ktypes.members(*fib.window):
+                    assert sum(n in f.ktypes for f in factors) == 1, (str(fam), str(p), n)
+                fibers += 1
+        assert families > 150 and constants > 50 and fibers > 1000

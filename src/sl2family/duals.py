@@ -59,7 +59,12 @@ def is_tempered(p: DualParam) -> bool:
 def vogan_map(m: int, R) -> DualParam:
     """The tempered parameter with real infinitesimal character and lowest
     K-type m, in the group dual at chart coordinate R."""
-    return DualParam.group(pinned_level(m) if m else -1, m, _nonzero_real(R))
+    return _vogan(m, _nonzero_real(R))
+
+
+def _vogan(m: int, R: GaussianRational) -> DualParam:
+    """vogan_map at an R that _nonzero_real has returned."""
+    return DualParam(GROUP, pinned_level(m) if m else -1, m, R)
 
 
 def eta(p: DualParam, R) -> DualParam:
@@ -166,13 +171,14 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     report: List[dict] = []
 
     # each motion class's image, built once and read by the checks below
-    images = {q: _eta(q, R) for q in dual_classes(MOTION, M, grid_gr)}
-    classes = list(images)
+    classes = dual_classes(MOTION, M, grid_gr)
+    images = [_eta(q, R) for q in classes]
 
     # equivalent images share a canonical representative, so grouping by it
-    # lists the colliding pairs in the (i, j) order of a pairwise scan
-    keys = [p.canonical() for p in images.values()]
-    groups: Dict[DualParam, List[int]] = {}
+    # lists the colliding pairs in the (i, j) order of a pairwise scan; the
+    # images share flavor and R, so (level, m) of the representative is the key
+    keys = [(c.level, c.m) for c in (p.canonical() for p in images)]
+    groups: Dict[Tuple[GaussianRational, int], List[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     collisions = [
@@ -190,15 +196,18 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
         "unreached classes: " + "; ".join(str(q) for q in misses[:3])
         if misses else "every class is the image of its explicit preimage"))
 
+    # the image of each level-0 class: every |m| > 1, and |m| <= 1 when 0 is on the grid
+    characters = {q.m: image for q, image in zip(classes, images) if q.level == 0}
     for m in range(-M, M + 1):
-        character = DualParam.motion(0, m)  # a class when 0 is on the grid or |m| > 1
-        image = images.get(character) or _eta(character, R)
-        expected = vogan_map(m, R)
+        image = characters.get(m)
+        if image is None:
+            image = _eta(DualParam(MOTION, 0, m), R)
+        expected = _vogan(m, R)
         report.append(check_entry(
             "vogan-extension", f"m={m}, R={R}", image == expected,
             f"eta((0,{m})_0) = {image}, minimal-K-type representative {expected}"))
 
-    for q, image in images.items():
+    for q, image in zip(classes, images):
         if not q.level.is_real:
             continue
         t_q, t_image = is_tempered(q), is_tempered(image)

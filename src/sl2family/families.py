@@ -31,8 +31,8 @@ from functools import cached_property
 from math import isqrt
 from typing import Iterator, Optional, Tuple
 
-from .scalars import (GR_ZERO, GaussianRational, Poly, _any_digits, _check_digits, _cut, _quote,
-                      has_gaussian_sqrt, scalar_to_json)
+from .scalars import (GR_ZERO, GaussianRational, Poly, _any_digits, _check_digits, _cut, _int_head,
+                      _quote, has_gaussian_sqrt, scalar_to_json)
 from .sheaf import CHART_FINITE, chart_variable
 
 ALL_EVEN = "all_even"
@@ -207,7 +207,8 @@ class FamilyValidationError(ValueError):
 
     def __init__(self, code: str, detail: str, **words) -> None:
         if words:  # detail is a template, and the values it names may be long
-            with _any_digits():
+            words = {k: _int_head(v) if type(v) is int else v for k, v in words.items()}
+            with _any_digits():  # a Poly or KTypeSet word writes its ints in full
                 detail = detail.format(**words)
         detail = _cut(detail)
         super().__init__(f"{code}: {detail}")

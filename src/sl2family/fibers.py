@@ -69,8 +69,11 @@ class DualParam:
 
     Group flavor carries the chart-at-infinity coordinate R of the fiber
     (None for the fiber at r = 0, which the R-coordinate does not reach).
-    Validation enforces the dual tables: for |m| > 1 the level is
-    ``fixed_level(flavor, m)``.
+    Validation coerces an int or Fraction level and R once, checks the
+    flavor and R, and for |m| > 1 compares the level with the int
+    ``fixed_level(flavor, m)`` (the dual tables).  The hash reads (level, m)
+    only: equal parameters have equal levels and m, and a dual's classes
+    share flavor and R.
     """
 
     flavor: str
@@ -79,22 +82,30 @@ class DualParam:
     R: Optional[GaussianRational] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.level, GaussianRational):
-            object.__setattr__(self, "level", GaussianRational(self.level))
-        if self.R is not None and not isinstance(self.R, GaussianRational):
-            object.__setattr__(self, "R", GaussianRational(self.R))
-        if self.flavor == GROUP:
-            if self.R is not None and not self.R:
+        flavor, level, m, R = self.flavor, self.level, self.m, self.R
+        if not isinstance(level, GaussianRational):
+            level = GaussianRational(level)
+            object.__setattr__(self, "level", level)
+        if R is not None and not isinstance(R, GaussianRational):
+            R = GaussianRational(R)
+            object.__setattr__(self, "R", R)
+        if flavor == GROUP:
+            if R is not None and not R:
                 raise ValueError("group-flavor parameters need R != 0")
-        elif self.flavor == MOTION:
-            if self.R is not None:
+        elif flavor == MOTION:
+            if R is not None:
                 raise ValueError("motion-flavor parameters carry no R")
         else:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if abs(self.m) > 1 and self.level != fixed_level(self.flavor, self.m):
+            raise ValueError(f"unknown flavor {flavor!r}")
+        if -1 <= m <= 1:
+            return
+        fixed = fixed_level(flavor, m)
+        if not level == fixed:  # == meets an int: the fast path of GaussianRational.__eq__
             raise ValueError(
-                f"minimal K-type {self.m} fixes the {self.flavor} level to "
-                f"{fixed_level(self.flavor, self.m)}, got {self.level}")
+                f"minimal K-type {m} fixes the {flavor} level to {fixed}, got {level}")
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.m))
 
     @staticmethod
     def group(level, m: int, R=None) -> "DualParam":

@@ -7,9 +7,11 @@ equal values have equal parts and arithmetic is integer arithmetic plus one
 gcd.  Constructors and operators accept int, Fraction and (for the
 constructor) rational strings, and raise TypeError on floats.  A real value
 hashes like its Fraction, hence like an equal int; any other value hashes
-like the pair (re, im) of Fractions.  Q(i) is not ordered: the order
-operators raise TypeError (compare ``re`` Fractions).  Square roots are
-witness-based: an exact root in Q(i) is produced, or its absence reported.
+like the pair (re, im) of Fractions.  The hash applies the interpreter's
+rational-hash rule to the integer parts and builds no Fraction.  Q(i) is
+not ordered: the order operators raise TypeError (compare ``re``
+Fractions).  Square roots are witness-based: an exact root in Q(i) is
+produced, or its absence reported.
 ``GaussianRational.from_json`` is the one reader of the JSON scalar format
 (an int, a "p/q" string, or {"re", "im"?}) for family descriptors and
 candidate bijections alike; ``scalar_to_json`` writes its compact form.
@@ -50,11 +52,26 @@ RationalInput = Union[int, str, Fraction]
 _EXPONENT = re.compile(r"[\d.][eE][-+]?\d")
 
 _QUOTE_MAX = 60  # characters of an offending value quoted in an error message
+_CUT_MOST = 300  # characters of a whole error message
 
 
-def _cut(text: str, most: int = 300) -> str:
+def _cut(text: str, most: int = _CUT_MOST) -> str:
     """text, or its first most (300: a whole error message) characters and "..."."""
     return text if len(text) <= most else text[:most] + "..."
+
+
+def _int_head(n: int, most: int = _CUT_MOST) -> str:
+    """A prefix of str(n), all of it for a short n and more than most
+    characters otherwise, so that _cut of a text holding either reads the
+    same.  A long n is written as its quotient by a power of ten, so no
+    full int-to-str is made."""
+    bits = abs(n).bit_length()
+    # n has more than (bits - 1) * log10(2) digits (the constant is just below
+    # log10(2)); dropping that many less most + 2 leaves more than most + 1
+    drop = int((bits - 1) * 0.30102999566) - most - 2
+    if drop <= 0:
+        return str(n)
+    return ("-" if n < 0 else "") + str(abs(n) // 10 ** drop)
 
 
 def _quote(x) -> str:
@@ -178,6 +195,22 @@ def _lowest(n: int, d: int):
     """n/d in lowest terms, for d > 0."""
     g = gcd(n, d)
     return (n, d) if g == 1 else (n // g, d // g)
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _ratio_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for n/d in lowest terms with d > 0, by the
+    rational-hash rule of the interpreter: |n| / d modulo the hash modulus,
+    with the sign of n, or hash_info.inf when the modulus divides d."""
+    try:
+        h = abs(n) * pow(d, -1, _HASH_MODULUS) % _HASH_MODULUS
+    except ValueError:  # d has no inverse: the modulus divides it
+        h = sys.hash_info.inf
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
 
 
 def _ratio_str(n: int, d: int) -> str:
@@ -332,18 +365,21 @@ class GaussianRational:
 
     def __eq__(self, other):
         # both sides are in lowest terms, so equal values have equal parts
+        if type(other) is int:
+            return self._den == 1 and self._im_num == 0 and self._re_num == other
         parts = _parts(other)
         if parts is None:
             return NotImplemented
         return parts == (self._re_num, self._im_num, self._den)
 
     def __hash__(self):
-        # Real values hash like their Fraction (hence like equal ints).
+        # Real values hash like their Fraction (hence like equal ints), any
+        # other value like the pair (re, im) of Fractions; no Fraction is built.
+        d = self._den
         if self._im_num == 0:
-            if self._den == 1:
-                return hash(self._re_num)
-            return hash(Fraction(self._re_num, self._den))
-        return hash((self.re, self.im))
+            return hash(self._re_num) if d == 1 else _ratio_hash(self._re_num, d)
+        return hash((_ratio_hash(*_lowest(self._re_num, d)),
+                     _ratio_hash(*_lowest(self._im_num, d))))
 
     # -- rendering ----------------------------------------------------------
 

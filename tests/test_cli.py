@@ -542,6 +542,15 @@ class TestBijection:
         assert code == 0
         assert out.read_bytes() == (FIXTURES / "bijection_M12.json").read_bytes()
 
+    def test_large_fractional_report_is_byte_identical_to_golden(self, capsys, tmp_path):
+        # recorded before DualParam hashed without a Fraction and before the
+        # vogan-extension check reused the images of the level-0 classes
+        out = tmp_path / "b32.json"
+        code, _ = run(capsys, "bijection", "--R", "3/2,-5/4", "--M", "32",
+                      "--grid", "0,-1,1/3,-9/4,7/2,5", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "bijection_M32_frac.json").read_bytes()
+
     def test_each_distinct_R_is_checked_once(self, capsys):
         # the first occurrence of each value stays, as with the levels of tables --grid
         code, doc = run_json(capsys, "bijection", "--R", "1,1,2/2", "--M", "0", "--grid", "0,1")

@@ -1,6 +1,7 @@
 """Level-affine correspondences between admissible duals: equivalence,
 temperedness, the minimal-K-type extension map, and its characterization."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from sl2family.duals import (
     verify_conjecture1,
     vogan_map,
 )
-from sl2family.cli import cmd_tables
+from sl2family.cli import cmd_tables, main
 from sl2family.families import KTypeSet, make_family, pinned_level
 from sl2family.fibers import (
     DualParam,
@@ -307,6 +308,26 @@ class TestDualAtlas:
                     DualParam.motion(1, m)
 
 
+# One wrong step per check kind of verify_conjecture1: the check, a module name
+# it reads at call time, and the broken stand-in built from the original.
+BREAKS = [
+    # every motion class listed twice, so each image collides with its copy
+    ("injectivity", "dual_classes",
+     lambda orig: lambda flavor, *args: orig(flavor, *args) * (2 if flavor == "motion" else 1)),
+    # every group class pulled back to one motion class of another K-type
+    ("surjectivity", "eta_inverse", lambda orig: lambda q, R=None: mo(0, 7)),
+    # minimal-K-type representatives taken at 2R
+    ("vogan-extension", "_vogan", lambda orig: lambda m, R: orig(m, 2 * R)),
+    # every motion parameter tempered, no group parameter
+    ("tempered", "is_tempered", lambda orig: lambda p: p.flavor == "motion"),
+    # group parameters with different m never equivalent
+    ("well-defined", "params_equivalent",
+     lambda orig: lambda a, b: orig(a, b) and (a.flavor == "motion" or a.m == b.m)),
+    # the expected scale 2/R^2 in place of 1/R^2
+    ("affine-form", "GR_ONE", lambda orig: GR(2)),
+]
+
+
 class TestConjectureOne:
     @pytest.mark.parametrize("R", [GR(1), GR(2), GR(Fraction(1, 2)), GR(3)])
     def test_holds_on_the_reference_grid(self, R):
@@ -362,6 +383,25 @@ class TestConjectureOne:
             assert entry["detail"] == "image collisions: " + "; ".join(
                 f"{a} and {b}" for a, b in pairs[:3]
             )
+
+    @pytest.mark.parametrize("grid", ["0,-1,1/2,3", "-1,1/2,3"], ids=["with-0", "without-0"])
+    @pytest.mark.parametrize("kind,name,broken", BREAKS, ids=[b[0] for b in BREAKS])
+    def test_each_check_kind_can_fail(self, monkeypatch, capsys, kind, name, broken, grid):
+        levels = grid.split(",")
+        assert verify_conjecture1(GR(Fraction(3, 2)), 3, levels)[0]
+        monkeypatch.setattr(duals, name, broken(getattr(duals, name)))
+        ok, report = verify_conjecture1(GR(Fraction(3, 2)), 3, levels)
+        assert not ok and {e["check"] for e in report if not e["pass"]} == {kind}
+        code = main(["bijection", "--R", "3/2", "--M", "3", f"--grid={grid}"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and not doc["pass"]
+        assert {e["check"] for rep in doc["reports"] for e in rep["entries"]
+                if not e["pass"]} == {kind}
+
+    def test_every_check_kind_but_the_convention_has_a_break(self):
+        _, report = verify_conjecture1(GR(1), 3, GRID)
+        kinds = {e["check"] for e in report} - {"equivalence-convention"}
+        assert sorted(kinds) == sorted(b[0] for b in BREAKS)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

@@ -25,11 +25,12 @@ from sl2family.families import (
     intertwiner_exists,
     ladder_action,
     make_family,
+    pinned_level,
     wall_index,
 )
 from sl2family.fibers import DualParam, dual_ktypes
 from sl2family.scalars import GaussianRational as GR
-from sl2family.scalars import Poly
+from sl2family.scalars import Poly, _any_digits, _cut
 from polys import chart_substitute
 
 
@@ -347,6 +348,29 @@ class TestMakeFamily:
         detail = exc.value.detail
         assert exc.value.code == code and str(exc.value) == f"{code}: {detail}"
         assert detail.startswith(start) and detail.endswith("...") and len(detail) == 303
+
+    # ints of 5k to 50k digits of either sign, some next to powers of ten or two,
+    # where a digit count read off the bit length is closest to wrong
+    LONG_INTS = [10**5000, 10**5000 - 1, -(10**12345 + 1), 2**40000, -(2**40001 - 1),
+                 7 * (10**50000 - 1) // 9, 10**49999 + 3]
+    LONG_IDS = ["1e5000", "9x5000", "-1e12345", "2^40000", "-2^40001+1", "7x50000", "1e49999"]
+
+    @pytest.mark.parametrize("template", ["{a}", "{a} and {b}", "x" * 298 + "{b}",
+                                          "minimal K-type {a} forces c(r) = {b} constantly"])
+    @pytest.mark.parametrize("n", LONG_INTS, ids=LONG_IDS)
+    def test_long_int_words_cut_as_in_full(self, n, template):
+        words = {"a": n, "b": -n // 3}
+        with _any_digits():
+            full = _cut(template.format(**words))
+        assert FamilyValidationError("code", template, **words).detail == full
+
+    @pytest.mark.parametrize("n", LONG_INTS, ids=LONG_IDS)
+    def test_long_minimal_ktype_rejection_reads_as_in_full(self, n):
+        with pytest.raises(FamilyValidationError) as exc:
+            make_family(n, 0)
+        with _any_digits():
+            full = _cut(f"minimal K-type {n} forces c(r) = {pinned_level(n)} constantly, got 0")
+        assert exc.value.code == "row-mismatch" and exc.value.detail == full
 
     @pytest.mark.parametrize("ktypes", [None, KTypeSet.all_even()])
     def test_casimir_validated_once(self, monkeypatch, ktypes):

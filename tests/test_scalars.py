@@ -2,6 +2,7 @@
 
 import operator
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +17,7 @@ from sl2family.scalars import (
     GaussianRational,
     Poly,
     _quote,
+    _ratio_hash,
     has_gaussian_sqrt,
     parse_gaussian,
     parse_int,
@@ -337,6 +339,18 @@ OPERANDS = st.builds(_operand, st.sampled_from(["int", "fraction", "gr"]), RATIO
 GAUSSIANS = st.builds(lambda re, im: _operand("gr", re, im), RATIONALS, RATIONALS)
 REALS = st.builds(lambda re: _operand("gr", re, Fraction(0)), RATIONALS)
 
+# rationals whose parts pass the hash modulus: numerators above it and
+# denominators it divides, of either sign
+_M = sys.hash_info.modulus
+_WIDE_NUMERATORS = st.one_of(
+    st.integers(-10**6, 10**6), st.integers(-_M ** 3, _M ** 3),
+    st.builds(lambda k, e: k * _M + e, st.integers(-4, 4), st.integers(-2, 2)))
+_WIDE_DENOMINATORS = st.one_of(
+    st.integers(1, 10**6), st.integers(1, _M ** 2),
+    st.builds(lambda k, e: k * _M + e, st.integers(1, 4), st.integers(-1, 1)),
+    st.builds(lambda k, d: _M ** k * d, st.integers(1, 2), st.integers(1, 50)))
+WIDE_FRACTIONS = st.builds(Fraction, _WIDE_NUMERATORS, _WIDE_DENOMINATORS)
+
 
 def m_add(x, y):
     return x[0] + y[0], x[1] + y[1]
@@ -429,6 +443,26 @@ class TestGaussianRationalProperties:
         else:
             assert hash(a) == hash(ma)
         assert bool(a) == (ma != (0, 0))
+
+    @PROPERTY_SETTINGS
+    @given(WIDE_FRACTIONS, WIDE_FRACTIONS)
+    def test_hash_is_the_fraction_hash(self, q, r):
+        # the rational-hash rule on the integer parts, against Fraction's own
+        assert hash(GR(q)) == hash(q)
+        assert hash(GR(q, r)) == (hash(q) if r == 0 else hash((q, r)))
+        assert hash(GR(r, q)) == (hash(r) if q == 0 else hash((r, q)))
+
+    def test_hash_edge_cases(self):
+        M = sys.hash_info.modulus
+        # a denominator the modulus divides hashes to +-inf; -1 becomes -2
+        for q in (Fraction(1, M), Fraction(-3, M * M), Fraction(M + 1, M), Fraction(-(M + 2), 2),
+                  Fraction(M + 2, 2), Fraction(-1), Fraction(-M - 1), Fraction(M, 7)):
+            assert hash(GR(q)) == hash(q)
+            assert hash(GR(q, q)) == hash((q, q)) and hash(GR(1, q)) == hash((Fraction(1), q))
+        assert hash(GR(Fraction(1, M))) == sys.hash_info.inf
+        # hash() itself turns a __hash__ of -1 into -2, so read the rule directly
+        assert hash(GR(Fraction(-(M + 2), 2))) == _ratio_hash(-(M + 2), 2) == -2
+        assert _ratio_hash(M + 2, 2) == 1 and _ratio_hash(-3, M) == -sys.hash_info.inf
 
     @PROPERTY_SETTINGS
     @given(REALS, OPERANDS)

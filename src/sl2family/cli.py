@@ -293,21 +293,23 @@ def _emit(doc, fmt: str, out: Optional[str]) -> None:
 # -- tables -----------------------------------------------------------------
 
 
-# which -> (key of the level column, dual flavor, the generic-level text by
+# which -> (key of the level column, chart coordinate R of the dual: None for
+# the group fiber at r = 0, 0 for the motion fiber; the generic-level text by
 # parity of m).  A family with constant c(r) = z has the K-types of the
 # group-dual parameter (z, m), so table 1 reads its rows from the group dual.
 _TABLES = {
-    1: ("casimir", GROUP, (GENERIC_EVEN, GENERIC_ODD)),
-    2: ("level", GROUP, (LEVEL_EVEN, LEVEL_ODD)),
-    3: ("level", MOTION, (LEVEL_NONZERO, LEVEL_NONZERO)),
+    1: ("casimir", None, (GENERIC_EVEN, GENERIC_ODD)),
+    2: ("level", None, (LEVEL_EVEN, LEVEL_ODD)),
+    3: ("level", 0, (LEVEL_NONZERO, LEVEL_NONZERO)),
 }
 
 
-def _table_rows(M: int, key: str, flavor: str, generic: Tuple[str, str]) -> List[dict]:
+def _table_rows(M: int, key: str, R, generic: Tuple[str, str]) -> List[dict]:
     """The rows with |m| <= M.  A free level (|m| <= 1) gets a row for every
     level off the walls, shown as generic[parity] with the K-types of level 1,
     and a row for each wall: the group levels k(k+2), k of the parity of m,
     from the limit rays up, or the motion level 0.  A fixed level gets one row."""
+    flavor = MOTION if R == 0 else GROUP
     rows: List[dict] = []
     for m in range(-M, M + 1):
         fixed = fixed_level(flavor, m)
@@ -316,7 +318,7 @@ def _table_rows(M: int, key: str, flavor: str, generic: Tuple[str, str]) -> List
         else:
             walls = [k * (k + 2) for k in range(-abs(m), M + 1, 2)] if flavor == GROUP else [0]
             levels = [(generic[m % 2], 1), *((w, w) for w in walls)]
-        rows.extend({"m": m, key: shown, "ktypes": str(dual_ktypes(DualParam(flavor, lv, m)))}
+        rows.extend({"m": m, key: shown, "ktypes": str(dual_ktypes(DualParam(lv, m, R)))}
                     for shown, lv in levels)
     return rows
 
@@ -325,8 +327,8 @@ def cmd_tables(which: int, M: int, grid: Optional[Sequence] = None) -> dict:
     """Rows of table 1 (families), 2 (group dual), or 3 (motion dual)."""
     if M < 0:
         raise ValueError("the K-type bound M must be >= 0")
-    key, flavor, generic = _TABLES[which]
-    rows = _table_rows(M, key, flavor, generic)
+    key, R, generic = _TABLES[which]
+    rows = _table_rows(M, key, R, generic)
     doc = {"table": which, "M": M, "rows": rows}
     if grid is not None:
         # the concrete rows at the grid levels, each not yet listed
@@ -334,7 +336,7 @@ def cmd_tables(which: int, M: int, grid: Optional[Sequence] = None) -> dict:
         for v in grid:
             for m in range(-M, M + 1):
                 try:
-                    q = DualParam(flavor, v, m)
+                    q = DualParam(v, m, R)
                 except ValueError:  # off the table
                     continue
                 row = {"m": m, key: scalar_to_json(q.level), "ktypes": str(dual_ktypes(q))}

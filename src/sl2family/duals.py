@@ -1,9 +1,9 @@
 """Admissible duals of the two fibers and the level-affine bijections.
 
-Both fibers of the deformation family carry a classified admissible dual:
-group-flavor parameters (level, m)_R for the fibers away from infinity and
-motion-flavor parameters (level, m)_0 for the fiber at infinity.  Three
-rules of fibers.py define them: parameters are equivalent exactly when
+Both fibers of the deformation family carry a classified admissible dual,
+and a parameter (level, m)_R sits at the chart coordinate R of its fiber:
+R = 0 at the motion fiber (infinity), any other R at a group fiber.  Three
+rules of fibers.py define the duals: parameters are equivalent exactly when
 their ``DualParam.canonical()`` representatives agree, a minimal K-type
 |m| > 1 fixes the level to ``fixed_level(flavor, m)``, and the boundary
 level of each dual, ``boundary_level(flavor)``, is where temperedness of
@@ -33,11 +33,9 @@ def _nonzero_real(R) -> GaussianRational:
 
 
 def params_equivalent(a: DualParam, b: DualParam) -> bool:
-    """Whether two parameters of one dual (same flavor, same R) name
-    isomorphic irreducible modules: whether their canonical
-    representatives, ``DualParam.canonical()``, are equal."""
-    if a.flavor != b.flavor:
-        raise ValueError("parameters live in different duals (flavor mismatch)")
+    """Whether two parameters of one dual (same R) name isomorphic
+    irreducible modules: whether their canonical representatives,
+    ``DualParam.canonical()``, are equal."""
     if a.R != b.R:
         raise ValueError("parameters live in different duals (chart coordinate mismatch)")
     return a.canonical() == b.canonical()
@@ -64,7 +62,7 @@ def vogan_map(m: int, R) -> DualParam:
 
 def _vogan(m: int, R: GaussianRational) -> DualParam:
     """vogan_map at an R that _nonzero_real has returned."""
-    return DualParam(GROUP, pinned_level(m) if m else -1, m, R)
+    return DualParam(pinned_level(m) if m else -1, m, R)
 
 
 def eta(p: DualParam, R) -> DualParam:
@@ -83,62 +81,50 @@ def _eta(p: DualParam, R: GaussianRational) -> DualParam:
     level = fixed_level(GROUP, p.m)
     if level is None:
         level = p.level / (R * R) - 1
-    return DualParam(GROUP, level, p.m, R)
+    return DualParam(level, p.m, R)
 
 
-def eta_inverse(q: DualParam, R=None) -> DualParam:
+def eta_inverse(q: DualParam) -> DualParam:
     """Inverse of eta: (level, m)_R with |m| <= 1 goes to ((level+1)R^2, m)_0,
     and a fixed-level parameter to the fixed-level character with its m.
 
-    R defaults to the parameter's own chart coordinate and, when passed,
-    must agree with it.  Parameters taken at r = 0 carry no coordinate,
-    so there R is required.
+    R is the parameter's own chart coordinate, which must be a nonzero
+    real: a motion parameter has R = 0, and one taken at r = 0 has none.
     """
-    if q.flavor != GROUP:
-        raise ValueError("eta_inverse maps group-flavor parameters")
-    if R is None:
-        if q.R is None:
-            raise ValueError("the parameter carries no chart coordinate; pass R")
-        R = q.R
-    else:
-        R = _nonzero_real(R)
-        if q.R is not None and q.R != R:
-            raise ValueError("parameter belongs to the dual at a different R")
+    if q.R is None:
+        raise ValueError("the parameter carries no chart coordinate")
+    R = _nonzero_real(q.R)
     level = fixed_level(MOTION, q.m)
     if level is None:
         level = (q.level + 1) * R * R
-    return DualParam(MOTION, level, q.m)
+    return DualParam.motion(level, q.m)
 
 
-def dual_classes(flavor: str, M: int, grid: Sequence, R=None) -> List[DualParam]:
-    """One fiber's admissible dual: a canonical representative of each class
-    with |m| <= M, in order of m and then of the grid.
+def dual_classes(R, M: int, grid: Sequence) -> List[DualParam]:
+    """The admissible dual of the fiber at chart coordinate R: a canonical
+    representative of each class with |m| <= M, in order of m and then of
+    the grid.
 
-    The free level of the |m| <= 1 rows is sampled on ``grid``; for |m| > 1
-    the level is ``fixed_level(flavor, m)``.  A group dual needs its chart
-    coordinate R, a nonzero real; a motion dual takes none.
+    R = 0 is the motion dual; any other R must be a nonzero real.  The
+    free level of the |m| <= 1 rows is sampled on ``grid``; for |m| > 1
+    the level is ``fixed_level(flavor, m)``.
     """
     if M < 0:
         raise ValueError("the K-type bound M must be >= 0")
+    R = GaussianRational.of(R)
+    flavor = MOTION if R == 0 else GROUP
     if flavor == GROUP:
-        if R is None:
-            raise ValueError("a group-flavor atlas needs the chart coordinate R")
         R = _nonzero_real(R)
-    elif flavor == MOTION:
-        if R is not None:
-            raise ValueError("a motion-flavor atlas carries no chart coordinate")
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
     grid = [GaussianRational.of(z) for z in grid]
     classes: List[DualParam] = []
     seen = set()  # repeated levels and m = +-1 merge; a fixed-level class cannot
     for m in range(-M, M + 1):
         level = fixed_level(flavor, m)
         if level is not None:
-            classes.append(DualParam(flavor, level, m, R))
+            classes.append(DualParam(level, m, R))
             continue
         for z in grid:
-            rep = DualParam(flavor, z, m, R).canonical()
+            rep = DualParam(z, m, R).canonical()
             if rep not in seen:
                 seen.add(rep)
                 classes.append(rep)
@@ -171,12 +157,12 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     report: List[dict] = []
 
     # each motion class's image, built once and read by the checks below
-    classes = dual_classes(MOTION, M, grid_gr)
+    classes = dual_classes(0, M, grid_gr)
     images = [_eta(q, R) for q in classes]
 
     # equivalent images share a canonical representative, so grouping by it
     # lists the colliding pairs in the (i, j) order of a pairwise scan; the
-    # images share flavor and R, so (level, m) of the representative is the key
+    # images share R, so (level, m) of the representative is the key
     keys = [(c.level, c.m) for c in (p.canonical() for p in images)]
     groups: Dict[Tuple[GaussianRational, int], List[int]] = {}
     for i, key in enumerate(keys):
@@ -189,7 +175,7 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
         "image collisions: " + "; ".join(f"{a} and {b}" for a, b in collisions[:3])
         if collisions else "images of distinct classes are pairwise inequivalent"))
 
-    targets = dual_classes(GROUP, M, grid_gr, R)
+    targets = dual_classes(R, M, grid_gr)
     misses = [q for q in targets if not params_equivalent(_eta(eta_inverse(q), R), q)]
     report.append(check_entry(
         "surjectivity", f"{len(targets)} group classes, R={R}", not misses,
@@ -201,7 +187,7 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     for m in range(-M, M + 1):
         image = characters.get(m)
         if image is None:
-            image = _eta(DualParam(MOTION, 0, m), R)
+            image = _eta(DualParam.motion(0, m), R)
         expected = _vogan(m, R)
         report.append(check_entry(
             "vogan-extension", f"m={m}, R={R}", image == expected,

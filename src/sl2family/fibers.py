@@ -7,12 +7,12 @@ The coefficient is (level - n(n+2))/4 at a group point, so a level k(k+2)
 cuts only the edges at n = k and n = -k-2; at the motion fiber it is c2/4,
 so every edge is cut or none is.  The maximal uncut segments are exactly
 the composition factors, read off the bounds of the K-type set, and each
-is named by a pair (level, minimal K-type) following the admissible-dual
-parameter tables for the two fiber types:
+is named by a ``DualParam`` (level, minimal K-type) at the point's chart
+coordinate R = 1/r, following the dual tables of the two fiber types:
 
-  group fiber (finite point, coordinate r):   level = c(r)
-  motion fiber (the point at infinity):       level = c2, the eigenvalue
-                                              of the rescaled Casimir
+  group fiber (finite point, R = 1/r):          level = c(r)
+  motion fiber (the point at infinity, R = 0):  level = c2, the eigenvalue
+                                                of the rescaled Casimir
 
 In both tables a minimal K-type |m| > 1 fixes the level, to
 ``fixed_level(flavor, m)``; for |m| <= 1 it is free.  ``boundary_level``
@@ -65,40 +65,31 @@ def boundary_level(flavor: str) -> int:
 
 @dataclass(frozen=True)
 class DualParam:
-    """A point of an admissible dual: (level, m) plus the fiber flavor.
+    """A point of an admissible dual: (level, m) at the chart coordinate R.
 
-    Group flavor carries the chart-at-infinity coordinate R of the fiber
-    (None for the fiber at r = 0, which the R-coordinate does not reach).
-    Validation coerces an int or Fraction level and R once, checks the
-    flavor and R, and for |m| > 1 compares the level with the int
-    ``fixed_level(flavor, m)`` (the dual tables).  The hash reads (level, m)
-    only: equal parameters have equal levels and m, and a dual's classes
-    share flavor and R.
+    R = 0 is the motion fiber, the point at infinity, so the flavor is read
+    off R: motion exactly when R == 0, group otherwise.  R = None is the
+    group fiber at r = 0, which the R-coordinate does not reach.
+    Validation coerces an int or Fraction level and R once, and for
+    |m| > 1 compares the level with the int ``fixed_level(flavor, m)``
+    (the dual tables).  The hash reads (level, m) only: equal parameters
+    have equal levels and m, and a dual's classes share R.
     """
 
-    flavor: str
     level: GaussianRational
     m: int
-    R: Optional[GaussianRational] = None
+    R: Optional[GaussianRational]
 
     def __post_init__(self) -> None:
-        flavor, level, m, R = self.flavor, self.level, self.m, self.R
+        level, m, R = self.level, self.m, self.R
         if not isinstance(level, GaussianRational):
             level = GaussianRational(level)
             object.__setattr__(self, "level", level)
         if R is not None and not isinstance(R, GaussianRational):
-            R = GaussianRational(R)
-            object.__setattr__(self, "R", R)
-        if flavor == GROUP:
-            if R is not None and not R:
-                raise ValueError("group-flavor parameters need R != 0")
-        elif flavor == MOTION:
-            if R is not None:
-                raise ValueError("motion-flavor parameters carry no R")
-        else:
-            raise ValueError(f"unknown flavor {flavor!r}")
+            object.__setattr__(self, "R", GaussianRational(R))
         if -1 <= m <= 1:
             return
+        flavor = MOTION if self.R == 0 else GROUP  # the flavor property, without its call
         fixed = fixed_level(flavor, m)
         if not level == fixed:  # == meets an int: the fast path of GaussianRational.__eq__
             raise ValueError(
@@ -107,13 +98,19 @@ class DualParam:
     def __hash__(self) -> int:
         return hash((self.level, self.m))
 
+    @property
+    def flavor(self) -> str:
+        return MOTION if self.R == 0 else GROUP
+
     @staticmethod
     def group(level, m: int, R=None) -> "DualParam":
-        return DualParam(GROUP, level, m, R)
+        if R is not None and GaussianRational.of(R) == 0:
+            raise ValueError("group-flavor parameters need R != 0")
+        return DualParam(level, m, R)
 
     @staticmethod
     def motion(level, m: int) -> "DualParam":
-        return DualParam(MOTION, level, m)
+        return DualParam(level, m, GR_ZERO)
 
     def canonical(self) -> "DualParam":
         """The preferred representative of the parameter's equivalence class.
@@ -123,16 +120,16 @@ class DualParam:
         """
         if self.m != -1 or self.level == boundary_level(self.flavor):
             return self
-        return DualParam(self.flavor, self.level, 1, self.R)
+        return DualParam(self.level, 1, self.R)
 
     def __str__(self) -> str:
-        tag = "0" if self.flavor == MOTION else (str(self.R) if self.R is not None else "r0")
-        return f"({self.level},{self.m})_{tag}"
+        R = self.R
+        return f"({self.level},{self.m})_{'r0' if R is None else '0' if R == 0 else R}"
 
     def to_json(self) -> dict:
         return {
             "flavor": self.flavor,
-            "R": 0 if self.flavor == MOTION else None if self.R is None else scalar_to_json(self.R),
+            "R": None if self.R is None else scalar_to_json(self.R),
             "level": scalar_to_json(self.level),
             "m": self.m,
         }
@@ -266,7 +263,7 @@ def composition_factors(fib: FiberModule) -> Decomposition:
     """Split the K-type set at the cut edges and name each segment."""
     kt = fib.ktypes
     lo, hi = kt.bounds
-    R = None if fib.flavor == MOTION else fib.point.R_value()
+    R = fib.point.R_value()
     factors = []
     for a, b in zip((lo,) + tuple(n + 2 for n in fib.cuts), fib.cuts + (hi,)):
         if a is None and b is None:
@@ -275,13 +272,13 @@ def composition_factors(fib: FiberModule) -> Decomposition:
             seg = KTypeSet.ray_up(a)
         elif a is None:
             seg = KTypeSet.ray_down(b)
-        elif a == b and fib.flavor == MOTION:
+        elif a == b and fib.cuts_everywhere:
             seg = KTypeSet.singleton(a)
         else:
             # wall symmetry: a level cuts the edges at -k-2 and k together
             assert a == -b, f"segment [{a}..{b}] has no admissible-dual shape"
             seg = KTypeSet.window(b)
-        factors.append(Factor(seg, DualParam(fib.flavor, fib.level, seg.minimal(), R).canonical()))
+        factors.append(Factor(seg, DualParam(fib.level, seg.minimal(), R).canonical()))
     return Decomposition(tuple(factors), not fib.cuts_everywhere or kt.is_finite)
 
 
@@ -430,7 +427,5 @@ def jantzen_quotient_formula(fam: ModuleFamily, p: ProjectivePoint) -> DualParam
         raise ValueError("the Jantzen quotient formula is stated over real points only")
     if p.is_origin:
         raise ValueError("r = 0 lies outside the chart at infinity; the formula does not apply")
-    if p.is_infinity:
-        return DualParam.motion(fam.c2, fam.m).canonical()
-    level = fam.c2 * p.r * p.r + fam.c0
-    return DualParam.group(level, fam.m, p.R_value()).canonical()
+    level = fam.c2 if p.is_infinity else fam.c2 * p.r * p.r + fam.c0
+    return DualParam(level, fam.m, p.R_value()).canonical()

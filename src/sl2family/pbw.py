@@ -125,12 +125,12 @@ def _mac(re: dict, im: dict, x: dict, y: dict, cr: int, ci: int) -> None:
                     del acc[key]
 
 
-def _apply(x: tuple, row: list, op, *args) -> tuple:
+def _apply(x: tuple, row: list) -> tuple:
     """A doubled generator image row [(slot, cr, ci)] applied to the int pair
-    x = (re, im), with op(part, slot, *args) the action of one target slot."""
+    x = (re, im), each target slot acting by ``times_generator``."""
     re, im = {}, {}
     for slot, cr, ci in row:
-        _mac(re, im, op(x[0], slot, *args), op(x[1], slot, *args), cr, ci)
+        _mac(re, im, times_generator(x[0], slot), times_generator(x[1], slot), cr, ci)
     return re, im
 
 
@@ -317,7 +317,7 @@ def change_basis(u: UEAElement, target: Sl2Basis) -> UEAElement:
             mono = _last_letter(mono)[0]
         img = images[mono]
         for word in reversed(pending):
-            images[word] = img = _apply(img, table[_last_letter(word)[1]], times_generator)
+            images[word] = img = _apply(img, table[_last_letter(word)[1]])
         return img
 
     den, ure, uim = _integral(u.terms)

@@ -60,15 +60,15 @@ def _cut(text: str, most: int = _CUT_MOST) -> str:
     return text if len(text) <= most else text[:most] + "..."
 
 
-def _int_head(n: int, most: int = _CUT_MOST) -> str:
-    """A prefix of str(n), all of it for a short n and more than most
+def _int_head(n: int) -> str:
+    """A prefix of str(n), all of it for a short n and more than _CUT_MOST
     characters otherwise, so that _cut of a text holding either reads the
     same.  A long n is written as its quotient by a power of ten, so no
     full int-to-str is made."""
     bits = abs(n).bit_length()
     # n has more than (bits - 1) * log10(2) digits (the constant is just below
-    # log10(2)); dropping that many less most + 2 leaves more than most + 1
-    drop = int((bits - 1) * 0.30102999566) - most - 2
+    # log10(2)); dropping that many less _CUT_MOST + 2 leaves more than _CUT_MOST + 1
+    drop = int((bits - 1) * 0.30102999566) - _CUT_MOST - 2
     if drop <= 0:
         return str(n)
     return ("-" if n < 0 else "") + str(abs(n) // 10 ** drop)

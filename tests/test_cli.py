@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from family_sweep import sweep_points, validated_families
+from test_duals import BREAKS as BIJECTION_BREAKS
 from sl2family import cli, fibers
 from sl2family.cli import _load_object, cmd_analyze, cmd_classify, cmd_verify, main, render_json
 from sl2family.families import intertwiner_exists
@@ -584,7 +586,47 @@ class TestBijection:
                            "cannot read scalar from 0.5 (floats are not exact)")
 
 
+# One wrong step per check kind of the appendix, regularity and conjecture2
+# suites: the check, its suite, a name the suite reads from the cli namespace
+# at call time, and the broken stand-in built from the original.
+SUITE_BREAKS = [
+    # every k-order one too low: Casimir^n no longer has order 2n
+    ("order-equality", "appendix", "k_order", lambda orig: lambda u: orig(u) - 1),
+    # the projection of u^2 in place of u: the split image has order 4n
+    ("order-inequality", "appendix", "hc_projection",
+     lambda orig: lambda u, cartan: orig(u * u, cartan)),
+    # the same step in the regularity suite: the Casimir projects to (h^2 - 1)^2
+    ("cartan-projection", "regularity", "hc_projection",
+     lambda orig: lambda u, cartan: orig(u * u, cartan)),
+    # every membership verdict inverted
+    ("center-membership", "regularity", "center_membership", lambda orig: lambda s: not orig(s)),
+    # regularity judged at r = 0, where R^2 has a pole, in place of infinity
+    ("regular-at-infinity", "regularity", "ProjectivePoint",
+     lambda orig: types.SimpleNamespace(infinity=lambda: orig.from_r(0))),
+    # the closed form read at the motion fiber whatever the point
+    ("jantzen-quotient", "conjecture2", "jantzen_quotient_formula",
+     lambda orig: lambda fam, p: orig(fam, ProjectivePoint.infinity())),
+]
+
+
 class TestVerify:
+    @pytest.mark.parametrize("kind,suite,name,broken", SUITE_BREAKS,
+                             ids=[b[0] for b in SUITE_BREAKS])
+    def test_each_check_kind_can_fail(self, monkeypatch, capsys, kind, suite, name, broken):
+        assert cmd_verify(suite)[0]["pass"]
+        monkeypatch.setattr(cli, name, broken(getattr(cli, name)))
+        doc, code = cmd_verify(suite)
+        assert code == 1 and not doc["pass"]
+        assert {e["check"] for e in doc["entries"] if not e["pass"]} == {kind}
+        code, doc = run_json(capsys, "verify", suite)
+        assert code == 1 and doc["counts"]["fail"] > 0
+
+    def test_every_check_kind_but_the_convention_has_a_break(self):
+        kinds = {e["check"] for suite in cli._SUITES for e in cmd_verify(suite)[0]["entries"]}
+        broken = [b[0] for b in SUITE_BREAKS + BIJECTION_BREAKS]
+        assert len(broken) == len(set(broken)) == 12
+        assert kinds - {"equivalence-convention"} == set(broken)
+
     @pytest.mark.parametrize("suite", ["conjecture2", "bijection", "appendix", "regularity"])
     def test_every_suite_passes_on_its_defaults(self, capsys, suite):
         code, doc = run_json(capsys, "verify", suite)
@@ -1030,6 +1072,23 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    # golden commands whose output holds sets or dicts of Q(i) values, the
+    # things a hash seed could reorder
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("golden,argv", [
+        ("bijection_M12.json",
+         ["bijection", "--R", "1,-3/2,2", "--M", "12", "--grid", "0,-1,1,1/2,-9/4,3"]),
+        ("table3_grid_M6.json", ["tables", "3", "--M", "6", "--grid=0,1,-1,-4,3,8,1/2,0,15"]),
+        ("analyze_m1_nonreal_grid.json",
+         ["analyze", "--family", '{"m": 1, "casimir": [-1, 0, 2]}', "--grid",
+          "r=1+i,R=-1/2+i,inf"]),
+    ], ids=["bijection_M12", "table3_grid_M6", "analyze_m1_nonreal_grid"])
+    def test_output_does_not_depend_on_the_hash_seed(self, golden, argv, seed):
+        proc = subprocess.run([sys.executable, "-m", "sl2family", *argv], capture_output=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (FIXTURES / golden).read_bytes()
 
     def test_closed_pipe_exits_quietly(self):
         read_end, write_end = os.pipe()

@@ -84,16 +84,17 @@ class TestEquivalence:
         assert not params_equivalent(g(5, 1), g(5, 0))
 
     def test_cross_dual_comparisons_rejected(self):
-        with pytest.raises(ValueError, match="flavor"):
-            params_equivalent(g(5, 1), mo(5, 1))
-        with pytest.raises(ValueError, match="chart coordinate"):
-            params_equivalent(g(5, 1), g(5, 1, 2))
+        for a, b in ((g(5, 1), mo(5, 1)), (g(5, 1), g(5, 1, 2)),
+                     (DualParam.group(5, 1), g(5, 1)), (mo(0, 3), g(3, 3))):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match="chart coordinate mismatch"):
+                    params_equivalent(x, y)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_the_ktype_definition(self, data):
         flavor = data.draw(st.sampled_from(("group", "motion")))
-        R = data.draw(CHART_R) if flavor == "group" else None
+        R = data.draw(CHART_R) if flavor == "group" else GR(0)
         # the boundary levels -1 and 0, the wall level 3 = 1*(1+2), and Q(i)
         levels = st.one_of(st.sampled_from((GR(-1), GR(0), GR(3))), LEVELS)
         shared = data.draw(levels)
@@ -101,8 +102,8 @@ class TestEquivalence:
         def param() -> DualParam:
             m = data.draw(st.integers(-3, 3))
             if abs(m) > 1:
-                return DualParam(flavor, pinned_level(m) if flavor == "group" else 0, m, R)
-            return DualParam(flavor, data.draw(st.one_of(st.just(shared), levels)), m, R)
+                return DualParam(pinned_level(m) if flavor == "group" else 0, m, R)
+            return DualParam(data.draw(st.one_of(st.just(shared), levels)), m, R)
 
         a, b = param(), param()
         assert params_equivalent(a, b) == ktype_equivalent(a, b), (str(a), str(b))
@@ -164,25 +165,22 @@ class TestEta:
         assert str(eta_inverse(g(-2, 0, 2))) == "(-4,0)_0"
 
     def test_inverse_chart_coordinate_handling(self):
-        q = g(-5, 0)
-        assert eta_inverse(q, GR(1)) == eta_inverse(q)
-        with pytest.raises(ValueError, match="different R"):
-            eta_inverse(q, GR(2))
-        bare = DualParam.group(GR(3), 0, None)
-        with pytest.raises(ValueError, match="pass R"):
-            eta_inverse(bare)
-        assert str(eta_inverse(bare, GR(2))) == "(16,0)_0"
+        # the parameter's own R is the chart coordinate of the inverse
+        assert str(eta_inverse(g(3, 0, 2))) == "(16,0)_0"
+        assert str(eta_inverse(g(3, 0, -2))) == "(16,0)_0"
+        with pytest.raises(ValueError, match="carries no chart coordinate"):
+            eta_inverse(DualParam.group(GR(3), 0, None))
 
     @pytest.mark.parametrize("R", [GR(1), GR(2), GR(Fraction(1, 2)), GR(3)])
     def test_round_trip_from_motion_side(self, R):
-        for p in dual_classes("motion", 6, GRID):
+        for p in dual_classes(0, 6, GRID):
             q = eta(p, R)
             assert q.flavor == "group" and q.R == R
-            assert eta_inverse(q, R) == p, (str(p), str(R))
+            assert eta_inverse(q) == p, (str(p), str(R))
 
     @pytest.mark.parametrize("R", [GR(1), GR(2), GR(Fraction(1, 2)), GR(3)])
     def test_round_trip_from_group_side(self, R):
-        for q in dual_classes("group", 6, GRID, R):
+        for q in dual_classes(R, 6, GRID):
             p = eta_inverse(q)
             assert p.flavor == "motion"
             assert eta(p, R) == q, (str(q), str(R))
@@ -222,7 +220,7 @@ class TestEtaProperties:
     def test_inverse_after_eta_is_identity(self, p, R):
         q = eta(p, R)
         assert q.flavor == "group" and q.R == R
-        assert eta_inverse(q, R) == p
+        assert eta_inverse(q) == p
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(group_params_and_R())
@@ -235,10 +233,11 @@ class TestEtaProperties:
     @pytest.mark.parametrize("call,args", [
         (eta, (mo(2, 1), 0)), (eta, (mo(0, 4), GR(0))), (eta, (mo(2, 0), GR(0, 1))),
         (vogan_map, (3, 0)), (vogan_map, (0, GR(0))),
-        (eta_inverse, (g(2, 1), 0)), (eta_inverse, (DualParam.group(2, 1), GR(0))),
+        (eta_inverse, (mo(2, 1),)), (eta_inverse, (DualParam.group(0, 0, GR(0, 1)),)),
     ])
     def test_public_maps_reject_a_zero_or_non_real_R(self, call, args):
-        # only verify_conjecture1, having checked R once, calls the unchecked steps
+        # only verify_conjecture1, having checked R once, calls the unchecked
+        # steps; eta_inverse reads R off its parameter
         with pytest.raises(ValueError, match="nonzero real rational"):
             call(*args)
 
@@ -252,13 +251,14 @@ def level_grids(draw):
     return tuple(levels + draw(st.lists(st.sampled_from(levels), max_size=3)))
 
 
-def enumerated_params(flavor, M, grid, R=None):
-    """Every parameter of one dual with |m| <= M, before reduction to classes:
-    the free levels on the grid for |m| <= 1, read off the tables otherwise."""
+def enumerated_params(R, M, grid):
+    """Every parameter of the dual at R with |m| <= M, before reduction to
+    classes: the free levels on the grid for |m| <= 1, read off the tables
+    otherwise (R = 0 is the motion dual)."""
     params = []
     for m in range(-M, M + 1):
-        levels = grid if abs(m) <= 1 else [pinned_level(m) if flavor == "group" else 0]
-        params.extend(DualParam(flavor, z, m, R) for z in levels)
+        levels = grid if abs(m) <= 1 else [0 if R == 0 else pinned_level(m)]
+        params.extend(DualParam(z, m, R) for z in levels)
     return params
 
 
@@ -268,35 +268,32 @@ class TestDualAtlas:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(level_grids(), st.integers(0, 4), CHART_R)
     def test_classes_are_the_canonical_params_without_repeats(self, grid, M, R):
-        for flavor, R_or_none in (("motion", None), ("group", R)):
+        for R in (GR(0), R):
             expected = []
-            for p in enumerated_params(flavor, M, grid, R_or_none):
+            for p in enumerated_params(R, M, grid):
                 if p.canonical() not in expected:
                     expected.append(p.canonical())
-            assert dual_classes(flavor, M, grid, R_or_none) == expected
+            assert dual_classes(R, M, grid) == expected
 
     def test_sizes(self):
-        assert len(enumerated_params("group", 6, GRID, GR(1))) == 43
-        assert len(dual_classes("group", 6, GRID, GR(1))) == 33
-        assert len(dual_classes("motion", 6, GRID)) == 33
+        assert len(enumerated_params(GR(1), 6, GRID)) == 43
+        assert len(dual_classes(GR(1), 6, GRID)) == 33
+        assert len(dual_classes(0, 6, GRID)) == 33
+        assert {p.flavor for p in dual_classes(Fraction(0), 6, GRID)} == {"motion"}
 
     def test_classes_are_canonical_and_distinct(self):
-        classes = dual_classes("group", 4, GRID, GR(2))
+        classes = dual_classes(GR(2), 4, GRID)
         assert len(set(classes)) == len(classes)
         for p in classes:
             assert p.canonical() == p
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="unknown flavor"):
-            dual_classes("circle", 6, GRID, GR(1))
-        with pytest.raises(ValueError, match="chart coordinate R"):
-            dual_classes("group", 6, GRID)
         with pytest.raises(ValueError, match="nonzero real rational"):
-            dual_classes("group", 6, GRID, GR(0, 1))
-        with pytest.raises(ValueError, match="carries no chart coordinate"):
-            dual_classes("motion", 6, GRID, GR(1))
+            dual_classes(GR(0, 1), 6, GRID)
+        with pytest.raises(TypeError, match="not an exact rational"):
+            dual_classes(None, 6, GRID)  # the fiber at r = 0 has no coordinate R
         with pytest.raises(ValueError, match="M must be >= 0"):
-            dual_classes("motion", -1, GRID)
+            dual_classes(0, -1, GRID)
 
     def test_fixed_level_is_the_table_rule(self):
         for m in range(-9, 10):
@@ -313,9 +310,9 @@ class TestDualAtlas:
 BREAKS = [
     # every motion class listed twice, so each image collides with its copy
     ("injectivity", "dual_classes",
-     lambda orig: lambda flavor, *args: orig(flavor, *args) * (2 if flavor == "motion" else 1)),
+     lambda orig: lambda R, *args: orig(R, *args) * (2 if R == 0 else 1)),
     # every group class pulled back to one motion class of another K-type
-    ("surjectivity", "eta_inverse", lambda orig: lambda q, R=None: mo(0, 7)),
+    ("surjectivity", "eta_inverse", lambda orig: lambda q: mo(0, 7)),
     # minimal-K-type representatives taken at 2R
     ("vogan-extension", "_vogan", lambda orig: lambda m, R: orig(m, 2 * R)),
     # every motion parameter tempered, no group parameter
@@ -368,7 +365,7 @@ class TestConjectureOne:
         levels = GRID + (GR(0, 1), GR(0, -1))
         for k in range(len(levels)):
             grid = levels[k:] + levels[:k]
-            classes = dual_classes("motion", 3, grid)
+            classes = dual_classes(0, 3, grid)
             images = [folded(q, R) for q in classes]
             pairs = [
                 (classes[i], classes[j])

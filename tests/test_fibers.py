@@ -88,48 +88,52 @@ class TestDualParam:
         DualParam.group(GR(8), -4, GR(7))
 
     # each rejection with its message as recorded before validation compared
-    # the level with the int fixed_level once
-    @pytest.mark.parametrize("flavor,level,m,R,message", [
-        (GROUP, 5, 3, 1, "minimal K-type 3 fixes the group level to 3, got 5"),
-        (GROUP, Fraction(7, 2), -2, 1, "minimal K-type -2 fixes the group level to 0, got 7/2"),
-        (GROUP, GR(3, 1), 3, None, "minimal K-type 3 fixes the group level to 3, got 3+i"),
-        (MOTION, 1, 2, None, "minimal K-type 2 fixes the motion level to 0, got 1"),
-        (MOTION, Fraction(-1, 3), -5, None,
+    # the level with the int fixed_level once; a motion row is built at R = 0
+    @pytest.mark.parametrize("build,level,m,R,message", [
+        (DualParam, 5, 3, 1, "minimal K-type 3 fixes the group level to 3, got 5"),
+        (DualParam, Fraction(7, 2), -2, 1,
+         "minimal K-type -2 fixes the group level to 0, got 7/2"),
+        (DualParam, GR(3, 1), 3, None, "minimal K-type 3 fixes the group level to 3, got 3+i"),
+        (DualParam, 1, 2, 0, "minimal K-type 2 fixes the motion level to 0, got 1"),
+        (DualParam, Fraction(-1, 3), -5, Fraction(0),
          "minimal K-type -5 fixes the motion level to 0, got -1/3"),
-        (MOTION, GR(0, 1), 4, None, "minimal K-type 4 fixes the motion level to 0, got i"),
-        (GROUP, 0, 0, 0, "group-flavor parameters need R != 0"),
-        (GROUP, 3, 3, Fraction(0), "group-flavor parameters need R != 0"),
-        (MOTION, 0, 0, 1, "motion-flavor parameters carry no R"),
-        (MOTION, 0, 3, 2, "motion-flavor parameters carry no R"),
-        ("Group", 0, 0, None, "unknown flavor 'Group'"),
-        ("", 3, 3, 1, "unknown flavor ''"),
+        (DualParam, GR(0, 1), 4, GR(0), "minimal K-type 4 fixes the motion level to 0, got i"),
+        (DualParam.group, 0, 0, 0, "group-flavor parameters need R != 0"),
+        (DualParam.group, 3, 3, Fraction(0), "group-flavor parameters need R != 0"),
     ], ids=["group-int", "group-fraction", "group-nonreal", "motion-int", "motion-fraction",
-            "motion-nonreal", "zero-R", "zero-fraction-R", "motion-R", "motion-R-fixed-m",
-            "flavor-case", "flavor-empty"])
-    def test_rejections_keep_their_messages(self, flavor, level, m, R, message):
+            "motion-nonreal", "zero-R", "zero-fraction-R"])
+    def test_rejections_keep_their_messages(self, build, level, m, R, message):
         with pytest.raises(ValueError) as exc:
-            DualParam(flavor, level, m, R)
+            build(level, m, R)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("R,flavor", [(0, MOTION), (GR(0), MOTION), (Fraction(0), MOTION),
+                                          (1, GROUP), (GR(-1, 2), GROUP), (None, GROUP)])
+    def test_flavor_is_read_off_R(self, R, flavor):
+        p = DualParam(GR(2), 0, R)
+        assert p.flavor == flavor
+        assert p == (DualParam.motion(2, 0) if flavor == MOTION else DualParam.group(2, 0, R))
 
     @pytest.mark.parametrize("level,R", [(3, 2), (Fraction(6, 2), Fraction(4, 2)), (GR(3), GR(2))])
     def test_int_and_fraction_inputs_are_coerced(self, level, R):
         for m in (3, 1, -1):
-            p = DualParam(GROUP, level, m, R)
+            p = DualParam(level, m, R)
             assert type(p.level) is GR and type(p.R) is GR
-            assert p == DualParam(GROUP, GR(3), m, GR(2))
-            assert hash(p) == hash(DualParam(GROUP, GR(3), m, GR(2)))
-        q = DualParam(MOTION, Fraction(0), 2)
-        assert type(q.level) is GR and q == DualParam(MOTION, GR(0), 2) and q.R is None
+            assert p == DualParam(GR(3), m, GR(2))
+            assert hash(p) == hash(DualParam(GR(3), m, GR(2)))
+        q = DualParam(Fraction(0), 2, 0)
+        assert type(q.level) is GR and type(q.R) is GR
+        assert q == DualParam.motion(GR(0), 2) and q.flavor == MOTION
 
     def test_dict_keys_agree_with_equality(self):
-        # parameters that differ only in flavor or R share a hash, not a key
-        params = [DualParam(flavor, z, m, R)
-                  for flavor, R in ((GROUP, GR(1)), (GROUP, GR(2)), (GROUP, None), (MOTION, None))
+        # parameters that differ only in R share a hash, not a key
+        params = [DualParam(z, m, R)
+                  for R in (GR(1), GR(2), None, GR(0))
                   for m in (-1, 0, 1) for z in (GR(0), GR(-1), GR(Fraction(3, 2)), GR(1, 1))]
-        params += [DualParam(GROUP, pinned_level(m), m, GR(1)) for m in (-3, 2, 4)]
-        params += [DualParam(MOTION, 0, m) for m in (-3, 2, 4)]
+        params += [DualParam(pinned_level(m), m, GR(1)) for m in (-3, 2, 4)]
+        params += [DualParam.motion(0, m) for m in (-3, 2, 4)]
         table = {p: i for i, p in enumerate(params)}
-        assert [table[DualParam(p.flavor, p.level, p.m, p.R)] for p in params] == list(
+        assert [table[DualParam(p.level, p.m, p.R)] for p in params] == list(
             range(len(params)))
 
 

@@ -1,5 +1,7 @@
 """The package's public surface: what ``from sl2family import *`` exports."""
 
+from pathlib import Path
+
 import sl2family
 
 STAR_EXPORTS = {
@@ -28,3 +30,14 @@ def test_star_import_exports_the_public_names():
     assert len(STAR_EXPORTS) == 71
     assert set(namespace) == STAR_EXPORTS
     assert len(sl2family.__all__) == len(STAR_EXPORTS)  # no name listed twice
+
+
+def test_readme_quick_tour_prints_what_its_comments_say():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick tour", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+    printed = []
+    exec(block, {"print": lambda *args: printed.append(" ".join(map(str, args)))})
+    assert len(expected) >= 4 and printed == expected

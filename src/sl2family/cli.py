@@ -626,6 +626,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit(doc, args.format, args.out)
     except (OSError, ValueError) as err:
         parser.error(f"{flag}{err}")
+    except KeyboardInterrupt:  # one line and the shell's status for SIGINT, no traceback
+        print(f"{parser.prog}: interrupted", file=sys.stderr)
+        return 130
     return status
 
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .families import pinned_level
 from .fibers import GROUP, MOTION, DualParam, boundary_level, fixed_level
-from .scalars import GR_ONE, GaussianRational, has_gaussian_sqrt, scalar_to_json
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, has_gaussian_sqrt, scalar_to_json
 
 
 def _nonzero_real(R) -> GaussianRational:
@@ -113,8 +113,8 @@ def dual_classes(R, M: int, grid: Sequence) -> List[DualParam]:
         raise ValueError("the K-type bound M must be >= 0")
     R = GaussianRational.of(R)
     flavor = MOTION if R == 0 else GROUP
-    if flavor == GROUP:
-        R = _nonzero_real(R)
+    # the motion classes share the R of DualParam.motion
+    R = GR_ZERO if flavor == MOTION else _nonzero_real(R)
     grid = [GaussianRational.of(z) for z in grid]
     classes: List[DualParam] = []
     seen = set()  # repeated levels and m = +-1 merge; a fixed-level class cannot
@@ -147,6 +147,11 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     temperedness in both directions; (d) the per-m affine form of the
     level map, with its invertibility.  Returns (all passed, report),
     the report being a list of {check, instance, pass, detail} entries.
+
+    Each motion class's image is built once and read by every check: the
+    surjectivity round trip looks its preimage up among the classes, and
+    the vogan-extension and tempered entries write each image's string
+    once.  The module-level helpers are looked up at call time.
     """
     R = _nonzero_real(R)
     grid_gr = tuple(GaussianRational.of(z) for z in grid)
@@ -155,6 +160,7 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     if len(set(grid_gr)) < 2:
         raise ValueError("the level grid needs at least two distinct levels")
     report: List[dict] = []
+    r_text = str(R)
 
     # each motion class's image, built once and read by the checks below
     classes = dual_classes(0, M, grid_gr)
@@ -171,33 +177,43 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
         (classes[i], classes[j]) for i, key in enumerate(keys) for j in groups[key] if j > i
     ]
     report.append(check_entry(
-        "injectivity", f"{len(classes)} motion classes, R={R}", not collisions,
+        "injectivity", f"{len(classes)} motion classes, R={r_text}", not collisions,
         "image collisions: " + "; ".join(f"{a} and {b}" for a, b in collisions[:3])
         if collisions else "images of distinct classes are pairwise inequivalent"))
 
+    # a preimage that is one of the classes has its image already
+    known = dict(zip(classes, images))
     targets = dual_classes(R, M, grid_gr)
-    misses = [q for q in targets if not params_equivalent(_eta(eta_inverse(q), R), q)]
+    misses = [q for q in targets
+              if not params_equivalent(known.get(p := eta_inverse(q)) or _eta(p, R), q)]
     report.append(check_entry(
-        "surjectivity", f"{len(targets)} group classes, R={R}", not misses,
+        "surjectivity", f"{len(targets)} group classes, R={r_text}", not misses,
         "unreached classes: " + "; ".join(str(q) for q in misses[:3])
         if misses else "every class is the image of its explicit preimage"))
 
+    # the string of each image the report shows: those of the real-level classes
+    texts = [str(image) if q.level.is_real else None for q, image in zip(classes, images)]
+
     # the image of each level-0 class: every |m| > 1, and |m| <= 1 when 0 is on the grid
-    characters = {q.m: image for q, image in zip(classes, images) if q.level == 0}
+    characters = {q.m: (image, text)
+                  for q, image, text in zip(classes, images, texts) if q.level == 0}
     for m in range(-M, M + 1):
-        image = characters.get(m)
+        image, text = characters.get(m, (None, None))
         if image is None:
             image = _eta(DualParam.motion(0, m), R)
+            text = str(image)
         expected = _vogan(m, R)
+        same = image == expected
         report.append(check_entry(
-            "vogan-extension", f"m={m}, R={R}", image == expected,
-            f"eta((0,{m})_0) = {image}, minimal-K-type representative {expected}"))
+            "vogan-extension", f"m={m}, R={r_text}", same,
+            f"eta((0,{m})_0) = {text}, minimal-K-type representative "
+            f"{text if same else expected}"))
 
-    for q, image in zip(classes, images):
-        if not q.level.is_real:
+    for q, image, s_image in zip(classes, images, texts):
+        if s_image is None:
             continue
         t_q, t_image = is_tempered(q), is_tempered(image)
-        s_q, s_image = str(q), str(image)
+        s_q = str(q)
         report.append(check_entry(
             "tempered", f"{s_q} -> {s_image}", t_q == t_image,
             f"tempered({s_q}) = {t_q}, tempered({s_image}) = {t_image}"))
@@ -207,7 +223,7 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
         wd_bad = [p.level for p, q in pairs
                   if params_equivalent(p, q) and not params_equivalent(_eta(p, R), _eta(q, R))]
         report.append(check_entry(
-            "well-defined", f"m=1/m=-1 pairs on {len(grid_gr)} levels, R={R}", not wd_bad,
+            "well-defined", f"m=1/m=-1 pairs on {len(grid_gr)} levels, R={r_text}", not wd_bad,
             "broken at levels: " + ", ".join(str(z) for z in wd_bad[:5])
             if wd_bad else "equivalent parameters have equivalent images"))
 
@@ -223,7 +239,7 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
         fits = all(lv == a * z + b for z, lv in samples)
         ok = fits and bool(a) and a == a_expected and b == -1
         report.append(check_entry(
-            "affine-form", f"m={m}, R={R}", ok,
+            "affine-form", f"m={m}, R={r_text}", ok,
             f"level map is z -> ({a})z + ({b}); invertible with a = 1/R^2 and b = -1"))
 
     report.append(check_entry(

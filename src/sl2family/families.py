@@ -31,7 +31,7 @@ from functools import cached_property
 from math import isqrt
 from typing import Iterator, Optional, Tuple
 
-from .scalars import (GR_ZERO, GaussianRational, Poly, _any_digits, _check_digits, _cut, _int_head,
+from .scalars import (GR_ZERO, GaussianRational, Poly, _check_digits, _cut, _int_head,
                       _quote, has_gaussian_sqrt, scalar_to_json)
 from .sheaf import CHART_FINITE, chart_variable
 
@@ -146,18 +146,20 @@ class KTypeSet:
 
     # -- rendering ---------------------------------------------------------
 
-    def __str__(self) -> str:
+    def __str__(self, num=str) -> str:
+        """The printed form ``from_json`` reads, each int written by num."""
+        p = self.param
         if self.kind == ALL_EVEN:
             return "2Z"
         if self.kind == ALL_ODD:
             return "2Z+1"
         if self.kind == WINDOW:
-            return f"{-self.param}..{self.param}"
+            return f"{num(-p)}..{num(p)}"
         if self.kind == RAY_UP:
-            return f"{self.param},{self.param + 2},..."
+            return f"{num(p)},{num(p + 2)},..."
         if self.kind == RAY_DOWN:
-            return f"{self.param},{self.param - 2},..."
-        return f"{{{self.param}}}"
+            return f"{num(p)},{num(p - 2)},..."
+        return f"{{{num(p)}}}"
 
     @staticmethod
     def from_json(obj) -> "KTypeSet":
@@ -202,14 +204,23 @@ _KIND_NAMES = {
 }
 
 
+def _word(v):
+    """A value named in a FamilyValidationError detail, with each of its ints
+    written by ``_int_head``: whatever the detail's cut keeps reads as in
+    full, and no long int is written out."""
+    if type(v) is int:
+        return _int_head(v)
+    if isinstance(v, (GaussianRational, Poly, KTypeSet)):
+        return v.__str__(_int_head)
+    return v
+
+
 class FamilyValidationError(ValueError):
     """A (m, ktypes, casimir) triple that matches no classification row."""
 
     def __init__(self, code: str, detail: str, **words) -> None:
         if words:  # detail is a template, and the values it names may be long
-            words = {k: _int_head(v) if type(v) is int else v for k, v in words.items()}
-            with _any_digits():  # a Poly or KTypeSet word writes its ints in full
-                detail = detail.format(**words)
+            detail = detail.format(**{k: _word(v) for k, v in words.items()})
         detail = _cut(detail)
         super().__init__(f"{code}: {detail}")
         self.code = code

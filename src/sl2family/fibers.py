@@ -63,37 +63,40 @@ def boundary_level(flavor: str) -> int:
     return -1 if flavor == GROUP else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DualParam:
     """A point of an admissible dual: (level, m) at the chart coordinate R.
 
     R = 0 is the motion fiber, the point at infinity, so the flavor is read
     off R: motion exactly when R == 0, group otherwise.  R = None is the
     group fiber at r = 0, which the R-coordinate does not reach.
-    Validation coerces an int or Fraction level and R once, and for
+    The constructor coerces an int, Fraction or str level and R, and for
     |m| > 1 compares the level with the int ``fixed_level(flavor, m)``
-    (the dual tables).  The hash reads (level, m) only: equal parameters
-    have equal levels and m, and a dual's classes share R.
+    (the dual tables); only then does it set each field, once.
+    ``dataclasses.replace`` goes through it, so it validates too.  The
+    hash reads (level, m) only: equal parameters have equal levels and m,
+    and a dual's classes share R.
     """
 
     level: GaussianRational
     m: int
     R: Optional[GaussianRational]
 
-    def __post_init__(self) -> None:
-        level, m, R = self.level, self.m, self.R
+    def __init__(self, level: GaussianRational, m: int, R: Optional[GaussianRational]) -> None:
         if not isinstance(level, GaussianRational):
             level = GaussianRational(level)
-            object.__setattr__(self, "level", level)
         if R is not None and not isinstance(R, GaussianRational):
-            object.__setattr__(self, "R", GaussianRational(R))
-        if -1 <= m <= 1:
-            return
-        flavor = MOTION if self.R == 0 else GROUP  # the flavor property, without its call
-        fixed = fixed_level(flavor, m)
-        if not level == fixed:  # == meets an int: the fast path of GaussianRational.__eq__
-            raise ValueError(
-                f"minimal K-type {m} fixes the {flavor} level to {fixed}, got {level}")
+            R = GaussianRational(R)
+        if not -1 <= m <= 1:
+            # the flavor property and fixed_level(flavor, m), without their calls
+            flavor, fixed = (MOTION, 0) if R == 0 else (GROUP, pinned_level(m))
+            if not level == fixed:  # == meets an int: the fast path of GaussianRational.__eq__
+                raise ValueError(
+                    f"minimal K-type {m} fixes the {flavor} level to {fixed}, got {level}")
+        setattr = object.__setattr__  # the class is frozen
+        setattr(self, "level", level)
+        setattr(self, "m", m)
+        setattr(self, "R", R)
 
     def __hash__(self) -> int:
         return hash((self.level, self.m))

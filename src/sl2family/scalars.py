@@ -213,10 +213,10 @@ def _ratio_hash(n: int, d: int) -> int:
     return -2 if h == -1 else h
 
 
-def _ratio_str(n: int, d: int) -> str:
-    """n/d as str(Fraction(n, d)) prints it, for d > 0."""
+def _ratio_str(n: int, d: int, num=str) -> str:
+    """n/d as str(Fraction(n, d)) prints it, for d > 0, each int written by num."""
     n, d = _lowest(n, d)
-    return str(n) if d == 1 else f"{n}/{d}"
+    return num(n) if d == 1 else f"{num(n)}/{num(d)}"
 
 
 class GaussianRational:
@@ -383,18 +383,19 @@ class GaussianRational:
 
     # -- rendering ----------------------------------------------------------
 
-    def __str__(self) -> str:
+    def __str__(self, num=str) -> str:
+        """The value as a + bi, each int written by num (_int_head: a bounded prefix)."""
         d = self._den
         if not self._im_num:
-            return _ratio_str(self._re_num, d)
+            return _ratio_str(self._re_num, d, num)
         n, e = _lowest(self._im_num, d)
         if e == 1:
-            ipart = "i" if n == 1 else "-i" if n == -1 else f"{n}i"
+            ipart = "i" if n == 1 else "-i" if n == -1 else f"{num(n)}i"
         else:
-            ipart = f"-({-n}/{e})i" if n < 0 else f"({n}/{e})i"
+            ipart = f"-({num(-n)}/{num(e)})i" if n < 0 else f"({num(n)}/{num(e)})i"
         if not self._re_num:
             return ipart
-        return _ratio_str(self._re_num, d) + ("" if n < 0 else "+") + ipart
+        return _ratio_str(self._re_num, d, num) + ("" if n < 0 else "+") + ipart
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GaussianRational({self})"
@@ -496,24 +497,25 @@ def _power(name: str, k: int) -> str:
     return "" if k == 0 else name if k == 1 else f"{name}^{k}"
 
 
-def _term_str(c, mono: str) -> str:
+def _term_str(c, mono: str, num=str) -> str:
     """One term c*mono of a printed sum; mono is "" for the unit monomial.
 
     Scalar coefficients print bare where that is unambiguous, and a
     negative real fraction prints as -(p/q) so the sum reads "- (p/q)*x".
-    Laurent coefficients (of sections) always print in parentheses.
+    Laurent coefficients (of sections) always print in parentheses.  num
+    writes the ints of a scalar coefficient.
     """
     if not isinstance(c, GaussianRational):
         return f"({c})*{mono or '1'}"
     if not mono:
-        return str(c)
+        return c.__str__(num)
     if c.is_real:
         if c.den == 1:
             n = c.re_num
-            return mono if n == 1 else f"-{mono}" if n == -1 else f"{n}*{mono}"
+            return mono if n == 1 else f"-{mono}" if n == -1 else f"{num(n)}*{mono}"
         if c.re_num < 0:
-            return f"-({-c})*{mono}"
-    return f"({c})*{mono}"
+            return f"-({(-c).__str__(num)})*{mono}"
+    return f"({c.__str__(num)})*{mono}"
 
 
 class Terms:
@@ -646,10 +648,11 @@ class Terms:
 
     # -- rendering ------------------------------------------------------------
 
-    def __str__(self) -> str:
+    def __str__(self, num=str) -> str:
+        """The sum, highest term first; num writes the ints of scalar coefficients."""
         out = ""
         for k in sorted(self.terms, key=self._sort_key, reverse=True):
-            p = _term_str(self.terms[k], self._key_str(k))
+            p = _term_str(self.terms[k], self._key_str(k), num)
             out += (" - " + p[1:] if p[0] == "-" else " + " + p) if out else p
         return out or "0"
 

@@ -553,6 +553,16 @@ class TestBijection:
         assert code == 0
         assert out.read_bytes() == (FIXTURES / "bijection_M32_frac.json").read_bytes()
 
+    def test_report_without_0_at_negative_R_matches_golden(self, capsys, tmp_path):
+        # recorded before DualParam set each field once and verify_conjecture1
+        # wrote each string once; with 0 off the grid the vogan-extension
+        # entries of |m| <= 1 build and write their own images
+        out = tmp_path / "bn.json"
+        code, _ = run(capsys, "bijection", "--R=-2,5/3", "--M", "40",
+                      "--grid=-1,1/3,-9/4,7/2,5", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "bijection_no0_negR.json").read_bytes()
+
     def test_each_distinct_R_is_checked_once(self, capsys):
         # the first occurrence of each value stays, as with the levels of tables --grid
         code, doc = run_json(capsys, "bijection", "--R", "1,1,2/2", "--M", "0", "--grid", "0,1")
@@ -1089,6 +1099,15 @@ class TestEntryPoint:
                               env={**os.environ, "PYTHONHASHSEED": seed})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (FIXTURES / golden).read_bytes()
+
+    def test_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_verify", interrupted)
+        assert main(["verify", "bijection"]) == 130
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "sl2family: interrupted\n"
 
     def test_closed_pipe_exits_quietly(self):
         read_end, write_end = os.pipe()

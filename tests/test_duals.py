@@ -34,6 +34,7 @@ from sl2family.scalars import GaussianRational as GR
 from sl2family.scalars import Poly
 from sl2family.sheaf import ProjectivePoint
 import mackey
+from conjecture1_reference import reference_verify_conjecture1
 
 GRID = tuple(
     GR.of(v) for v in (0, 1, -1, 2, -2, 4, -4, Fraction(-9, 4), 3, 8, 15)
@@ -409,6 +410,43 @@ class TestConjectureOne:
         # one level cannot determine the affine level map
         with pytest.raises(ValueError, match="two distinct levels"):
             verify_conjecture1(GR(1), 2, grid)
+
+
+# Grids of two to seven levels with at least two distinct ones: the boundary
+# levels, 0 (on some grids, off others), the non-real 1+i, and levels from Q(i).
+CHECK_GRIDS = st.lists(st.one_of(st.sampled_from((GR(0), GR(-1), GR(1), GR(1, 1))), LEVELS),
+                       min_size=2, max_size=7).filter(lambda grid: len(set(grid)) >= 2)
+
+
+class TestConjectureOneReference:
+    """``verify_conjecture1`` against ``conjecture1_reference``, which rebuilds
+    each round-trip image and writes each string where an entry shows it."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 6), CHART_R, CHECK_GRIDS)
+    def test_matches_the_reference(self, M, R, grid):
+        assert verify_conjecture1(R, M, grid) == reference_verify_conjecture1(R, M, grid)
+
+    @pytest.mark.parametrize("R", [GR(1), GR(-2), GR(Fraction(5, 3)), GR(Fraction(-3, 4))])
+    @pytest.mark.parametrize("grid", [
+        (0, -1, Fraction(1, 3), Fraction(-9, 4)),
+        (-1, Fraction(1, 3), Fraction(-9, 4), 5),
+        (GR(1, 1), 0, 2),
+        (GR(1, 1), GR(-1, 2), -1),
+    ], ids=["with-0", "without-0", "nonreal-with-0", "nonreal-without-0"])
+    def test_matches_the_reference_on_fixed_grids(self, R, grid):
+        for M in range(7):
+            ok, report = verify_conjecture1(R, M, grid)
+            assert ok and (ok, report) == reference_verify_conjecture1(R, M, grid)
+
+    @pytest.mark.parametrize("grid", ["0,-1,1/2,3", "-1,1/2,3"], ids=["with-0", "without-0"])
+    @pytest.mark.parametrize("kind,name,broken", BREAKS, ids=[b[0] for b in BREAKS])
+    def test_matches_the_reference_when_a_check_fails(self, monkeypatch, kind, name, broken,
+                                                     grid):
+        monkeypatch.setattr(duals, name, broken(getattr(duals, name)))
+        for R in (GR(Fraction(3, 2)), GR(-2)):
+            got = verify_conjecture1(R, 4, grid.split(","))
+            assert not got[0] and got == reference_verify_conjecture1(R, 4, grid.split(","))
 
 
 class TestCharacterization:

@@ -3,6 +3,7 @@ ladder coefficients, and infinitesimal characters."""
 
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -363,6 +364,37 @@ class TestMakeFamily:
         with _any_digits():
             full = _cut(template.format(**words))
         assert FamilyValidationError("code", template, **words).detail == full
+
+    # scalars, polynomials and K-type sets whose long ints stand first, after
+    # short parts, or in a denominator, each alone and after a long prefix
+    # (the five shortest ints: the reference writes every int in full)
+    @pytest.mark.parametrize("template", ["{w}", "x" * 290 + "{w}", "got {w} and {w}"])
+    @pytest.mark.parametrize("n", LONG_INTS[:5], ids=LONG_IDS[:5])
+    def test_long_scalar_poly_and_ktype_words_cut_as_in_full(self, n, template):
+        for word in (GR(n), GR(Fraction(1, n)), GR(Fraction(n, 7), Fraction(-n, 3)),
+                     GR(2, Fraction(-5, n)), Poly.of([n, 0, 1]),
+                     Poly.of([1, 0, GR(Fraction(3, n))]),
+                     Poly.of([GR(0, n), Fraction(-n, 9), -1]), KTypeSet.window(abs(n)),
+                     KTypeSet.ray_up(n), KTypeSet.ray_down(-abs(n)), KTypeSet.singleton(n)):
+            with _any_digits():
+                full = _cut(template.format(w=word))
+            assert FamilyValidationError("code", template, w=word).detail == full, repr(word)
+
+    # 200,000-digit ints in a Poly and in a KTypeSet word: about 1 s each when
+    # such a word wrote its ints in full; under the interpreter's digit limit
+    # (3.11 and later) a full int-to-str would raise
+    @pytest.mark.parametrize("reject,start", [
+        (lambda: make_family(0, 10**200000, KTypeSet.window(2)),
+         "window -2..2 requires c(r) = 8 constantly, got 1" + "0" * 300),
+        (lambda: make_family(0, 3, KTypeSet.window(10**200000 - 1)),
+         "minimal K-type 0 has different parity than -" + "9" * 300),
+    ], ids=["casimir", "window"])
+    def test_huge_words_are_written_in_bounded_time(self, reject, start):
+        start_s = time.perf_counter()
+        with pytest.raises(FamilyValidationError) as exc:
+            reject()
+        assert time.perf_counter() - start_s < 0.6
+        assert exc.value.detail == start[:300] + "..."
 
     @pytest.mark.parametrize("n", LONG_INTS, ids=LONG_IDS)
     def test_long_minimal_ktype_rejection_reads_as_in_full(self, n):

@@ -1,6 +1,7 @@
 """Fiberwise structure: dual parameters, composition series, reducibility
 loci, and the closed Jantzen quotient formula."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -135,6 +136,60 @@ class TestDualParam:
         table = {p: i for i, p in enumerate(params)}
         assert [table[DualParam(p.level, p.m, p.R)] for p in params] == list(
             range(len(params)))
+
+
+    # (level, m, R) as given, with str and to_json as the dataclass-generated
+    # constructor and its __post_init__ made them
+    FORMS = [
+        ((3, 3, 2), "(3,3)_2", {"flavor": "group", "R": 2, "level": 3, "m": 3}),
+        ((Fraction(-9, 4), 1, Fraction(-3, 2)), "(-9/4,1)_-3/2",
+         {"flavor": "group", "R": "-3/2", "level": "-9/4", "m": 1}),
+        (("1/3", -1, "5"), "(1/3,-1)_5", {"flavor": "group", "R": 5, "level": "1/3", "m": -1}),
+        ((GR(1, 1), 0, None), "(1+i,0)_r0",
+         {"flavor": "group", "R": None, "level": {"re": "1", "im": "1"}, "m": 0}),
+        ((0, -4, 0), "(0,-4)_0", {"flavor": "motion", "R": 0, "level": 0, "m": -4}),
+        (("-7/2", 1, Fraction(0)), "(-7/2,1)_0",
+         {"flavor": "motion", "R": 0, "level": "-7/2", "m": 1}),
+        ((8, -4, GR(-1, 2)), "(8,-4)_-1+2i",
+         {"flavor": "group", "R": {"re": "-1", "im": "2"}, "level": 8, "m": -4}),
+        ((GR(Fraction(1, 2), -3), -1, 0), "(1/2-3i,-1)_0",
+         {"flavor": "motion", "R": 0, "level": {"re": "1/2", "im": "-3"}, "m": -1}),
+    ]
+
+    @pytest.mark.parametrize("args,text,doc", FORMS, ids=[f[1] for f in FORMS])
+    def test_coerced_forms_are_unchanged(self, args, text, doc):
+        level, m, R = args
+        p = DualParam(level, m, R)
+        same = DualParam(GR.of(level), m, None if R is None else GR.of(R))
+        assert type(p.level) is GR and (R is None or type(p.R) is GR)
+        assert (p.level, p.m, p.R) == (same.level, same.m, same.R)
+        assert p == same and hash(p) == hash(same) == hash((p.level, p.m))
+        assert str(p) == text and p.to_json() == doc
+        assert p == DualParam(level=level, m=m, R=R)  # keywords name the fields
+
+    @pytest.mark.parametrize("field", ["level", "m", "R"])
+    def test_fields_cannot_be_assigned(self, field):
+        p = DualParam(GR(3), 3, GR(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, field, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(p, field)
+        assert (p.level, p.m, p.R) == (GR(3), 3, GR(2))
+
+    def test_replace_validates_through_the_constructor(self):
+        p = DualParam(GR(3), 3, GR(2))
+        assert dataclasses.replace(p, R=Fraction(1, 2)) == DualParam(3, 3, GR(Fraction(1, 2)))
+        assert type(dataclasses.replace(p, R="7").R) is GR
+        assert dataclasses.replace(p, R=0, level=0).flavor == MOTION
+        for changes, message in [
+            ({"level": 5}, "minimal K-type 3 fixes the group level to 3, got 5"),
+            ({"R": 0}, "minimal K-type 3 fixes the motion level to 0, got 3"),
+            ({"m": -5}, "minimal K-type -5 fixes the group level to 15, got 3"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                dataclasses.replace(p, **changes)
+            assert str(exc.value) == message
+        assert [f.name for f in dataclasses.fields(DualParam)] == ["level", "m", "R"]
 
 
 class TestDualKtypes:

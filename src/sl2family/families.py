@@ -252,9 +252,9 @@ def wall_index(value) -> Optional[int]:
     That is value + 1 = (k+1)^2: value + 1 must be an integer square.
     """
     v = GaussianRational.of(value)
-    n = v.re_num + 1
-    root = isqrt(max(n, 0))
-    return root - 1 if root * root == n and v.den == 1 and not v.im_num else None
+    n = v.re_num + 1 if v.den == 1 and not v.im_num else -1  # n < 0 is no square
+    root = isqrt(n) if n >= 0 else 0
+    return root - 1 if root * root == n else None
 
 
 @dataclass(frozen=True)
@@ -385,8 +385,8 @@ def _validate_row(fam: ModuleFamily) -> None:
     p, ray = kt.param, kt.kind in (RAY_UP, RAY_DOWN)
     mismatch, off_level, row_level = _REJECTIONS[kt.kind]
     words = dict(m=m, p=p, par=("even", "odd")[kt.parity], lows=("0", "1 or -1")[kt.parity],
-                 c=fam.casimir, cv=cv, k=None if cv is None else wall_index(cv),
-                 want=row_level(p))
+                 c=fam.casimir, cv=cv, want=row_level(p),  # only _FULL prints k
+                 k=wall_index(cv) if _REJECTIONS[kt.kind] is _FULL and cv is not None else None)
     if (m != p) if ray else abs(m) > 1:
         raise FamilyValidationError("minimal-ktype-mismatch", mismatch, **words)
     if ray and ktypes_at(p, pinned_level(p)) != kt:

@@ -21,8 +21,8 @@ on those, and each output coefficient is reduced once, at the end
 (``_rational``); ``times_monomial`` passes an empty half through
 unrewritten.  ``graded_multiply`` is the one product loop, over normal forms
 graded by a degree that adds (sheaf.py grades sections by R-degree), and
-``normal_multiply`` is its one-grade case; ``commutes_with_raising`` is the
-center test of sheaf.center_decompose and of ``change_basis``.
+``normal_multiply`` is its one-grade case; ``is_central``, the center test of
+sheaf.center_decompose and of ``change_basis``, rewrites nothing.
 ``change_basis`` relabels a central element, whose terms are the same in
 both bases, and rewrites any other on the same integers (twice each
 transition constant is a Gaussian integer, so the image of a word of length
@@ -85,22 +85,27 @@ def times_monomial(terms: dict, mono: Monomial) -> dict:
     return terms
 
 
-def commutes_with_raising(terms: dict) -> bool:
-    """Whether the Q(i) term map u commutes with the raising generator E:
-    each int half of D u (``_integral``) against times_generator and
-    E F^a E^c H^b = F^a E^(c+1) H^b + a F^(a-1) E^c H^(b+1)
-                    + a(2c - a + 1) F^(a-1) E^c H^b.
-    On a map of weight zero (every term has a = c) it is the center test of
-    ``change_basis`` and sheaf.center_decompose."""
+def is_central(terms: dict) -> bool:
+    """Whether the Q(i) term map u is central: of weight zero (a = c in every
+    F^a E^c H^b) and commuting with E, whose weight-zero centralizer is the
+    center Q[Casimir].  Each int half of D u (``_integral``) is then a sum of
+    F^k E^k u_k(H), whose bracket with E has at F^k E^(k+1) the coefficient
+    u_k(H) - u_k(H+2) + (k+1)(H+k+2) u_(k+1)(H)."""
+    if any(a != c for a, _, c in terms):
+        return False
     for part in _integral(terms)[1:]:
-        bracket = times_generator(part, _RAISE)
-        for (a, b, c), x in part.items():
-            _add_term(bracket, (a, b, c + 1), -x)
-            if a:
-                _add_term(bracket, (a - 1, b + 1, c), x * -a)
-                _add_term(bracket, (a - 1, b, c), x * (a * (a - 2 * c - 1)))
-        if bracket:
-            return False
+        top = max(map(sum, part), default=0)
+        u = [[0] * (top - 2 * k + 1) for k in range(top // 2 + 2)]  # u[k][b]: F^k E^k H^b
+        for (k, b, _), x in part.items():
+            u[k][b] = x
+        for k, (p, q) in enumerate(zip(u, u[1:])):  # p = u_k, q = u_(k+1)
+            d = p[:]  # to p(H+2), by a Taylor shift in Horner steps
+            for i in range(len(d) - 1):
+                for j in range(len(d) - 2, i - 1, -1):
+                    d[j] += 2 * d[j + 1]
+            if any(x - y != (k + 1) * (z + (k + 2) * w)  # (H+k+2) q(H) at H^j; tops cancel
+                   for x, y, z, w in zip(d, p, [0] + q, q + [0])):
+                return False
     return True
 
 
@@ -305,7 +310,7 @@ def change_basis(u: UEAElement, target: Sl2Basis) -> UEAElement:
     if u.basis == target:
         return u
     # the Cayley transform between the bases is inner, so it fixes the center
-    if all(a == c for a, _, c in u.terms) and commutes_with_raising(u.terms):
+    if is_central(u.terms):
         return UEAElement._make(target, u.terms)
     table = _DOUBLED[target]
     images: Dict[Monomial, Tuple[dict, dict]] = {(0, 0, 0): ({(0, 0, 0): 1}, {})}

@@ -742,13 +742,12 @@ class Laurent(Terms):
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        """Dense coefficients from exponent 0, or from "valuation" below 0."""
+        """Dense coefficients from exponent 0, or from "valuation" below 0; a
+        zero slot is written as the literal that GR_ZERO.to_json() gives."""
         lo = min(self.terms, default=0)
         out = {"var": self.tag, "valuation": lo} if lo < 0 else {"var": self.tag}
-        out["coeffs"] = [
-            self.terms.get(e, GR_ZERO).to_json()
-            for e in range(min(lo, 0), max(self.terms, default=-1) + 1)
-        ]
+        out["coeffs"] = [self.terms[e].to_json() if e in self.terms else {"re": "0", "im": "0"}
+                         for e in range(min(lo, 0), max(self.terms, default=-1) + 1)]
         return out
 
 

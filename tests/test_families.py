@@ -188,6 +188,13 @@ class TestWallIndex:
     def test_non_walls(self, value):
         assert wall_index(GR.of(value)) is None
 
+    @pytest.mark.parametrize("value", [-2, -10**50, Fraction(5, 4), GR(0, 1), GR(-1, 1),
+                                       GR(Fraction(10**2000 + 1, 3)), GR(10**2000, 1)])
+    def test_no_square_root_off_the_real_integers_from_minus_one(self, monkeypatch, value):
+        roots = []
+        monkeypatch.setattr(families, "isqrt", lambda n: roots.append(n))
+        assert wall_index(value) is None and roots == []
+
 
 # -- independent row table ---------------------------------------------------
 #
@@ -395,6 +402,22 @@ class TestMakeFamily:
             reject()
         assert time.perf_counter() - start_s < 0.6
         assert exc.value.detail == start[:300] + "..."
+
+    def test_only_the_full_ladder_rejection_solves_for_its_wall(self, monkeypatch):
+        # the row lookup takes one square root of c + 1; the window rejection
+        # prints no {k}, so it takes none more
+        roots = []
+        real = families.isqrt
+        monkeypatch.setattr(families, "isqrt", lambda n: roots.append(n) or real(n))
+        with pytest.raises(FamilyValidationError):
+            make_family(0, 10**200000, KTypeSet.window(2))
+        assert roots == [10**200000 + 1]
+        roots.clear()
+        with pytest.raises(FamilyValidationError) as exc:
+            ModuleFamily(0, KTypeSet.all_even(), Poly.of([8]))
+        assert exc.value.detail == ("c(r) constantly 8 = 2(2+2) on the full even ladder "
+                                    "demands a window or ray instead")
+        assert roots == [9, 9]
 
     @pytest.mark.parametrize("n", LONG_INTS, ids=LONG_IDS)
     def test_long_minimal_ktype_rejection_reads_as_in_full(self, n):

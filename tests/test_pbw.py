@@ -720,21 +720,35 @@ class TestIntegerCore:
         assert_lowest_terms(image.terms)
 
     @pytest.mark.parametrize("basis", [COMPACT, SPLIT])
-    def test_commutes_with_raising_matches_the_bracket(self, basis):
-        raising = {(0, 0, 1): GR_ONE}
+    def test_is_central_matches_the_brackets(self, basis):
+        """is_central(u) exactly when u commutes with the raising and the
+        Cartan generator, both brackets formed by normal_multiply."""
+        gens = [{(0, 0, 1): GR_ONE}, {(0, 1, 0): GR_ONE}]
         cas, h = casimir(basis), UEAElement.monomial(basis, (0, 1, 0))
-        cases = seeded_elements(basis, 1618 + (basis is SPLIT))
+        cases = seeded_elements(basis, 1618 + (basis is SPLIT))  # most not of weight zero
         # weight zero but not central, in one half or in both
         cases += [h, cas * h, cas + h * GR(0, 3), h + cas * GR(0, 3), cas ** 2 * GR(1, 1) + h * GR_I]
         for u in list(cases):  # and the real and imaginary parts of each
             cases.append(UEAElement(basis, {k: GR(c.re) for k, c in u.terms.items()}))
             cases.append(UEAElement(basis, {k: GR(0, c.im) for k, c in u.terms.items()}))
+        # Casimir^n, and for n >= 1 Casimir^n with the top coefficient of each u_k
+        # moved by +-1: the recurrence of is_central then fails at step k - 1
+        # (step 0 when k = 0), so each step up to n - 1 is the one that fails
+        moved = []
+        for n in range(9):
+            power = cas ** n
+            cases.append(power)
+            for k in range(n + 1 if n else 0):  # moving the 1 = Casimir^0 stays central
+                for step in (1, -1):
+                    moved.append(power + UEAElement.monomial(basis, (k, 2 * (n - k), k), step))
         kinds = set()  # (central, has a real part, has an imaginary part)
-        for u in cases:
-            got = pbw.commutes_with_raising(u.terms)
-            assert got == (pbw.normal_multiply(raising, u.terms)
-                           == pbw.normal_multiply(u.terms, raising)), str(u)
+        for u in cases + moved:
+            got = pbw.is_central(u.terms)
+            assert got == all(pbw.normal_multiply(g, u.terms) == pbw.normal_multiply(u.terms, g)
+                              for g in gens), str(u)
             kinds.add((got, any(c.re for c in u.terms.values()), any(c.im for c in u.terms.values())))
+        assert all(pbw.is_central((cas ** n).terms) for n in range(9))
+        assert not any(pbw.is_central(u.terms) for u in moved)
         # central and non-central, with real-only, imaginary-only and mixed coefficients
         assert {(True, True, True), (False, True, True), (True, True, False),
                 (False, True, False), (True, False, True), (False, False, True)} <= kinds

@@ -436,7 +436,7 @@ class TestDecomposeOracle:
 # -- the Gaussian-integer path against Q(i) arithmetic ---------------------------
 #
 # Section products (pbw.graded_multiply) and the bracket check of
-# center_decompose (pbw.commutes_with_raising) run on int term maps over one
+# center_decompose (pbw.is_central) run on int term maps over one
 # common denominator.  The first reference keeps GaussianRational
 # coefficients at every step: Q(i) R-degree slices of the left factor, each
 # rewritten by times_monomial and summed term by term.  The second reads no

@@ -12,7 +12,6 @@ of the generic fiber and of the motion-group fiber at infinity.
 from types import ModuleType as _ModuleType
 
 from .scalars import (
-    GR_I,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
@@ -44,7 +43,6 @@ from .sheaf import (
     center_decompose,
     center_membership,
     gamma_family,
-    is_regular_at,
     section_from_constant,
     to_finite_chart,
     to_infinity_chart,
@@ -57,7 +55,6 @@ from .families import (
     ModuleFamily,
     family_from_json,
     in_tilde_class,
-    infer_ktypes,
     infinitesimal_character,
     intertwiner_exists,
     ktypes_at,

@@ -31,6 +31,7 @@ from .families import (
     family_from_json,
     in_tilde_class,
     infinitesimal_character,
+    intertwiner_exists,
     make_family,
     pinned_level,
 )
@@ -46,12 +47,11 @@ from .fibers import (
     is_reducible,
     jantzen_quotient_formula,
     reducibility_points,
-    scalar_to_json,
 )
 from .duals import _nonzero_real, characterize_bijections, check_entry, verify_conjecture1
 from .pbw import COMPACT, SPLIT, UEAElement, casimir, hc_projection, k_order
 from .scalars import (GaussianRational, Poly, _any_digits, _check_digits, _cut, _quote, parse_int,
-                      parse_rational)
+                      parse_rational, scalar_to_json)
 from .sheaf import (
     CHART_INFINITY,
     ProjectivePoint,
@@ -332,7 +332,7 @@ def cmd_tables(which: int, M: int, grid: Optional[Sequence] = None) -> dict:
     doc = {"table": which, "M": M, "rows": rows}
     if grid is not None:
         # the concrete rows at the grid levels, each not yet listed
-        seen = {json.dumps(r, sort_keys=True) for r in rows}
+        seen = set(map(render_json, rows))
         for v in grid:
             for m in range(-M, M + 1):
                 try:
@@ -340,7 +340,7 @@ def cmd_tables(which: int, M: int, grid: Optional[Sequence] = None) -> dict:
                 except ValueError:  # off the table
                     continue
                 row = {"m": m, key: scalar_to_json(q.level), "ktypes": str(dual_ktypes(q))}
-                text = json.dumps(row, sort_keys=True)
+                text = render_json(row)
                 if text not in seen:
                     seen.add(text)
                     rows.append(row)
@@ -387,7 +387,8 @@ def cmd_analyze(obj: dict, points: Sequence[ProjectivePoint]) -> Tuple[dict, int
     """Per-point fiber reports with the closed-form quotient cross-check."""
     fam = family_from_json(obj)
     member, reason = in_tilde_class(fam)
-    locus = reducibility_points(fam)
+    # a non-real c(r) has no real-line locus, yet each of its fibers decomposes
+    locus = reducibility_points(fam).to_json() if intertwiner_exists(fam) else None
     entries: List[dict] = []
     all_agree = True
     for p in points:
@@ -422,7 +423,7 @@ def cmd_analyze(obj: dict, points: Sequence[ProjectivePoint]) -> Tuple[dict, int
     doc = {
         "family": fam.to_json(),
         "tilde": {"member": member, "reason": reason},
-        "locus": locus.to_json(),
+        "locus": locus,
         "points": entries,
         "pass": all_agree,
     }

@@ -271,7 +271,7 @@ class ModuleFamily:
         c = _as_casimir(self.casimir)
         object.__setattr__(self, "casimir", c)
         if self.ktypes is None:
-            kt = ktypes_at(self.m, c.coeff(0) if c.is_constant else None)
+            kt = ktypes_at(self.m, self.casimir_value())
             if kt is None:
                 raise FamilyValidationError(
                     "row-mismatch", "minimal K-type {m} forces c(r) = {want} constantly, got {c}",
@@ -392,11 +392,6 @@ def _validate_row(fam: ModuleFamily) -> None:
     if ray and ktypes_at(p, pinned_level(p)) != kt:
         raise FamilyValidationError("row-mismatch", _WRONG_WAY[kt.kind], **words)
     raise FamilyValidationError("row-mismatch", off_level, **words)
-
-
-def infer_ktypes(m: int, casimir) -> KTypeSet:
-    """The unique K-type set making (m, casimir) a valid family."""
-    return ModuleFamily(m, None, casimir).ktypes
 
 
 def in_tilde_class(fam: ModuleFamily) -> Tuple[bool, str]:

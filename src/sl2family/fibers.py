@@ -193,12 +193,6 @@ class FiberModule:
     def cuts_everywhere(self) -> bool:
         return self.flavor == MOTION and self.level == 0
 
-    def edge_is_cut(self, n: int) -> bool:
-        """Whether the ladder is severed between K-types n and n+2."""
-        if n not in self.ktypes or n + 2 not in self.ktypes:
-            raise ValueError(f"({n},{n + 2}) is not an edge of {self.ktypes}")
-        return self.cuts_everywhere or n in self.cuts
-
     def _coefficients(self, step: int) -> Dict[int, GaussianRational]:
         """n -> the scalar carrying the n-line to the (n+step)-line, inside window."""
         if self.point.is_infinity:
@@ -374,9 +368,9 @@ def reducibility_points(fam: ModuleFamily) -> ReducibilityLocus:
     and further where a bounded c(r) needs it; the point at infinity is
     reported when the motion fiber decomposes.  A constant c(r) meets no
     wall: on its table row the level's cut edges all lie outside the
-    K-types.  Requires a real Casimir polynomial: complex-valued c(r) never
-    meets the real wall levels, and the Jantzen machinery needs the real
-    form.
+    K-types.  Requires a real Casimir polynomial, whose real form the
+    Jantzen machinery needs.  A non-real c(r) can still meet a wall level
+    (c(r) = i*r meets 0 at r = 0); its fibers are decomposed one by one.
     """
     if not intertwiner_exists(fam):
         raise ValueError("reducibility on the real line needs a real Casimir polynomial")

@@ -247,12 +247,6 @@ class UEAElement(NormalForm):
     def monomial(basis: Sl2Basis, mono: Monomial, coeff=1) -> "UEAElement":
         return UEAElement(basis, {mono: coeff})
 
-    @staticmethod
-    def generator(basis: Sl2Basis, name: str) -> "UEAElement":
-        mono = [0, 0, 0]
-        mono[basis.gens.index(name)] = 1
-        return UEAElement._make(basis, {tuple(mono): GR_ONE})
-
     def to_json(self) -> dict:
         return {"basis": self.basis.name, "terms": self._terms_json()}
 

@@ -431,7 +431,6 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
 def scalar_to_json(x: GaussianRational):
@@ -686,10 +685,6 @@ class Laurent(Terms):
     def const(cls, c, var: str = "r"):
         c = GaussianRational.of(c)
         return cls._make(var, {0: c} if c else {})
-
-    @classmethod
-    def one(cls, var: str = "r"):
-        return cls.const(1, var)
 
     @staticmethod
     def monomial(var: str, exp: int, coeff=1) -> "Laurent":

@@ -8,6 +8,8 @@ generators whose bracket is [raising, lowering] = R^2 * cartan.  A section
 polynomials in the chart coordinate as coefficients; negative exponents
 are legal and flag a rational (non-regular) section.  ``CartanSection`` maps
 powers of the Cartan generator to Laurent polynomials (scalars.Laurent).
+Both read in the other chart and test regularity through one rule, the
+methods ``in_chart`` and ``is_regular_at`` of their private base.
 
 A section is read as a PBW normal form graded by its R-degree in the finite
 frame (``_graded``): its product is pbw.graded_multiply and its center test
@@ -116,7 +118,44 @@ def _laurent_in(var: str, x) -> Optional[Laurent]:
     return None
 
 
-class FamilySection(NormalForm):
+class _ChartSection(Terms):
+    """A term map with Laurent coefficients in its chart's coordinate, and the
+    one rule that glues the two charts.  The frame of a key at infinity is
+    R^_frame(key) times the finite one; at a chart origin, the coefficient of
+    a key must vanish to _order(key, at_infinity); _tag_in gives the tag over
+    another chart."""
+
+    __slots__ = ()
+    _tag_in = staticmethod(lambda chart: chart)
+    _frame = staticmethod(lambda key: 0)
+    _order = staticmethod(lambda key, at_infinity: 0)
+
+    @property
+    def var(self) -> str:
+        return chart_variable(self.chart)
+
+    def _coerce(self, x):
+        return _laurent_in(self.var, x)
+
+    def in_chart(self, chart: str):
+        """The same section read in chart: r = 1/R, and each coefficient times
+        R^-frame (the same rule both ways)."""
+        if self.chart == chart:
+            return self
+        chart_variable(chart)  # an unknown chart is a ValueError
+        return self._make(self._tag_in(chart), {
+            k: f.reciprocal_substitution().shifted(-self._frame(k)) for k, f in self.terms.items()})
+
+    def is_regular_at(self, p: ProjectivePoint) -> bool:
+        """True when the section, read in a chart containing p, has no pole at p.
+        Laurent coefficients can have poles only at the two chart origins."""
+        if not (p.is_infinity or p.is_origin):
+            return True
+        v = self.in_chart(CHART_INFINITY if p.is_infinity else CHART_FINITE)
+        return all(f.valuation() >= v._order(k, p.is_infinity) for k, f in v.terms.items())
+
+
+class FamilySection(NormalForm, _ChartSection):
     """A chart-local section of the enveloping-algebra family.
 
     ``terms`` maps PBW monomials (the conventions of pbw.py, relative to
@@ -135,17 +174,11 @@ class FamilySection(NormalForm):
     chart = Terms.tag  # the tag slot under this class's own name
     # an own entry, so that a per-class wrapper (perfbench/tracer.py) sees it
     __mul__ = Terms.__mul__
+    _frame = staticmethod(lambda key: key[0] + key[2])  # Finf^a Einf^c = R^(a+c) F^a E^c
 
     def __init__(self, chart: str, terms: dict) -> None:
         chart_variable(chart)
         super().__init__(chart, terms)
-
-    @property
-    def var(self) -> str:
-        return chart_variable(self.tag)
-
-    def _coerce(self, x):
-        return _laurent_in(self.var, x)
 
     def _product(self, terms: dict) -> dict:
         lift = self.tag == CHART_INFINITY
@@ -193,21 +226,13 @@ def to_infinity_chart(s: FamilySection) -> FamilySection:
     """
     if s.chart != CHART_FINITE:
         raise ValueError("expected a finite-chart section")
-    return _transported(s, CHART_INFINITY)
+    return s.in_chart(CHART_INFINITY)
 
 
 def to_finite_chart(s: FamilySection) -> FamilySection:
     if s.chart != CHART_INFINITY:
         raise ValueError("expected a section over the chart at infinity")
-    return _transported(s, CHART_FINITE)
-
-
-def _transported(s: FamilySection, chart: str) -> FamilySection:
-    # the same rule both ways, since r = 1/R and the frames rescale by R^-1
-    return FamilySection._make(chart, {
-        (a, b, c): f.reciprocal_substitution().shifted(-(a + c))
-        for (a, b, c), f in s.terms.items()
-    })
+    return s.in_chart(CHART_FINITE)
 
 
 def casimir_section(chart: str) -> FamilySection:
@@ -216,18 +241,6 @@ def casimir_section(chart: str) -> FamilySection:
     if chart == CHART_FINITE:
         return section_from_constant(casimir(COMPACT), CHART_FINITE)
     return section_from_constant(casimir(COMPACT), CHART_INFINITY) * Laurent.monomial("R", 2)
-
-
-def is_regular_at(s: FamilySection, p: ProjectivePoint) -> bool:
-    """True when the section, read in a chart containing p, has no pole at p.
-
-    Coefficients are Laurent polynomials, so poles only occur at the two
-    chart origins; everywhere else sections are automatically regular.
-    """
-    if not (p.is_infinity or p.is_origin):
-        return True
-    chart = CHART_INFINITY if p.is_infinity else CHART_FINITE
-    return not (s if s.chart == chart else _transported(s, chart)).rational
 
 
 class NotCentralError(ValueError):
@@ -278,7 +291,7 @@ def center_membership(s: FamilySection) -> bool:
     return all(g.is_polynomial for g in dec.values())
 
 
-class CartanSection(Terms):
+class CartanSection(_ChartSection):
     """A section valued in polynomials on the family of Cartan subalgebras.
 
     ``coeffs`` maps powers of the finite-chart Cartan generator to Laurent
@@ -302,26 +315,14 @@ class CartanSection(Terms):
     chart = property(lambda self: self.tag[0])
     cartan = property(lambda self: self.tag[1])
 
-    def _coerce(self, x):
-        return _laurent_in(chart_variable(self.chart), x)
+    def _tag_in(self, chart: str) -> tuple:
+        return chart, self.cartan
+
+    def _order(self, k: int, at_infinity: bool) -> int:
+        return k if at_infinity and self.cartan == "split" else 0
 
     def _key_str(self, k: int) -> str:
         return _power("H" if self.cartan == "compact" else "Hs", k)
-
-    def in_chart(self, chart: str) -> "CartanSection":
-        """The same section read in chart (coefficients under r = 1/R)."""
-        if self.chart == chart:
-            return self
-        chart_variable(chart)  # an unknown chart is a ValueError
-        flipped = {k: f.reciprocal_substitution() for k, f in self.terms.items()}
-        return CartanSection._make((chart, self.cartan), flipped)
-
-    def is_regular_at(self, p: ProjectivePoint) -> bool:
-        if not (p.is_infinity or p.is_origin):
-            return True
-        v = self.in_chart(CHART_INFINITY if p.is_infinity else CHART_FINITE)
-        twist = p.is_infinity and self.cartan == "split"  # h^k vanishes to order k
-        return all(f.valuation() >= (k if twist else 0) for k, f in v.coeffs.items())
 
     def to_json(self) -> dict:
         return {

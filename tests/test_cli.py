@@ -18,7 +18,6 @@ from family_sweep import sweep_points, validated_families
 from test_duals import BREAKS as BIJECTION_BREAKS
 from sl2family import cli, fibers
 from sl2family.cli import _load_object, cmd_analyze, cmd_classify, cmd_verify, main, render_json
-from sl2family.families import intertwiner_exists
 from sl2family.fibers import evaluate_fiber, factor_containing_m
 from sl2family.sheaf import ProjectivePoint
 
@@ -413,7 +412,7 @@ class TestAnalyze:
         assert out.read_bytes() == (FIXTURES / "analyze_m3_ray_grid.json").read_bytes()
 
     def test_containing_m_is_read_off_one_decomposition(self, monkeypatch):
-        """On every real family and point of the validated sweep, analyze
+        """On every family and point of the validated sweep, analyze
         decomposes each fiber once, and the factor it reports as containing
         m is factor_containing_m's."""
         calls = []
@@ -427,8 +426,6 @@ class TestAnalyze:
         monkeypatch.setattr(fibers, "composition_factors", counted)
         checked = 0
         for fam in validated_families():
-            if not intertwiner_exists(fam):
-                continue  # analyze refuses a non-real c(r)
             pts = sweep_points(fam)
             calls.clear()
             doc, _ = cmd_analyze(fam.to_json(), pts)
@@ -466,6 +463,19 @@ class TestAnalyze:
         (entry,) = doc["points"]
         assert entry["formula"] is None
         assert "no closed-form quotient" in entry["note"]
+
+    def test_non_real_casimir_has_no_locus_but_every_point(self, capsys):
+        # c(r) = i*r meets the wall level 0 at r = 0: that fiber splits in three
+        fam = '{"m": 0, "casimir": [0, {"re": 0, "im": 1}]}'
+        code, doc = run_json(capsys, "analyze", "--family", fam, "--grid", "r=0,r=1,inf")
+        assert code == 0 and doc["pass"] and doc["locus"] is None
+        origin, one, inf = doc["points"]
+        assert origin["reducible"] and origin["level"] == 0
+        assert [(f["m"], f["ktypes"]) for f in origin["factors"]] == [
+            (-2, "-2,-4,..."), (0, "0..0"), (2, "2,4,...")]
+        assert all(f["R"] is None and f["level"] == 0 for f in origin["factors"])
+        assert not one["reducible"] and one["level"] == {"re": "0", "im": "1"}
+        assert inf["flavor"] == "motion" and inf["reducible"]  # c2 = 0 cuts every edge
 
     def test_requires_points(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -752,9 +762,6 @@ USAGE_ERRORS = [
      ["analyze", "--family", "{tmp}/nonobj.json", "--point", "r=1"], f"--family: {NOT_OBJECT}"),
     ("analyze-no-points", ["analyze", "--family", FAMILY],
      "analyze needs at least one --point or --grid"),
-    ("analyze-non-real-casimir",
-     ["analyze", "--family", '{"m": 0, "casimir": [{"re": 0, "im": 1}]}', "--point", "r=1"],
-     "--family: reducibility on the real line needs a real Casimir polynomial"),
     ("analyze-unknown-casimir-key",
      ["analyze", "--family", '{"m": 0, "casimir": {"coeffs": [8], "var": "r", "cofs": [3]}}',
       "--point", "r=1"],

@@ -2,6 +2,7 @@
 temperedness, the minimal-K-type extension map, and its characterization."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from sl2family.cli import cmd_tables, main
 from sl2family.families import KTypeSet, make_family, pinned_level
 from sl2family.fibers import (
     DualParam,
+    composition_factors,
     dual_ktypes,
     evaluate_fiber,
     factor_containing_m,
@@ -33,6 +35,7 @@ from sl2family.fibers import (
 from sl2family.scalars import GaussianRational as GR
 from sl2family.scalars import Poly
 from sl2family.sheaf import ProjectivePoint
+import langlands
 import mackey
 from conjecture1_reference import reference_verify_conjecture1
 
@@ -581,3 +584,54 @@ class TestMackeyOracle:
             listed.append((row["m"], row["level"], [n for n in self.SPAN if n in kt]))
         assert listed == [(m, level, [n for n in self.SPAN if mod.has_ktype(n)])
                           for m, level, mod in expected]
+
+
+def _knapp_key(kt: KTypeSet) -> tuple:
+    """A library K-type set in the form of ``langlands.Module``."""
+    return (kt.parity, *kt.bounds)
+
+
+class TestLanglandsOracle:
+    """The group dual against Knapp's classification (``langlands``).
+
+    The grid holds every wall n^2 - 1 for n <= 9, and levels off the walls:
+    positive, between -1 and 0, negative and non-real."""
+
+    GRID = [n * n - 1 for n in range(10)] + [Fraction(1, 3), 2, Fraction(-1, 2), -5,
+                                             Fraction(-9, 4), GR(1, 1)]
+
+    def test_level_normalization(self):
+        assert [langlands.finite_dimensional_level(n) for n in range(1, 6)] == [0, 3, 8, 15, 24]
+
+    @pytest.mark.parametrize("R", [2, Fraction(-3, 2)])
+    def test_dual_classes_are_the_irreducibles(self, R):
+        listed = Counter((q.level, _knapp_key(dual_ktypes(q)), is_tempered(q))
+                         for q in dual_classes(R, 7, self.GRID))
+        knapp = Counter((mod.level, (mod.parity, mod.least, mod.greatest), mod.tempered)
+                        for mod in langlands.group_dual(7, self.GRID))
+        assert set(listed.values()) == set(knapp.values()) == {1}  # one to one
+        assert listed == knapp
+        assert len(listed) == 45 and {t for *_, t in listed} == {True, False}
+
+    def test_fibers_of_full_parity_families(self):
+        """Each fiber of c(r) = c2*r^2 - 1 on a full ladder is a principal series,
+        and its factors are Knapp's composition series.  (c2 = 0 puts m = +-1 on a
+        limit ray, not on the full odd ladder, so it is taken with m = 0 only.)"""
+        checked = reducible = 0
+        for c2 in (0, 1, 4, Fraction(1, 4), 9, -1, GR(1, 1)):
+            for m in ((0, 1, -1) if c2 else (0,)):
+                fam = make_family(m, Poly((GR(-1), GR(0), GR.of(c2)), "r"))
+                assert fam.ktypes.bounds == (None, None), str(fam)
+                for r in (0, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2), GR(1, 1)):
+                    p = ProjectivePoint.from_r(r)
+                    dec = composition_factors(evaluate_fiber(fam, p))
+                    got = Counter((f.param.level, _knapp_key(f.ktypes), is_tempered(f.param),
+                                   abs(f.param.m)) for f in dec.factors)
+                    want = Counter((mod.level, (mod.parity, mod.least, mod.greatest),
+                                    mod.tempered, mod.lowest())
+                                   for mod in langlands.principal_series(fam.casimir.eval(p.r),
+                                                                         fam.ktypes.parity))
+                    assert dec.complete and got == want, (str(fam), str(p))
+                    checked += 1
+                    reducible += len(want) > 1
+        assert checked == 133 and reducible > 20

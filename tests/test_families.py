@@ -21,7 +21,6 @@ from sl2family.families import (
     ModuleFamily,
     family_from_json,
     in_tilde_class,
-    infer_ktypes,
     infinitesimal_character,
     intertwiner_exists,
     ladder_action,
@@ -296,7 +295,7 @@ class TestMakeFamily:
         assert make_family(1, cpoly(5)).ktypes == KTypeSet.all_odd()
         assert make_family(3, cpoly(3)).ktypes == KTypeSet.ray_up(3)
         assert make_family(-6, cpoly(24)).ktypes == KTypeSet.ray_down(-6)
-        assert infer_ktypes(-1, cpoly(15)) == KTypeSet.window(3)
+        assert ModuleFamily(-1, None, cpoly(15)).ktypes == KTypeSet.window(3)
 
     def test_casimir_coercion(self):
         fam = make_family(0, [-1, 0, 1])
@@ -443,7 +442,7 @@ class TestMakeFamily:
         (2, [1, 0, 1], "row-mismatch: minimal K-type 2 forces c(r) = 0 constantly, got r^2 + 1"),
     ], ids=["degree", "variable", "constant-row", "quadratic-row"])
     def test_inferred_rejections(self, m, casimir, message):
-        for build in (make_family, _bare, infer_ktypes):
+        for build in (make_family, _bare):
             with pytest.raises(FamilyValidationError) as exc:
                 build(m, casimir)
             assert str(exc.value) == message
@@ -486,10 +485,10 @@ class TestMakeFamily:
                 # gives the K-types of the group-dual parameter (z, m)
                 assert len(rows) <= 1, (m, str(c))
                 if rows:
-                    assert infer_ktypes(m, c) == rows[0], (m, str(c))
+                    assert _bare(m, c).ktypes == rows[0], (m, str(c))
                 else:
                     with pytest.raises(FamilyValidationError):
-                        infer_ktypes(m, c)
+                        _bare(m, c)
                 if c.is_constant:
                     z = c.coeff(0)
                     if rows:

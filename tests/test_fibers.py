@@ -23,11 +23,10 @@ from sl2family.fibers import (
     is_reducible,
     jantzen_quotient_formula,
     reducibility_points,
-    scalar_to_json,
     wall_edges,
 )
 from sl2family.scalars import GaussianRational as GR
-from sl2family.scalars import Poly, rational_sqrt
+from sl2family.scalars import Poly, rational_sqrt, scalar_to_json
 from sl2family.sheaf import ProjectivePoint
 
 P = ProjectivePoint.parse
@@ -41,6 +40,13 @@ EVEN_GENERIC = make_family(0, cpoly(-1, 0, 1))  # c(r) = r^2 - 1
 ODD_LIMIT = make_family(1, cpoly(0, 0, -1))  # c(r) = -r^2
 RAY = make_family(2, cpoly(0))
 WINDOW8 = make_family(0, cpoly(8))
+
+
+def edge_is_cut(fib, n: int) -> bool:
+    """Whether the fiber's ladder is severed between K-types n and n+2."""
+    if n not in fib.ktypes or n + 2 not in fib.ktypes:
+        raise ValueError(f"({n},{n + 2}) is not an edge of {fib.ktypes}")
+    return fib.cuts_everywhere or n in fib.cuts
 
 
 class TestScalarJson:
@@ -221,8 +227,8 @@ class TestEvaluateFiber:
         assert fib.flavor == GROUP and fib.level == GR(0)
         assert fib.up[-2] == GR(0) and fib.down[2] == GR(0)
         assert fib.up[0] == GR(1) and fib.down[0] == GR(1)
-        assert fib.edge_is_cut(-2) and fib.edge_is_cut(0)
-        assert not fib.edge_is_cut(2)
+        assert edge_is_cut(fib, -2) and edge_is_cut(fib, 0)
+        assert not edge_is_cut(fib, 2)
         assert is_reducible(fib)
 
     def test_group_fiber_generic(self):
@@ -230,7 +236,7 @@ class TestEvaluateFiber:
         assert fib.level == GR(3)
         assert not is_reducible(fib)
         edges = fib.ktypes.members(fib.window[0], fib.window[1] - 2)
-        assert not any(fib.edge_is_cut(n) for n in edges)
+        assert not any(edge_is_cut(fib, n) for n in edges)
 
     def test_motion_fiber(self):
         fib = evaluate_fiber(EVEN_GENERIC, P("inf"))
@@ -239,9 +245,9 @@ class TestEvaluateFiber:
 
     def test_window_fiber_edges(self):
         fib = evaluate_fiber(WINDOW8, P("3"))
-        assert not fib.edge_is_cut(0) and not fib.edge_is_cut(-2)
+        assert not edge_is_cut(fib, 0) and not edge_is_cut(fib, -2)
         with pytest.raises(ValueError):
-            fib.edge_is_cut(2)  # 4 is not a K-type, so (2, 4) is no edge
+            edge_is_cut(fib, 2)  # 4 is not a K-type, so (2, 4) is no edge
 
     def test_ladder_scalars_are_cached_views(self):
         fib = evaluate_fiber(EVEN_GENERIC, P("1"))
@@ -323,14 +329,14 @@ class TestCutRuleOracle:
             for n in range(-bound, bound):
                 if n not in fam.ktypes or n + 2 not in fam.ktypes:
                     with pytest.raises(ValueError):
-                        fib.edge_is_cut(n)
+                        edge_is_cut(fib, n)
                     continue
                 cut = act.up(n).eval(x) == 0 or act.down(n + 2).eval(x) == 0
-                assert fib.edge_is_cut(n) == cut, (str(fam), str(p), n)
+                assert edge_is_cut(fib, n) == cut, (str(fam), str(p), n)
                 checked += 1
                 group_cuts += cut and not p.is_infinity
             assert is_reducible(fib) == (fam.ktypes.has_edge and any(
-                fib.edge_is_cut(n) for n in range(-bound, bound)
+                edge_is_cut(fib, n) for n in range(-bound, bound)
                 if n in fam.ktypes and n + 2 in fam.ktypes))
         assert checked > 8000 and group_cuts > 100  # the sample reaches the walls
 

@@ -7,15 +7,15 @@ import sl2family
 STAR_EXPORTS = {
     "CHART_FINITE", "CHART_INFINITY", "COMPACT", "CartanSection", "CharacterizationResult",
     "Decomposition", "DualParam", "Factor", "FamilySection",
-    "FamilyValidationError", "FiberModule", "GR_I", "GR_ONE", "GR_ZERO", "GaussianRational",
+    "FamilyValidationError", "FiberModule", "GR_ONE", "GR_ZERO", "GaussianRational",
     "InfChar", "KTypeSet", "LadderAction", "Laurent", "ModuleFamily", "NotCentralError",
     "Poly", "ProjectivePoint", "ReducibilityLocus", "SPLIT", "Sl2Basis", "UEAElement",
     "WallRecord", "__version__", "casimir", "casimir_section", "center_decompose",
     "center_membership", "change_basis", "characterize_bijections",
     "composition_factors", "dual_classes", "dual_ktypes", "eta", "eta_inverse",
     "evaluate_fiber", "factor_containing_m", "family_from_json", "fixed_level", "gamma_family",
-    "has_gaussian_sqrt", "hc_projection", "in_tilde_class", "infer_ktypes",
-    "infinitesimal_character", "intertwiner_exists", "is_reducible", "is_regular_at",
+    "has_gaussian_sqrt", "hc_projection", "in_tilde_class",
+    "infinitesimal_character", "intertwiner_exists", "is_reducible",
     "is_tempered", "jantzen_quotient_formula", "k_order", "ktypes_at", "ladder_action",
     "make_family", "normal_multiply", "params_equivalent", "pinned_level", "rational_sqrt",
     "reducibility_points", "scalar_to_json", "section_from_constant", "to_finite_chart",
@@ -27,7 +27,7 @@ def test_star_import_exports_the_public_names():
     namespace: dict = {}
     exec("from sl2family import *", namespace)
     namespace.pop("__builtins__")
-    assert len(STAR_EXPORTS) == 71
+    assert len(STAR_EXPORTS) == 68
     assert set(namespace) == STAR_EXPORTS
     assert len(sl2family.__all__) == len(STAR_EXPORTS)  # no name listed twice
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2family.scalars import (
-    GR_I,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
@@ -57,7 +56,7 @@ class TestGaussianRational:
         assert x - y == GR(Fraction(4, 3), 1)
         assert x * y == GR(Fraction(-1, 3) - 2, Fraction(-2, 3) + 1)
         assert (x / y) * y == x
-        assert GR_I * GR_I == -1
+        assert GR(0, 1) * GR(0, 1) == -1
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -77,7 +76,7 @@ class TestGaussianRational:
 
     def test_power(self):
         assert GR(2) ** 5 == 32
-        assert GR_I ** 4 == 1
+        assert GR(0, 1) ** 4 == 1
         assert GR(1, 1) ** 2 == GR(0, 2)
         assert GR(2) ** 0 == 1
         assert GR(2) ** -2 == Fraction(1, 4)

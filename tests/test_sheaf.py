@@ -28,7 +28,6 @@ from sl2family.sheaf import (
     center_membership,
     chart_variable,
     gamma_family,
-    is_regular_at,
     section_from_constant,
     to_finite_chart,
     to_infinity_chart,
@@ -49,7 +48,7 @@ def lau(var: str, **powers) -> Laurent:
 class TestLaurent:
     def test_constructors_and_structure(self):
         assert not Laurent.zero("r")
-        assert Laurent.one("r") == Laurent.const(1, "r")
+        assert Laurent.const(1, "r").terms == {0: GR(1)} and not Laurent.const(0, "r")
         m = Laurent.monomial("r", -3, Fraction(1, 2))
         assert m.valuation() == -3 and m.degree() == -3
         p = lau("r", p2=1, p0=-1)
@@ -65,7 +64,7 @@ class TestLaurent:
         assert p - p == Laurent.zero("r")
         assert 2 * q == lau("r", p1=2, p0=2)
         assert p ** 3 == p * p * p
-        assert p ** 0 == Laurent.one("r")
+        assert p ** 0 == Laurent.const(1, "r")
         with pytest.raises(ValueError):
             p ** -1
         with pytest.raises(ValueError):
@@ -184,14 +183,14 @@ class TestChartTransport:
             chart_variable("X2")
 
     def test_finite_bracket_is_untwisted(self):
-        one = Laurent.one("r")
+        one = Laurent.const(1, "r")
         Xf = FamilySection(CHART_FINITE, {(0, 0, 1): one})
         Yf = FamilySection(CHART_FINITE, {(1, 0, 0): one})
         Hf = FamilySection(CHART_FINITE, {(0, 1, 0): one})
         assert Xf * Yf - Yf * Xf == Hf
 
     def test_infinity_bracket_is_twisted(self):
-        one = Laurent.one("R")
+        one = Laurent.const(1, "R")
         Xf = FamilySection(CHART_INFINITY, {(0, 0, 1): one})
         Yf = FamilySection(CHART_INFINITY, {(1, 0, 0): one})
         bracket = Xf * Yf - Yf * Xf
@@ -286,7 +285,7 @@ class TestCenter:
     def test_casimir_is_central_in_both_charts(self):
         for chart in (CHART_FINITE, CHART_INFINITY):
             om = casimir_section(chart)
-            one = Laurent.one(chart_variable(chart))
+            one = Laurent.const(1, chart_variable(chart))
             for key in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
                 g = FamilySection(chart, {key: one})
                 assert om * g == g * om
@@ -297,7 +296,7 @@ class TestCenter:
             var = chart_variable(chart)
             for n in (1, 2, 3):
                 dec = center_decompose(om ** n)
-                assert dec == {n: Laurent.one(var)}
+                assert dec == {n: Laurent.const(1, var)}
 
     def test_decompose_mixed_element(self):
         om = casimir_section(CHART_INFINITY)
@@ -305,7 +304,7 @@ class TestCenter:
             CHART_INFINITY, {(0, 0, 0): Laurent.monomial("R", 2, 3)}
         )
         dec = center_decompose(om * om + extra)
-        assert dec == {2: Laurent.one("R"), 0: Laurent.monomial("R", 2, 3)}
+        assert dec == {2: Laurent.const(1, "R"), 0: Laurent.monomial("R", 2, 3)}
 
     def test_decompose_rebuilds_section(self):
         om = casimir_section(CHART_FINITE)
@@ -335,7 +334,7 @@ class TestCenter:
         assert not products
 
     def test_non_central_detection(self):
-        h = FamilySection(CHART_FINITE, {(0, 1, 0): Laurent.one("r")})
+        h = FamilySection(CHART_FINITE, {(0, 1, 0): Laurent.const(1, "r")})
         assert center_decompose(h) is None
         assert not center_membership(h)
         assert center_membership(casimir_section(CHART_FINITE))
@@ -427,7 +426,7 @@ class TestDecomposeOracle:
         om = casimir_section(chart)
         for n in (1, 2, 3):
             p = om ** n
-            assert center_decompose(p) == _power_peeling_decompose(p) == {n: Laurent.one(om.var)}
+            assert center_decompose(p) == _power_peeling_decompose(p) == {n: Laurent.const(1, om.var)}
             for key, f in p.terms.items():
                 t = p - FamilySection(chart, {key: f})
                 assert center_decompose(t) is _power_peeling_decompose(t) is None, key
@@ -548,7 +547,7 @@ class TestIntegerPath:
     def test_decompose_needs_both_halves_central(self, chart):
         om = casimir_section(chart)
         var = chart_variable(chart)
-        t = Laurent.one(var) if chart == CHART_FINITE else Laurent.monomial(var, 2)
+        t = Laurent.const(1, var) if chart == CHART_FINITE else Laurent.monomial(var, 2)
         # H shares its monomial and its R-degree slice with the Casimir
         h = FamilySection(chart, {(0, 1, 0): t * GR(Fraction(1, 3))})
         i = GR(0, 1)
@@ -567,15 +566,15 @@ class TestRegularity:
             "5": ProjectivePoint.parse("5"),
             "inf": ProjectivePoint.parse("inf"),
         }
-        assert is_regular_at(om0, pts["0"]) and is_regular_at(om0, pts["5"])
-        assert not is_regular_at(om0, pts["inf"])
-        assert is_regular_at(om_inf, pts["inf"]) and is_regular_at(om_inf, pts["5"])
-        assert not is_regular_at(om_inf, pts["0"])
+        assert om0.is_regular_at(pts["0"]) and om0.is_regular_at(pts["5"])
+        assert not om0.is_regular_at(pts["inf"])
+        assert om_inf.is_regular_at(pts["inf"]) and om_inf.is_regular_at(pts["5"])
+        assert not om_inf.is_regular_at(pts["0"])
 
     def test_laurent_coefficient_poles(self):
         s = FamilySection(CHART_FINITE, {(0, 0, 0): lau("r", n1=1)})
-        assert not is_regular_at(s, ProjectivePoint.parse("0"))
-        assert is_regular_at(s, ProjectivePoint.parse("2"))
+        assert not s.is_regular_at(ProjectivePoint.parse("0"))
+        assert s.is_regular_at(ProjectivePoint.parse("2"))
 
 
 class TestGammaFamily:
@@ -583,7 +582,7 @@ class TestGammaFamily:
         for cartan in ("compact", "split"):
             g = gamma_family(casimir_section(CHART_FINITE), cartan)
             assert g.cartan == cartan and g.chart == CHART_FINITE
-            assert g.coeffs == {2: Laurent.one("r"), 0: Laurent.const(-1, "r")}
+            assert g.coeffs == {2: Laurent.const(1, "r"), 0: Laurent.const(-1, "r")}
 
     def test_casimir_image_at_infinity(self):
         g = gamma_family(casimir_section(CHART_INFINITY), "compact")
@@ -606,7 +605,7 @@ class TestGammaFamily:
     def test_split_regularity_twists(self):
         # coefficient of h^2 must vanish to order 2 at infinity for the
         # split subfamily, while the compact subfamily only needs order 0
-        coeffs = {2: Laurent.monomial("R", 1), 0: Laurent.one("R")}
+        coeffs = {2: Laurent.monomial("R", 1), 0: Laurent.const(1, "R")}
         pinf = ProjectivePoint.parse("inf")
         split = CartanSection(CHART_INFINITY, "split", dict(coeffs))
         compact = CartanSection(CHART_INFINITY, "compact", dict(coeffs))
@@ -623,7 +622,7 @@ class TestGammaFamily:
             g.in_chart("X2")
 
     def test_non_central_rejected(self):
-        h = FamilySection(CHART_FINITE, {(0, 1, 0): Laurent.one("r")})
+        h = FamilySection(CHART_FINITE, {(0, 1, 0): Laurent.const(1, "r")})
         with pytest.raises(NotCentralError):
             gamma_family(h, "compact")
 

@@ -21,10 +21,13 @@ from sl2family import (
     casimir,
     casimir_section,
     gamma_family,
+    ProjectivePoint,
     make_family,
+    section_from_constant,
     to_finite_chart,
     to_infinity_chart,
 )
+from sl2family.sheaf import chart_variable
 from sl2family.scalars import GaussianRational as GR
 from polys import from_poly, to_poly
 
@@ -253,6 +256,61 @@ def test_chart_round_trip(seed):
     assert t.chart == CHART_INFINITY
     assert to_finite_chart(t) == s
     assert to_infinity_chart(to_finite_chart(t)) == t
+
+
+@st.composite
+def chart_sections(draw):
+    """A FamilySection or a CartanSection of either Cartan, over either chart."""
+    chart = draw(st.sampled_from((CHART_FINITE, CHART_INFINITY)))
+    exps = st.dictionaries(st.integers(-3, 3), SCALARS, min_size=1, max_size=3)
+    coeffs = st.builds(Laurent, st.just(chart_variable(chart)), exps)
+    if draw(st.booleans()):
+        monos = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+        return FamilySection(chart, draw(st.dictionaries(monos, coeffs, max_size=4)))
+    cartan = draw(st.sampled_from(("compact", "split")))
+    return CartanSection(chart, cartan, draw(st.dictionaries(st.integers(0, 4), coeffs, max_size=4)))
+
+
+def frame(s, key) -> int:
+    """The power of R by which key's frame at infinity exceeds the finite one:
+    Finf^a Einf^c H^b = R^(a+c) F^a E^c H^b, while the Cartan powers keep theirs."""
+    return key[0] + key[2] if isinstance(s, FamilySection) else 0
+
+
+def pole_free(s, at_infinity: bool) -> bool:
+    """Regularity at inf or at r = 0, from the exponents of s's own coefficients.
+
+    f at the origin of its own chart vanishes to the order min(exponents); read
+    in the other chart it is f(1/x) x^-frame, of order -max(exponents) - frame.
+    The split Cartan's h^k must vanish to order k at infinity, all else to 0."""
+    own = (s.chart == CHART_INFINITY) == at_infinity
+    split = at_infinity and getattr(s, "cartan", None) == "split"
+    return all((min(f.terms) if own else -max(f.terms) - frame(s, key)) >= (key if split else 0)
+               for key, f in s.terms.items())
+
+
+@PROPERTY_SETTINGS
+@given(chart_sections(), SCALARS.filter(bool))
+@example(casimir_section(CHART_INFINITY) ** 2, GR(2))
+@example(section_from_constant(casimir(COMPACT)), GR(F(-1, 3), 1))
+@example(gamma_family(casimir_section(CHART_INFINITY) ** 2, "split"), GR(3))
+@example(CartanSection(CHART_INFINITY, "split", {2: Laurent("R", {1: GR(1)})}), GR(2))
+def test_chart_rule_against_evaluation(s, x):
+    """in_chart against evaluation at a nonzero x of the target chart, and
+    is_regular_at against the valuations of pole_free."""
+    other = CHART_INFINITY if s.chart == CHART_FINITE else CHART_FINITE
+    t = s.in_chart(other)
+    assert t.chart == other and type(t) is type(s) and t.in_chart(s.chart) == s
+    assert getattr(t, "cartan", None) == getattr(s, "cartan", None)
+    assert set(t.terms) == set(s.terms)
+    for key, f in s.terms.items():
+        g = t.terms[key]
+        assert g.var == chart_variable(other)
+        assert g.eval(x) == f.eval(1 / x) * x ** -frame(s, key), key
+    for at_infinity, p in ((True, ProjectivePoint.infinity()), (False, ProjectivePoint.from_r(0))):
+        want = pole_free(s, at_infinity)
+        assert s.is_regular_at(p) == t.is_regular_at(p) == want, str(p)
+    assert s.is_regular_at(ProjectivePoint.from_r(GR(2, 1)))
 
 
 @PROPERTY_SETTINGS

@@ -50,8 +50,8 @@ from .fibers import (
 )
 from .duals import _nonzero_real, characterize_bijections, check_entry, verify_conjecture1
 from .pbw import COMPACT, SPLIT, UEAElement, casimir, hc_projection, k_order
-from .scalars import (GaussianRational, Poly, _any_digits, _check_digits, _cut, _quote, parse_int,
-                      parse_rational, scalar_to_json)
+from .scalars import (GaussianRational, Poly, _any_digits, _check_digits, _cut, _quote,
+                      parse_gaussian, parse_int, scalar_to_json)
 from .sheaf import (
     CHART_INFINITY,
     ProjectivePoint,
@@ -91,9 +91,9 @@ def _list_of(item):
 
 
 _integer = _value_of(parse_int, "an integer")
-_rational = _value_of(parse_rational, "an exact rational")
+_scalar = _value_of(parse_gaussian, "an exact scalar")
 _point = _value_of(ProjectivePoint.parse, "a base point")
-_rational_list = _list_of(_rational)
+_scalar_list = _list_of(_scalar)
 _point_list = _list_of(_point)
 
 
@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("which", type=_integer, choices=(1, 2, 3),
                    help="1: family classification, 2: group dual, 3: motion dual")
     t.add_argument("--M", type=_integer, default=6, help="bound on |m| (default 6)")
-    t.add_argument("--grid", type=_rational_list, default=None, metavar="LIST",
+    t.add_argument("--grid", type=_scalar_list, default=None, metavar="LIST",
                    help="comma-separated levels; appends matching concrete rows")
     _add_output_flags(t)
 
@@ -158,10 +158,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(a)
 
     b = sub.add_parser("bijection", help="verify the level-affine dual bijection")
-    b.add_argument("--R", type=_rational_list, default=None, metavar="LIST",
+    b.add_argument("--R", type=_scalar_list, default=None, metavar="LIST",
                    help="chart coordinates to verify at (default 1,2,1/2,3)")
     b.add_argument("--M", type=_integer, default=None, help="bound on |m|")
-    b.add_argument("--grid", type=_rational_list, default=None, metavar="LIST",
+    b.add_argument("--grid", type=_scalar_list, default=None, metavar="LIST",
                    help="level samples")
     b.add_argument("--candidate", default=None, metavar="JSON|PATH",
                    help='per-m affine maps {"0": [a,b], "1": [a,b], "-1": [a,b]} '
@@ -170,9 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=tuple(_SUITES))
-    v.add_argument("--R", type=_rational_list, default=None, metavar="LIST")
+    v.add_argument("--R", type=_scalar_list, default=None, metavar="LIST")
     v.add_argument("--M", type=_integer, default=None)
-    v.add_argument("--grid", type=_rational_list, default=None, metavar="LIST")
+    v.add_argument("--grid", type=_scalar_list, default=None, metavar="LIST")
     _add_output_flags(v)
 
     return parser
@@ -245,26 +245,18 @@ def _text_scalar(v) -> str:
 
 
 def _text_lines(obj, indent: int = 0) -> List[str]:
+    """The lines of a dict (sorted "key: value") or a list ("- value"); a
+    nonempty dict or list value goes on the lines below, one level deeper."""
     pad = "  " * indent
     lines: List[str] = []
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            v = obj[k]
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}{k}:")
-                lines.extend(_text_lines(v, indent + 1))
-            else:
-                v = "{}" if v == {} else "[]" if v == [] else _text_scalar(v)
-                lines.append(f"{pad}{k}: {v}")
-    elif isinstance(obj, list):
-        for v in obj:
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}-")
-                lines.extend(_text_lines(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {_text_scalar(v)}")
-    else:
-        lines.append(f"{pad}{_text_scalar(obj)}")
+    items = (((f"{k}:", obj[k]) for k in sorted(obj)) if isinstance(obj, dict)
+             else (("-", v) for v in obj))
+    for head, v in items:
+        if isinstance(v, (dict, list)) and v:
+            lines.append(pad + head)
+            lines.extend(_text_lines(v, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {_text_scalar(v)}")
     return lines
 
 
@@ -344,7 +336,7 @@ def cmd_tables(which: int, M: int, grid: Optional[Sequence] = None) -> dict:
                 if text not in seen:
                     seen.add(text)
                     rows.append(row)
-        doc["grid"] = [scalar_to_json(GaussianRational.of(v)) for v in grid]
+        doc["grid"] = [scalar_to_json(v) for v in grid]
     return doc
 
 
@@ -467,7 +459,7 @@ def cmd_bijection(Rs: Sequence, M: int, grid: Sequence,
     all_ok = all(rep["pass"] for rep in reports)
     doc = {
         "M": M,
-        "grid": [scalar_to_json(GaussianRational.of(z)) for z in grid],
+        "grid": [scalar_to_json(z) for z in grid],
         "pass": all_ok,
         "reports": reports,
         "characterization": None,

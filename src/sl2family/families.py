@@ -42,7 +42,16 @@ RAY_UP = "ray_up"
 RAY_DOWN = "ray_down"
 SINGLETON = "singleton"
 
-_KINDS = (ALL_EVEN, ALL_ODD, WINDOW, RAY_UP, RAY_DOWN, SINGLETON)
+# kind -> the least member, the greatest member (None on an unbounded side)
+# and the printed form with each int written by num, as functions of param
+_SHAPES = {
+    ALL_EVEN: (lambda p: None, lambda p: None, lambda p, num: "2Z"),
+    ALL_ODD: (lambda p: None, lambda p: None, lambda p, num: "2Z+1"),
+    WINDOW: (lambda p: -p, lambda p: p, lambda p, num: f"{num(-p)}..{num(p)}"),
+    RAY_UP: (lambda p: p, lambda p: None, lambda p, num: f"{num(p)},{num(p + 2)},..."),
+    RAY_DOWN: (lambda p: None, lambda p: p, lambda p, num: f"{num(p)},{num(p - 2)},..."),
+    SINGLETON: (lambda p: p, lambda p: p, lambda p, num: f"{{{num(p)}}}"),
+}
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,7 @@ class KTypeSet:
     param: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _SHAPES:
             raise ValueError(f"unknown K-type set kind {_quote(self.kind)}")
         if self.kind in (ALL_EVEN, ALL_ODD):
             if self.param is not None:
@@ -93,11 +102,7 @@ class KTypeSet:
 
     @property
     def parity(self) -> int:
-        if self.kind == ALL_EVEN:
-            return 0
-        if self.kind == ALL_ODD:
-            return 1
-        return self.param % 2
+        return int(self.kind == ALL_ODD) if self.param is None else self.param % 2
 
     def contains(self, n: int) -> bool:
         lo, hi = self.bounds
@@ -107,16 +112,13 @@ class KTypeSet:
 
     @property
     def is_finite(self) -> bool:
-        return self.kind in (WINDOW, SINGLETON)
+        return None not in self.bounds
 
     @cached_property
     def bounds(self) -> Tuple[Optional[int], Optional[int]]:
         """The least and the greatest member, None on an unbounded side."""
-        p = self.param
-        if self.kind == WINDOW:
-            return -p, p
-        return (p if self.kind in (RAY_UP, SINGLETON) else None,
-                p if self.kind in (RAY_DOWN, SINGLETON) else None)
+        least, greatest, _ = _SHAPES[self.kind]
+        return least(self.param), greatest(self.param)
 
     def minimal(self) -> int:
         """The member of smallest absolute value, ties broken positive.
@@ -148,18 +150,7 @@ class KTypeSet:
 
     def __str__(self, num=str) -> str:
         """The printed form ``from_json`` reads, each int written by num."""
-        p = self.param
-        if self.kind == ALL_EVEN:
-            return "2Z"
-        if self.kind == ALL_ODD:
-            return "2Z+1"
-        if self.kind == WINDOW:
-            return f"{num(-p)}..{num(p)}"
-        if self.kind == RAY_UP:
-            return f"{num(p)},{num(p + 2)},..."
-        if self.kind == RAY_DOWN:
-            return f"{num(p)},{num(p - 2)},..."
-        return f"{{{num(p)}}}"
+        return _SHAPES[self.kind][2](self.param, num)
 
     @staticmethod
     def from_json(obj) -> "KTypeSet":

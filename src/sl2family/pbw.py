@@ -210,11 +210,6 @@ class NormalForm(Terms):
         low, car, rai = self._gens()
         return "*".join(f for f in (_power(low, a), _power(rai, c), _power(car, b)) if f)
 
-    def degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(a + b + c for (a, b, c) in self.terms)
-
     def _terms_json(self) -> list:
         return [{"mono": list(k), "coeff": self.terms[k].to_json()} for k in sorted(self.terms)]
 
@@ -338,7 +333,7 @@ def k_order(u: UEAElement):
     adapted to the Cartan involution.
     """
     v = change_basis(u, COMPACT)
-    if v.is_zero:
+    if not v.terms:
         return NEG_INF
     return max(a + c for (a, b, c) in v.terms)
 

@@ -583,10 +583,6 @@ class Terms:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, key):
         c = self.terms.get(self._key(key))
         return self._coerce(0) if c is None else c

@@ -98,12 +98,18 @@ class ProjectivePoint:
         return "inf" if self.r is None else f"r={self.r}"
 
 
+def _frame(mono) -> int:
+    """The R-power a + c of a monomial's frame: Finf^a Einf^c = R^(a+c) F^a E^c."""
+    return mono[0] + mono[2]
+
+
 def _graded(terms: dict, lift: bool) -> dict:
     """{finite-frame R-degree: {monomial: Q(i)}} of a section's terms (lift at infinity)."""
     out: dict = {}
     for mono, f in terms.items():
+        shift = lift and _frame(mono)
         for e, x in f.terms.items():
-            out.setdefault(e + lift * (mono[0] + mono[2]), {})[mono] = x
+            out.setdefault(e + shift, {})[mono] = x
     return out
 
 
@@ -174,7 +180,7 @@ class FamilySection(NormalForm, _ChartSection):
     chart = Terms.tag  # the tag slot under this class's own name
     # an own entry, so that a per-class wrapper (perfbench/tracer.py) sees it
     __mul__ = Terms.__mul__
-    _frame = staticmethod(lambda key: key[0] + key[2])  # Finf^a Einf^c = R^(a+c) F^a E^c
+    _frame = staticmethod(_frame)
 
     def __init__(self, chart: str, terms: dict) -> None:
         chart_variable(chart)
@@ -185,7 +191,7 @@ class FamilySection(NormalForm, _ChartSection):
         out: dict = {}
         for e, part in graded_multiply(_graded(self.terms, lift), _graded(terms, lift)).items():
             for key, z in part.items():
-                out.setdefault(key, {})[e - lift * (key[0] + key[2])] = z
+                out.setdefault(key, {})[e - (lift and _frame(key))] = z
         return {k: Laurent._make(self.var, f) for k, f in out.items()}
 
     def _gens(self):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from family_sweep import sweep_points, validated_families
 from test_duals import BREAKS as BIJECTION_BREAKS
 from sl2family import cli, fibers
 from sl2family.cli import _load_object, cmd_analyze, cmd_classify, cmd_verify, main, render_json
-from sl2family.fibers import evaluate_fiber, factor_containing_m
+from sl2family.fibers import DualParam, evaluate_fiber, factor_containing_m
 from sl2family.sheaf import ProjectivePoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -436,6 +437,14 @@ class TestAnalyze:
                 checked += 1
         assert checked > 1000
 
+    def test_disagreeing_closed_form_fails_the_run(self, capsys, monkeypatch):
+        wrong = DualParam(12345, 0, None)
+        monkeypatch.setattr(cli, "jantzen_quotient_formula", lambda fam, p: wrong)
+        code, doc = run_json(capsys, "analyze", "--family", '{"m": 0, "casimir": [-1, 0, 1]}',
+                             "--grid", "r=1,r=2,inf")
+        assert code == 1 and doc["pass"] is False
+        assert [(e["formula"], e["agree"]) for e in doc["points"]] == [(wrong.to_json(), False)] * 3
+
     def test_origin_has_no_formula(self, capsys):
         code, doc = run_json(
             capsys,
@@ -573,6 +582,24 @@ class TestBijection:
         assert code == 0
         assert out.read_bytes() == (FIXTURES / "bijection_no0_negR.json").read_bytes()
 
+    def test_non_real_level_grid_matches_golden(self, capsys, tmp_path):
+        # recorded from the library call cmd_bijection([2], 6, [0, -1, 1+i, -9/4]),
+        # before the command line read Q(i) levels
+        out = tmp_path / "bnr.json"
+        code, _ = run(capsys, "bijection", "--R", "2", "--M", "6", "--grid", "0,-1,1+i,-9/4",
+                      "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "bijection_nonreal_grid.json").read_bytes()
+
+    def test_non_real_levels_are_read(self, capsys):
+        one_plus_i = {"im": "1", "re": "1"}
+        code, doc = run_json(capsys, "tables", "2", "--M", "2", "--grid", "1+i")
+        assert code == 0 and doc["grid"] == [one_plus_i]
+        assert {"m": 0, "level": one_plus_i, "ktypes": "2Z"} in doc["rows"]
+        code, doc = run_json(capsys, "verify", "conjecture2", "--M", "1", "--grid", "1+i")
+        assert code == 0 and doc["pass"]
+        assert all("c2=1+i" in e["instance"] for e in doc["entries"])
+
     def test_each_distinct_R_is_checked_once(self, capsys):
         # the first occurrence of each value stays, as with the levels of tables --grid
         code, doc = run_json(capsys, "bijection", "--R", "1,1,2/2", "--M", "0", "--grid", "0,1")
@@ -586,7 +613,8 @@ class TestBijection:
                                "--grid", "0,1")[1]
 
     @pytest.mark.parametrize("argv", [["bijection", "--R", "1,0", "--M", "300"],
-                                      ["verify", "bijection", "--R", "1,0"]])
+                                      ["verify", "bijection", "--R", "1,0"],
+                                      ["bijection", "--R", "1,1+i", "--M", "300"]])
     def test_every_R_is_checked_before_any_check_runs(self, capsys, monkeypatch, argv):
         calls = []
         monkeypatch.setattr(cli, "verify_conjecture1", lambda *args: calls.append(args))
@@ -849,16 +877,16 @@ USAGE_ERRORS = [
 # reports under the subcommand's name
 EXPONENT_FLAGS = [
     ("tables-grid", ["tables", "1", "--grid", "1e-999999999,1"],
-     "sl2family tables: error: argument --grid: not an exact rational: '1e-999999999' "
+     "sl2family tables: error: argument --grid: not an exact scalar: '1e-999999999' "
      "(cannot read scalar from '1e-999999999' (exponent notation is not read))"),
     ("bijection-grid", ["bijection", "--grid", "1e-999999999,1"],
-     "sl2family bijection: error: argument --grid: not an exact rational: '1e-999999999' "
+     "sl2family bijection: error: argument --grid: not an exact scalar: '1e-999999999' "
      "(cannot read scalar from '1e-999999999' (exponent notation is not read))"),
     ("bijection-R", ["bijection", "--R", "1,2E999999999"],
-     "sl2family bijection: error: argument --R: not an exact rational: '2E999999999' "
+     "sl2family bijection: error: argument --R: not an exact scalar: '2E999999999' "
      "(cannot read scalar from '2E999999999' (exponent notation is not read))"),
     ("verify-bijection-grid", ["verify", "bijection", "--grid", "0,1e3"],
-     "sl2family verify: error: argument --grid: not an exact rational: '1e3' "
+     "sl2family verify: error: argument --grid: not an exact scalar: '1e3' "
      "(cannot read scalar from '1e3' (exponent notation is not read))"),
     ("analyze-point", ["analyze", "--family", FAMILY, "--point", "r=1e-999999999"],
      "sl2family analyze: error: argument --point: not a base point: 'r=1e-999999999' "
@@ -871,14 +899,16 @@ EXPONENT_FLAGS = [
 # (id, argv, last stderr line): other unreadable flag values, each with the reader's reason
 UNREADABLE_FLAGS = [
     ("bijection-grid", ["bijection", "--grid", "0,zz"],
-     "sl2family bijection: error: argument --grid: not an exact rational: 'zz' "
+     "sl2family bijection: error: argument --grid: not an exact scalar: 'zz' "
      "(cannot read scalar from 'zz')"),
     ("bijection-R", ["bijection", "--R", "1/0"],
-     "sl2family bijection: error: argument --R: not an exact rational: '1/0' "
+     "sl2family bijection: error: argument --R: not an exact scalar: '1/0' "
      "(cannot read scalar from '1/0')"),
     ("analyze-point", ["analyze", "--family", FAMILY, "--point", "r=1+2j"],
      "sl2family analyze: error: argument --point: not a base point: 'r=1+2j' "
      "(cannot read scalar from '1+2j')"),
+    ("bijection-empty-grid", ["bijection", "--grid", ","],
+     "sl2family bijection: error: argument --grid: empty list"),
     ("bijection-M", ["bijection", "--M", "abc"],
      "sl2family bijection: error: argument --M: not an integer: 'abc' "
      "(cannot read an integer from 'abc')"),
@@ -896,11 +926,11 @@ LONG_VALUES = [
     ("candidate-key", SMALL_BIJECTION + ["--candidate", json.dumps({LONG: [1, -1]})],
      "sl2family: error: candidate key 'xxx"),
     ("tables-grid", ["tables", "1", "--grid", "0," + LONG],
-     "sl2family tables: error: argument --grid: not an exact rational: 'xxx"),
+     "sl2family tables: error: argument --grid: not an exact scalar: 'xxx"),
     ("bijection-grid", ["bijection", "--grid", "0," + "1" * 20_000],
-     "sl2family bijection: error: argument --grid: not an exact rational: '111"),
+     "sl2family bijection: error: argument --grid: not an exact scalar: '111"),
     ("bijection-R", ["bijection", "--R", LONG],
-     "sl2family bijection: error: argument --R: not an exact rational: 'xxx"),
+     "sl2family bijection: error: argument --R: not an exact scalar: 'xxx"),
     ("analyze-point", ["analyze", "--family", FAMILY, "--point", "r=" + LONG],
      "sl2family analyze: error: argument --point: not a base point: 'r=xxx"),
 ]
@@ -1115,6 +1145,19 @@ class TestEntryPoint:
         assert main(["verify", "bijection"]) == 130
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "sl2family: interrupted\n"
+
+    def test_reader_closing_early_exits_quietly(self, capsys, monkeypatch):
+        # some 600 KB of rows, more than a pipe holds: the reader takes the
+        # first bytes and closes its end while main is still writing
+        read_end, write_end = os.pipe()
+        reader = threading.Thread(target=lambda: (os.read(read_end, 100), os.close(read_end)))
+        reader.start()
+        with open(write_end, "w", encoding="utf-8") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            status = main(["tables", "3", "--M", "4000"])
+            monkeypatch.undo()
+        reader.join()
+        assert status == 0 and capsys.readouterr().err == ""
 
     def test_closed_pipe_exits_quietly(self):
         read_end, write_end = os.pipe()

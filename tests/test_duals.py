@@ -162,6 +162,10 @@ class TestEta:
         assert str(eta(mo(0, 3), GR(1))) == "(3,3)_1"
         assert str(eta(mo(0, -4), GR(3))) == "(8,-4)_3"
 
+    def test_group_parameter_is_refused(self):
+        with pytest.raises(ValueError, match="^eta maps motion-flavor parameters$"):
+            eta(g(3, 0), GR(1))
+
     def test_inverse_fixtures(self):
         assert str(eta_inverse(g(-1, 0))) == "(0,0)_0"
         assert str(eta_inverse(g(-5, 0))) == "(-4,0)_0"

@@ -105,6 +105,16 @@ class TestKTypeSet:
         assert KTypeSet.ray_up(3).contains(11)
         assert not KTypeSet.ray_up(3).contains(1)
 
+    @pytest.mark.parametrize("kind,param,message", [
+        (ALL_EVEN, 2, "all_even takes no parameter"),
+        (ALL_ODD, 0, "all_odd takes no parameter"),
+        (WINDOW, -1, "window size k must be >= 0"),
+    ])
+    def test_constructor_refusals(self, kind, param, message):
+        with pytest.raises(ValueError) as exc:
+            KTypeSet(kind, param)
+        assert str(exc.value) == message
+
     def test_json_round_trip(self):
         sets = [
             KTypeSet.all_even(),

@@ -112,10 +112,10 @@ class TestNormalForm:
         om = casimir(COMPACT)
         assert om.terms == {(0, 2, 0): GR(1), (0, 1, 0): GR(2), (1, 0, 1): GR(4)}
         for name in ("X", "Y", "H"):
-            assert commutator(om, gen(name)).is_zero
+            assert not commutator(om, gen(name))
         oms = casimir(SPLIT)
         for name in ("Xs", "Ys", "Hs"):
-            assert commutator(oms, gen(name, SPLIT)).is_zero
+            assert not commutator(oms, gen(name, SPLIT))
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_casimir_eigenvalue_on_highest_weight_module(self, lam):
@@ -377,11 +377,26 @@ class TestChangeBasisMatrixOracle:
         cases = [car, low * rai, car * cas, low * rai + car, cas + car * I,
                  cas * cas - car * car * GR(0, Fraction(1, 2))]
         for u in cases:
-            assert all(a == c for a, _, c in u.terms) and not commutator(rai, u).is_zero
+            assert all(a == c for a, _, c in u.terms) and commutator(rai, u)
             v = change_basis(u, target)
             assert v.terms != u.terms
             for n in range(5):
                 assert rho_element(v, n) == rho_element(u, n), (str(u), n)
+
+
+def _leading_symbol_order(u: UEAElement):
+    """(L, L or None) for a nonzero split element u whose longest monomials
+    have L letters.  Hs has the symbol s and Ys, Xs both (i/2)*d, for
+    independent p-forms s and d, so Ys^a Hs^b Xs^c of length L has the
+    symbol (i/2)^(a+c)*s^b*d^(a+c): the order is L exactly when the length-L
+    coefficients of some group (b, a + c) have a nonzero sum, and None
+    says that every group sum cancels."""
+    length = max(map(sum, u.terms))
+    sums: dict = {}
+    for (a, b, c), x in u.terms.items():
+        if a + b + c == length:
+            sums[b, a + c] = sums.get((b, a + c), GR(0)) + x
+    return length, length if any(sums.values()) else None
 
 
 class TestOrderFiltration:
@@ -399,7 +414,7 @@ class TestOrderFiltration:
         pool = [X, Y, H, X * Y, casimir(COMPACT), H * X + Y]
         for _ in range(60):
             u, v = rng.choice(pool), rng.choice(pool)
-            if (u * v).is_zero:
+            if not u * v:
                 continue
             assert k_order(u * v) <= k_order(u) + k_order(v)
 
@@ -407,6 +422,39 @@ class TestOrderFiltration:
         # Hs = X + Y has order 1 relative to the compact pair
         assert k_order(gen("Hs", SPLIT)) == 1
         assert k_order(gen("Xs", SPLIT)) == 1
+
+    def test_split_projection_of_a_casimir_power_has_full_order(self):
+        # the appendix suite checks only k_order <= 2n here
+        power = UEAElement.one(COMPACT)
+        for n in range(1, 7):
+            power = power * casimir(COMPACT)
+            assert k_order(hc_projection(power, "split")) == 2 * n
+
+    @pytest.mark.parametrize("u", [
+        gen("Ys", SPLIT) ** 2 - gen("Ys", SPLIT) * gen("Xs", SPLIT),
+        gen("Ys", SPLIT) - gen("Xs", SPLIT),
+        gen("Ys", SPLIT) ** 3 - gen("Xs", SPLIT) ** 3,
+    ], ids=["Ys^2-Ys*Xs", "Ys-Xs", "Ys^3-Xs^3"])
+    def test_leading_symbol_cancels(self, u):
+        length, top_order = _leading_symbol_order(u)
+        assert top_order is None and k_order(u) < length
+
+    def test_leading_symbol_rule_on_seeded_split_elements(self):
+        rng = random.Random(2718)
+        checked = 0
+        while checked < 100:
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                a, b = rng.randint(0, 3), rng.randint(0, 2)
+                terms[(a, b, rng.randint(0, 4 - min(a + b, 4)))] = GR(rng.randint(-3, 3),
+                                                                     rng.randint(-1, 1))
+            u = UEAElement(SPLIT, terms)
+            if not u:
+                continue
+            checked += 1
+            length, top_order = _leading_symbol_order(u)
+            ko = k_order(u)
+            assert ko == top_order if top_order is not None else ko < length, str(u)
 
     def test_value_equal_and_foreign_bases(self):
         assert k_order(gen("Hs", copy.deepcopy(SPLIT))) == 1

@@ -241,6 +241,12 @@ class TestPoly:
         assert Poly.of([0, 0], "r").degree() == float("-inf")
         assert Poly.const(5, "r").is_constant
 
+    def test_coefficients_from_re_im_pairs(self):
+        p = Poly.of([(1, 2), 0, (0, Fraction(-1, 2)), (0, 0)], "r")
+        assert p.coeffs == (GR(1, 2), GR(0), GR(0, Fraction(-1, 2)))
+        assert p == Poly.of([GR(1, 2), 0, GR(0, Fraction(-1, 2))], "r")
+        assert str(p) == "(-(1/2)i)*r^2 + 1+2i"
+
     def test_eval_oracle(self):
         p = Poly.of([-1, 0, 1], "r")  # r^2 - 1
         assert p.eval(GR(3)) == 8

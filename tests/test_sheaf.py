@@ -226,6 +226,20 @@ class TestChartTransport:
             a + b
         with pytest.raises(ValueError):
             a * b
+        with pytest.raises(ValueError, match="^expected a finite-chart section$"):
+            to_infinity_chart(b)
+        with pytest.raises(ValueError, match="^expected a section over the chart at infinity$"):
+            to_finite_chart(a)
+
+    def test_coefficient_in_the_other_chart_variable_is_refused(self):
+        wrong = Laurent.const(1, "R")
+        message = "^coefficient variable R does not match chart variable r$"
+        with pytest.raises(ValueError, match=message):
+            FamilySection(CHART_FINITE, {(0, 0, 0): wrong})
+        s = casimir_section(CHART_FINITE)
+        for op in (lambda: s + wrong, lambda: s * wrong):
+            with pytest.raises(ValueError, match=message):
+                op()
 
     def test_constant_sections_compare_bases_by_value(self):
         for chart in (CHART_FINITE, CHART_INFINITY):
@@ -274,7 +288,7 @@ class TestSectionProductOracle:
         for s1, s2 in pairs:
             product = s1 * s2
             assert product.chart == chart
-            for n in range(s1.degree() + s2.degree() + 2):
+            for n in range(max(map(sum, s1.terms)) + max(map(sum, s2.terms)) + 2):
                 for t in points:
                     lhs = rho_section(product, t, n)
                     assert lhs == mat_mul(rho_section(s1, t, n), rho_section(s2, t, n)), (
@@ -348,7 +362,7 @@ def _power_peeling_decompose(s: FamilySection):
     cur = s
     powers = [casimir_section(s.chart)]  # powers[j - 1] = Casimir^j
     out = {}
-    while not cur.is_zero:
+    while cur:
         if any(a != c for (a, b, c) in cur.terms):
             return None
         n = max(a for (a, b, c) in cur.terms)
@@ -365,7 +379,7 @@ def _power_peeling_decompose(s: FamilySection):
         while len(powers) < n:
             powers.append(powers[-1] * powers[0])
         cur = cur - powers[n - 1] * g
-        if not cur.is_zero and max(a for (a, b, c) in cur.terms) >= n:
+        if cur and max(a for (a, b, c) in cur.terms) >= n:
             return None
     return out
 
@@ -629,3 +643,39 @@ class TestGammaFamily:
     def test_unknown_cartan_rejected(self):
         with pytest.raises(ValueError):
             gamma_family(casimir_section(CHART_FINITE), "diagonal")
+
+
+def _q(n) -> dict:
+    return {"re": str(n), "im": "0"}
+
+
+def _r_squared_times(n) -> dict:
+    return {"var": "R", "coeffs": [_q(0), _q(0), _q(n)]}
+
+
+class TestJsonForms:
+    """The JSON of the three term-map types on the Casimir and its images,
+    written out in full."""
+
+    def test_casimir(self):
+        assert casimir(COMPACT).to_json() == {"basis": "compact", "terms": [
+            {"mono": [0, 1, 0], "coeff": _q(2)},
+            {"mono": [0, 2, 0], "coeff": _q(1)},
+            {"mono": [1, 0, 1], "coeff": _q(4)},
+        ]}
+
+    def test_casimir_section_at_infinity(self):
+        assert casimir_section(CHART_INFINITY).to_json() == {
+            "chart": "Xinf", "rational": False, "terms": [
+                {"mono": [0, 1, 0], "coeff": _r_squared_times(2)},
+                {"mono": [0, 2, 0], "coeff": _r_squared_times(1)},
+                {"mono": [1, 0, 1], "coeff": {"var": "R", "coeffs": [_q(4)]}},
+            ]}
+
+    @pytest.mark.parametrize("cartan", ["compact", "split"])
+    def test_gamma_image_at_infinity(self, cartan):
+        assert gamma_family(casimir_section(CHART_INFINITY), cartan).to_json() == {
+            "chart": "Xinf", "cartan": cartan, "coeffs": [
+                {"degree": 0, "coeff": _r_squared_times(-1)},
+                {"degree": 2, "coeff": _r_squared_times(1)},
+            ]}

@@ -74,10 +74,10 @@ from .fibers import (
     dual_ktypes,
     evaluate_fiber,
     factor_containing_m,
-    fixed_level,
     is_reducible,
     jantzen_quotient_formula,
     reducibility_points,
+    vogan_level,
 )
 from .duals import (
     CharacterizationResult,

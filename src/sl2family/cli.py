@@ -43,12 +43,12 @@ from .fibers import (
     dual_ktypes,
     evaluate_fiber,
     factor_containing_m,
-    fixed_level,
     is_reducible,
     jantzen_quotient_formula,
     reducibility_points,
+    vogan_level,
 )
-from .duals import _nonzero_real, characterize_bijections, check_entry, verify_conjecture1
+from .duals import characterize_bijections, check_entry, nonzero_real, verify_conjecture1
 from .pbw import COMPACT, SPLIT, UEAElement, casimir, hc_projection, k_order
 from .scalars import (GaussianRational, Poly, _any_digits, _check_digits, _cut, _quote,
                       parse_gaussian, parse_int, scalar_to_json)
@@ -304,9 +304,8 @@ def _table_rows(M: int, key: str, R, generic: Tuple[str, str]) -> List[dict]:
     flavor = MOTION if R == 0 else GROUP
     rows: List[dict] = []
     for m in range(-M, M + 1):
-        fixed = fixed_level(flavor, m)
-        if fixed is not None:
-            levels = [(fixed, fixed)]
+        if abs(m) > 1:
+            levels = [(vogan_level(flavor, m),) * 2]
         else:
             walls = [k * (k + 2) for k in range(-abs(m), M + 1, 2)] if flavor == GROUP else [0]
             levels = [(generic[m % 2], 1), *((w, w) for w in walls)]
@@ -446,7 +445,7 @@ def _reports(Rs: Sequence, M: int, grid: Sequence) -> List[dict]:
     """One verify_conjecture1 report per distinct chart coordinate R, in the
     order of first occurrence; every R is checked before the first check runs."""
     reports = []
-    for R in dict.fromkeys([_nonzero_real(R) for R in Rs]):
+    for R in dict.fromkeys([nonzero_real(R) for R in Rs]):
         ok, entries = verify_conjecture1(R, M, grid)
         reports.append({"R": scalar_to_json(R), "pass": ok, "entries": entries})
     return reports
@@ -547,7 +546,7 @@ _SUITES = {
     "bijection": (_suite_bijection, {
         "R": (1, 2, Fraction(1, 2), 3),
         "M": 6,
-        "grid": (0, 1, -1, 2, -2, 4, -4, Fraction(-9, 4), 3, 8, 15),
+        "grid": (0, 1, -1, 2, -2, 4, -4, Fraction(-9, 4), 3, 8, 15, GaussianRational(1, 1)),
     }),
     "appendix": (_suite_appendix, {"M": 3}),
     "regularity": (_suite_regularity, {"M": 3}),

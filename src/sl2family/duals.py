@@ -2,12 +2,12 @@
 
 Both fibers of the deformation family carry a classified admissible dual,
 and a parameter (level, m)_R sits at the chart coordinate R of its fiber:
-R = 0 at the motion fiber (infinity), any other R at a group fiber.  Three
+R = 0 at the motion fiber (infinity), any other R at a group fiber.  Two
 rules of fibers.py define the duals: parameters are equivalent exactly when
-their ``DualParam.canonical()`` representatives agree, a minimal K-type
-|m| > 1 fixes the level to ``fixed_level(flavor, m)``, and the boundary
-level of each dual, ``boundary_level(flavor)``, is where temperedness of
-the |m| <= 1 parameters ends and where m = 1, -1 stay apart.  This module
+their ``DualParam.canonical()`` representatives agree, and the Vogan level
+``vogan_level(flavor, m)`` is the level a minimal K-type |m| > 1 fixes
+and, at m = +-1, the boundary where temperedness of the |m| <= 1
+parameters ends and where m = 1, -1 stay apart.  This module
 implements the equivalence relation, the enumeration of a dual's classes
 (``dual_classes``), the tempered subsets, the minimal-K-type
 correspondence, the bijections eta^R between the two duals (one for each
@@ -20,12 +20,12 @@ affine in the level) is eta^R for a unique R.
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .families import pinned_level
-from .fibers import GROUP, MOTION, DualParam, boundary_level, fixed_level
+from .fibers import GROUP, MOTION, DualParam, vogan_level
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, has_gaussian_sqrt, scalar_to_json
 
 
-def _nonzero_real(R) -> GaussianRational:
+def nonzero_real(R) -> GaussianRational:
+    """R as a GaussianRational, if it is a nonzero real: a group chart coordinate."""
     R = GaussianRational.of(R)
     if not R.is_real or not R:
         raise ValueError("the chart coordinate R must be a nonzero real rational")
@@ -45,43 +45,41 @@ def is_tempered(p: DualParam) -> bool:
     """Exact membership in the tempered subset of the parameter space.
 
     Every parameter with |m| > 1 (its level is fixed), and for |m| <= 1
-    exactly the real levels up to ``boundary_level``: <= -1 in the group
-    dual, the value -1 naming the spherical endpoint (m = 0) or the two
-    one-sided ladders (m = +-1); <= 0 in the motion dual, the value 0
+    exactly the real levels up to ``vogan_level(flavor, 1)``: <= -1 in the
+    group dual, the value -1 naming the spherical endpoint (m = 0) or the
+    two one-sided ladders (m = +-1); <= 0 in the motion dual, the value 0
     naming the characters.  Non-real levels are never tempered.
     """
     lv = p.level  # lv <= boundary, compared over lv's positive denominator: no Fraction
-    return lv.is_real and (abs(p.m) > 1 or lv.re_num <= boundary_level(p.flavor) * lv.den)
+    return lv.is_real and (abs(p.m) > 1 or lv.re_num <= vogan_level(p.flavor, 1) * lv.den)
 
 
 def vogan_map(m: int, R) -> DualParam:
     """The tempered parameter with real infinitesimal character and lowest
     K-type m, in the group dual at chart coordinate R."""
-    return _vogan(m, _nonzero_real(R))
+    return _vogan(m, nonzero_real(R))
 
 
 def _vogan(m: int, R: GaussianRational) -> DualParam:
-    """vogan_map at an R that _nonzero_real has returned."""
-    return DualParam(pinned_level(m) if m else -1, m, R)
+    """vogan_map at an R that nonzero_real has returned."""
+    return DualParam(vogan_level(GROUP, m), m, R)
 
 
 def eta(p: DualParam, R) -> DualParam:
     """The level-affine bijection from the motion dual to the dual at R.
 
     For |m| <= 1 the level z goes to z/R^2 - 1; for |m| > 1 both levels
-    are ``fixed_level`` and the image keeps the minimal K-type.
+    are the Vogan levels and the image keeps the minimal K-type.
     """
     if p.flavor != MOTION:
         raise ValueError("eta maps motion-flavor parameters")
-    return _eta(p, _nonzero_real(R))
+    return _eta(p, nonzero_real(R))
 
 
 def _eta(p: DualParam, R: GaussianRational) -> DualParam:
-    """eta of a motion parameter at an R that _nonzero_real has returned."""
-    level = fixed_level(GROUP, p.m)
-    if level is None:
-        level = p.level / (R * R) - 1
-    return DualParam(level, p.m, R)
+    """eta of a motion parameter at an R that nonzero_real has returned."""
+    m = p.m
+    return DualParam(vogan_level(GROUP, m) if abs(m) > 1 else p.level / (R * R) - 1, m, R)
 
 
 def eta_inverse(q: DualParam) -> DualParam:
@@ -93,11 +91,9 @@ def eta_inverse(q: DualParam) -> DualParam:
     """
     if q.R is None:
         raise ValueError("the parameter carries no chart coordinate")
-    R = _nonzero_real(q.R)
-    level = fixed_level(MOTION, q.m)
-    if level is None:
-        level = (q.level + 1) * R * R
-    return DualParam.motion(level, q.m)
+    R = nonzero_real(q.R)
+    m = q.m
+    return DualParam.motion(vogan_level(MOTION, m) if abs(m) > 1 else (q.level + 1) * R * R, m)
 
 
 def dual_classes(R, M: int, grid: Sequence) -> List[DualParam]:
@@ -107,21 +103,19 @@ def dual_classes(R, M: int, grid: Sequence) -> List[DualParam]:
 
     R = 0 is the motion dual; any other R must be a nonzero real.  The
     free level of the |m| <= 1 rows is sampled on ``grid``; for |m| > 1
-    the level is ``fixed_level(flavor, m)``.
+    the level is ``vogan_level(flavor, m)``.
     """
     if M < 0:
         raise ValueError("the K-type bound M must be >= 0")
     R = GaussianRational.of(R)
     flavor = MOTION if R == 0 else GROUP
-    # the motion classes share the R of DualParam.motion
-    R = GR_ZERO if flavor == MOTION else _nonzero_real(R)
+    R = GR_ZERO if flavor == MOTION else nonzero_real(R)
     grid = [GaussianRational.of(z) for z in grid]
     classes: List[DualParam] = []
     seen = set()  # repeated levels and m = +-1 merge; a fixed-level class cannot
     for m in range(-M, M + 1):
-        level = fixed_level(flavor, m)
-        if level is not None:
-            classes.append(DualParam(level, m, R))
+        if abs(m) > 1:
+            classes.append(DualParam(vogan_level(flavor, m), m, R))
             continue
         for z in grid:
             rep = DualParam(z, m, R).canonical()
@@ -153,7 +147,7 @@ def verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
     the vogan-extension and tempered entries write each image's string
     once.  The module-level helpers are looked up at call time.
     """
-    R = _nonzero_real(R)
+    R = nonzero_real(R)
     grid_gr = tuple(GaussianRational.of(z) for z in grid)
     if not grid_gr:
         raise ValueError("the level grid must be nonempty")

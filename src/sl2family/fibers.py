@@ -14,11 +14,12 @@ coordinate R = 1/r, following the dual tables of the two fiber types:
   motion fiber (the point at infinity, R = 0):  level = c2, the eigenvalue
                                                 of the rescaled Casimir
 
-In both tables a minimal K-type |m| > 1 fixes the level, to
-``fixed_level(flavor, m)``; for |m| <= 1 it is free.  ``boundary_level``
-holds the one level where (level, 1) and (level, -1) name two modules:
--1 in the group dual, 0 in the motion dual.  ``DualParam.canonical`` and
-``duals.is_tempered`` both read it.
+Both tables read one rule, ``vogan_level(flavor, m)``, the level of the
+tempered parameter with minimal K-type m and real infinitesimal character.
+A minimal K-type |m| > 1 fixes the level to it; for |m| <= 1 the level is
+free, and the rule at m = +-1 is the boundary where (level, 1) and
+(level, -1) name two modules, which ``DualParam.canonical`` and
+``duals.is_tempered`` read.
 
 The closed-form Jantzen quotient is implemented independently of the
 segment analysis so the two can be compared.
@@ -48,34 +49,28 @@ GROUP = "group"
 MOTION = "motion"
 
 
-def fixed_level(flavor: str, m: int) -> Optional[int]:
-    """The level a minimal K-type |m| > 1 fixes in the dual of the flavor:
-    ``pinned_level(m)`` in the group dual, 0 in the motion dual.  None when
-    |m| <= 1, where the level is free."""
-    if abs(m) <= 1:
-        return None
-    return pinned_level(m) if flavor == GROUP else 0
-
-
-def boundary_level(flavor: str) -> int:
-    """The level where (level, 1) and (level, -1) stay two modules: -1 in the
-    group dual (the two limit rays), 0 in the motion dual (two characters)."""
-    return -1 if flavor == GROUP else 0
+def vogan_level(flavor: str, m: int) -> int:
+    """The level of the tempered parameter with minimal K-type m and real
+    infinitesimal character: ``pinned_level(m)`` in the group dual (-1 at
+    m = 0), 0 in the motion dual.  At m = +-1 it is the boundary level,
+    where (level, 1) and (level, -1) stay two modules: the two limit rays
+    of the group dual, the two characters of the motion dual."""
+    return 0 if flavor == MOTION else -1 if m == 0 else pinned_level(m)
 
 
 @dataclass(frozen=True, init=False)
 class DualParam:
     """A point of an admissible dual: (level, m) at the chart coordinate R.
 
-    R = 0 is the motion fiber, the point at infinity, so the flavor is read
-    off R: motion exactly when R == 0, group otherwise.  R = None is the
-    group fiber at r = 0, which the R-coordinate does not reach.
-    The constructor coerces an int, Fraction or str level and R, and for
-    |m| > 1 compares the level with the int ``fixed_level(flavor, m)``
-    (the dual tables); only then does it set each field, once.
-    ``dataclasses.replace`` goes through it, so it validates too.  The
-    hash reads (level, m) only: equal parameters have equal levels and m,
-    and a dual's classes share R.
+    R = 0 is the motion fiber, the point at infinity, and any other R a
+    group fiber; R = None is the group fiber at r = 0, which the
+    R-coordinate does not reach.  The constructor coerces an int, Fraction
+    or str level and R, keeps a zero R as the shared ``GR_ZERO`` (so the
+    flavor is an identity test), and for |m| > 1 compares the level with
+    the int ``vogan_level(flavor, m)``; only then does it set each field,
+    once.  ``dataclasses.replace`` goes through it, so it validates too.
+    The hash reads (level, m) only: equal parameters have equal levels and
+    m, and a dual's classes share R.
     """
 
     level: GaussianRational
@@ -87,9 +82,11 @@ class DualParam:
             level = GaussianRational(level)
         if R is not None and not isinstance(R, GaussianRational):
             R = GaussianRational(R)
+        if R is not GR_ZERO and R == 0:
+            R = GR_ZERO
         if not -1 <= m <= 1:
-            # the flavor property and fixed_level(flavor, m), without their calls
-            flavor, fixed = (MOTION, 0) if R == 0 else (GROUP, pinned_level(m))
+            flavor = MOTION if R is GR_ZERO else GROUP
+            fixed = vogan_level(flavor, m)
             if not level == fixed:  # == meets an int: the fast path of GaussianRational.__eq__
                 raise ValueError(
                     f"minimal K-type {m} fixes the {flavor} level to {fixed}, got {level}")
@@ -103,13 +100,7 @@ class DualParam:
 
     @property
     def flavor(self) -> str:
-        return MOTION if self.R == 0 else GROUP
-
-    @staticmethod
-    def group(level, m: int, R=None) -> "DualParam":
-        if R is not None and GaussianRational.of(R) == 0:
-            raise ValueError("group-flavor parameters need R != 0")
-        return DualParam(level, m, R)
+        return MOTION if self.R is GR_ZERO else GROUP
 
     @staticmethod
     def motion(level, m: int) -> "DualParam":
@@ -118,16 +109,16 @@ class DualParam:
     def canonical(self) -> "DualParam":
         """The preferred representative of the parameter's equivalence class.
 
-        (level, -1) and (level, 1) name the same module except at
-        ``boundary_level``; away from it the m = 1 representative is preferred.
+        (level, -1) and (level, 1) name the same module except at the boundary
+        ``vogan_level(flavor, 1)``; away from it the m = 1 one is preferred.
         """
-        if self.m != -1 or self.level == boundary_level(self.flavor):
+        if self.m != -1 or self.level == vogan_level(self.flavor, 1):
             return self
         return DualParam(self.level, 1, self.R)
 
     def __str__(self) -> str:
         R = self.R
-        return f"({self.level},{self.m})_{'r0' if R is None else '0' if R == 0 else R}"
+        return f"({self.level},{self.m})_{'r0' if R is None else '0' if R is GR_ZERO else R}"
 
     def to_json(self) -> dict:
         return {

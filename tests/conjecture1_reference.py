@@ -15,7 +15,7 @@ from sl2family.scalars import GaussianRational
 
 
 def reference_verify_conjecture1(R, M: int, grid: Sequence) -> Tuple[bool, List[dict]]:
-    R = D._nonzero_real(R)
+    R = D.nonzero_real(R)
     grid_gr = tuple(GaussianRational.of(z) for z in grid)
     if not grid_gr:
         raise ValueError("the level grid must be nonempty")

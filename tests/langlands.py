@@ -16,8 +16,8 @@ finite-dimensional module F_n of dimension n then has level n^2 - 1, which
 
 Every irreducible module is a factor of a principal series, so the factors of
 the two principal series at a level are all the irreducibles there.  Nothing
-here reads ``fixed_level``, ``pinned_level``, ``boundary_level``,
-``DualParam.canonical``, ``dual_ktypes``, ``is_tempered`` or ``wall_edges``.
+here reads ``vogan_level``, ``pinned_level``, ``DualParam.canonical``,
+``dual_ktypes``, ``is_tempered`` or ``wall_edges``.
 """
 
 from math import isqrt

@@ -7,7 +7,7 @@ K_xi, and induces.  By Frobenius reciprocity the induced module holds the
 K-type n exactly when n restricts to chi on K_xi, each once.
 
 Everything here comes from the compact triple of ``sl2_matrices`` and the
-rescaled Casimir section at infinity; nothing reads ``fixed_level``,
+rescaled Casimir section at infinity; nothing reads ``vogan_level``,
 ``dual_ktypes`` or ``DualParam.canonical``.
 
 * A character xi of p is the pair (x, y) = (xi(X), xi(Y)) of its values on

@@ -20,6 +20,7 @@ from test_duals import BREAKS as BIJECTION_BREAKS
 from sl2family import cli, fibers
 from sl2family.cli import _load_object, cmd_analyze, cmd_classify, cmd_verify, main, render_json
 from sl2family.fibers import DualParam, evaluate_fiber, factor_containing_m
+from sl2family.scalars import GaussianRational as GR
 from sl2family.sheaf import ProjectivePoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -684,6 +685,17 @@ class TestVerify:
         assert doc["counts"]["fail"] == 0
         assert doc["counts"]["pass"] == len(doc["entries"])
         assert all(e["pass"] for e in doc["entries"])
+
+    def test_default_bijection_grid_meets_the_four_level_cells(self, capsys):
+        # canonical, is_tempered and eta see a free level z only through z = 0,
+        # whether z is real, and whether z <= 0: a grid meeting all four cells
+        # (real z < 0, z = 0, real z > 0, non-real z) decides them for every level
+        code, doc = run_json(capsys, "bijection")
+        cells = {"non-real" if not z.is_real else "0" if z == 0 else "<0" if z.re < 0 else ">0"
+                 for z in map(GR.from_json, doc["grid"])}
+        assert code == 0 and cells == {"<0", "0", ">0", "non-real"}
+        code, doc = run_json(capsys, "verify", "bijection")
+        assert code == 0 and doc["counts"] == {"fail": 0, "pass": 212}
 
     def test_default_profile_conjecture2(self, capsys):
         code, doc = run_json(capsys, "verify", "conjecture2")

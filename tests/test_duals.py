@@ -2,14 +2,16 @@
 temperedness, the minimal-K-type extension map, and its characterization."""
 
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2family import duals
+from sl2family import cli, duals, fibers
 from sl2family.duals import (
     CharacterizationResult,
     characterize_bijections,
@@ -29,8 +31,8 @@ from sl2family.fibers import (
     dual_ktypes,
     evaluate_fiber,
     factor_containing_m,
-    fixed_level,
     scalar_to_json,
+    vogan_level,
 )
 from sl2family.scalars import GaussianRational as GR
 from sl2family.scalars import Poly
@@ -45,7 +47,7 @@ GRID = tuple(
 
 
 def g(level, m, R=1) -> DualParam:
-    return DualParam.group(GR.of(level), m, GR.of(R))
+    return DualParam(GR.of(level), m, GR.of(R))
 
 
 def mo(level, m) -> DualParam:
@@ -89,7 +91,7 @@ class TestEquivalence:
 
     def test_cross_dual_comparisons_rejected(self):
         for a, b in ((g(5, 1), mo(5, 1)), (g(5, 1), g(5, 1, 2)),
-                     (DualParam.group(5, 1), g(5, 1)), (mo(0, 3), g(3, 3))):
+                     (DualParam(5, 1, None), g(5, 1)), (mo(0, 3), g(3, 3))):
             for x, y in ((a, b), (b, a)):
                 with pytest.raises(ValueError, match="chart coordinate mismatch"):
                     params_equivalent(x, y)
@@ -135,7 +137,7 @@ class TestTempered:
         assert not is_tempered(mo(3, 0))
 
     def test_non_real_levels(self):
-        assert not is_tempered(DualParam.group(GR(0, 1), 0, GR(1)))
+        assert not is_tempered(DualParam(GR(0, 1), 0, GR(1)))
         assert not is_tempered(DualParam.motion(GR(-1, 2), 1))
 
 
@@ -177,7 +179,7 @@ class TestEta:
         assert str(eta_inverse(g(3, 0, 2))) == "(16,0)_0"
         assert str(eta_inverse(g(3, 0, -2))) == "(16,0)_0"
         with pytest.raises(ValueError, match="carries no chart coordinate"):
-            eta_inverse(DualParam.group(GR(3), 0, None))
+            eta_inverse(DualParam(GR(3), 0, None))
 
     @pytest.mark.parametrize("R", [GR(1), GR(2), GR(Fraction(1, 2)), GR(3)])
     def test_round_trip_from_motion_side(self, R):
@@ -241,7 +243,7 @@ class TestEtaProperties:
     @pytest.mark.parametrize("call,args", [
         (eta, (mo(2, 1), 0)), (eta, (mo(0, 4), GR(0))), (eta, (mo(2, 0), GR(0, 1))),
         (vogan_map, (3, 0)), (vogan_map, (0, GR(0))),
-        (eta_inverse, (mo(2, 1),)), (eta_inverse, (DualParam.group(0, 0, GR(0, 1)),)),
+        (eta_inverse, (mo(2, 1),)), (eta_inverse, (DualParam(0, 0, GR(0, 1)),)),
     ])
     def test_public_maps_reject_a_zero_or_non_real_R(self, call, args):
         # only verify_conjecture1, having checked R once, calls the unchecked
@@ -303,12 +305,13 @@ class TestDualAtlas:
         with pytest.raises(ValueError, match="M must be >= 0"):
             dual_classes(0, -1, GRID)
 
-    def test_fixed_level_is_the_table_rule(self):
+    def test_vogan_level_is_the_table_rule(self):
         for m in range(-9, 10):
-            if abs(m) <= 1:
-                assert fixed_level("group", m) is None and fixed_level("motion", m) is None
-            else:
-                assert (fixed_level("group", m), fixed_level("motion", m)) == (pinned_level(m), 0)
+            # the discrete series or limit with lowest K-type |m| > 0 has level (|m|-1)^2 - 1
+            group = -1 if m == 0 else (abs(m) - 1) ** 2 - 1
+            assert (vogan_level("group", m), vogan_level("motion", m)) == (group, 0)
+            if abs(m) > 1:
+                assert DualParam(group, m, 1).level == group
                 with pytest.raises(ValueError, match=f"fixes the motion level to 0, got 1"):
                     DualParam.motion(1, m)
 
@@ -365,7 +368,7 @@ class TestConjectureOne:
         def folded(p, R):
             if abs(p.m) > 1:
                 return vogan_map(p.m, R)
-            return DualParam.group(p.level * p.level - 1, -1 if p.m == 0 else p.m, R)
+            return DualParam(p.level * p.level - 1, -1 if p.m == 0 else p.m, R)
 
         # verify_conjecture1 builds every image through the checked-R step
         monkeypatch.setattr(duals, "_eta", folded)
@@ -590,9 +593,9 @@ class TestMackeyOracle:
                           for m, level, mod in expected]
 
 
-def _knapp_key(kt: KTypeSet) -> tuple:
-    """A library K-type set in the form of ``langlands.Module``."""
-    return (kt.parity, *kt.bounds)
+def _knapp_key(kt: Optional[KTypeSet]) -> Optional[tuple]:
+    """A library K-type set in the form of ``langlands.Module`` (None for none)."""
+    return None if kt is None else (kt.parity, *kt.bounds)
 
 
 class TestLanglandsOracle:
@@ -639,3 +642,40 @@ class TestLanglandsOracle:
                     checked += 1
                     reducible += len(want) > 1
         assert checked == 133 and reducible > 20
+
+
+# The Vogan level broken in every module that binds it, each break with an
+# oracle check that must then fail; neither oracle reads the rule.
+RULE_BREAKS = [
+    # the group boundary 0, not -1: (-1, 1) and (-1, -1) merge, (0, +-1) stay apart
+    ("group-boundary-0",
+     lambda orig: lambda flavor, m: 0 if flavor == "group" and abs(m) == 1 else orig(flavor, m),
+     lambda: TestLanglandsOracle().test_dual_classes_are_the_irreducibles(2)),
+    # the group level of m = +-3 off by one
+    ("group-level-3",
+     lambda orig: lambda flavor, m: orig(flavor, m) + (flavor == "group" and abs(m) == 3),
+     lambda: TestLanglandsOracle().test_dual_classes_are_the_irreducibles(Fraction(-3, 2))),
+    # the motion level a minimal K-type |m| > 1 fixes set to 1, not 0
+    ("motion-fixed-1",
+     lambda orig: lambda flavor, m: 1 if flavor == "motion" and abs(m) > 1 else orig(flavor, m),
+     lambda: TestMackeyOracle().test_table3()),
+]
+RULE_HOMES = (fibers, duals, cli)
+
+
+class TestVoganLevelBreaks:
+    def test_every_module_binding_the_rule_is_patched(self):
+        bound = {mod for name, mod in sys.modules.items()
+                 if name.startswith("sl2family.") and getattr(mod, "vogan_level", None)
+                 is fibers.vogan_level}
+        assert bound == set(RULE_HOMES)
+
+    @pytest.mark.parametrize("broken,check", [b[1:] for b in RULE_BREAKS],
+                             ids=[b[0] for b in RULE_BREAKS])
+    def test_an_oracle_fails(self, monkeypatch, broken, check):
+        check()
+        rule = broken(fibers.vogan_level)
+        for module in RULE_HOMES:
+            monkeypatch.setattr(module, "vogan_level", rule)
+        with pytest.raises(AssertionError):
+            check()

@@ -502,10 +502,10 @@ class TestMakeFamily:
                 if c.is_constant:
                     z = c.coeff(0)
                     if rows:
-                        assert dual_ktypes(DualParam.group(z, m, 1)) == rows[0], (m, z)
+                        assert dual_ktypes(DualParam(z, m, 1)) == rows[0], (m, z)
                     else:
                         with pytest.raises(ValueError):
-                            DualParam.group(z, m, 1)
+                            DualParam(z, m, 1)
         # 8 even-ladder rows, 16 odd-ladder rows, 7 windows, 12 rays
         assert checked == 3146 and accepted == 43
 

@@ -26,7 +26,7 @@ from sl2family.fibers import (
     wall_edges,
 )
 from sl2family.scalars import GaussianRational as GR
-from sl2family.scalars import Poly, rational_sqrt, scalar_to_json
+from sl2family.scalars import GR_ZERO, Poly, rational_sqrt, scalar_to_json
 from sl2family.sheaf import ProjectivePoint
 
 P = ProjectivePoint.parse
@@ -59,59 +59,56 @@ class TestScalarJson:
 
 class TestDualParam:
     def test_string_forms(self):
-        assert str(DualParam.group(GR(0), 0, GR(1))) == "(0,0)_1"
+        assert str(DualParam(GR(0), 0, GR(1))) == "(0,0)_1"
         assert str(DualParam.motion(GR(1), 0)) == "(1,0)_0"
-        assert str(DualParam.group(GR(3), 0, None)) == "(3,0)_r0"
-        assert str(DualParam.group(GR(0), 2, GR(Fraction(1, 5)))) == "(0,2)_1/5"
+        assert str(DualParam(GR(3), 0, None)) == "(3,0)_r0"
+        assert str(DualParam(GR(0), 2, GR(Fraction(1, 5)))) == "(0,2)_1/5"
 
     def test_canonical_reflection(self):
-        assert str(DualParam.group(GR(5), -1, GR(1)).canonical()) == "(5,1)_1"
+        assert str(DualParam(GR(5), -1, GR(1)).canonical()) == "(5,1)_1"
         assert str(DualParam.motion(GR(3), -1).canonical()) == "(3,1)_0"
         # boundary levels keep the sign of m: the two limits differ
-        assert str(DualParam.group(GR(-1), -1, GR(1)).canonical()) == "(-1,-1)_1"
+        assert str(DualParam(GR(-1), -1, GR(1)).canonical()) == "(-1,-1)_1"
         assert str(DualParam.motion(GR(0), -1).canonical()) == "(0,-1)_0"
-        p = DualParam.group(GR(5), 1, GR(2))
+        p = DualParam(GR(5), 1, GR(2))
         assert p.canonical() == p
 
     def test_json_forms(self):
-        assert DualParam.group(GR(0), 0, GR(1)).to_json() == {
+        assert DualParam(GR(0), 0, GR(1)).to_json() == {
             "flavor": GROUP, "R": 1, "level": 0, "m": 0,
         }
         assert DualParam.motion(GR(1), 0).to_json() == {
             "flavor": MOTION, "R": 0, "level": 1, "m": 0,
         }
-        assert DualParam.group(GR(3), 0, None).to_json() == {
+        assert DualParam(GR(3), 0, None).to_json() == {
             "flavor": GROUP, "R": None, "level": 3, "m": 0,
         }
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DualParam.group(GR(5), 3, GR(1))  # m = 3 pins the level to 3
+            DualParam(GR(5), 3, GR(1))  # m = 3 pins the level to 3
         with pytest.raises(ValueError):
-            DualParam.group(GR(3), 3, GR(0))  # R = 0 is the motion fiber
+            DualParam(GR(3), 3, GR(0))  # R = 0 is the motion fiber
         with pytest.raises(ValueError):
             DualParam.motion(GR(1), 2)  # discrete motion K-types sit at 0
         DualParam.motion(GR(0), 4)
-        DualParam.group(GR(8), -4, GR(7))
+        DualParam(GR(8), -4, GR(7))
 
     # each rejection with its message as recorded before validation compared
-    # the level with the int fixed_level once; a motion row is built at R = 0
-    @pytest.mark.parametrize("build,level,m,R,message", [
-        (DualParam, 5, 3, 1, "minimal K-type 3 fixes the group level to 3, got 5"),
-        (DualParam, Fraction(7, 2), -2, 1,
-         "minimal K-type -2 fixes the group level to 0, got 7/2"),
-        (DualParam, GR(3, 1), 3, None, "minimal K-type 3 fixes the group level to 3, got 3+i"),
-        (DualParam, 1, 2, 0, "minimal K-type 2 fixes the motion level to 0, got 1"),
-        (DualParam, Fraction(-1, 3), -5, Fraction(0),
+    # the level with one int Vogan level; a motion row is built at R = 0
+    @pytest.mark.parametrize("level,m,R,message", [
+        (5, 3, 1, "minimal K-type 3 fixes the group level to 3, got 5"),
+        (Fraction(7, 2), -2, 1, "minimal K-type -2 fixes the group level to 0, got 7/2"),
+        (GR(3, 1), 3, None, "minimal K-type 3 fixes the group level to 3, got 3+i"),
+        (1, 2, 0, "minimal K-type 2 fixes the motion level to 0, got 1"),
+        (Fraction(-1, 3), -5, Fraction(0),
          "minimal K-type -5 fixes the motion level to 0, got -1/3"),
-        (DualParam, GR(0, 1), 4, GR(0), "minimal K-type 4 fixes the motion level to 0, got i"),
-        (DualParam.group, 0, 0, 0, "group-flavor parameters need R != 0"),
-        (DualParam.group, 3, 3, Fraction(0), "group-flavor parameters need R != 0"),
+        (GR(0, 1), 4, GR(0), "minimal K-type 4 fixes the motion level to 0, got i"),
     ], ids=["group-int", "group-fraction", "group-nonreal", "motion-int", "motion-fraction",
-            "motion-nonreal", "zero-R", "zero-fraction-R"])
-    def test_rejections_keep_their_messages(self, build, level, m, R, message):
+            "motion-nonreal"])
+    def test_rejections_keep_their_messages(self, level, m, R, message):
         with pytest.raises(ValueError) as exc:
-            build(level, m, R)
+            DualParam(level, m, R)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("R,flavor", [(0, MOTION), (GR(0), MOTION), (Fraction(0), MOTION),
@@ -119,7 +116,8 @@ class TestDualParam:
     def test_flavor_is_read_off_R(self, R, flavor):
         p = DualParam(GR(2), 0, R)
         assert p.flavor == flavor
-        assert p == (DualParam.motion(2, 0) if flavor == MOTION else DualParam.group(2, 0, R))
+        assert (p.R is GR_ZERO) == (flavor == MOTION)  # every zero R is the shared one
+        assert p == (DualParam.motion(2, 0) if flavor == MOTION else DualParam(2, 0, R))
 
     @pytest.mark.parametrize("level,R", [(3, 2), (Fraction(6, 2), Fraction(4, 2)), (GR(3), GR(2))])
     def test_int_and_fraction_inputs_are_coerced(self, level, R):
@@ -202,15 +200,15 @@ class TestDualKtypes:
     @pytest.mark.parametrize(
         "param,expected",
         [
-            (DualParam.group(GR(-1), 1, GR(1)), KTypeSet.ray_up(1)),
-            (DualParam.group(GR(-1), -1, GR(1)), KTypeSet.ray_down(-1)),
-            (DualParam.group(GR(3), 1, GR(1)), KTypeSet.window(1)),
-            (DualParam.group(GR(15), -1, GR(2)), KTypeSet.window(3)),
-            (DualParam.group(GR(5), 1, GR(1)), KTypeSet.all_odd()),
-            (DualParam.group(GR(1), 0, GR(1)), KTypeSet.all_even()),
-            (DualParam.group(GR(0), 0, GR(1)), KTypeSet.window(0)),
-            (DualParam.group(GR(0), 2, GR(1)), KTypeSet.ray_up(2)),
-            (DualParam.group(GR(8), -4, GR(1)), KTypeSet.ray_down(-4)),
+            (DualParam(GR(-1), 1, GR(1)), KTypeSet.ray_up(1)),
+            (DualParam(GR(-1), -1, GR(1)), KTypeSet.ray_down(-1)),
+            (DualParam(GR(3), 1, GR(1)), KTypeSet.window(1)),
+            (DualParam(GR(15), -1, GR(2)), KTypeSet.window(3)),
+            (DualParam(GR(5), 1, GR(1)), KTypeSet.all_odd()),
+            (DualParam(GR(1), 0, GR(1)), KTypeSet.all_even()),
+            (DualParam(GR(0), 0, GR(1)), KTypeSet.window(0)),
+            (DualParam(GR(0), 2, GR(1)), KTypeSet.ray_up(2)),
+            (DualParam(GR(8), -4, GR(1)), KTypeSet.ray_down(-4)),
             (DualParam.motion(GR(0), 4), KTypeSet.singleton(4)),
             (DualParam.motion(GR(0), 1), KTypeSet.singleton(1)),
             (DualParam.motion(GR(-2), 1), KTypeSet.all_odd()),

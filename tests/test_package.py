@@ -13,13 +13,13 @@ STAR_EXPORTS = {
     "WallRecord", "__version__", "casimir", "casimir_section", "center_decompose",
     "center_membership", "change_basis", "characterize_bijections",
     "composition_factors", "dual_classes", "dual_ktypes", "eta", "eta_inverse",
-    "evaluate_fiber", "factor_containing_m", "family_from_json", "fixed_level", "gamma_family",
+    "evaluate_fiber", "factor_containing_m", "family_from_json", "gamma_family",
     "has_gaussian_sqrt", "hc_projection", "in_tilde_class",
     "infinitesimal_character", "intertwiner_exists", "is_reducible",
     "is_tempered", "jantzen_quotient_formula", "k_order", "ktypes_at", "ladder_action",
     "make_family", "normal_multiply", "params_equivalent", "pinned_level", "rational_sqrt",
     "reducibility_points", "scalar_to_json", "section_from_constant", "to_finite_chart",
-    "to_infinity_chart", "verify_conjecture1", "vogan_map", "wall_index",
+    "to_infinity_chart", "verify_conjecture1", "vogan_level", "vogan_map", "wall_index",
 }
 
 

@@ -56,6 +56,7 @@ from .sheaf import (
     CHART_INFINITY,
     ProjectivePoint,
     casimir_section,
+    center_decompose,
     center_membership,
     gamma_family,
 )
@@ -523,11 +524,12 @@ def _suite_regularity(M: int) -> List[dict]:
     for n in range(1, M + 1):
         if n > 1:
             power = power * om_inf
+        dec = center_decompose(power)  # once, for all three checks
         entries.append(check_entry("center-membership", f"(R^2*Casimir)^{n}",
-                                   center_membership(power),
+                                   center_membership(power, dec),
                                    "decomposes into Casimir powers with polynomial coefficients"))
         for cartan in ("compact", "split"):
-            g = gamma_family(power, cartan)
+            g = gamma_family(power, cartan, dec)
             entries.append(check_entry("regular-at-infinity",
                                        f"gamma((R^2*Casimir)^{n}), {cartan} Cartan",
                                        g.is_regular_at(inf),

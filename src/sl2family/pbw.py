@@ -11,8 +11,8 @@ the compact basis the filtration degree of a monomial is just a + c, the
 total exponent on the non-compact generators.
 
 The rewriting core (``times_generator``) uses [raising, lowering] = cartan.
-``NormalForm`` is the term map (see scalars.Terms) whose product is that
-rewriting and ``UEAElement`` a normal form over Q(i).
+``NormalForm`` is the term map (see scalars.Terms) whose product is
+``normal_multiply`` and ``UEAElement`` a normal form over Q(i).
 
 The Q(i) loops run on Gaussian integers, and only this module knows that
 format: an element is brought to a pair of int term maps (real and
@@ -21,17 +21,26 @@ on those, and each output coefficient is reduced once, at the end
 (``_rational``); ``times_monomial`` passes an empty half through
 unrewritten.  ``graded_multiply`` is the one product loop, over normal forms
 graded by a degree that adds (sheaf.py grades sections by R-degree), and
-``normal_multiply`` is its one-grade case; ``is_central``, the center test of
-sheaf.center_decompose and of ``change_basis``, rewrites nothing.
-``change_basis`` relabels a central element, whose terms are the same in
-both bases, and rewrites any other on the same integers (twice each
-transition constant is a Gaussian integer, so the image of a word of length
-L is one over 2^L); ``hc_projection`` reads the Cartan part of its result.
+``normal_multiply`` is its one-grade case.
+
+An element of weight zero (a = c in every monomial) is sum_k F^k E^k u_k(H),
+in the commutative subalgebra Q(i)[H, Casimir].  Each of its int halves has
+one layout (``_layout``): the list of the int lists u_k.  ``is_central``
+reads that layout and rewrites nothing; ``graded_multiply`` multiplies two
+weight-zero operands in it by a closed form (``_w0_times``), the one product
+that does not rewrite letter by letter, chosen by the operands' shape alone;
+a weight-zero power stays in it across all its factors
+(``NormalForm.__pow__``).  ``change_basis`` relabels a central element,
+whose terms are the same in both bases, and rewrites any other on the same
+integers (twice each transition constant is a Gaussian integer, so the
+image of a word of length L is one over 2^L); ``hc_projection`` reads the
+Cartan part u_0 of its result and shifts it by -1 on the int list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb, lcm
 from typing import Dict, Tuple
 
@@ -85,26 +94,38 @@ def times_monomial(terms: dict, mono: Monomial) -> dict:
     return terms
 
 
+def _layout(part: dict) -> list:
+    """An int term map of weight zero, sum_k F^k E^k u_k(H), as the list of the
+    int lists u_k (u_k[b] at H^b), each padded to the degree top - 2k."""
+    top = max(map(sum, part), default=-1)  # an empty map has no u_k
+    u = [[0] * (top - 2 * k + 1) for k in range(top // 2 + 1)]
+    for (k, b, _), x in part.items():
+        u[k][b] = x
+    return u
+
+
+def _shift(p: list, s: int) -> list:
+    """p(H + s) of an int list p, by a Taylor shift in Horner steps."""
+    d = p[:]
+    for i in range(len(d) - 1):
+        for j in range(len(d) - 2, i - 1, -1):
+            d[j] += s * d[j + 1]
+    return d
+
+
 def is_central(terms: dict) -> bool:
     """Whether the Q(i) term map u is central: of weight zero (a = c in every
     F^a E^c H^b) and commuting with E, whose weight-zero centralizer is the
     center Q[Casimir].  Each int half of D u (``_integral``) is then a sum of
-    F^k E^k u_k(H), whose bracket with E has at F^k E^(k+1) the coefficient
-    u_k(H) - u_k(H+2) + (k+1)(H+k+2) u_(k+1)(H)."""
+    F^k E^k u_k(H) (``_layout``), whose bracket with E has at F^k E^(k+1) the
+    coefficient u_k(H) - u_k(H+2) + (k+1)(H+k+2) u_(k+1)(H)."""
     if any(a != c for a, _, c in terms):
         return False
     for part in _integral(terms)[1:]:
-        top = max(map(sum, part), default=0)
-        u = [[0] * (top - 2 * k + 1) for k in range(top // 2 + 2)]  # u[k][b]: F^k E^k H^b
-        for (k, b, _), x in part.items():
-            u[k][b] = x
-        for k, (p, q) in enumerate(zip(u, u[1:])):  # p = u_k, q = u_(k+1)
-            d = p[:]  # to p(H+2), by a Taylor shift in Horner steps
-            for i in range(len(d) - 1):
-                for j in range(len(d) - 2, i - 1, -1):
-                    d[j] += 2 * d[j + 1]
+        u = _layout(part)
+        for k, (p, q) in enumerate(zip(u, u[1:] + [[]])):  # p = u_k, q = u_(k+1)
             if any(x - y != (k + 1) * (z + (k + 2) * w)  # (H+k+2) q(H) at H^j; tops cancel
-                   for x, y, z, w in zip(d, p, [0] + q, q + [0])):
+                   for x, y, z, w in zip(_shift(p, 2), p, [0] + q, q + [0])):
                 return False
     return True
 
@@ -144,14 +165,83 @@ def _rational(re: dict, im: dict, den: int) -> dict:
     return {key: _reduced(re.get(key, 0), im.get(key, 0), den) for key in {**re, **im}}
 
 
+def _weight_zero(u: dict) -> bool:
+    """Whether a graded normal form has a = c in every monomial F^a E^c H^b."""
+    return all(a == c for t in u.values() for a, _, c in t)
+
+
+def _w0(u: dict) -> Tuple[int, dict]:
+    """(D, {grade: (re, im)}): a graded normal form of weight zero over one
+    common denominator D, each int half of each grade in the ``_layout``."""
+    den = lcm(*[c.den for t in u.values() for c in t.values()])
+    return den, {g: tuple(map(_layout, _integral(t, den)[1:])) for g, t in u.items()}
+
+
+def _pmul(p: list, q: list) -> list:
+    """The product of two int lists, as polynomials."""
+    out = [0] * (len(p) + len(q) - 1)
+    for j, y in enumerate(q):
+        if y:
+            out[j:j + len(p)] = [z + y * x for z, x in zip(out[j:], p)]
+    return out
+
+
+def _w0_times(x: dict, y: dict) -> dict:
+    """The product of graded layouts {grade: (re, im)} (``_w0``), grades
+    adding, in closed form:
+
+        (F^a E^a p)(F^b E^b q) = sum_j F^(a+b-j) E^(a+b-j) c_j p q,
+        c_j = j! C(a,j) C(b,j) prod_{i=1..j} (H + a + b - j + i),
+
+    from E^a F^b = sum_j F^(b-j) E^(a-j) c_j(H - 2b).  So c_j p q is
+    c_(j-1) p q times (H + a + b - j + 1)(a - j + 1)(b - j + 1) / j, exactly.
+    """
+    out: dict = {}
+    for g1, (xr, xi) in x.items():
+        for g2, (yr, yi) in y.items():
+            re, im = out.setdefault(g1 + g2, ([], []))
+            for acc, p, q, w in ((re, xr, yr, 1), (re, xi, yi, -1),
+                                 (im, xr, yi, 1), (im, xi, yr, 1)):
+                acc.extend([] for _ in range(len(p) + len(q) - 1 - len(acc)))
+                qs = [(b, [w * z for z in qb]) for b, qb in enumerate(q) if any(qb)]
+                for a, pa in enumerate(p):
+                    if not any(pa):
+                        continue
+                    for b, qb in qs:
+                        c = _pmul(pa, qb)  # c_j p q, from c_0 = 1
+                        for j in range(min(a, b) + 1):
+                            if j:
+                                m, s = (a - j + 1) * (b - j + 1), a + b - j + 1
+                                c = [(s * t + r) * m // j for r, t in zip([0] + c, c + [0])]
+                            k = a + b - j
+                            acc[k] = [r + t for r, t in zip_longest(acc[k], c, fillvalue=0)]
+    return out
+
+
+def _w0_terms(x: dict, den: int) -> dict:
+    """The graded Q(i) normal form of the layouts x over den, each coefficient
+    reduced once."""
+    out = {}
+    for g, halves in x.items():
+        re, im = ({(k, b, k): z for k, p in enumerate(u) for b, z in enumerate(p) if z}
+                  for u in halves)
+        if re or im:
+            out[g] = _rational(re, im, den)
+    return out
+
+
 def graded_multiply(u: dict, v: dict) -> dict:
     """Product of graded normal forms {grade: {monomial: Q(i)}}, grades adding.
 
-    Each operand is brought to int term maps over one common denominator;
-    each int slice of u is rewritten once per monomial of v, summed with v's
-    int coefficients of that monomial in every grade, and each output
-    coefficient is reduced once, over D_u * D_v.
+    Each operand is brought to int term maps over one common denominator.
+    When both have weight zero their layouts multiply in closed form
+    (``_w0_times``).  Otherwise each int slice of u is rewritten once per
+    monomial of v, summed with v's int coefficients of that monomial in every
+    grade.  Each output coefficient is reduced once, over D_u * D_v.
     """
+    if _weight_zero(u) and _weight_zero(v):
+        (du, x), (dv, y) = _w0(u), _w0(v)
+        return _w0_terms(_w0_times(x, y), du * dv)
     du = lcm(*[c.den for t in u.values() for c in t.values()])
     dv = lcm(*[c.den for t in v.values() for c in t.values()])
     rows: Dict[Monomial, list] = {}  # v's monomial -> [(grade, re, im)]
@@ -194,7 +284,8 @@ class NormalForm(Terms):
     """A term map in PBW normal form: exponent triples (a, b, c) to coefficients.
 
     Subclasses fix the generator names (``_gens``); the product is
-    ``normal_multiply`` over Q(i).
+    ``normal_multiply`` over Q(i).  A subclass that grades its terms
+    (sheaf.FamilySection) gives ``_to_graded`` and ``_from_graded``.
     """
 
     __slots__ = ()
@@ -204,6 +295,24 @@ class NormalForm(Terms):
 
     def _product(self, terms: dict) -> dict:
         return normal_multiply(self.terms, terms)
+
+    def _to_graded(self, terms: dict) -> dict:
+        return {0: terms}
+
+    def _from_graded(self, graded: dict) -> dict:
+        return graded.get(0, {})
+
+    def __pow__(self, n: int):
+        """A power of weight zero stays in the layout (``_w0``) across all n
+        factors and is reduced once; any other goes factor by factor."""
+        graded = self._to_graded(self.terms)
+        if n < 1 or not _weight_zero(graded):
+            return super().__pow__(n)
+        den, x = _w0(graded)
+        acc = x
+        for _ in range(n - 1):
+            acc = _w0_times(acc, x)
+        return self._make(self.tag, self._from_graded(_w0_terms(acc, den ** n)))
 
     def _key_str(self, mono: Monomial) -> str:
         a, b, c = mono
@@ -328,10 +437,23 @@ def k_order(u: UEAElement):
 
     The order of a PBW monomial in the compact basis is its total exponent
     on the two non-compact generators; an element's order is the maximum
-    over its support, with the zero element at the -inf sentinel.  Elements
-    given in the split basis are rewritten first, since that basis is not
-    adapted to the Cartan involution.
+    over its support, with the zero element at the -inf sentinel.
+
+    A split element of top length L has order at most L.  Its degree-L symbol
+    in the motion algebra is read off its length-L terms: Hs has the symbol
+    s, Ys and Xs both (i/2)*d, with s and d independent, so Ys^a Hs^b Xs^c
+    has (i/2)^(a+c) s^b d^(a+c), and the order is L when the coefficients of
+    some group (b, a + c) have a nonzero sum.  When every group cancels, the
+    element is rewritten into the compact basis first.
     """
+    if u.basis == SPLIT and u.terms:
+        top = max(map(sum, u.terms))
+        sums: dict = {}
+        for (a, b, c), x in u.terms.items():
+            if a + b + c == top:
+                _add_term(sums, (b, a + c), x)
+        if sums:
+            return top
     v = change_basis(u, COMPACT)
     if not v.terms:
         return NEG_INF
@@ -350,11 +472,8 @@ def hc_projection(u: UEAElement, cartan: str) -> UEAElement:
     target = COMPACT if cartan == "compact" else SPLIT if cartan == "split" else None
     if target is None:
         raise ValueError(f"unknown cartan {cartan!r}")
-    out: dict = {}
-    for (a, b, c), coeff in change_basis(u, target).terms.items():
-        if a or c:
-            continue
-        # (h - 1)^b expanded
-        for j in range(b + 1):
-            _add_term(out, (0, j, 0), coeff * (comb(b, j) * (-1) ** (b - j)))
-    return UEAElement._make(target, out)
+    cartan_part = {k: x for k, x in change_basis(u, target).terms.items() if k[0] == k[2] == 0}
+    den, *halves = _integral(cartan_part)
+    # the layout of an int half is [p], or [] for a zero half: p(h) goes to p(h - 1)
+    shifted = [[_shift(p, -1) for p in _layout(half)[:1]] for half in halves]
+    return UEAElement._make(target, _w0_terms({0: shifted}, den).get(0, {}))

@@ -12,7 +12,9 @@ Both read in the other chart and test regularity through one rule, the
 methods ``in_chart`` and ``is_regular_at`` of their private base.
 
 A section is read as a PBW normal form graded by its R-degree in the finite
-frame (``_graded``): its product is pbw.graded_multiply and its center test
+frame (``FamilySection._to_graded``): its product is pbw.graded_multiply (in
+closed form when both sections have weight zero, as the Casimir section
+does), its power is pbw.NormalForm's, and its center test is
 pbw.is_central, slice by slice; only pbw.py sees int term maps.
 ``center_decompose`` builds no Casimir power: the coefficients of the Casimir
 powers come off the Cartan part alone.
@@ -103,16 +105,6 @@ def _frame(mono) -> int:
     return mono[0] + mono[2]
 
 
-def _graded(terms: dict, lift: bool) -> dict:
-    """{finite-frame R-degree: {monomial: Q(i)}} of a section's terms (lift at infinity)."""
-    out: dict = {}
-    for mono, f in terms.items():
-        shift = lift and _frame(mono)
-        for e, x in f.terms.items():
-            out.setdefault(e + shift, {})[mono] = x
-    return out
-
-
 def _laurent_in(var: str, x) -> Optional[Laurent]:
     """x as a Laurent coefficient in var, or None when it is not one."""
     if isinstance(x, Laurent):
@@ -172,7 +164,9 @@ class FamilySection(NormalForm, _ChartSection):
     The product is pbw.graded_multiply in the finite frame X = Xinf/R,
     Y = Yinf/R, H = Hinf, where [X, Y] = H and Finf^a Einf^c H^b =
     R^(a+c) F^a E^c H^b: a term R^e Finf^a Einf^c H^b has the grade e + a + c
-    (``_graded``), and a product monomial divides by R^(a+c) on the way back.
+    (``_to_graded``), and a product monomial divides by R^(a+c) on the way back
+    (``_from_graded``), which is also how pbw.NormalForm's power of weight
+    zero comes back.
     """
 
     __slots__ = ()
@@ -186,13 +180,28 @@ class FamilySection(NormalForm, _ChartSection):
         chart_variable(chart)
         super().__init__(chart, terms)
 
-    def _product(self, terms: dict) -> dict:
+    def _to_graded(self, terms: dict) -> dict:
+        """{finite-frame R-degree: {monomial: Q(i)}} of terms in this chart."""
         lift = self.tag == CHART_INFINITY
         out: dict = {}
-        for e, part in graded_multiply(_graded(self.terms, lift), _graded(terms, lift)).items():
+        for mono, f in terms.items():
+            shift = lift and _frame(mono)
+            for e, x in f.terms.items():
+                out.setdefault(e + shift, {})[mono] = x
+        return out
+
+    def _from_graded(self, graded: dict) -> dict:
+        lift = self.tag == CHART_INFINITY
+        out: dict = {}
+        for e, part in graded.items():
             for key, z in part.items():
                 out.setdefault(key, {})[e - (lift and _frame(key))] = z
-        return {k: Laurent._make(self.var, f) for k, f in out.items()}
+        var = self.var
+        return {k: Laurent._make(var, f) for k, f in out.items()}
+
+    def _product(self, terms: dict) -> dict:
+        return self._from_graded(
+            graded_multiply(self._to_graded(self.terms), self._to_graded(terms)))
 
     def _gens(self):
         return ("Y", "H", "X") if self.tag == CHART_FINITE else ("Yinf", "Hinf", "Xinf")
@@ -260,14 +269,14 @@ def center_decompose(s: FamilySection) -> Optional[Dict[int, Laurent]]:
     None when s is not such a combination (equivalently, not a section of
     the center of the chart).  No Casimir power is built:
 
-    1. each R-degree slice in the finite frame (each grade of ``_graded``)
+    1. each R-degree slice in the finite frame (each grade of ``_to_graded``)
        must pass pbw.is_central.  The center of U(sl2) is Q(i)[Casimir], so
        the sections passing 1 are exactly the Laurent combinations;
     2. the g_j come from the Cartan part (the H^b terms) alone, which is
        sum_j g_j t^j (h^2 + 2h)^j with t = 1 (finite chart) or R^2 (at
        infinity), peeled from its top degree down.
     """
-    if not all(map(is_central, _graded(s.terms, s.chart == CHART_INFINITY).values())):
+    if not all(map(is_central, s._to_graded(s.terms).values())):
         return None
     t = 2 if s.chart == CHART_INFINITY else 0  # the R-degree of t
     cartan = {b: f for (a, b, c), f in s.terms.items() if a == 0}
@@ -283,18 +292,18 @@ def center_decompose(s: FamilySection) -> Optional[Dict[int, Laurent]]:
     return out
 
 
-def center_membership(s: FamilySection) -> bool:
+def center_membership(s: FamilySection, dec: Optional[Dict[int, Laurent]] = None) -> bool:
     """Decide membership in the polynomial center of the chart.
 
     Over the chart at infinity the center's global sections are the
     polynomial algebra on the coordinate and the rescaled Casimir; over
     the finite chart, on the coordinate and the Casimir itself.  Rational
     sections of the center (negative coefficient exponents) are rejected.
+    dec is center_decompose(s), when the caller has it already.
     """
-    dec = center_decompose(s)
     if dec is None:
-        return False
-    return all(g.is_polynomial for g in dec.values())
+        dec = center_decompose(s)
+    return dec is not None and all(g.is_polynomial for g in dec.values())
 
 
 class CartanSection(_ChartSection):
@@ -341,17 +350,19 @@ class CartanSection(_ChartSection):
         }
 
 
-def gamma_family(s: FamilySection, cartan: str) -> CartanSection:
+def gamma_family(s: FamilySection, cartan: str,
+                 dec: Optional[Dict[int, Laurent]] = None) -> CartanSection:
     """The family version of the Cartan projection with rho-shift.
 
-    Defined on central sections only: decompose s into Casimir powers and
-    send the Casimir to h^2 - 1 (finite chart) or its R^2-rescaling to
-    R^2*(h^2 - 1) (chart at infinity).  For either choice of Cartan the
-    image has the same coefficients; the two differ in the regularity
-    geometry recorded on the result.  Regular central input yields a
-    regular image (asserted).
+    Defined on central sections only: decompose s into Casimir powers (dec,
+    when the caller has center_decompose(s) already) and send the Casimir
+    to h^2 - 1 (finite chart) or its R^2-rescaling to R^2*(h^2 - 1) (chart
+    at infinity).  For either choice of Cartan the image has the same
+    coefficients; the two differ in the regularity geometry recorded on the
+    result.  Regular central input yields a regular image (asserted).
     """
-    dec = center_decompose(s)
+    if dec is None:
+        dec = center_decompose(s)
     if dec is None:
         raise NotCentralError("gamma_family requires a central section")
     coeffs: Dict[int, Laurent] = {}

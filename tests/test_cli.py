@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from family_sweep import sweep_points, validated_families
 from test_duals import BREAKS as BIJECTION_BREAKS
-from sl2family import cli, fibers
+from sl2family import cli, fibers, sheaf
 from sl2family.cli import _load_object, cmd_analyze, cmd_classify, cmd_verify, main, render_json
 from sl2family.fibers import DualParam, evaluate_fiber, factor_containing_m
 from sl2family.scalars import GaussianRational as GR
@@ -648,7 +648,8 @@ SUITE_BREAKS = [
     ("cartan-projection", "regularity", "hc_projection",
      lambda orig: lambda u, cartan: orig(u * u, cartan)),
     # every membership verdict inverted
-    ("center-membership", "regularity", "center_membership", lambda orig: lambda s: not orig(s)),
+    ("center-membership", "regularity", "center_membership",
+     lambda orig: lambda *args: not orig(*args)),
     # regularity judged at r = 0, where R^2 has a pole, in place of infinity
     ("regular-at-infinity", "regularity", "ProjectivePoint",
      lambda orig: types.SimpleNamespace(infinity=lambda: orig.from_r(0))),
@@ -669,6 +670,19 @@ class TestVerify:
         assert {e["check"] for e in doc["entries"] if not e["pass"]} == {kind}
         code, doc = run_json(capsys, "verify", suite)
         assert code == 1 and doc["counts"]["fail"] > 0
+
+    def test_regularity_decomposes_each_power_once(self, monkeypatch):
+        # center_membership and both gamma_family calls share one decomposition
+        calls = []
+
+        def counted(orig):
+            return lambda s: calls.append(s) or orig(s)
+
+        for owner in (cli, sheaf):
+            monkeypatch.setattr(owner, "center_decompose", counted(owner.center_decompose))
+        doc, code = cmd_verify("regularity", M=5)
+        assert code == 0 and doc["counts"] == {"fail": 0, "pass": 17}
+        assert len(calls) == 5
 
     def test_every_check_kind_but_the_convention_has_a_break(self):
         kinds = {e["check"] for suite in cli._SUITES for e in cmd_verify(suite)[0]["entries"]}

@@ -4,7 +4,7 @@ basis changes, filtration order, and the Cartan projection."""
 import copy
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 from typing import Dict
 
 import pytest
@@ -801,3 +801,122 @@ class TestIntegerCore:
         # central and non-central, with real-only, imaginary-only and mixed coefficients
         assert {(True, True, True), (False, True, True), (True, True, False),
                 (False, True, False), (True, False, True), (False, False, True)} <= kinds
+
+
+# -- the weight-zero closed form against the letter-by-letter rewrite -----------
+#
+# Two operands of weight zero (a = c in every monomial) multiply in closed
+# form, and a weight-zero power stays in that form across its factors.  The
+# references are q_multiply (times_monomial on Q(i)) and the matrices of
+# tests/sl2_matrices.py; hc_projection's shift by -1 is checked against the
+# comb expansion of rewrite_oracle.
+
+def weight_zero_terms(rng: random.Random, top: int) -> dict:
+    """Up to five terms F^k E^k H^b of degree <= top with fractional
+    coefficients: complex, real only or imaginary only."""
+    def part() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    kind = rng.randrange(3)
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        k = rng.randint(0, top // 2)
+        terms[k, rng.randint(0, top - 2 * k), k] = GR(part() if kind != 2 else 0,
+                                                      part() if kind != 1 else 0)
+    return terms
+
+
+def raising_times_lowering(a: int, b: int) -> dict:
+    """E^a F^b = sum_j F^(b-j) E^(a-j) c_j(H), c_j(H) = j! C(a,j) C(b,j)
+    prod_{i=1..j} (H + a - b - j + i), as a term map."""
+    out = {}
+    for j in range(min(a, b) + 1):
+        c = [factorial(j) * comb(a, j) * comb(b, j)]
+        for i in range(1, j + 1):  # times (H + s)
+            s = a - b - j + i
+            c = [s * x + y for x, y in zip(c + [0], [0] + c)]
+        out.update({(b - j, d, a - j): GR(x) for d, x in enumerate(c) if x})
+    return out
+
+
+def refuse_rewrites(monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("a weight-zero product was rewritten letter by letter")
+    monkeypatch.setattr(pbw, "times_generator", refuse)
+
+
+class TestWeightZero:
+    def test_products_match_times_monomial(self, monkeypatch):
+        rng = random.Random(4242)
+        pairs = [(weight_zero_terms(rng, 6), weight_zero_terms(rng, 6)) for _ in range(150)]
+        pairs += [({}, pairs[0][0]), (pairs[0][1], {})]
+        with monkeypatch.context() as patch:
+            refuse_rewrites(patch)
+            products = [pbw.normal_multiply(u, v) for u, v in pairs]
+        for (u, v), product in zip(pairs, products):
+            assert product == q_multiply(u, v), (u, v)
+            assert_lowest_terms(product)
+
+    def test_graded_products_match_times_monomial(self, monkeypatch):
+        # grades add, negative ones included, as for sections at infinity
+        rng = random.Random(5151)
+        pairs = [tuple({g: weight_zero_terms(rng, 4) for g in rng.sample(range(-3, 4), 3)}
+                       for _ in "uv") for _ in range(30)]
+        with monkeypatch.context() as patch:
+            refuse_rewrites(patch)
+            products = [pbw.graded_multiply(u, v) for u, v in pairs]
+        for (u, v), product in zip(pairs, products):
+            expected: dict = {}
+            for g1, t1 in u.items():
+                for g2, t2 in v.items():
+                    acc = expected.setdefault(g1 + g2, {})
+                    for key, x in q_multiply(t1, t2).items():
+                        acc[key] = acc.get(key, GR(0)) + x
+            expected = {g: {k: x for k, x in t.items() if x} for g, t in expected.items()}
+            assert product == {g: t for g, t in expected.items() if t}, (u, v)
+
+    @pytest.mark.parametrize("basis", [COMPACT, SPLIT])
+    def test_products_act_as_matrix_products(self, basis):
+        rng = random.Random(6262 + (basis is SPLIT))
+        for _ in range(12):
+            u, v = (UEAElement(basis, weight_zero_terms(rng, 4)) for _ in "uv")
+            for n in range(4):
+                assert rho_element(u * v, n) == mat_mul(rho_element(u, n), rho_element(v, n))
+
+    @pytest.mark.parametrize("a", range(7))
+    def test_raising_times_lowering_in_closed_form(self, a):
+        for b in range(7):
+            product = pbw.normal_multiply({(0, 0, a): GR_ONE}, {(b, 0, 0): GR_ONE})
+            assert product == raising_times_lowering(a, b), (a, b)
+
+    @pytest.mark.parametrize("basis", [COMPACT, SPLIT])
+    def test_power_is_repeated_product(self, basis, monkeypatch):
+        rng = random.Random(7373 + (basis is SPLIT))
+        bases = [casimir(basis), casimir(basis) * GR(Fraction(1, 3), Fraction(-2, 5)),
+                 UEAElement.zero(basis), UEAElement.one(basis) * I]
+        bases += [UEAElement(basis, weight_zero_terms(rng, 3)) for _ in range(4)]
+        for u in bases:
+            acc = UEAElement.one(basis)
+            for n in range(11):
+                with monkeypatch.context() as patch:
+                    refuse_rewrites(patch)
+                    power = u ** n
+                assert power == acc, (str(u), n)
+                assert_lowest_terms(power.terms)
+                acc = acc * u
+        # any other element goes factor by factor
+        v = gen(basis.gens[2], basis) + casimir(basis)
+        assert v ** 3 == v * v * v
+
+    @pytest.mark.parametrize("cartan", ["compact", "split"])
+    def test_hc_projection_shift_matches_the_comb_expansion(self, cartan):
+        rng = random.Random(8484 + (cartan == "split"))
+        basis = CARTANS[cartan]
+        cases = [UEAElement(basis, weight_zero_terms(rng, 12)) for _ in range(20)]
+        cases += [UEAElement(basis, {(0, b, 0): GR(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                                   Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                                     for b in range(d + 1)}) for d in range(13)]
+        cases.append(UEAElement(basis, {(1, 5, 0): GR(2), (0, 7, 0): GR(0, Fraction(1, 3))}))
+        for u in cases:
+            image = hc_projection(u, cartan)
+            assert image == rewrite_oracle(u, cartan), str(u)
+            assert_lowest_terms(image.terms)

@@ -250,13 +250,15 @@ class TestChartTransport:
                 section_from_constant(casimir(basis))
 
 
-def _seeded_section(rng: random.Random, chart: str, deg: int) -> FamilySection:
+def _seeded_section(rng: random.Random, chart: str, deg: int,
+                    weight_zero: bool = False) -> FamilySection:
     """Up to four PBW monomials of degree <= deg with Laurent coefficients
-    of one to three terms, exponents -2..2."""
+    of one to three terms, exponents -2..2; weight_zero says whether every
+    monomial is F^a E^a H^b."""
     terms = {}
     for _ in range(rng.randint(1, 4)):
-        a = rng.randint(0, deg)
-        c = rng.randint(0, deg - a)
+        a = rng.randint(0, deg // 2 if weight_zero else deg)
+        c = a if weight_zero else rng.randint(0, deg - a)
         coeffs = {}
         for _ in range(rng.randint(1, 3)):
             coeffs[rng.randint(-2, 2)] = GR(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
@@ -477,18 +479,20 @@ def q_section_product(s: FamilySection, t: FamilySection) -> dict:
     return {key: Laurent(s.var, f) for key, f in out.items()}
 
 
-def _wide_section(rng: random.Random, chart: str, deg: int, parts=(True, True)) -> FamilySection:
+def _wide_section(rng: random.Random, chart: str, deg: int, parts=(True, True),
+                  weight_zero: bool = False) -> FamilySection:
     """Up to four PBW monomials of degree <= deg, with Laurent coefficients of
     up to three terms, exponents -3..3 and denominators of about 20 digits;
-    parts says whether the real and the imaginary parts may be nonzero."""
+    parts says whether the real and the imaginary parts may be nonzero, and
+    weight_zero whether every monomial is F^a E^a H^b."""
     def part(on: bool) -> Fraction:
         if not on:
             return Fraction(0)
         return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(10 ** 19, 10 ** 20))
     terms = {}
     for _ in range(rng.randint(1, 4)):
-        a = rng.randint(0, deg)
-        c = rng.randint(0, deg - a)
+        a = rng.randint(0, deg // 2 if weight_zero else deg)
+        c = a if weight_zero else rng.randint(0, deg - a)
         coeffs = {rng.randint(-3, 3): GR(part(parts[0]), part(parts[1]))
                   for _ in range(rng.randint(1, 3))}
         terms[(a, rng.randint(0, deg - a - c), c)] = Laurent(chart_variable(chart), coeffs)
@@ -514,6 +518,12 @@ def _integer_path_pairs(chart: str) -> list:
               (_wide_section(rng, chart, 2, imaginary), _wide_section(rng, chart, 2)),
               (om, _wide_section(rng, chart, 2)), (_wide_section(rng, chart, 2), om ** 2),
               (FamilySection.zero(chart), om), (om, FamilySection.zero(chart))]
+    # both of weight zero: the closed form, over R-degree slices from -3 up
+    pairs += [(_wide_section(rng, chart, 4, weight_zero=True),
+               _wide_section(rng, chart, 4, weight_zero=True)) for _ in range(4)]
+    pairs += [(_wide_section(rng, chart, 4, real, True),
+               _wide_section(rng, chart, 4, imaginary, True)),
+              (om, _wide_section(rng, chart, 4, weight_zero=True)), (om ** 2, om)]
     coeffs = [f for pair in pairs for s in pair for f in s.terms.values()]
     assert any(f.valuation() < 0 for f in coeffs)
     assert any(x.den > 10 ** 18 and x.im_num for f in coeffs for x in f.terms.values())
@@ -542,6 +552,26 @@ class TestIntegerPath:
                         rho_section(s, x, n), rho_section(t, x, n)), (str(s), str(t), n, str(x))
 
     @pytest.mark.parametrize("chart", [CHART_FINITE, CHART_INFINITY])
+    def test_power_is_repeated_product(self, chart):
+        rng = random.Random(27182 + (chart == CHART_INFINITY))
+        om = casimir_section(chart)
+        one = FamilySection(chart, {(0, 0, 0): 1})
+        bases = [om, om * GR(Fraction(1, 3), Fraction(-2, 5)), FamilySection.zero(chart),
+                 om + FamilySection(chart, {(0, 1, 0): lau(chart_variable(chart), n1=GR(0, 2))})]
+        bases = [(s, 10) for s in bases]
+        bases += [(_seeded_section(rng, chart, 4, weight_zero=True), 6) for _ in range(3)]
+        bases.append((_wide_section(rng, chart, 2, weight_zero=True), 4))
+        for s, top in bases:
+            acc = one
+            for n in range(top + 1):
+                power = s ** n
+                assert power == acc, (str(s), n)
+                _assert_lowest_terms(power)
+                acc = acc * s
+        v = om + FamilySection(chart, {(0, 0, 1): lau(chart_variable(chart), p1=1)})
+        assert v ** 3 == v * v * v  # not of weight zero: factor by factor
+
+    @pytest.mark.parametrize("chart", [CHART_FINITE, CHART_INFINITY])
     def test_a_real_factor_rewrites_one_half(self, chart, monkeypatch):
         calls = []
         real = pbw.times_generator
@@ -552,10 +582,13 @@ class TestIntegerPath:
 
         monkeypatch.setattr(pbw, "times_generator", counted)
         om = casimir_section(chart)
-        om * om  # one slice; v's letters: H^2, H, Y X
-        assert len(calls) == 5
-        om * (om * GR(0, 1))  # v's coefficients do not add rewrites
-        assert len(calls) == 10
+        om * om  # weight zero: the closed form rewrites nothing
+        assert not calls
+        v = om + FamilySection(chart, {(0, 0, 1): Laurent.const(1, chart_variable(chart))})
+        om * v  # not of weight zero; v's letters: H^2, H, Y X, X
+        assert len(calls) == 6
+        om * (v * GR(0, 1))  # v's coefficients do not add rewrites
+        assert len(calls) == 12
 
     @pytest.mark.parametrize("chart", [CHART_FINITE, CHART_INFINITY])
     def test_decompose_needs_both_halves_central(self, chart):

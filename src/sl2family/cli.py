@@ -18,6 +18,7 @@ check passes, 1 when some check fails, 2 on usage errors.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -191,48 +192,70 @@ def render_json(doc) -> str:
     """doc as json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) writes
     it, plus a newline, without the pure-Python encoder an indent makes that call
     use.  Keys are str and values dict, list, str, int, bool or None (exactly those
-    types); any other type, a float included, raises TypeError."""
+    types); any other type, a float included, raises TypeError.
+
+    A dict is written from the plan of its shape, that is of its line break and
+    indent and its keys in insertion order: the keys in sorted order, each with
+    the text before its value ("{" or ",", the line break and indent, the quoted
+    key and ": ").  A report repeats a few dozen shapes over thousands of dicts,
+    so _dict_plan sorts and quotes each shape's keys once and keeps the 256 plans
+    used last, a fixed bound, in place of doing that work at every dict."""
     out: List[str] = []
     _put_json(doc, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
+@functools.lru_cache(maxsize=256)
+def _dict_plan(nl: str, keys: tuple) -> Tuple[tuple, str, str]:
+    """The plan of a nonempty dict with these keys written at line break and
+    indent nl: its (key, text before the value) pairs in sorted key order, the
+    line break and indent inside it, and its closing text."""
+    inner = nl + "  "
+    plan = [(key, f",{inner}{_json_str(key)}: ") for key in sorted(keys)]
+    plan[0] = (plan[0][0], "{" + plan[0][1][1:])
+    return tuple(plan), inner, nl + "}"
+
+
 def _put_json(obj, nl: str, out: List[str]) -> None:
     """Append obj's JSON text to out; nl is the line break and indent inside obj."""
     t = type(obj)
-    leaf = _JSON_LEAF.get(t)
-    if leaf is not None:
-        out.append(leaf(obj))
-    elif t is not dict and t is not list:
-        raise TypeError(f"cannot render {t.__name__} as JSON")
-    elif not obj:
-        out.append("{}" if t is dict else "[]")
-    elif t is dict:
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
+    if t is dict and obj:
+        plan, inner, end = _dict_plan(nl, tuple(obj))
+        for key, head in plan:
             v = obj[key]
-            leaf = _JSON_LEAF.get(type(v))
-            if leaf is not None:
-                out.append(f"{sep}{_json_str(key)}: {leaf(v)}")
-            else:
-                out.append(f"{sep}{_json_str(key)}: ")
+            t = type(v)
+            if t is str:
+                out.append(head + _json_str(v))
+            elif t is dict or t is list:
+                out.append(head)
                 _put_json(v, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    else:
+            else:
+                out.append(head + _json_leaf(v))
+        out.append(end)
+    elif t is list and obj:
         inner = nl + "  "
-        sep = "[" + inner
+        head, comma = "[" + inner, "," + inner
         for v in obj:
-            leaf = _JSON_LEAF.get(type(v))
-            if leaf is not None:
-                out.append(sep + leaf(v))
-            else:
-                out.append(sep)
+            t = type(v)
+            if t is str:
+                out.append(head + _json_str(v))
+            elif t is dict or t is list:
+                out.append(head)
                 _put_json(v, inner, out)
-            sep = "," + inner
+            else:
+                out.append(head + _json_leaf(v))
+            head = comma
         out.append(nl + "]")
+    else:
+        out.append("{}" if t is dict else "[]" if t is list else _json_leaf(obj))
+
+
+def _json_leaf(v) -> str:
+    leaf = _JSON_LEAF.get(type(v))
+    if leaf is None:
+        raise TypeError(f"cannot render {type(v).__name__} as JSON")
+    return leaf(v)
 
 
 def _text_scalar(v) -> str:

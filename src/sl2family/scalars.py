@@ -215,6 +215,8 @@ def _ratio_hash(n: int, d: int) -> int:
 
 def _ratio_str(n: int, d: int, num=str) -> str:
     """n/d as str(Fraction(n, d)) prints it, for d > 0, each int written by num."""
+    if d == 1:
+        return num(n)
     n, d = _lowest(n, d)
     return num(n) if d == 1 else f"{num(n)}/{num(d)}"
 

@@ -173,6 +173,49 @@ class TestRenderJson:
         with pytest.raises(TypeError):
             render_json({"a": {1: "x"}})
 
+    # A dict is written from a plan kept per (indent, keys); these write one
+    # shape in ways a plan must not carry from one dict to the next.
+
+    def test_one_key_set_in_two_insertion_orders(self):
+        for doc in ({"b": 1, "a": "x", "c": None}, {"c": None, "a": "x", "b": 1},
+                    [{"b": 2, "a": "y"}, {"a": "z", "b": 3}]):
+            assert render_json(doc) == stdlib_json(doc)
+
+    def test_one_shape_at_two_depths(self):
+        inner = {"re": "1", "im": "0"}
+        for doc in (inner, {"x": inner}, [inner, [inner]], {"x": [{"y": inner}], "re": inner}):
+            assert render_json(doc) == stdlib_json(doc)
+
+    def test_one_shape_with_leaves_then_containers(self):
+        for doc in ({"a": 1, "b": "s"}, {"a": {"a": 1, "b": "s"}, "b": [1, "s"]},
+                    {"a": {}, "b": []}, {"a": [{}], "b": {"a": [], "b": None}}):
+            assert render_json(doc) == stdlib_json(doc)
+
+    def test_true_and_one_under_one_shape(self):
+        for doc in ({"k": True}, {"k": 1}, {"k": False}, {"k": 0}, {"k": None},
+                    [True, 1, False, 0], {"k": [1, True]}):
+            assert render_json(doc) == stdlib_json(doc)
+
+    @pytest.mark.parametrize("bad, good", [
+        ({"a": 0.5, "b": "x"}, {"a": 1, "b": "x"}),
+        ({"a": {1: "x", 2: "y"}}, {"a": {"1": "x", "2": "y"}}),
+        ({"a": (1, 2), "b": "x"}, {"a": [1, 2], "b": "x"}),
+    ], ids=["float-leaf", "int-key", "tuple-value"])
+    def test_a_refused_doc_leaves_no_plan_behind(self, bad, good):
+        with pytest.raises(TypeError):
+            render_json(bad)
+        assert render_json(good) == stdlib_json(good)
+        with pytest.raises(TypeError):
+            render_json(bad)
+
+    def test_the_plan_table_stays_at_its_bound(self):
+        bound = cli._dict_plan.cache_info().maxsize
+        docs = [{f"k{i}": i, "v": [{"re": str(i)}]} for i in range(bound + 40)]
+        for doc in docs:
+            assert render_json(doc) == stdlib_json(doc)
+        assert cli._dict_plan.cache_info().currsize == bound
+        assert render_json(docs[0]) == stdlib_json(docs[0])
+
 
 class TestClassify:
     def test_valid_family(self, capsys):

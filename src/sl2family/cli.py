@@ -346,14 +346,11 @@ def cmd_tables(which: int, M: int, grid: Optional[Sequence] = None) -> dict:
     rows = _table_rows(M, key, R, generic)
     doc = {"table": which, "M": M, "rows": rows}
     if grid is not None:
-        # the concrete rows at the grid levels, each not yet listed
+        # the grid levels' rows not yet listed (a level fixed by |m| > 1 always is)
         seen = set(map(render_json, rows))
         for v in grid:
-            for m in range(-M, M + 1):
-                try:
-                    q = DualParam(v, m, R)
-                except ValueError:  # off the table
-                    continue
+            for m in range(-min(M, 1), min(M, 1) + 1):
+                q = DualParam(v, m, R)
                 row = {"m": m, key: scalar_to_json(q.level), "ktypes": str(dual_ktypes(q))}
                 text = render_json(row)
                 if text not in seen:
@@ -646,6 +643,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:  # one line and the shell's status for SIGINT, no traceback
         print(f"{parser.prog}: interrupted", file=sys.stderr)
         return 130
+    except MemoryError:  # one line and the usage status, no traceback
+        print(f"{parser.prog}: out of memory", file=sys.stderr)
+        return 2
     return status
 
 

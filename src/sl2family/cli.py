@@ -476,7 +476,7 @@ def cmd_bijection(Rs: Sequence, M: int, grid: Sequence,
                   candidate: Optional[dict] = None) -> Tuple[dict, int]:
     """Verify the dual bijection at each R; characterize a candidate map."""
     reports = _reports(Rs, M, grid)
-    all_ok = all(rep["pass"] for rep in reports)
+    all_ok = bool(reports) and all(rep["pass"] for rep in reports)  # a run of no R shows nothing
     doc = {
         "M": M,
         "grid": [scalar_to_json(z) for z in grid],

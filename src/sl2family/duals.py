@@ -273,7 +273,7 @@ def characterize_bijections(candidate: Dict[int, tuple]) -> CharacterizationResu
 
     ``candidate`` gives, for each m in {0, 1, -1}, the coefficients
     (a_m, b_m) of the proposed level map z -> a_m z + b_m into the dual
-    at R = 1; the |m| > 1 assignments are forced (pinned levels) and need
+    at R = 1; the |m| > 1 assignments are forced (pinned levels) and must
     not be supplied.  The routine replays the uniqueness argument:
     extending the minimal-K-type correspondence forces b_m = -1,
     preserving temperedness forces a_m real and positive, agreement of
@@ -281,6 +281,9 @@ def characterize_bijections(candidate: Dict[int, tuple]) -> CharacterizationResu
     exactly the level map of eta^R for R = 1/sqrt(a), reported when that
     square root is rational.
     """
+    if set(candidate) - {0, 1, -1}:
+        raise ValueError("candidate may supply affine maps for m = 0, 1, -1 only; "
+                         "no eta^R moves the level a K-type |m| > 1 fixes")
     maps: Dict[int, Tuple[GaussianRational, GaussianRational]] = {}
     for m in (0, 1, -1):
         if m not in candidate:

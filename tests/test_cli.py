@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import threading
-import types
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from family_sweep import sweep_points, validated_families
-from test_duals import BREAKS as BIJECTION_BREAKS
 from sl2family import cli, fibers, sheaf
 from sl2family.cli import _load_object, cmd_analyze, cmd_classify, cmd_verify, main, render_json
 from sl2family.fibers import DualParam, evaluate_fiber, factor_containing_m
@@ -107,27 +105,6 @@ class TestTableContents:
             main(["tables", which, "--M", "-3"])
         assert exc.value.code == 2
         assert "M must be >= 0" in capsys.readouterr().err
-
-
-class TestDeterminism:
-    def test_repeated_runs_are_identical(self, capsys):
-        _, first = run(capsys, "tables", "2", "--M", "4")
-        _, second = run(capsys, "tables", "2", "--M", "4")
-        assert first == second
-
-    def test_out_file_matches_stdout(self, capsys, tmp_path):
-        _, streamed = run(capsys, "tables", "1", "--M", "3")
-        target = tmp_path / "t.json"
-        code, silent = run(capsys, "tables", "1", "--M", "3", "--out", str(target))
-        assert code == 0 and silent == ""
-        assert target.read_text(encoding="utf-8") == streamed
-
-    def test_json_rendering_is_ascii_sorted_and_terminated(self, capsys):
-        _, out = run(capsys, "classify", "--family", '{"m": 2, "casimir": [0]}')
-        assert out.endswith("\n")
-        assert out == out.encode("ascii", "strict").decode("ascii")
-        doc = json.loads(out)
-        assert list(doc) == sorted(doc)
 
 
 # JSON trees with every leaf render_json takes, empty containers at every depth,
@@ -521,6 +498,11 @@ class TestBijection:
         assert doc["characterization"]["matches"] == 2
         assert doc["characterization"]["violated"] is None
 
+    def test_no_chart_coordinate_fails(self):
+        # --R is never empty, but a library run that checked no R has shown nothing
+        doc, code = cli.cmd_bijection([], 3, [0, 1])
+        assert (code, doc["pass"], doc["reports"]) == (1, False, [])
+
     def test_rejected_candidate_is_reported(self, capsys):
         # the exit code reflects the bijection verification; the verdict on
         # the candidate lives in the payload
@@ -539,7 +521,6 @@ class TestBijection:
         assert code == 0 and doc["pass"]
         assert doc["characterization"]["matches"] is None
         assert doc["characterization"]["violated"] == "vogan-extension"
-
 
     @pytest.mark.parametrize("argv", [["bijection", "--R", "1", "--M", "3", "--grid", "1,1"],
                                       ["verify", "bijection", "--grid", "0"]])
@@ -585,52 +566,8 @@ class TestBijection:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "sl2family: error: the chart coordinate R must be a nonzero real rational")
 
-    def test_float_in_candidate_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bijection", "--R", "1", "--M", "1", "--grid", "0,1",
-                  "--candidate", '{"0": [0.5, -1], "1": [1, -1], "-1": [1, -1]}'])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1] == ("sl2family: error: candidate entry for m=0: "
-                           "cannot read scalar from 0.5 (floats are not exact)")
-
-
-# One wrong step per check kind of the appendix, regularity and conjecture2
-# suites: the check, its suite, a name the suite reads from the cli namespace
-# at call time, and the broken stand-in built from the original.
-SUITE_BREAKS = [
-    # every k-order one too low: Casimir^n no longer has order 2n
-    ("order-equality", "appendix", "k_order", lambda orig: lambda u: orig(u) - 1),
-    # the projection of u^2 in place of u: the split image has order 4n
-    ("order-inequality", "appendix", "hc_projection",
-     lambda orig: lambda u, cartan: orig(u * u, cartan)),
-    # the same step in the regularity suite: the Casimir projects to (h^2 - 1)^2
-    ("cartan-projection", "regularity", "hc_projection",
-     lambda orig: lambda u, cartan: orig(u * u, cartan)),
-    # every membership verdict inverted
-    ("center-membership", "regularity", "center_membership",
-     lambda orig: lambda *args: not orig(*args)),
-    # regularity judged at r = 0, where R^2 has a pole, in place of infinity
-    ("regular-at-infinity", "regularity", "ProjectivePoint",
-     lambda orig: types.SimpleNamespace(infinity=lambda: orig.from_r(0))),
-    # the closed form read at the motion fiber whatever the point
-    ("jantzen-quotient", "conjecture2", "jantzen_quotient_formula",
-     lambda orig: lambda fam, p: orig(fam, ProjectivePoint.infinity())),
-]
-
 
 class TestVerify:
-    @pytest.mark.parametrize("kind,suite,name,broken", SUITE_BREAKS,
-                             ids=[b[0] for b in SUITE_BREAKS])
-    def test_each_check_kind_can_fail(self, monkeypatch, capsys, kind, suite, name, broken):
-        assert cmd_verify(suite)[0]["pass"]
-        monkeypatch.setattr(cli, name, broken(getattr(cli, name)))
-        doc, code = cmd_verify(suite)
-        assert code == 1 and not doc["pass"]
-        assert {e["check"] for e in doc["entries"] if not e["pass"]} == {kind}
-        code, doc = run_json(capsys, "verify", suite)
-        assert code == 1 and doc["counts"]["fail"] > 0
-
     def test_regularity_decomposes_each_power_once(self, monkeypatch):
         # center_membership and both gamma_family calls share one decomposition
         calls = []
@@ -644,13 +581,9 @@ class TestVerify:
         assert code == 0 and doc["counts"] == {"fail": 0, "pass": 17}
         assert len(calls) == 5
 
-    def test_every_check_kind_but_the_convention_has_a_break(self):
-        kinds = {e["check"] for suite in cli._SUITES for e in cmd_verify(suite)[0]["entries"]}
-        broken = [b[0] for b in SUITE_BREAKS + BIJECTION_BREAKS]
-        assert len(broken) == len(set(broken)) == 12
-        assert kinds - {"equivalence-convention"} == set(broken)
-
-    @pytest.mark.parametrize("suite", ["conjecture2", "bijection", "appendix", "regularity"])
+    # the golden files verify_bijection_default.json and conjecture2_default.json
+    # hold the other two suites' default runs
+    @pytest.mark.parametrize("suite", ["appendix", "regularity"])
     def test_every_suite_passes_on_its_defaults(self, capsys, suite):
         code, doc = run_json(capsys, "verify", suite)
         assert code == 0
@@ -668,14 +601,6 @@ class TestVerify:
         cells = {"non-real" if not z.is_real else "0" if z == 0 else "<0" if z.re < 0 else ">0"
                  for z in map(GR.from_json, doc["grid"])}
         assert code == 0 and cells == {"<0", "0", ">0", "non-real"}
-        code, doc = run_json(capsys, "verify", "bijection")
-        assert code == 0 and doc["counts"] == {"fail": 0, "pass": 212}
-
-    def test_default_profile_conjecture2(self, capsys):
-        code, doc = run_json(capsys, "verify", "conjecture2")
-        assert code == 0
-        assert doc["profile"] == "default"
-        assert doc["counts"] == {"fail": 0, "pass": 243}
 
     def test_size_override(self, capsys):
         code, doc = run_json(capsys, "verify", "appendix", "--M", "1")
@@ -782,6 +707,10 @@ USAGE_ERRORS = [
     ("candidate-without-m0",
      SMALL_BIJECTION + ["--candidate", '{"1": [1, -1], "-1": [1, -1]}'],
      "candidate must supply an affine map for m = 0"),
+    ("candidate-pinned-key",
+     SMALL_BIJECTION + ["--candidate", '{"0": [1, -1], "1": [1, -1], "-1": [1, -1], "2": [1, 1]}'],
+     "candidate may supply affine maps for m = 0, 1, -1 only; "
+     "no eta^R moves the level a K-type |m| > 1 fixes"),
     ("candidate-non-integer-key", SMALL_BIJECTION + ["--candidate", '{"x": [1, -1]}'],
      "candidate key 'x' is not an integer m"),
     ("bijection-zero-R", ["bijection", "--R", "0"],
@@ -1045,16 +974,6 @@ class TestTextFormat:
 
 
 class TestEntryPoint:
-    def test_module_execution(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sl2family", "tables", "1", "--M", "0"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
-        assert len(doc["rows"]) == 2
-
     def test_output_integers_pass_the_interpreter_limit(self):
         # D^3 + D has 8,998 digits, past the interpreter's bound on int -> str;
         # with D = 10^2999 its decimal text is written out without that conversion
@@ -1067,14 +986,6 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         (entry,) = json.loads(proc.stdout, parse_int=str)["points"]
         assert entry["level"] == "1" + "0" * 5997 + "1" + "0" * 2999
-
-    def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sl2family", "tables", "9"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
 
     def test_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
         def interrupted(*args):

@@ -1,7 +1,6 @@
 """Level-affine correspondences between admissible duals: equivalence,
 temperedness, the minimal-K-type extension map, and its characterization."""
 
-import json
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from sl2family import cli, duals, fibers
 from sl2family.duals import (
-    CharacterizationResult,
     characterize_bijections,
     dual_classes,
     eta,
@@ -23,7 +21,7 @@ from sl2family.duals import (
     verify_conjecture1,
     vogan_map,
 )
-from sl2family.cli import cmd_tables, main
+from sl2family.cli import cmd_tables
 from sl2family.families import KTypeSet, make_family, pinned_level
 from sl2family.fibers import (
     DualParam,
@@ -40,6 +38,7 @@ from sl2family.sheaf import ProjectivePoint
 import langlands
 import mackey
 from conjecture1_reference import reference_verify_conjecture1
+from test_breaks import BREAKS
 
 GRID = tuple(
     GR.of(v) for v in (0, 1, -1, 2, -2, 4, -4, Fraction(-9, 4), 3, 8, 15)
@@ -316,26 +315,6 @@ class TestDualAtlas:
                     DualParam.motion(1, m)
 
 
-# One wrong step per check kind of verify_conjecture1: the check, a module name
-# it reads at call time, and the broken stand-in built from the original.
-BREAKS = [
-    # every motion class listed twice, so each image collides with its copy
-    ("injectivity", "dual_classes",
-     lambda orig: lambda R, *args: orig(R, *args) * (2 if R == 0 else 1)),
-    # every group class pulled back to one motion class of another K-type
-    ("surjectivity", "eta_inverse", lambda orig: lambda q: mo(0, 7)),
-    # minimal-K-type representatives taken at 2R
-    ("vogan-extension", "_vogan", lambda orig: lambda m, R: orig(m, 2 * R)),
-    # every motion parameter tempered, no group parameter
-    ("tempered", "is_tempered", lambda orig: lambda p: p.flavor == "motion"),
-    # group parameters with different m never equivalent
-    ("well-defined", "params_equivalent",
-     lambda orig: lambda a, b: orig(a, b) and (a.flavor == "motion" or a.m == b.m)),
-    # the expected scale 2/R^2 in place of 1/R^2
-    ("affine-form", "GR_ONE", lambda orig: GR(2)),
-]
-
-
 class TestConjectureOne:
     @pytest.mark.parametrize("R", [GR(1), GR(2), GR(Fraction(1, 2)), GR(3)])
     def test_holds_on_the_reference_grid(self, R):
@@ -392,25 +371,6 @@ class TestConjectureOne:
                 f"{a} and {b}" for a, b in pairs[:3]
             )
 
-    @pytest.mark.parametrize("grid", ["0,-1,1/2,3", "-1,1/2,3"], ids=["with-0", "without-0"])
-    @pytest.mark.parametrize("kind,name,broken", BREAKS, ids=[b[0] for b in BREAKS])
-    def test_each_check_kind_can_fail(self, monkeypatch, capsys, kind, name, broken, grid):
-        levels = grid.split(",")
-        assert verify_conjecture1(GR(Fraction(3, 2)), 3, levels)[0]
-        monkeypatch.setattr(duals, name, broken(getattr(duals, name)))
-        ok, report = verify_conjecture1(GR(Fraction(3, 2)), 3, levels)
-        assert not ok and {e["check"] for e in report if not e["pass"]} == {kind}
-        code = main(["bijection", "--R", "3/2", "--M", "3", f"--grid={grid}"])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 1 and not doc["pass"]
-        assert {e["check"] for rep in doc["reports"] for e in rep["entries"]
-                if not e["pass"]} == {kind}
-
-    def test_every_check_kind_but_the_convention_has_a_break(self):
-        _, report = verify_conjecture1(GR(1), 3, GRID)
-        kinds = {e["check"] for e in report} - {"equivalence-convention"}
-        assert sorted(kinds) == sorted(b[0] for b in BREAKS)
-
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             verify_conjecture1(GR(1), 6, ())
@@ -426,6 +386,11 @@ class TestConjectureOne:
 # levels, 0 (on some grids, off others), the non-real 1+i, and levels from Q(i).
 CHECK_GRIDS = st.lists(st.one_of(st.sampled_from((GR(0), GR(-1), GR(1), GR(1, 1))), LEVELS),
                        min_size=2, max_size=7).filter(lambda grid: len(set(grid)) >= 2)
+
+
+# the breaks of verify_conjecture1's check kinds: (kind, name in duals, stand-in)
+DUALS_BREAKS = [(kind, name, broken) for kind, _, module, name, broken in BREAKS
+                if module is duals]
 
 
 class TestConjectureOneReference:
@@ -450,7 +415,7 @@ class TestConjectureOneReference:
             assert ok and (ok, report) == reference_verify_conjecture1(R, M, grid)
 
     @pytest.mark.parametrize("grid", ["0,-1,1/2,3", "-1,1/2,3"], ids=["with-0", "without-0"])
-    @pytest.mark.parametrize("kind,name,broken", BREAKS, ids=[b[0] for b in BREAKS])
+    @pytest.mark.parametrize("kind,name,broken", DUALS_BREAKS, ids=[b[0] for b in DUALS_BREAKS])
     def test_matches_the_reference_when_a_check_fails(self, monkeypatch, kind, name, broken,
                                                      grid):
         monkeypatch.setattr(duals, name, broken(getattr(duals, name)))
@@ -502,6 +467,11 @@ class TestCharacterization:
     def test_missing_component_rejected(self):
         with pytest.raises(ValueError, match="m = 1"):
             characterize_bijections({0: (GR(1), GR(-1))})
+
+    def test_pinned_component_rejected(self):
+        # no eta^R moves the level a K-type |m| > 1 fixes, so no map for it is read
+        with pytest.raises(ValueError, match="for m = 0, 1, -1 only"):
+            characterize_bijections({**self.constant_candidate(1, -1), 2: (GR(1), GR(1))})
 
     def test_json_form(self):
         res = characterize_bijections(self.constant_candidate(Fraction(1, 4), -1))

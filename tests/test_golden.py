@@ -1,8 +1,8 @@
-"""The golden files: each file in tests/fixtures but classify_grid.json, the
-one sl2family command that writes it, and a check that the real entry point
-still writes it byte for byte, under two hash seeds, through --out and to
-stdout.  classify_grid.json is a grid of 4,095 classify calls, not one
-command; tests/test_cli.py compares it."""
+"""python -m sl2family as a subprocess.  Each file in tests/fixtures but
+classify_grid.json (a grid of 4,095 classify calls, which tests/test_cli.py
+compares) has one command that writes it byte for byte, under two hash seeds,
+through --out and to stdout.  Other commands are held to json.dumps of their
+own output, and two runs to a time bound."""
 
 import json
 import os
@@ -78,6 +78,29 @@ GOLDEN = [
 ]
 
 
+# commands that write no golden file, covering every subcommand and the
+# writers of the appendix and regularity suites
+JSON_DUMPS = [
+    ["analyze", "--family", '{"m": 0, "casimir": [-1, 0, 1]}', "--point", "inf"],
+    ["tables", "1", "--M", "6", "--grid", "0,1,1/2"],
+    ["classify", "--family", '{"m": 0, "casimir": [-1, 0, 1]}'],
+    ["bijection", "--candidate", '{"0":[1,-1],"1":[1,-1],"-1":[1,-1]}'],
+    ["verify", "appendix", "--M", "4"],
+    ["verify", "regularity", "--M", "4"],
+]
+
+
+def entry_point(argv, seed="0", timeout=None) -> subprocess.CompletedProcess:
+    """python -m sl2family argv under PYTHONHASHSEED=seed, its output captured."""
+    return subprocess.run([sys.executable, "-m", "sl2family", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONHASHSEED": seed}, timeout=timeout)
+
+
+def is_json_dumps(text: str) -> bool:
+    """Whether text is exactly json.dumps of its own document, plus a newline."""
+    return text == json.dumps(json.loads(text), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
 def test_every_golden_file_has_one_row():
     files = sorted(p.name for p in FIXTURES.iterdir() if p.name != "classify_grid.json")
     assert sorted(name for name, _ in GOLDEN) == files
@@ -89,13 +112,27 @@ def test_every_golden_file_has_one_row():
 @pytest.mark.parametrize("name,argv", GOLDEN, ids=[name for name, _ in GOLDEN])
 def test_entry_point_writes_the_golden_file(tmp_path, name, argv, seed, through_out):
     golden = (FIXTURES / name).read_bytes()
-    text = golden.decode("ascii")
-    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    assert is_json_dumps(golden.decode("ascii"))
     out = tmp_path / name
-    proc = subprocess.run([sys.executable, "-m", "sl2family", *argv,
-                           *(["--out", str(out)] if through_out else [])],
-                          capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+    proc = entry_point([*argv, *(["--out", str(out)] if through_out else [])], seed)
     assert (proc.returncode, proc.stderr) == (0, b"")
     if through_out:
         assert proc.stdout == b""
     assert (out.read_bytes() if through_out else proc.stdout) == golden
+
+
+@pytest.mark.parametrize("argv", JSON_DUMPS,
+                         ids=[argv[1] if argv[0] == "verify" else argv[0] for argv in JSON_DUMPS])
+def test_output_is_json_dumps_of_its_document(argv):
+    proc = entry_point(argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert is_json_dumps(proc.stdout.decode("ascii"))
+
+
+def test_casimir_48_through_both_cartans_within_two_minutes():
+    assert entry_point(["verify", "appendix", "--M", "48"], timeout=120).returncode == 0
+
+
+def test_exponent_notation_is_refused_at_once():
+    # 1e-999999999 names a number of a billion digits: exit 2, not a hang
+    assert entry_point(["bijection", "--grid", "1e-999999999,1"], timeout=20).returncode == 2

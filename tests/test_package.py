@@ -1,8 +1,17 @@
-"""The package's public surface: what ``from sl2family import *`` exports."""
+"""The package's public surface (``from sl2family import *``), its import on
+the standard library alone, and the private names no other module imports."""
 
+import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sl2family
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the modules whose private names no other module imports
+OWNERS = ("pbw", "sheaf", "families", "fibers", "duals")
 
 STAR_EXPORTS = {
     "CHART_FINITE", "CHART_INFINITY", "COMPACT", "CartanSection", "CharacterizationResult",
@@ -41,3 +50,21 @@ def test_readme_quick_tour_prints_what_its_comments_say():
     printed = []
     exec(block, {"print": lambda *args: printed.append(" ".join(map(str, args)))})
     assert len(expected) >= 4 and printed == expected
+
+
+def test_imports_with_the_standard_library_alone_and_no_warning():
+    # -S keeps site-packages off the path; -W error turns any warning into a failure
+    proc = subprocess.run(
+        [sys.executable, "-S", "-W", "error", "-c", "import sl2family; from sl2family import *"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_no_module_imports_a_private_name_of_an_owner():
+    sources = {(m, 1) for m in OWNERS} | {(f"sl2family.{m}", 0) for m in OWNERS}
+    bad = [f"{path.name}:{node.lineno}: {alias.name}"
+           for path in sorted((SRC / "sl2family").glob("*.py"))
+           for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+           if isinstance(node, ast.ImportFrom) and (node.module, node.level) in sources
+           for alias in node.names if alias.name.startswith("_")]
+    assert bad == []

@@ -1,14 +1,27 @@
-"""The CI workflow parses as YAML and installs PyYAML, which this test reads
-it with."""
+"""The CI workflow runs the ROADMAP's tier-1 command and holds no check of
+its own: every check lives in the tests, where tier-1 runs it."""
 
+import re
 from pathlib import Path
 
 import yaml
 
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
-def test_workflow_parses_and_installs_pyyaml():
+def test_workflow_runs_tier1_and_no_check_of_its_own():
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
+                      (ROOT / "ROADMAP.md").read_text(encoding="utf-8")).group(1)
     doc = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
-    steps = [step for job in doc["jobs"].values() for step in job["steps"]]
-    assert any("pyyaml" in step.get("run", "").split() for step in steps)
+    steps = [step.get("uses") or step["run"] for job in doc["jobs"].values()
+             for step in job["steps"]]
+    assert steps == [
+        "actions/checkout@v4",
+        "actions/setup-python@v5",
+        "wc -l src/sl2family/*.py",
+        "python -m pip install pytest hypothesis sympy pyyaml",  # this test reads YAML
+        tier1,
+        "PYTHONPATH=src python -m pytest -q perfbench/selftest.py",
+    ]
+    assert not [s for s in steps if re.search(r"python -m sl2family|\bcmp\b|<<|\|", s)]

@@ -60,6 +60,16 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def usage_error(capsys, argv) -> str:
+    """The last stderr line of main(argv), which must exit 2 and print nothing."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err.splitlines()[-1]
+
+
 class TestTableFixtures:
     def test_fixture_shapes(self):
         table1 = json.loads((FIXTURES / "table1_M6.json").read_text())
@@ -101,10 +111,28 @@ class TestTableContents:
 
     @pytest.mark.parametrize("which", ["1", "2", "3"])
     def test_negative_bound_is_usage_error(self, capsys, which):
-        with pytest.raises(SystemExit) as exc:
-            main(["tables", which, "--M", "-3"])
-        assert exc.value.code == 2
-        assert "M must be >= 0" in capsys.readouterr().err
+        assert "M must be >= 0" in usage_error(capsys, ["tables", which, "--M", "-3"])
+
+
+class TestDeterminism:
+    def test_repeated_runs_are_identical(self, capsys):
+        _, first = run(capsys, "tables", "2", "--M", "4")
+        _, second = run(capsys, "tables", "2", "--M", "4")
+        assert first == second
+
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        _, streamed = run(capsys, "tables", "1", "--M", "3")
+        target = tmp_path / "t.json"
+        code, silent = run(capsys, "tables", "1", "--M", "3", "--out", str(target))
+        assert code == 0 and silent == ""
+        assert target.read_text(encoding="utf-8") == streamed
+
+    def test_json_rendering_is_ascii_sorted_and_terminated(self, capsys):
+        _, out = run(capsys, "classify", "--family", '{"m": 2, "casimir": [0]}')
+        assert out.endswith("\n")
+        assert out == out.encode("ascii", "strict").decode("ascii")
+        doc = json.loads(out)
+        assert list(doc) == sorted(doc)
 
 
 # JSON trees with every leaf render_json takes, empty containers at every depth,
@@ -255,11 +283,7 @@ class TestClassify:
         assert code == 1
         assert doc["error"] == "descriptor-bad-field"
         assert doc["detail"] == "unknown descriptor key 'ktype'"
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--family", desc, "--point", "r=1"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1] == (
+        assert usage_error(capsys, ["analyze", "--family", desc, "--point", "r=1"]) == (
             "sl2family: error: --family: descriptor-bad-field: unknown descriptor key 'ktype'")
 
     @pytest.mark.parametrize("desc,detail", [
@@ -461,14 +485,10 @@ class TestAnalyze:
         assert inf["flavor"] == "motion" and inf["reducible"]  # c2 = 0 cuts every edge
 
     def test_requires_points(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--family", '{"m": 0, "casimir": [-1, 0, 1]}'])
-        assert exc.value.code == 2
+        usage_error(capsys, ["analyze", "--family", '{"m": 0, "casimir": [-1, 0, 1]}'])
 
     def test_invalid_family_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--family", '{"m": 2, "casimir": [5]}', "--point", "r=1"])
-        assert exc.value.code == 2
+        usage_error(capsys, ["analyze", "--family", '{"m": 2, "casimir": [5]}', "--point", "r=1"])
 
 
 class TestBijection:
@@ -525,12 +545,7 @@ class TestBijection:
     @pytest.mark.parametrize("argv", [["bijection", "--R", "1", "--M", "3", "--grid", "1,1"],
                                       ["verify", "bijection", "--grid", "0"]])
     def test_one_level_grid_is_usage_error(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
+        assert usage_error(capsys, argv) == (
             "sl2family: error: the level grid needs at least two distinct levels")
 
     def test_non_real_levels_are_read(self, capsys):
@@ -560,11 +575,16 @@ class TestBijection:
     def test_every_R_is_checked_before_any_check_runs(self, capsys, monkeypatch, argv):
         calls = []
         monkeypatch.setattr(cli, "verify_conjecture1", lambda *args: calls.append(args))
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2 and calls == []
-        assert capsys.readouterr().err.splitlines()[-1] == (
+        assert usage_error(capsys, argv) == (
             "sl2family: error: the chart coordinate R must be a nonzero real rational")
+        assert calls == []
+
+    def test_float_in_candidate_is_usage_error(self, capsys):
+        assert usage_error(capsys, [
+            "bijection", "--R", "1", "--M", "1", "--grid", "0,1",
+            "--candidate", '{"0": [0.5, -1], "1": [1, -1], "-1": [1, -1]}']) == (
+            "sl2family: error: candidate entry for m=0: "
+            "cannot read scalar from 0.5 (floats are not exact)")
 
 
 class TestVerify:
@@ -631,17 +651,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["conjecture2", "bijection", "appendix", "regularity"])
     def test_negative_bound_is_usage_error(self, capsys, suite):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", suite, "--M", "-1"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1].endswith("bound M must be >= 0")
+        assert usage_error(capsys, ["verify", suite, "--M", "-1"]).endswith("bound M must be >= 0")
 
     def test_unknown_suite_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "balance"])
-        assert exc.value.code == 2
+        usage_error(capsys, ["verify", "balance"])
 
 
 FAMILY = '{"m": 0, "casimir": [-1, 0, 1]}'
@@ -875,44 +888,38 @@ DIGIT_READERS = [
 ]
 
 
-def _flag_error(capsys, argv) -> str:
-    """The last stderr line of main(argv), which must exit 2 and print nothing."""
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    return captured.err.splitlines()[-1]
-
-
 class TestUsageErrors:
     @pytest.mark.parametrize("argv,message", [case[1:] for case in EXPONENT_FLAGS],
                              ids=[case[0] for case in EXPONENT_FLAGS])
-    def test_exponent_notation_in_a_flag(self, capsys, argv, message):
-        # before exponents were refused, "1e-999999999" kept the parser busy for minutes
-        assert _flag_error(capsys, argv) == message
+    def test_exponent_notation_in_a_flag(self, argv, message):
+        # before exponents were refused, "1e-999999999" kept the parser busy for
+        # minutes: the entry point must refuse it within 20 s
+        proc = subprocess.run([sys.executable, "-m", "sl2family", *argv],
+                              capture_output=True, text=True, timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines()[-1] == message
 
     @pytest.mark.parametrize("argv,message", [case[1:] for case in UNREADABLE_FLAGS],
                              ids=[case[0] for case in UNREADABLE_FLAGS])
     def test_unreadable_flag_value_gives_the_reason(self, capsys, argv, message):
-        assert _flag_error(capsys, argv) == message
+        assert usage_error(capsys, argv) == message
 
     @pytest.mark.parametrize("argv,start", [case[1:] for case in LONG_VALUES],
                              ids=[case[0] for case in LONG_VALUES])
     def test_long_value_is_quoted_by_a_bounded_prefix(self, capsys, argv, start):
         # the message used to quote the whole value: about 20 KB of stderr
-        line = _flag_error(capsys, argv)
+        line = usage_error(capsys, argv)
         assert line.startswith(start) and "..." in line and len(line) <= 300
 
     @pytest.mark.parametrize("argv,start", [case[1:] for case in LONG_ARGUMENTS],
                              ids=[case[0] for case in LONG_ARGUMENTS])
     def test_long_argument_is_not_echoed_whole(self, capsys, argv, start):
         # argparse's "invalid int value" and "invalid choice" quoted all of it: 20 KB
-        line = _flag_error(capsys, argv)
+        line = usage_error(capsys, argv)
         assert line.startswith(start) and "..." in line and len(line) <= 400
 
     def test_more_than_the_digit_limit_names_the_limit(self, capsys):
-        line = _flag_error(capsys, ["verify", "regularity", "--M", DIGITS])
+        line = usage_error(capsys, ["verify", "regularity", "--M", DIGITS])
         assert line.endswith("... (more than 4300 digits))")
 
     @pytest.mark.parametrize("argv", [case[1] for case in DIGIT_READERS],
@@ -934,7 +941,7 @@ class TestUsageErrors:
     def test_long_json_int_names_the_digit_limit(self, capsys, argv):
         # Python's own message here was "... use sys.set_int_max_str_digits() ..."
         flag = "--candidate" if "--candidate" in argv else "--family"
-        assert _flag_error(capsys, argv) == (
+        assert usage_error(capsys, argv) == (
             f"sl2family: error: {flag}: cannot read an integer from '{DIGITS[:59]}... "
             "(more than 4300 digits)")
 
@@ -949,12 +956,7 @@ class TestUsageErrors:
         (tmp_path / "nonobj.json").write_text("[1, 2]", encoding="utf-8")
         deep = '{"m": 0, "casimir": ' + "[" * 5000 + "1" + "]" * 5000 + "}"
         (tmp_path / "deep.json").write_text(deep, encoding="utf-8")
-        with pytest.raises(SystemExit) as exc:
-            main([a.replace("{tmp}", str(tmp_path)) for a in argv])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
+        assert usage_error(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv]) == (
             "sl2family: error: " + message.replace("{tmp}", str(tmp_path)))
 
 
@@ -974,6 +976,11 @@ class TestTextFormat:
 
 
 class TestEntryPoint:
+    def test_module_execution(self):
+        proc = subprocess.run([sys.executable, "-m", "sl2family", "tables", "1", "--M", "0"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and len(json.loads(proc.stdout)["rows"]) == 2
+
     def test_output_integers_pass_the_interpreter_limit(self):
         # D^3 + D has 8,998 digits, past the interpreter's bound on int -> str;
         # with D = 10^2999 its decimal text is written out without that conversion
@@ -986,6 +993,11 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         (entry,) = json.loads(proc.stdout, parse_int=str)["points"]
         assert entry["level"] == "1" + "0" * 5997 + "1" + "0" * 2999
+
+    def test_usage_error_exit_code(self):
+        proc = subprocess.run([sys.executable, "-m", "sl2family", "tables", "9"],
+                              capture_output=True)
+        assert proc.returncode == 2
 
     def test_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
         def interrupted(*args):
